@@ -4,7 +4,7 @@ seeded slot-level Monte Carlo simulator."""
 
 from .config import (DerivedConstants, ParameterError, SystemParams, dbm_to_watts,
                      default_params, derive, load_params, validate, watts_to_dbm)
-from .primary_link import PrimaryStats, mu_p, pi_idle, primary_stats, pu_throughput, regime
+from .primary_link import mu_p, pi_idle, pu_throughput, regime
 from .harvest import (HarvestPmf, arrival_pmfs, combined_pmf, f_of_z, nature_pmf,
                       ratio_cap_cdf, rf_increments, rf_pmf)
 from .energy_chain import (EnergyChain, ReducibleChainWarning, ThroughputReport,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DerivedConstants", "ParameterError", "SystemParams", "dbm_to_watts",
     "default_params", "derive", "load_params", "validate", "watts_to_dbm",
-    "PrimaryStats", "mu_p", "pi_idle", "primary_stats", "pu_throughput", "regime",
+    "mu_p", "pi_idle", "pu_throughput", "regime",
     "HarvestPmf", "arrival_pmfs", "combined_pmf", "f_of_z", "nature_pmf",
     "ratio_cap_cdf", "rf_increments", "rf_pmf",
     "EnergyChain", "ReducibleChainWarning", "ThroughputReport", "build_chain",

@@ -80,29 +80,11 @@ def _point_params(spec: SweepSpec, value) -> SystemParams:
 
 
 def _analytic_point(params: SystemParams, epsilon, g_policy):
-    """Returns (report, chain at the reported g). Chain carries chi."""
+    """Returns (report, dc); report.chain is solved at the reported g."""
     dc = derive(params)
     pmfs = harvest.arrival_pmfs(params, dc, epsilon)
-    pi = primary_link.pi_idle(params, dc)
-    if g_policy == "optimize":
-        report = energy_chain.optimize_g(params, dc, pmfs)
-        g_used = report.g_star
-    else:
-        g_used = params.G
-        chain = energy_chain.solve_chain(pmfs[0], pmfs[1], pi, g_used, params.E_max)
-        mu_s = energy_chain.su_throughput(chain, params, dc)
-        report = energy_chain.ThroughputReport(
-            pi_idle=pi,
-            mu_p=primary_link.mu_p(params, dc),
-            pu_throughput=primary_link.pu_throughput(params, dc),
-            mu_e=energy_chain.mu_e(chain, params, dc),
-            mu_s_by_g={g_used: mu_s},
-            g_star=g_used,
-            mu_s_star=mu_s,
-        )
-        return report, chain, dc
-    chain = energy_chain.solve_chain(pmfs[0], pmfs[1], pi, g_used, params.E_max)
-    return report, chain, dc
+    budgets = None if g_policy == "optimize" else (params.G,)
+    return energy_chain.optimize_g(params, dc, pmfs, budgets), dc
 
 
 def _param_columns(params: SystemParams) -> dict:
@@ -174,7 +156,7 @@ def _eval_sweep_point(task):
     dc = None
     if spec.engines in ("analytic", "both"):
         try:
-            report, _, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
+            report, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
             rows.append(_analytic_row(params, report, dc))
         except Exception as exc:
             rows.append(_error_row(params, "analytic", exc))
@@ -232,7 +214,7 @@ def _compare_point(task):
     spec, value = task
     try:
         params = _point_params(spec, value)
-        report, chain, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
+        report, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
         sim_params = validate(replace(params, G=report.g_star))
         result = run_simulation(sim_params, spec.sim)
     except Exception as exc:
@@ -241,7 +223,7 @@ def _compare_point(task):
         row[spec.swept_param] = value
         row["error"] = str(exc)
         return row
-    tv = 0.5 * float(np.abs(chain.chi - result.energy_occupancy_hist).sum())
+    tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
     row = _param_columns(sim_params)
     row.update(
         g=report.g_star,
@@ -404,8 +386,7 @@ def _outputs(args):
 
 def cmd_analytic(args):
     params = params_from_args(args)
-    report, chain, dc = _analytic_point(params, args.epsilon,
-                                        "fixed" if args.fixed_g else "optimize")
+    report, dc = _analytic_point(params, args.epsilon, "fixed" if args.fixed_g else "optimize")
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
@@ -419,8 +400,8 @@ def cmd_analytic(args):
             os.path.join(args.dump_pmfs, "rf_conditional.txt"))
     if args.dump_chain:
         os.makedirs(args.dump_chain, exist_ok=True)
-        np.savetxt(os.path.join(args.dump_chain, "omega.txt"), chain.omega, fmt="%.17g")
-        np.savetxt(os.path.join(args.dump_chain, "chi.txt"), chain.chi, fmt="%.17g")
+        np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
+        np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chain.chi, fmt="%.17g")
     write_rows([row], _filter_columns(columns, _outputs(args)), args.out, args.format)
     return 0
 

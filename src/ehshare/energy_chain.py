@@ -10,11 +10,9 @@ truncated pmf tails back in.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .config import DerivedConstants, SystemParams
 from .harvest import HarvestPmf
@@ -44,21 +42,27 @@ class EnergyChain:
     chi: np.ndarray | None = None
 
 
-def _at(p, m):
-    return p[m] if 0 <= m < len(p) else 0.0
-
-
-def _head(cum, m):
-    """Sum of pmf entries 0..m-1 given the cumulative-sum array."""
-    if m <= 0:
-        return 0.0
-    return cum[min(m, len(cum)) - 1]
-
-
 def _check_pmf(pmf: HarvestPmf, role):
     s = math.fsum(pmf.probs) + pmf.tail_mass
     if abs(s - 1.0) > 1e-9 or pmf.tail_mass > 1e-6 or np.any(pmf.probs < 0):
         raise ChainError(f"{role} arrival pmf is not normalized")
+
+
+def _arrival_rows(probs, base, e_max):
+    """Per-row arrival kernel of one slot type, shape (len(base), e_max+1).
+
+    Row j holds pmf(k - base[j]) for k < e_max and, in column e_max, the
+    complement Pr{arrivals >= e_max - base[j]}, clamped at 0: a pmf summing
+    to 1 + 1ulp must not produce a negative transition probability. Only the
+    first e_max pmf entries can land below the top state.
+    """
+    head = probs[:e_max]
+    padded = np.concatenate([np.zeros(e_max), head, np.zeros(e_max - head.size)])
+    cum = np.concatenate([[0.0], np.cumsum(padded[e_max:])])
+    rows = np.empty((base.size, e_max + 1))
+    rows[:, :e_max] = padded[np.arange(e_max) + e_max - base[:, None]]
+    rows[:, e_max] = np.maximum(0.0, 1.0 - cum[e_max - base])
+    return rows
 
 
 def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
@@ -78,23 +82,12 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     _check_pmf(p_idle_arrivals, "idle")
     _check_pmf(p_active_arrivals, "active")
 
-    pp = p_idle_arrivals.probs
-    pa = p_active_arrivals.probs
-    cum_pp = np.cumsum(pp)
-    cum_pa = np.cumsum(pa)
-    pi = float(pi_idle)
-    pi_bar = 1.0 - pi
-
     n = e_max + 1
-    omega = np.zeros((n, n))
-    for j in range(n):
-        base = j - g if j >= g else j
-        for k in range(e_max):
-            omega[j, k] = pi * _at(pp, k - base) + pi_bar * _at(pa, k - j)
-        # complements clamped at 0: a pmf summing to 1 + 1ulp must not
-        # produce a negative transition probability
-        omega[j, e_max] = pi * max(0.0, 1.0 - _head(cum_pp, e_max - base)) \
-            + pi_bar * max(0.0, 1.0 - _head(cum_pa, e_max - j))
+    stay = np.arange(n)
+    base = np.where(stay >= g, stay - g, stay)
+    pi = float(pi_idle)
+    omega = pi * _arrival_rows(p_idle_arrivals.probs, base, e_max) \
+        + (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)
     return EnergyChain(omega=omega, g=g)
 
 
@@ -108,63 +101,37 @@ def _solve_direct(omega):
     return chi / chi.sum()
 
 
-def _power_iteration(omega, tol=1e-12, max_iter=10**6):
-    # iterate the lazy kernel (I + omega)/2: same fixed point, no 2-cycles
-    n = omega.shape[0]
-    chi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = 0.5 * (chi + chi @ omega)
+def _power_iteration(omega, chi, tol):
+    """Long-run occupancy reached from the distribution chi.
+
+    Iterates the lazy kernel K = (I + omega)/2, which has omega's Cesaro
+    limit and no periodic classes, taking chi @ K^(2^s - 1) for s = 1, 2, ...
+    by repeated squaring; convergence is tested over the last 2^s steps.
+    Rows are renormalized after each squaring so that rounding in the row
+    sums cannot compound.
+    """
+    kernel = 0.5 * (np.eye(omega.shape[0]) + omega)
+    for _ in range(64):
+        nxt = chi @ kernel
         if np.max(np.abs(nxt - chi)) < tol:
             return nxt / nxt.sum()
         chi = nxt
+        kernel = kernel @ kernel
+        kernel /= kernel.sum(axis=1, keepdims=True)
     residual = float(np.max(np.abs(chi @ omega - chi)))
     raise StationarySolveError(
-        f"power iteration did not converge within {max_iter} iterations (residual {residual:.3e})")
+        f"power iteration did not converge within 2^64 steps (residual {residual:.3e})")
 
 
-def _terminal_components(omega, labels, n_comp):
-    """Component ids with no outgoing edge into another component."""
-    terminal = set(range(n_comp))
-    rows, cols = np.nonzero(omega > 0.0)
-    edges = set()
-    for r, c in zip(rows, cols):
-        if labels[r] != labels[c]:
-            terminal.discard(labels[r])
-            edges.add((labels[r], labels[c]))
-    return terminal, edges
-
-
-def _reducible_stationary(omega, labels, n_comp, start_state):
-    """Long-run occupancy of a reducible chain started at start_state.
-
-    Weights each terminal class by its absorption probability from the
-    start state and mixes the per-class stationary vectors.
-    """
-    n = omega.shape[0]
-    terminal, _ = _terminal_components(omega, labels, n_comp)
-    term_states = {c: np.flatnonzero(labels == c) for c in terminal}
-
-    start_comp = labels[start_state]
-    if start_comp in terminal:
-        weights = {start_comp: 1.0}
-    else:
-        transient = np.flatnonzero(~np.isin(labels, list(terminal)))
-        idx = {s: i for i, s in enumerate(transient)}
-        q = omega[np.ix_(transient, transient)]
-        term_list = sorted(terminal)
-        r = np.column_stack([omega[np.ix_(transient, term_states[c])].sum(axis=1)
-                             for c in term_list])
-        absorb = np.linalg.solve(np.eye(len(transient)) - q, r)
-        weights = {c: float(absorb[idx[start_state], i]) for i, c in enumerate(term_list)}
-
-    chi = np.zeros(n)
-    for c, w in weights.items():
-        if w <= 0.0:
-            continue
-        states = term_states[c]
-        sub = omega[np.ix_(states, states)]
-        chi[states] = w * (_solve_direct(sub) if len(states) > 1 else 1.0)
-    return chi / chi.sum()
+def _reaches_all(edges):
+    """Whether every state is reachable from state 0 along edges[i, j]."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
@@ -181,17 +148,16 @@ def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
     if omega.shape != (n, n) or row_err > 1e-9 or np.any(omega < 0):
         raise ChainError("omega must be row-stochastic")
 
-    n_comp, labels = connected_components(
-        csr_matrix(omega > 0.0), directed=True, connection="strong")
-    if n_comp == 1:
+    edges = omega > 0.0
+    if _reaches_all(edges) and _reaches_all(edges.T):
         chi = _solve_direct(omega)
         if float(np.max(np.abs(chi @ omega - chi))) >= tol:
-            chi = _power_iteration(omega)
+            chi = _power_iteration(omega, np.full(n, 1.0 / n), tol=1e-12)
     else:
         warnings.warn(
             "energy chain is reducible; returning the occupancy reached from an empty queue",
             ReducibleChainWarning, stacklevel=2)
-        chi = _reducible_stationary(omega, labels, n_comp, start_state)
+        chi = _power_iteration(omega, np.eye(n)[start_state], tol=1e-14)
 
     residual = float(np.max(np.abs(chi @ omega - chi)))
     if residual >= tol:
@@ -239,9 +205,9 @@ def mu_e(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
 class ThroughputReport:
     """Analytic summary at one operating point.
 
-    mu_s_by_g maps every feasible energy budget to its secondary
-    throughput; g_star is the smallest maximizer and mu_e the consumption
-    rate of the chain built with g_star.
+    mu_s_by_g maps every evaluated energy budget to its secondary
+    throughput; g_star is the first maximizer in evaluation order, chain
+    the solved chain built with g_star and mu_e its consumption rate.
     """
 
     pi_idle: float
@@ -251,32 +217,34 @@ class ThroughputReport:
     mu_s_by_g: dict[int, float]
     g_star: int
     mu_s_star: float
+    chain: EnergyChain = field(repr=False, compare=False)
 
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,
-               pmfs: tuple[HarvestPmf, HarvestPmf]) -> ThroughputReport:
-    """Exhaustively evaluate every energy budget 1..E_max and pick the best.
+               pmfs: tuple[HarvestPmf, HarvestPmf], budgets=None) -> ThroughputReport:
+    """Evaluate each energy budget (default every one in 1..E_max) and pick the best.
 
-    Ties break toward the smallest budget, deterministically.
+    Ties break toward the budget evaluated first, the smallest for the
+    default ascending order.
     """
+    if budgets is None:
+        budgets = range(1, params.E_max + 1)
     idle, active = pmfs
     pi = primary_link.pi_idle(params, dc)
     mu_s_by_g = {}
-    chains = {}
-    for g in range(1, params.E_max + 1):
+    best = None
+    for g in budgets:
         chain = solve_chain(idle, active, pi, g, params.E_max)
-        chains[g] = chain
         mu_s_by_g[g] = su_throughput(chain, params, dc)
-    g_star = 1
-    for g in range(2, params.E_max + 1):
-        if mu_s_by_g[g] > mu_s_by_g[g_star]:
-            g_star = g
+        if best is None or mu_s_by_g[g] > mu_s_by_g[best.g]:
+            best = chain
     return ThroughputReport(
         pi_idle=pi,
         mu_p=primary_link.mu_p(params, dc),
         pu_throughput=primary_link.pu_throughput(params, dc),
-        mu_e=mu_e(chains[g_star], params, dc),
+        mu_e=mu_e(best, params, dc),
         mu_s_by_g=mu_s_by_g,
-        g_star=g_star,
-        mu_s_star=mu_s_by_g[g_star],
+        g_star=best.g,
+        mu_s_star=mu_s_by_g[best.g],
+        chain=best,
     )

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .config import DerivedConstants, SystemParams
 from . import primary_link
@@ -155,19 +154,28 @@ def rf_pmf(params: SystemParams, dc: DerivedConstants, epsilon=DEFAULT_TAIL_EPS,
 
 
 def nature_pmf(params: SystemParams, epsilon=DEFAULT_TAIL_EPS) -> HarvestPmf:
-    """Poisson(lambda_e * T) packets per slot, truncated at tail < epsilon."""
+    """Poisson(lambda_e * T) packets per slot, truncated at tail < epsilon.
+
+    The support ends at the smallest count k with Pr{N > k} < epsilon. Terms
+    are evaluated in log space because exp(-m) underflows once m > ~745.
+    """
     m = params.lambda_e * params.T
     if m == 0:
         return HarvestPmf(np.array([1.0]), 0.0, KIND_NATURE)
-    hi = int(stats.poisson.isf(epsilon, m)) + 2
-    while stats.poisson.sf(hi - 1, m) >= epsilon:
-        hi *= 2
-        if hi > _MAX_BINS:
-            raise ValueError(f"nature pmf support exceeds {_MAX_BINS} bins before tail < {epsilon}")
-    ks = np.arange(hi + 1)
-    sf = stats.poisson.sf(ks, m)
-    n_bins = int(np.argmax(sf < epsilon)) + 1  # smallest count with tail below epsilon
-    probs = stats.poisson.pmf(np.arange(n_bins), m)
+    # Bernstein: Pr{N >= m + t} <= exp(-t^2 / (2 (m + t/3))); the grid ends
+    # where that bound is exp(-b) = epsilon * e^-40, far below epsilon
+    b = 40.0 - math.log(epsilon)
+    size = m + b / 3 + math.sqrt(b * b / 9 + 2 * b * m) + 2
+    if not size <= _MAX_BINS:
+        raise ValueError(f"nature pmf support exceeds {_MAX_BINS} bins before tail < {epsilon}")
+    ks = np.arange(int(size))
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(ks.size)])
+    terms = np.exp(ks * math.log(m) - log_fact - m)
+    # at_least[k] = Pr{N >= k}, summed from the smallest terms up so that it
+    # keeps full relative precision near epsilon, where 1 - cdf would not
+    at_least = np.cumsum(terms[::-1])[::-1]
+    n_bins = int(np.argmax(at_least[1:] < epsilon)) + 1
+    probs = terms[:n_bins]
     tail = max(0.0, 1.0 - math.fsum(probs))
     return HarvestPmf(probs, tail, KIND_NATURE)
 

@@ -7,25 +7,8 @@ falls below the threshold `a`). All quantities here are exact closed forms.
 """
 
 import math
-from dataclasses import dataclass
 
 from .config import DerivedConstants, SystemParams
-
-
-@dataclass(frozen=True)
-class PrimaryStats:
-    """Per-slot primary-user statistics.
-
-    mu_p:    service probability (channel clears the inversion cutoff)
-    p_over:  probability the required power exceeds the cap
-    pi_idle: probability the primary is inactive in a slot
-    thr_p:   delivered primary packets per slot
-    """
-
-    mu_p: float
-    p_over: float
-    pi_idle: float
-    thr_p: float
 
 
 def min_power(h_ppd, dc: DerivedConstants):
@@ -58,8 +41,3 @@ def regime(params: SystemParams, dc: DerivedConstants) -> str:
     """'stable' iff lambda_p < mu_p strictly; equality counts as saturated."""
     return "stable" if params.lambda_p < mu_p(params, dc) else "saturated"
 
-
-def primary_stats(params: SystemParams, dc: DerivedConstants) -> PrimaryStats:
-    m = mu_p(params, dc)
-    thr = min(params.lambda_p, m)
-    return PrimaryStats(mu_p=m, p_over=1.0 - m, pi_idle=1.0 - thr, thr_p=thr)

@@ -1,0 +1,160 @@
+"""The vectorized chain build, the scipy-free stationary solver and the
+closed-form Poisson pmf, checked against the implementations they replaced.
+
+The references below are the former library code, kept as oracles: a
+per-entry loop for the transition matrix, a strongly-connected-components
+test with an absorption-probability mixture for reducible chains, and
+scipy.stats for the ambient Poisson pmf.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from ehshare import default_params, derive
+from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, _solve_direct,
+                                  build_chain, stationary)
+from ehshare.harvest import DEFAULT_TAIL_EPS, HarvestPmf, arrival_pmfs, nature_pmf
+from ehshare.primary_link import pi_idle
+
+
+def _at(p, m):
+    return p[m] if 0 <= m < len(p) else 0.0
+
+
+def _head(cum, m):
+    if m <= 0:
+        return 0.0
+    return cum[min(m, len(cum)) - 1]
+
+
+def reference_omega(pp, pa, pi, g, e_max):
+    """Transition matrix built entry by entry."""
+    cum_pp, cum_pa = np.cumsum(pp), np.cumsum(pa)
+    pi_bar = 1.0 - pi
+    n = e_max + 1
+    omega = np.zeros((n, n))
+    for j in range(n):
+        base = j - g if j >= g else j
+        for k in range(e_max):
+            omega[j, k] = pi * _at(pp, k - base) + pi_bar * _at(pa, k - j)
+        omega[j, e_max] = pi * max(0.0, 1.0 - _head(cum_pp, e_max - base)) \
+            + pi_bar * max(0.0, 1.0 - _head(cum_pa, e_max - j))
+    return omega
+
+
+def reference_stationary(omega, start_state=0):
+    """(chi, reducible) by strongly connected components.
+
+    An irreducible chain gets the direct solve. A reducible one gets the
+    mixture of its terminal classes' stationary vectors, weighted by the
+    absorption probabilities from start_state.
+    """
+    n = omega.shape[0]
+    n_comp, labels = connected_components(
+        csr_matrix(omega > 0.0), directed=True, connection="strong")
+    if n_comp == 1:
+        return _solve_direct(omega), False
+
+    rows, cols = np.nonzero(omega > 0.0)
+    terminal = set(range(n_comp)) - {labels[r] for r, c in zip(rows, cols)
+                                     if labels[r] != labels[c]}
+    term_states = {c: np.flatnonzero(labels == c) for c in terminal}
+    start_comp = labels[start_state]
+    if start_comp in terminal:
+        weights = {start_comp: 1.0}
+    else:
+        transient = np.flatnonzero(~np.isin(labels, list(terminal)))
+        idx = {s: i for i, s in enumerate(transient)}
+        q = omega[np.ix_(transient, transient)]
+        term_list = sorted(terminal)
+        r = np.column_stack([omega[np.ix_(transient, term_states[c])].sum(axis=1)
+                             for c in term_list])
+        absorb = np.linalg.solve(np.eye(len(transient)) - q, r)
+        weights = {c: float(absorb[idx[start_state], i]) for i, c in enumerate(term_list)}
+
+    chi = np.zeros(n)
+    for c, w in weights.items():
+        if w <= 0.0:
+            continue
+        states = term_states[c]
+        sub = omega[np.ix_(states, states)]
+        chi[states] = w * (_solve_direct(sub) if len(states) > 1 else 1.0)
+    return chi / chi.sum(), True
+
+
+@settings(max_examples=80, deadline=None)
+@given(lambda_p=st.sampled_from([0.0, 0.4, 1.0]), eta=st.sampled_from([0.0, 0.6]),
+       lambda_e=st.sampled_from([0.0, 0.5, 800.0]), e_max=st.sampled_from([1, 6, 40]))
+def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, e_max):
+    p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    pi = pi_idle(p, dc)
+    for g in range(1, e_max + 1):
+        chain = build_chain(idle, active, pi, g, e_max)
+        assert np.array_equal(chain.omega, reference_omega(idle.probs, active.probs, pi, g, e_max))
+        ref_chi, reducible = reference_stationary(chain.omega)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ReducibleChainWarning)
+            chi = stationary(chain)
+        warned = any(issubclass(w.category, ReducibleChainWarning) for w in caught)
+        assert warned == reducible
+        assert np.max(np.abs(chi - ref_chi)) <= 1e-12
+
+
+def test_heavy_ambient_arrivals_make_a_reducible_chain():
+    # Pr{fewer than E_max ambient packets} underflows to 0 at lambda_e=800, so
+    # the full battery never drains although energy keeps arriving
+    p = default_params(lambda_e=800.0, E_max=6, G=1)
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    chain = build_chain(idle, active, pi_idle(p, dc), 1, 6)
+    assert np.all(chain.omega[6, :6] == 0.0)
+    assert reference_stationary(chain.omega)[1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReducibleChainWarning)
+        chi = stationary(chain)
+    assert any(issubclass(w.category, ReducibleChainWarning) for w in caught)
+    assert np.max(np.abs(chi - reference_stationary(chain.omega)[0])) <= 1e-12
+
+
+def test_overfull_pmf_gives_no_negative_complement():
+    over = HarvestPmf(np.array([0.07, 0.9300000000000002]), 0.0, "nature")
+    assert np.cumsum(over.probs)[-1] > 1.0
+    chain = build_chain(over, over, 0.5, 1, 3)
+    assert np.all(chain.omega >= 0.0)
+    assert np.array_equal(chain.omega, reference_omega(over.probs, over.probs, 0.5, 1, 3))
+
+
+def test_reducible_chain_with_two_closed_classes_matches_absorption_mixture():
+    omega = np.array([
+        [0.2, 0.1, 0.3, 0.4, 0.0],
+        [0.0, 0.5, 0.5, 0.0, 0.0],
+        [0.0, 0.9, 0.1, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.25, 0.75],
+        [0.0, 0.0, 0.0, 0.6, 0.4],
+    ])
+    ref = reference_stationary(omega)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        chi = stationary(EnergyChain(omega=omega, g=1))
+        # rows may miss 1 by as much as stationary accepts; repeated squaring
+        # must not compound that into divergence
+        drifted = stationary(EnergyChain(omega=omega * (1.0 + 5e-11), g=1))
+    assert np.max(np.abs(chi - ref)) <= 1e-12
+    assert np.max(np.abs(drifted - ref)) <= 1e-9
+
+
+@given(lambda_e=st.floats(min_value=0.0, max_value=50.0, exclude_min=True))
+def test_nature_pmf_matches_scipy_poisson(lambda_e):
+    pmf = nature_pmf(default_params(lambda_e=lambda_e))
+    sf = stats.poisson.sf(np.arange(pmf.probs.size + 50), lambda_e)
+    n_bins = int(np.argmax(sf < DEFAULT_TAIL_EPS)) + 1
+    assert pmf.probs.size == n_bins
+    np.testing.assert_allclose(pmf.probs, stats.poisson.pmf(np.arange(n_bins), lambda_e),
+                               rtol=1e-12, atol=0)

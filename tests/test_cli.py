@@ -1,12 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ehshare
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
-from ehshare.config import default_params
+from ehshare.config import default_params, derive
+from ehshare.energy_chain import mu_e, solve_chain, su_throughput
+from ehshare.harvest import arrival_pmfs
+from ehshare.primary_link import pi_idle
 from ehshare.simulator import SimConfig
 
 
@@ -37,6 +44,20 @@ def test_analytic_report_row(tmp_path):
     assert row["error"] == ""
     assert float(row["mu_s_g1"]) == float(row["mu_s"])  # g_star = 1 here
 
+
+
+def test_analytic_fixed_budget_reports_that_budget_only(tmp_path):
+    out = tmp_path / "fixed.csv"
+    assert main(["analytic", "--g", "3", "--fixed-g", "--out", str(out)]) == 0
+    row = read_csv(out)[0]
+    p = default_params(G=3)
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    chain = solve_chain(idle, active, pi_idle(p, dc), 3, p.E_max)
+    assert row["g"] == "3"
+    assert [c for c in row if c.startswith("mu_s_g")] == ["mu_s_g3"]
+    assert float(row["mu_s"]) == float(row["mu_s_g3"]) == su_throughput(chain, p, dc)
+    assert float(row["mu_e"]) == mu_e(chain, p, dc)
 
 def test_dbm_flag_matches_linear_flag(tmp_path):
     out_a = tmp_path / "a.csv"
@@ -227,3 +248,17 @@ def test_preset_specs_reject_unknown_name():
     from ehshare.config import ParameterError
     with pytest.raises(ParameterError):
         preset_specs("fig9")
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the package and its CLI must work with
+    # every scipy import failing. lambda_e=800 gives reducible chains.
+    src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
+    code = ("import sys; sys.modules['scipy'] = None; import ehshare; "
+            "from ehshare.cli_sweep import main; "
+            f"assert main(['preset', 'fig5', '--out', {str(tmp_path / 'fig5.csv')!r}]) == 0; "
+            f"assert main(['analytic', '--lambda-e', '800', '--out', {str(tmp_path / 'a.csv')!r}]) == 0")
+    env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert read_csv(tmp_path / "a.csv")[0]["error"] == ""

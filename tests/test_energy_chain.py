@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import (SimConfig, default_params, derive, simulate, validate)
+from ehshare import SimConfig, default_params, derive, energy_chain, simulate, validate
 from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
                                   build_chain, mu_e, optimize_g, outage_threshold,
                                   solve_chain, stationary, success_probability,
@@ -107,6 +107,13 @@ def test_stationary_two_state_birth_death_balance():
     p, q = 0.3, 0.2
     chain = EnergyChain(omega=np.array([[1 - p, p], [q, 1 - q]]), g=1)
     chi = stationary(chain)
+    assert np.allclose(chi, [q / (p + q), p / (p + q)], atol=1e-12)
+
+
+def test_power_iteration_fallback_when_direct_solve_misses(monkeypatch):
+    p, q = 0.3, 0.2
+    monkeypatch.setattr(energy_chain, "_solve_direct", lambda omega: np.full(2, 0.5))
+    chi = stationary(EnergyChain(omega=np.array([[1 - p, p], [q, 1 - q]]), g=1))
     assert np.allclose(chi, [q / (p + q), p / (p + q)], atol=1e-12)
 
 

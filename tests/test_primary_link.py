@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehshare import default_params, derive
-from ehshare.primary_link import (min_power, mu_p, pi_idle, primary_stats,
-                                  pu_throughput, regime)
+from ehshare.primary_link import min_power, mu_p, pi_idle, pu_throughput, regime
 
 P = default_params()
 DC = derive(P)
@@ -120,10 +119,3 @@ def test_throughput_piecewise_in_arrival_rate():
     for lam in np.linspace(0.0, 1.0, 41):
         thr = pu_throughput(*_pd(lambda_p=float(lam)))
         assert thr == pytest.approx(min(float(lam), m), rel=1e-15, abs=0)
-
-
-def test_primary_stats_invariants():
-    stats = primary_stats(P, DC)
-    assert stats.mu_p + stats.p_over == pytest.approx(1.0, rel=1e-15)
-    assert stats.pi_idle + stats.thr_p == 1.0
-    assert stats.thr_p <= min(P.lambda_p, stats.mu_p)
