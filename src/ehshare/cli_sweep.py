@@ -19,8 +19,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import energy_chain, harvest, primary_link
-from .config import (ParameterError, SystemParams, dbm_to_watts, default_params,
-                     derive, load_params, validate)
+from .config import (ParameterError, SystemParams, coerce_field, dbm_to_watts,
+                     default_params, derive, load_params, validate)
 from .simulator import SimConfig, run as run_simulation
 
 PARAM_FIELDS = [f.name for f in fields(SystemParams)]
@@ -39,17 +39,14 @@ class SweepSpec:
     engines: 'analytic', 'simulate', or 'both'. g_policy 'optimize' picks
     the throughput-maximizing energy budget per point (the simulator then
     reuses it when both engines run); 'fixed' keeps the configured G.
-    outputs optionally restricts the metric columns.
     """
 
     swept_param: str
     grid: tuple
     fixed: SystemParams
-    outputs: tuple = ()
     engines: str = "analytic"
     sim: SimConfig | None = None
     g_policy: str = "optimize"
-    epsilon: float = harvest.DEFAULT_TAIL_EPS
 
     def check(self):
         if self.swept_param not in PARAM_FIELDS:
@@ -68,23 +65,44 @@ class SweepSpec:
         return self
 
 
-def _point_params(spec: SweepSpec, value) -> SystemParams:
-    if spec.swept_param in ("E_max", "G"):
-        i = int(round(float(value)))
-        if abs(float(value) - i) > 1e-9:
-            raise ParameterError([f"{spec.swept_param}: grid value {value} is not an integer"])
-        value = i
-    else:
-        value = float(value)
-    return validate(replace(spec.fixed, **{spec.swept_param: value}))
-
-
-def _analytic_point(params: SystemParams, epsilon, g_policy):
+def _analytic_point(params: SystemParams, g_policy):
     """Returns (report, dc); report.chain is solved at the reported g."""
     dc = derive(params)
-    pmfs = harvest.arrival_pmfs(params, dc, epsilon)
+    pmfs = harvest.arrival_pmfs(params, dc)
     budgets = None if g_policy == "optimize" else (params.G,)
     return energy_chain.optimize_g(params, dc, pmfs, budgets), dc
+
+
+def _evaluate(spec: SweepSpec, value):
+    """Run the spec's engines at one grid point.
+
+    Returns (params, outcome); outcome maps each engine to its result or its
+    exception. An analytic result is (report, dc); a simulate result is
+    (params it ran at, SimResult). The simulator runs at the analytic
+    report's g_star when there is one (the configured G under the fixed
+    policy), else at G. An invalid point fails every engine, and params is
+    then the point as given, unvalidated, so that rows show the bad value.
+    """
+    engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
+    name = spec.swept_param
+    try:
+        params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
+    except Exception as exc:
+        return replace(spec.fixed, **{name: value}), dict.fromkeys(engines, exc)
+    outcome, g_used = {}, params.G
+    if "analytic" in engines:
+        try:
+            outcome["analytic"] = _analytic_point(params, spec.g_policy)
+            g_used = outcome["analytic"][0].g_star
+        except Exception as exc:
+            outcome["analytic"] = exc
+    if "simulate" in engines:
+        try:
+            sim_params = validate(replace(params, G=g_used))
+            outcome["simulate"] = (sim_params, run_simulation(sim_params, spec.sim))
+        except Exception as exc:
+            outcome["simulate"] = exc
+    return params, outcome
 
 
 def _param_columns(params: SystemParams) -> dict:
@@ -131,79 +149,26 @@ def _simulate_row(params, result):
     return row
 
 
-def _error_row(params, engine, exc):
-    row = _param_columns(params) if params is not None else {k: "" for k in PARAM_FIELDS}
-    row.update({k: "" for k in METRIC_COLUMNS})
-    row["engine"] = engine
-    row["error"] = str(exc)
+def _error_row(params, metrics, exc):
+    """Row of a failed point: parameter columns, empty metrics and the error text."""
+    row = dict.fromkeys(PARAM_FIELDS + metrics, "")
+    row.update(_param_columns(params), error=str(exc))
     return row
 
 
 def _eval_sweep_point(task):
-    """One grid point -> list of rows. Top-level so worker pools can pickle it."""
+    """One grid point -> one row per engine. Top-level so worker pools can pickle it."""
     spec, value = task
+    params, outcome = _evaluate(spec, value)
     rows = []
-    try:
-        params = _point_params(spec, value)
-    except Exception as exc:
-        bad = replace(spec.fixed)  # report the offending value in its column
-        row = _error_row(None, spec.engines, exc)
-        row.update(_param_columns(bad))
-        row[spec.swept_param] = value
-        return [row]
-
-    report = None
-    dc = None
-    if spec.engines in ("analytic", "both"):
-        try:
-            report, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
-            rows.append(_analytic_row(params, report, dc))
-        except Exception as exc:
-            rows.append(_error_row(params, "analytic", exc))
-    if spec.engines in ("simulate", "both"):
-        g_used = params.G
-        if spec.engines == "both" and spec.g_policy == "optimize" and report is not None:
-            g_used = report.g_star
-        try:
-            sim_params = validate(replace(params, G=g_used))
-            result = run_simulation(sim_params, spec.sim)
-            rows.append(_simulate_row(sim_params, result))
-        except Exception as exc:
-            rows.append(_error_row(params, "simulate", exc))
+    for engine, result in outcome.items():
+        if isinstance(result, Exception):
+            rows.append(dict(_error_row(params, METRIC_COLUMNS, result), engine=engine))
+        elif engine == "analytic":
+            rows.append(_analytic_row(params, *result))
+        else:
+            rows.append(_simulate_row(*result))
     return rows
-
-
-def sweep(spec: SweepSpec, jobs=1) -> list[dict]:
-    """Evaluate every grid point; rows stay in grid order, one per engine.
-
-    Per-point failures are recorded in the row's error column and the
-    sweep continues.
-    """
-    spec.check()
-    tasks = [(spec, value) for value in spec.grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            nested = list(pool.map(_eval_sweep_point, tasks))
-    else:
-        nested = [_eval_sweep_point(t) for t in tasks]
-    return [row for group in nested for row in group]
-
-
-def compare(spec: SweepSpec, jobs=1) -> list[dict]:
-    """Analytic vs simulated deltas per grid point.
-
-    Reports absolute and relative deltas for the secondary throughput, the
-    idle probability, and the primary throughput, plus the total-variation
-    distance between the stationary vector and the simulated occupancy.
-    """
-    spec = replace(spec, engines="both").check()
-    tasks = [(spec, value) for value in spec.grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(_compare_point, tasks))
-    else:
-        out = [_compare_point(t) for t in tasks]
-    return out
 
 
 def _rel(delta, ref):
@@ -211,18 +176,13 @@ def _rel(delta, ref):
 
 
 def _compare_point(task):
+    """One grid point -> its single compare row, in a list like _eval_sweep_point."""
     spec, value = task
-    try:
-        params = _point_params(spec, value)
-        report, dc = _analytic_point(params, spec.epsilon, spec.g_policy)
-        sim_params = validate(replace(params, G=report.g_star))
-        result = run_simulation(sim_params, spec.sim)
-    except Exception as exc:
-        row = {k: "" for k in PARAM_FIELDS + COMPARE_METRICS}
-        row.update(_param_columns(spec.fixed))
-        row[spec.swept_param] = value
-        row["error"] = str(exc)
-        return row
+    params, outcome = _evaluate(spec, value)
+    for result in outcome.values():
+        if isinstance(result, Exception):
+            return [_error_row(params, COMPARE_METRICS, result)]
+    (report, _), (sim_params, result) = outcome["analytic"], outcome["simulate"]
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
     row = _param_columns(sim_params)
     row.update(
@@ -245,7 +205,42 @@ def _compare_point(task):
         slots=result.n_slots,
         error="",
     )
-    return row
+    return [row]
+
+
+def _run_grid(point_fn, specs, jobs):
+    """point_fn over every grid point of every spec, in order; the rows flattened.
+
+    jobs > 1 evaluates the points in one pool of worker processes.
+    """
+    if jobs < 1:
+        raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
+    tasks = [(spec.check(), value) for spec in specs for value in spec.grid]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            nested = list(pool.map(point_fn, tasks))
+    else:
+        nested = [point_fn(t) for t in tasks]
+    return [row for rows in nested for row in rows]
+
+
+def sweep(spec: SweepSpec, jobs=1) -> list[dict]:
+    """Evaluate every grid point; rows stay in grid order, one per engine.
+
+    Per-point failures are recorded in the row's error column and the
+    sweep continues.
+    """
+    return _run_grid(_eval_sweep_point, [spec], jobs)
+
+
+def compare(spec: SweepSpec, jobs=1) -> list[dict]:
+    """Analytic vs simulated deltas per grid point.
+
+    Reports absolute and relative deltas for the secondary throughput, the
+    idle probability, and the primary throughput, plus the total-variation
+    distance between the stationary vector and the simulated occupancy.
+    """
+    return _run_grid(_compare_point, [replace(spec, engines="both")], jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +250,9 @@ _LAMBDA_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _SIGMA_PPD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 31))
 
 
-def preset_specs(name, engines="analytic", sim=None, g_policy="optimize",
-                 epsilon=harvest.DEFAULT_TAIL_EPS) -> list[SweepSpec]:
+def preset_specs(name, engines="analytic", sim=None, g_policy="optimize") -> list[SweepSpec]:
     """Sweep specs reproducing the bundled figure-style experiments."""
-    common = dict(engines=engines, sim=sim, g_policy=g_policy, epsilon=epsilon)
+    common = dict(engines=engines, sim=sim, g_policy=g_policy)
     if name == "fig2":
         return [
             SweepSpec("lambda_p", _LAMBDA_P_GRID,
@@ -288,16 +282,16 @@ def preset_specs(name, engines="analytic", sim=None, g_policy="optimize",
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _filter_columns(columns, outputs):
-    if not outputs:
-        return columns
-    keep = set(outputs) | {"engine", "error"}
-    return [c for c in columns if c in keep or c in PARAM_FIELDS]
+def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
+    """Write rows as CSV (stable column set) or JSON (full values).
 
-
-def write_rows(rows, columns, out=None, fmt="csv"):
-    """Write rows as CSV (stable column set) or JSON (full values)."""
+    outputs, when given, keeps only those metric columns in the CSV, plus
+    the parameter, engine and error columns.
+    """
     if fmt == "csv":
+        if outputs:
+            keep = set(outputs) | {"engine", "error"}
+            columns = [c for c in columns if c in keep or c in PARAM_FIELDS]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, restval="", extrasaction="ignore")
         writer.writeheader()
@@ -316,12 +310,8 @@ def write_rows(rows, columns, out=None, fmt="csv"):
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -337,24 +327,24 @@ def _add_param_flags(parser):
         grp.add_argument(flag, dest=name, type=typ, default=None, metavar=name)
     grp.add_argument("--p-max-dbm", dest="p_max_dbm", type=float, default=None,
                      metavar="DBM", help="primary power cap in dBm (converted on ingest)")
-    grp.add_argument("--epsilon", type=float, default=harvest.DEFAULT_TAIL_EPS,
-                     help="pmf truncation tolerance")
 
 
-def _add_sim_flags(parser):
+def _add_sim_flags(parser, grid):
     grp = parser.add_argument_group("simulation")
     grp.add_argument("--seed", type=int, default=12345)
     grp.add_argument("--slots", type=int, default=1_000_000)
     grp.add_argument("--warmup", type=int, default=10_000)
-    grp.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
+    if grid:
+        grp.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
 
 
 def _add_out_flags(parser):
     grp = parser.add_argument_group("output")
     grp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     grp.add_argument("--format", choices=("csv", "json"), default="csv")
-    grp.add_argument("--outputs", metavar="COLS",
-                     help="comma-separated metric columns to keep")
+    grp.add_argument("--outputs", metavar="COLS", default=(),
+                     type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
+                     help="comma-separated metric columns to keep (CSV)")
 
 
 def params_from_args(args) -> SystemParams:
@@ -377,32 +367,27 @@ def _sim_config(args) -> SimConfig:
         raise ParameterError([f"slots/warmup: {exc}"])
 
 
-def _outputs(args):
-    return tuple(s.strip() for s in args.outputs.split(",")) if args.outputs else ()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_analytic(args):
     params = params_from_args(args)
-    report, dc = _analytic_point(params, args.epsilon, "fixed" if args.fixed_g else "optimize")
+    report, dc = _analytic_point(params, "fixed" if args.fixed_g else "optimize")
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
     columns = PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in sorted(report.mu_s_by_g)]
     if args.dump_pmfs:
         os.makedirs(args.dump_pmfs, exist_ok=True)
-        idle, active = harvest.arrival_pmfs(params, dc, args.epsilon)
+        idle, active = harvest.arrival_pmfs(params, dc)
         idle.write_text(os.path.join(args.dump_pmfs, "idle_arrivals.txt"))
         active.write_text(os.path.join(args.dump_pmfs, "active_arrivals.txt"))
-        harvest.rf_pmf(params, dc, args.epsilon).write_text(
-            os.path.join(args.dump_pmfs, "rf_conditional.txt"))
+        harvest.rf_pmf(params, dc).write_text(os.path.join(args.dump_pmfs, "rf_conditional.txt"))
     if args.dump_chain:
         os.makedirs(args.dump_chain, exist_ok=True)
         np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
         np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chain.chi, fmt="%.17g")
-    write_rows([row], _filter_columns(columns, _outputs(args)), args.out, args.format)
+    write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 
 
@@ -422,18 +407,27 @@ def cmd_simulate(args):
         row["total_consumed"] = result.total_consumed
         row["total_dropped"] = result.total_dropped
         row["final_energy_level"] = result.final_energy_level
-    write_rows([row], _filter_columns(columns, _outputs(args)), args.out, args.format)
+    write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
+
+
+def _floats(text, sep):
+    parts = text.split(sep)
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ParameterError([f"grid: expected numbers separated by {sep!r} (got {text!r})"]) \
+            from None
 
 
 def _grid_from_args(args):
     if args.values:
-        return tuple(float(s) for s in args.values.split(","))
+        return tuple(_floats(args.values, ","))
     if args.grid:
-        parts = args.grid.split(":")
+        parts = _floats(args.grid, ":")
         if len(parts) != 3:
             raise ParameterError(["grid: expected START:STOP:STEP"])
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = parts
         if step == 0:
             raise ParameterError(["grid: step must be nonzero"])
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -443,50 +437,25 @@ def _grid_from_args(args):
     raise ParameterError(["grid: provide --grid or --values"])
 
 
-def cmd_sweep(args):
+def cmd_grid(args):
+    """sweep (one row per engine and point) or compare (one row per point)."""
     fixed = params_from_args(args)
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
-    spec = SweepSpec(
-        swept_param=args.param,
-        grid=_grid_from_args(args),
-        fixed=fixed,
-        outputs=_outputs(args),
-        engines=args.engine,
-        sim=sim,
-        g_policy=args.g_policy,
-        epsilon=args.epsilon,
-    )
-    rows = sweep(spec, jobs=args.jobs)
-    write_rows(rows, _filter_columns(PARAM_FIELDS + METRIC_COLUMNS, spec.outputs),
-               args.out, args.format)
-    return 0
-
-
-def cmd_compare(args):
-    fixed = params_from_args(args)
-    spec = SweepSpec(
-        swept_param=args.param,
-        grid=_grid_from_args(args),
-        fixed=fixed,
-        outputs=_outputs(args),
-        engines="both",
-        sim=_sim_config(args),
-        g_policy=args.g_policy,
-        epsilon=args.epsilon,
-    )
-    rows = compare(spec, jobs=args.jobs)
-    write_rows(rows, _filter_columns(PARAM_FIELDS + COMPARE_METRICS, spec.outputs),
-               args.out, args.format)
+    spec = SweepSpec(args.param, _grid_from_args(args), fixed, engines=args.engine, sim=sim,
+                     g_policy=args.g_policy)
+    if args.command == "compare":
+        rows, metrics = compare(spec, jobs=args.jobs), COMPARE_METRICS
+    else:
+        rows, metrics = sweep(spec, jobs=args.jobs), METRIC_COLUMNS
+    write_rows(rows, PARAM_FIELDS + metrics, args.out, args.format, args.outputs)
     return 0
 
 
 def cmd_preset(args):
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
-    specs = preset_specs(args.name, engines=args.engine, sim=sim, epsilon=args.epsilon)
-    rows = []
-    for spec in specs:
-        rows.extend(sweep(spec, jobs=args.jobs))
-    write_rows(rows, PARAM_FIELDS + METRIC_COLUMNS, args.out, args.format)
+    specs = preset_specs(args.name, engines=args.engine, sim=sim)
+    rows = _run_grid(_eval_sweep_point, specs, args.jobs)
+    write_rows(rows, PARAM_FIELDS + METRIC_COLUMNS, args.out, args.format, args.outputs)
     return 0
 
 
@@ -496,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact throughput analysis and slot simulation for spectrum "
                     "sharing with an energy-harvesting secondary user.")
     sub = parser.add_subparsers(dest="command", required=True)
+    engine_choices = ("analytic", "simulate", "both")
 
     p = sub.add_parser("analytic", help="closed-form report at one operating point")
     _add_param_flags(p)
@@ -508,39 +478,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run at one operating point")
     _add_param_flags(p)
-    _add_sim_flags(p)
+    _add_sim_flags(p, grid=False)
     _add_out_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep one parameter over a grid")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--param", required=True, help="SystemParams field to sweep")
-    p.add_argument("--grid", help="START:STOP:STEP (inclusive)")
-    p.add_argument("--values", help="comma-separated grid values")
-    p.add_argument("--engine", choices=("analytic", "simulate", "both"), default="analytic")
-    p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="analytic vs simulated deltas over a grid")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--param", required=True)
-    p.add_argument("--grid", help="START:STOP:STEP (inclusive)")
-    p.add_argument("--values", help="comma-separated grid values")
-    p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
-    p.set_defaults(func=cmd_compare)
+    for name, help_text in (("sweep", "sweep one parameter over a grid"),
+                            ("compare", "analytic vs simulated deltas over a grid")):
+        p = sub.add_parser(name, help=help_text)
+        _add_param_flags(p)
+        _add_sim_flags(p, grid=True)
+        _add_out_flags(p)
+        p.add_argument("--param", required=True, help="SystemParams field to sweep")
+        p.add_argument("--grid", help="START:STOP:STEP (inclusive)")
+        p.add_argument("--values", help="comma-separated grid values")
+        p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
+        if name == "sweep":
+            p.add_argument("--engine", choices=engine_choices, default="analytic")
+        else:
+            p.set_defaults(engine="both")
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("preset", help="run a bundled figure-style experiment "
                                       "(operating points are hard-coded)")
     p.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5"))
-    _add_sim_flags(p)
+    _add_sim_flags(p, grid=True)
     _add_out_flags(p)
-    p.add_argument("--engine", choices=("analytic", "simulate", "both"), default="analytic")
-    p.add_argument("--epsilon", type=float, default=harvest.DEFAULT_TAIL_EPS,
-                   help="pmf truncation tolerance")
+    p.add_argument("--engine", choices=engine_choices, default="analytic")
     p.set_defaults(func=cmd_preset)
     return parser
 

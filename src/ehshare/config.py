@@ -190,7 +190,8 @@ _FIELD_TYPES = {f.name: f.type for f in fields(SystemParams)}
 _INT_FIELDS = {"E_max", "G"}
 
 
-def _coerce(key, value):
+def coerce_field(key, value):
+    """value as the field's type: an int for E_max and G, else a float."""
     if key in _INT_FIELDS:
         f = float(value)
         i = int(round(f))
@@ -226,7 +227,7 @@ def parse_config_file(path) -> dict:
                 _set_once(out, base, converted, lineno)
             else:
                 base = _match_field(key, lineno)
-                _set_once(out, base, _coerce(base, value), lineno)
+                _set_once(out, base, coerce_field(base, value), lineno)
     return out
 
 
@@ -252,5 +253,5 @@ def load_params(path=None, overrides=None) -> SystemParams:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:
                 raise ParameterError([f"{key}: unknown parameter"])
-            merged[key] = _coerce(key, value)
+            merged[key] = coerce_field(key, value)
     return validate(SystemParams(**merged))

@@ -70,24 +70,20 @@ class HarvestPmf:
 
 
 def ratio_cap_cdf(z, lam_x, lam_y, a):
-    """Pr{X/Y <= z and Y >= a} for independent exponentials.
+    """Pr{X/Y <= z and Y >= a} for independent exponentials, elementwise in z.
 
     X has rate lam_x, Y has rate lam_y. Increases from 0 at z=0 to
     exp(-lam_y*a) as z -> inf.
     """
-    if z < 0:
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
         raise ValueError("z must be >= 0")
-    return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * math.exp(-a * lam_x * z))
+    return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
 
 
 def f_of_z(z, dc: DerivedConstants):
     """ratio_cap_cdf evaluated at the model's gain rates and cutoff."""
     return ratio_cap_cdf(z, dc.lambda_x, dc.lambda_y, dc.a)
-
-
-def _ratio_cap_cdf_arr(z, lam_x, lam_y, a):
-    z = np.asarray(z, dtype=float)
-    return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
 
 
 def _rf_conditional_tail(n_bins, lam_x, lam_y, a, alpha):
@@ -123,7 +119,7 @@ def rf_increments(dc: DerivedConstants, epsilon=DEFAULT_TAIL_EPS) -> np.ndarray:
         raise ValueError("eta == 0: RF increments are undefined (degenerate harvest)")
     n = _rf_n_bins(dc.lambda_x, dc.lambda_y, dc.a, dc.alpha, epsilon)
     grid = dc.alpha * np.arange(n + 1, dtype=float)
-    return np.diff(_ratio_cap_cdf_arr(grid, dc.lambda_x, dc.lambda_y, dc.a))
+    return np.diff(ratio_cap_cdf(grid, dc.lambda_x, dc.lambda_y, dc.a))
 
 
 def rf_pmf(params: SystemParams, dc: DerivedConstants, epsilon=DEFAULT_TAIL_EPS,

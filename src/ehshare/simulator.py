@@ -23,7 +23,6 @@ randomness flows from one SeedSequence split into per-purpose substreams
 parameter points share channel randomness (common random numbers).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +91,16 @@ def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
         raise ValueError("h_ps must be >= 0")
     if dc.rf_degenerate:
         return 0
-    return int(math.floor(h_ps / (h_ppd * dc.alpha)))
+    return int(_rf_packets(h_ppd, h_ps, dc.alpha))
+
+
+def _rf_packets(h_ppd, h_ps, alpha):
+    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise.
+
+    The ratio is clipped at 2**62 so the int cast stays safe for extreme
+    ratio draws.
+    """
+    return np.floor(np.minimum(h_ps / (h_ppd * alpha), 2.0 ** 62)).astype(np.int64)
 
 
 def rf_harvest_samples(params: SystemParams, n, seed, dc=None):
@@ -147,9 +155,7 @@ def run(params: SystemParams, sim: SimConfig) -> SimResult:
     if dc.rf_degenerate:
         rf_pkts = [0] * n
     else:
-        # clip keeps the int cast safe for extreme ratio draws
-        rf_pkts = np.floor(np.minimum(h_ps / (h_ppd * dc.alpha), 2.0 ** 62)) \
-            .astype(np.int64).tolist()
+        rf_pkts = _rf_packets(h_ppd, h_ps, dc.alpha).tolist()
     su_ok = (h_ssd >= outage_threshold(params, dc, g)).tolist()
 
     qp = 0          # primary data queue

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -141,6 +143,14 @@ def test_sweep_per_point_failure_is_recorded_in_row(tmp_path):
     assert "lambda_p" in rows[1]["error"]
     assert float(rows[1]["lambda_p"]) == 1.5
 
+    # both engines: the invalid point still gets one row per engine
+    assert main(["sweep", "--param", "lambda_p", "--values", "0.3,1.5", "--engine", "both",
+                 "--slots", "2000", "--warmup", "100", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["engine"] for r in rows] == ["analytic", "simulate"] * 2
+    assert [r["error"] == "" for r in rows] == [True, True, False, False]
+    assert all("lambda_p" in r["error"] and float(r["lambda_p"]) == 1.5 for r in rows[2:])
+
 
 def test_sweep_both_engines_share_optimized_budget(tmp_path):
     out = tmp_path / "both.csv"
@@ -172,6 +182,23 @@ def test_sweep_outputs_filter(tmp_path):
 def test_bad_grid_exits_nonzero(capsys):
     assert main(["sweep", "--param", "lambda_p", "--grid", "0.1:0.5"]) == 2
     assert main(["sweep", "--param", "nope", "--values", "0.1"]) == 2
+    capsys.readouterr()
+    for argv in (["--values", "0.1,abc"], ["--grid", "a:b:c"]):
+        assert main(["sweep", "--param", "lambda_p"] + argv) == 2
+        assert "grid" in capsys.readouterr().err
+    for cmd in ("sweep", "compare"):
+        assert main([cmd, "--param", "lambda_p", "--values", "0.1", "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+    assert main(["preset", "fig3", "--jobs", "-1"]) == 2
+    assert "jobs" in capsys.readouterr().err
+
+
+def test_removed_flags_are_rejected(capsys):
+    for argv in (["simulate", "--jobs", "2"], ["analytic", "--epsilon", "1e-9"],
+                 ["preset", "fig2", "--epsilon", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -234,6 +261,37 @@ def test_preset_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload) == 4 * 21
     assert {rec["lambda_e"] for rec in payload} == {0.5, 1.0}
+
+
+def test_presets_match_reference_rows(tmp_path):
+    # perfbench/ref/figures_seed0.csv holds the rows of `preset fig2..fig5`,
+    # in that order, from an earlier commit of this code
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ref = read_csv(os.path.join(root, "perfbench", "ref", "figures_seed0.csv"))
+    rows = []
+    for name in ("fig2", "fig3", "fig4", "fig5"):
+        assert main(["preset", name, "--out", str(tmp_path / "p.csv")]) == 0
+        rows += read_csv(tmp_path / "p.csv")
+    assert len(rows) == len(ref)
+    assert list(rows[0]) == list(ref[0])
+    exact = {"engine", "regime", "error", "E_max", "G", "g", "seed", "slots", "warmup"}
+    for got, want in zip(rows, ref):
+        for col, w in want.items():
+            if col in exact or not w:
+                assert got[col] == w, col
+            else:
+                assert float(got[col]) == pytest.approx(float(w), rel=0, abs=1e-12), col
+
+
+def test_traced_functions_exist():
+    # the benchmark's tracer wraps these functions by name
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, attr, _ in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"ehshare.{mod}"), attr)), (mod, attr)
 
 
 def test_sweep_api_with_worker_pool_matches_serial():
