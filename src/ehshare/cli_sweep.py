@@ -74,44 +74,51 @@ def _analytic_point(params: SystemParams, g_policy):
 
 
 def _evaluate(spec: SweepSpec, value):
-    """Run the spec's engines at one grid point.
+    """Run the spec's engines at one grid point, analytic first.
 
-    Returns (params, outcome); outcome maps each engine to its result or its
-    exception. An analytic result is (report, dc); a simulate result is
-    (params it ran at, SimResult). The simulator runs at the analytic
-    report's g_star when there is one (the configured G under the fixed
-    policy), else at G. An invalid point fails every engine, and params is
-    then the point as given, unvalidated, so that rows show the bad value.
+    Yields (params, engine, result) per engine; result is the engine's
+    result or its exception. An analytic result is (report, dc); a simulate
+    result is (params it ran at, SimResult). The simulator runs at the
+    analytic report's g_star when there is one (the configured G under the
+    fixed policy), else at G, and only once the caller asks for its result.
+    An invalid point fails every engine, and params is then the point as
+    given, unvalidated, so that rows show the bad value.
     """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name = spec.swept_param
     try:
         params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
     except Exception as exc:
-        return replace(spec.fixed, **{name: value}), dict.fromkeys(engines, exc)
-    outcome, g_used = {}, params.G
+        for engine in engines:
+            yield replace(spec.fixed, **{name: value}), engine, exc
+        return
+    g_used = params.G
     if "analytic" in engines:
         try:
-            outcome["analytic"] = _analytic_point(params, spec.g_policy)
-            g_used = outcome["analytic"][0].g_star
+            result = _analytic_point(params, spec.g_policy)
+            g_used = result[0].g_star
         except Exception as exc:
-            outcome["analytic"] = exc
+            result = exc
+        yield params, "analytic", result
     if "simulate" in engines:
         try:
             sim_params = validate(replace(params, G=g_used))
-            outcome["simulate"] = (sim_params, run_simulation(sim_params, spec.sim))
+            result = (sim_params, run_simulation(sim_params, spec.sim))
         except Exception as exc:
-            outcome["simulate"] = exc
-    return params, outcome
+            result = exc
+        yield params, "simulate", result
 
 
-def _param_columns(params: SystemParams) -> dict:
-    return {name: getattr(params, name) for name in PARAM_FIELDS}
+def _row(params, metrics, **values):
+    """Parameter columns, then the metric columns: the given values, else empty."""
+    row = dict.fromkeys(PARAM_FIELDS + metrics, "")
+    row.update({name: getattr(params, name) for name in PARAM_FIELDS}, **values)
+    return row
 
 
 def _analytic_row(params, report, dc):
-    row = _param_columns(params)
-    row.update(
+    return _row(
+        params, METRIC_COLUMNS,
         engine="analytic",
         mu_p=report.mu_p,
         pi_idle=report.pi_idle,
@@ -121,49 +128,31 @@ def _analytic_row(params, report, dc):
         mu_s=report.mu_s_star,
         mu_e=report.mu_e,
         success_prob=energy_chain.success_probability(params, dc, report.g_star),
-        seed="",
-        slots="",
-        warmup="",
-        error="",
     )
-    return row
 
 
 def _simulate_row(params, result):
-    row = _param_columns(params)
-    row.update(
+    return _row(
+        params, METRIC_COLUMNS,
         engine="simulate",
-        mu_p="",
         pi_idle=result.pi_idle_hat,
         pu_throughput=result.pu_throughput_hat,
-        regime="",
         g=result.g,
         mu_s=result.su_throughput_hat,
         mu_e=result.energy_consumed_per_slot,
-        success_prob="",
         seed=result.seed,
         slots=result.n_slots,
         warmup=result.warmup,
-        error="",
     )
-    return row
-
-
-def _error_row(params, metrics, exc):
-    """Row of a failed point: parameter columns, empty metrics and the error text."""
-    row = dict.fromkeys(PARAM_FIELDS + metrics, "")
-    row.update(_param_columns(params), error=str(exc))
-    return row
 
 
 def _eval_sweep_point(task):
     """One grid point -> one row per engine. Top-level so worker pools can pickle it."""
     spec, value = task
-    params, outcome = _evaluate(spec, value)
     rows = []
-    for engine, result in outcome.items():
+    for params, engine, result in _evaluate(spec, value):
         if isinstance(result, Exception):
-            rows.append(dict(_error_row(params, METRIC_COLUMNS, result), engine=engine))
+            rows.append(_row(params, METRIC_COLUMNS, engine=engine, error=str(result)))
         elif engine == "analytic":
             rows.append(_analytic_row(params, *result))
         else:
@@ -178,14 +167,16 @@ def _rel(delta, ref):
 def _compare_point(task):
     """One grid point -> its single compare row, in a list like _eval_sweep_point."""
     spec, value = task
-    params, outcome = _evaluate(spec, value)
-    for result in outcome.values():
+    outcome = {}
+    for params, engine, result in _evaluate(spec, value):
         if isinstance(result, Exception):
-            return [_error_row(params, COMPARE_METRICS, result)]
+            # Returning here leaves the simulator unrun after an analytic failure.
+            return [_row(params, COMPARE_METRICS, error=str(result))]
+        outcome[engine] = result
     (report, _), (sim_params, result) = outcome["analytic"], outcome["simulate"]
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
-    row = _param_columns(sim_params)
-    row.update(
+    return [_row(
+        sim_params, COMPARE_METRICS,
         g=report.g_star,
         a_mu_s=report.mu_s_star,
         s_mu_s=result.su_throughput_hat,
@@ -203,9 +194,7 @@ def _compare_point(task):
         tv_occupancy=tv,
         seed=result.seed,
         slots=result.n_slots,
-        error="",
-    )
-    return [row]
+    )]
 
 
 def _run_grid(point_fn, specs, jobs):
@@ -215,7 +204,8 @@ def _run_grid(point_fn, specs, jobs):
     """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
-    tasks = [(spec.check(), value) for spec in specs for value in spec.grid]
+    specs = [spec.check() for spec in specs]
+    tasks = [(spec, value) for spec in specs for value in spec.grid]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             nested = list(pool.map(point_fn, tasks))
@@ -329,22 +319,28 @@ def _add_param_flags(parser):
                      metavar="DBM", help="primary power cap in dBm (converted on ingest)")
 
 
-def _add_sim_flags(parser, grid):
+def _add_sim_flags(parser):
     grp = parser.add_argument_group("simulation")
     grp.add_argument("--seed", type=int, default=12345)
     grp.add_argument("--slots", type=int, default=1_000_000)
     grp.add_argument("--warmup", type=int, default=10_000)
-    if grid:
-        grp.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
+
+
+def _add_jobs_flag(parser):
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
 
 
 def _add_out_flags(parser):
     grp = parser.add_argument_group("output")
     grp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     grp.add_argument("--format", choices=("csv", "json"), default="csv")
-    grp.add_argument("--outputs", metavar="COLS", default=(),
-                     type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
-                     help="comma-separated metric columns to keep (CSV)")
+    return grp
+
+
+def _add_outputs_flag(group):
+    group.add_argument("--outputs", metavar="COLS", default=(),
+                       type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
+                       help="comma-separated metric columns to keep (CSV)")
 
 
 def params_from_args(args) -> SystemParams:
@@ -443,11 +439,8 @@ def cmd_grid(args):
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
     spec = SweepSpec(args.param, _grid_from_args(args), fixed, engines=args.engine, sim=sim,
                      g_policy=args.g_policy)
-    if args.command == "compare":
-        rows, metrics = compare(spec, jobs=args.jobs), COMPARE_METRICS
-    else:
-        rows, metrics = sweep(spec, jobs=args.jobs), METRIC_COLUMNS
-    write_rows(rows, PARAM_FIELDS + metrics, args.out, args.format, args.outputs)
+    rows = args.run(spec, jobs=args.jobs)
+    write_rows(rows, PARAM_FIELDS + args.metrics, args.out, args.format, args.outputs)
     return 0
 
 
@@ -455,7 +448,7 @@ def cmd_preset(args):
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
     specs = preset_specs(args.name, engines=args.engine, sim=sim)
     rows = _run_grid(_eval_sweep_point, specs, args.jobs)
-    write_rows(rows, PARAM_FIELDS + METRIC_COLUMNS, args.out, args.format, args.outputs)
+    write_rows(rows, PARAM_FIELDS + METRIC_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -469,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="closed-form report at one operating point")
     _add_param_flags(p)
-    _add_out_flags(p)
+    _add_outputs_flag(_add_out_flags(p))
     p.add_argument("--fixed-g", action="store_true",
                    help="evaluate at the configured G instead of optimizing")
     p.add_argument("--dump-pmfs", metavar="DIR", help="write arrival pmfs as two-column text")
@@ -478,30 +471,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo run at one operating point")
     _add_param_flags(p)
-    _add_sim_flags(p, grid=False)
-    _add_out_flags(p)
+    _add_sim_flags(p)
+    _add_outputs_flag(_add_out_flags(p))
     p.set_defaults(func=cmd_simulate)
 
+    grid_commands = {}
     for name, help_text in (("sweep", "sweep one parameter over a grid"),
                             ("compare", "analytic vs simulated deltas over a grid")):
-        p = sub.add_parser(name, help=help_text)
+        p = grid_commands[name] = sub.add_parser(name, help=help_text)
         _add_param_flags(p)
-        _add_sim_flags(p, grid=True)
-        _add_out_flags(p)
+        _add_sim_flags(p)
+        _add_jobs_flag(p)
+        _add_outputs_flag(_add_out_flags(p))
         p.add_argument("--param", required=True, help="SystemParams field to sweep")
         p.add_argument("--grid", help="START:STOP:STEP (inclusive)")
         p.add_argument("--values", help="comma-separated grid values")
         p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
-        if name == "sweep":
-            p.add_argument("--engine", choices=engine_choices, default="analytic")
-        else:
-            p.set_defaults(engine="both")
         p.set_defaults(func=cmd_grid)
+    grid_commands["sweep"].add_argument("--engine", choices=engine_choices, default="analytic")
+    grid_commands["sweep"].set_defaults(run=sweep, metrics=METRIC_COLUMNS)
+    grid_commands["compare"].set_defaults(run=compare, metrics=COMPARE_METRICS, engine="both")
 
     p = sub.add_parser("preset", help="run a bundled figure-style experiment "
                                       "(operating points are hard-coded)")
     p.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5"))
-    _add_sim_flags(p, grid=True)
+    _add_sim_flags(p)
+    _add_jobs_flag(p)
     _add_out_flags(p)
     p.add_argument("--engine", choices=engine_choices, default="analytic")
     p.set_defaults(func=cmd_preset)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ehshare
+from ehshare import cli_sweep
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
 from ehshare.config import default_params, derive
 from ehshare.energy_chain import mu_e, solve_chain, su_throughput
@@ -195,7 +196,8 @@ def test_bad_grid_exits_nonzero(capsys):
 
 def test_removed_flags_are_rejected(capsys):
     for argv in (["simulate", "--jobs", "2"], ["analytic", "--epsilon", "1e-9"],
-                 ["preset", "fig2", "--epsilon", "1e-9"]):
+                 ["preset", "fig2", "--epsilon", "1e-9"],
+                 ["preset", "fig2", "--outputs", "mu_s"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -215,6 +217,17 @@ def test_compare_reports_deltas(tmp_path):
         assert float(row["d_pi_idle_abs"]) < 0.02
         assert abs(float(row["a_mu_s"]) - float(row["s_mu_s"])) \
             == pytest.approx(float(row["d_mu_s_abs"]), abs=1e-12)
+
+
+def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
+    # P_max = 100 W at eta = 0.9 exceeds the analytic engine's RF support cap
+    calls = []
+    monkeypatch.setattr(cli_sweep, "run_simulation", lambda *a: calls.append(a))
+    spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
+                     sim=SimConfig(n_slots=1000, seed=1, warmup=10))
+    rows = compare(spec)
+    assert calls == []
+    assert len(rows) == 1 and "RF pmf support" in rows[0]["error"]
 
 
 def test_compare_degenerate_sources_agree_exactly(tmp_path):
@@ -300,6 +313,15 @@ def test_sweep_api_with_worker_pool_matches_serial():
     serial = sweep(spec, jobs=1)
     pooled = sweep(spec, jobs=2)
     assert serial == pooled
+
+
+def test_sweep_rejects_empty_grid():
+    from ehshare.config import ParameterError
+    for run in (sweep, compare):
+        for jobs in (1, 2):
+            with pytest.raises(ParameterError, match="grid"):
+                run(SweepSpec("lambda_p", (), default_params(),
+                              sim=SimConfig(n_slots=1000, seed=1, warmup=10)), jobs=jobs)
 
 
 def test_preset_specs_reject_unknown_name():
