@@ -378,7 +378,7 @@ def cmd_analytic(args):
         idle, active = harvest.arrival_pmfs(params, dc)
         idle.write_text(os.path.join(args.dump_pmfs, "idle_arrivals.txt"))
         active.write_text(os.path.join(args.dump_pmfs, "active_arrivals.txt"))
-        harvest.rf_pmf(params, dc).write_text(os.path.join(args.dump_pmfs, "rf_conditional.txt"))
+        harvest.rf_pmf(dc, params.E_max).write_text(os.path.join(args.dump_pmfs, "rf_conditional.txt"))
     if args.dump_chain:
         os.makedirs(args.dump_chain, exist_ok=True)
         np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_outputs_flag(_add_out_flags(p))
     p.add_argument("--fixed-g", action="store_true",
                    help="evaluate at the configured G instead of optimizing")
-    p.add_argument("--dump-pmfs", metavar="DIR", help="write arrival pmfs as two-column text")
+    p.add_argument("--dump-pmfs", metavar="DIR", help="write the E_max-capped pmfs as two-column text")
     p.add_argument("--dump-chain", metavar="DIR", help="write omega and chi as text matrices")
     p.set_defaults(func=cmd_analytic)
 

@@ -192,13 +192,15 @@ _INT_FIELDS = {"E_max", "G"}
 
 def coerce_field(key, value):
     """value as the field's type: an int for E_max and G, else a float."""
-    if key in _INT_FIELDS:
+    try:
         f = float(value)
-        i = int(round(f))
-        if abs(f - i) > 1e-9:
+    except (TypeError, ValueError):
+        raise ParameterError([f"{key}: must be a number (got {value!r})"]) from None
+    if key in _INT_FIELDS:
+        if not (math.isfinite(f) and abs(f - round(f)) <= 1e-9):
             raise ParameterError([f"{key}: must be an integer (got {value})"])
-        return i
-    return float(value)
+        return int(round(f))
+    return f
 
 
 def parse_config_file(path) -> dict:
@@ -223,7 +225,7 @@ def parse_config_file(path) -> dict:
                 base = _match_field(key[:-4], lineno)
                 if base.lower() != "p_max":
                     raise ParameterError([f"line {lineno}: dBm ingest only applies to power fields (got {key!r})"])
-                converted = dbm_to_watts(float(value))
+                converted = dbm_to_watts(coerce_field(base, value))
                 _set_once(out, base, converted, lineno)
             else:
                 base = _match_field(key, lineno)

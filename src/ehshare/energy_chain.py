@@ -42,12 +42,6 @@ class EnergyChain:
     chi: np.ndarray | None = None
 
 
-def _check_pmf(pmf: HarvestPmf, role):
-    s = math.fsum(pmf.probs) + pmf.tail_mass
-    if abs(s - 1.0) > 1e-9 or pmf.tail_mass > 1e-6 or np.any(pmf.probs < 0):
-        raise ChainError(f"{role} arrival pmf is not normalized")
-
-
 def _arrival_rows(probs, base, e_max):
     """Per-row arrival kernel of one slot type, shape (len(base), e_max+1).
 
@@ -73,14 +67,13 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     base = j - g on an idle slot with j >= g (a transmission was funded)
     and base = j otherwise; arrivals follow the idle pmf on idle slots and
     the active pmf on active slots. The e_max column takes the
-    complementary sums, so every row totals 1 by construction.
+    complementary sums, which hold each pmf's tail_mass, so every row
+    totals 1 by construction.
     """
     if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
         raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-    _check_pmf(p_idle_arrivals, "idle")
-    _check_pmf(p_active_arrivals, "active")
 
     n = e_max + 1
     stay = np.arange(n)

@@ -3,14 +3,18 @@
 Three sources feed the secondary battery:
 
 * conversion of primary RF transmissions, quantized to whole packets; its
-  exact distribution follows from the joint law of the gain ratio
-  h_ps / h_ppd restricted to slots where the primary transmits,
+  exact distribution follows from the law of the gain ratio h_ps / h_ppd
+  on the event that the primary transmits,
 * ambient (nature) harvesting, Poisson per slot,
 * their sum on primary-active slots, a plain discrete convolution.
 
-All pmfs are truncated to a finite support with the residual mass reported
-explicitly, so downstream consumers can fold it wherever their semantics
-require (the capped energy queue folds it into the top state).
+Every pmf takes a support cap n_max. A source pmf covers counts 0..n-1,
+where n is the smaller of n_max and the smallest n >= 1 with
+Pr{count >= n} < TAIL_EPS; the combined pmf is cut at n_max. tail_mass is
+the probability beyond the support, reported explicitly so that consumers
+can fold it wherever their semantics require. The capped energy queue
+folds it into its top state and reads no pmf bin at or beyond its
+capacity, so arrival_pmfs caps every pmf at E_max.
 """
 
 import math
@@ -19,13 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DerivedConstants, SystemParams
-from . import primary_link
 
-DEFAULT_TAIL_EPS = 1e-12
-_MAX_BINS = 1_000_000
+TAIL_EPS = 1e-12
 
 KIND_RF_CONDITIONAL = "rf_conditional"
-KIND_RF_JOINT = "rf_joint"
 KIND_NATURE = "nature"
 KIND_NATURE_IDLE = "nature_idle"
 KIND_COMBINED_ACTIVE = "combined_active"
@@ -86,122 +87,89 @@ def f_of_z(z, dc: DerivedConstants):
     return ratio_cap_cdf(z, dc.lambda_x, dc.lambda_y, dc.a)
 
 
-def _rf_conditional_tail(n_bins, lam_x, lam_y, a, alpha):
-    """Conditional mass beyond bins 0..n_bins-1, in closed form."""
-    z = n_bins * alpha
-    return (lam_y / (lam_y + lam_x * z)) * math.exp(-a * lam_x * z)
-
-
-def _rf_n_bins(lam_x, lam_y, a, alpha, epsilon):
-    """Smallest bin count whose conditional tail drops below epsilon."""
-    lo, hi = 1, 1
-    while _rf_conditional_tail(hi, lam_x, lam_y, a, alpha) >= epsilon:
-        lo = hi
-        hi *= 2
-        if hi > _MAX_BINS:
-            raise ValueError(f"RF pmf support exceeds {_MAX_BINS} bins before tail < {epsilon}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _rf_conditional_tail(mid, lam_x, lam_y, a, alpha) < epsilon:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def rf_increments(dc: DerivedConstants, epsilon=DEFAULT_TAIL_EPS) -> np.ndarray:
-    """Raw per-bin increments of the capped ratio cdf at packet boundaries.
+def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
+    """Raw per-bin increments of the capped ratio cdf at packet boundaries,
+    over the support rule's bins (see the module docstring).
 
     These telescope to exp(-lambda_y * a), the probability the primary
-    transmits, not to 1: they carry the joint event {primary transmits}.
+    transmits, not to 1: they carry the event {primary transmits}.
     """
     if dc.rf_degenerate:
         raise ValueError("eta == 0: RF increments are undefined (degenerate harvest)")
-    n = _rf_n_bins(dc.lambda_x, dc.lambda_y, dc.a, dc.alpha, epsilon)
+    # Pr{count >= n | transmits} in closed form for n = 1..n_max; it falls
+    # with n, so the support ends one bin past the last tail >= TAIL_EPS
+    z = dc.alpha * np.arange(1, n_max + 1)
+    tails = (dc.lambda_y / (dc.lambda_y + dc.lambda_x * z)) * np.exp(-dc.a * dc.lambda_x * z)
+    n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
     grid = dc.alpha * np.arange(n + 1, dtype=float)
     return np.diff(ratio_cap_cdf(grid, dc.lambda_x, dc.lambda_y, dc.a))
 
 
-def rf_pmf(params: SystemParams, dc: DerivedConstants, epsilon=DEFAULT_TAIL_EPS,
-           joint=False) -> HarvestPmf:
+def _with_tail(probs, kind):
+    return HarvestPmf(probs, max(0.0, 1.0 - math.fsum(probs)), kind)
+
+
+def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
     """Distribution of packets converted from one primary transmission.
 
-    Default mode conditions on the primary actually transmitting (the raw
-    cdf increments are divided by exp(-lambda_y*a)); this is the version
+    The raw cdf increments are divided by exp(-lambda_y*a), so the pmf
+    conditions on the primary actually transmitting; this is the version
     consistent with weighting active slots by their own probability in the
-    energy-queue chain. joint=True keeps the un-normalized increments for
-    side-by-side comparison; they carry the transmission event itself, so
-    that variant's tail_mass includes the no-transmission probability.
+    energy-queue chain.
 
     eta == 0 degenerates to a point mass at zero packets.
     """
     if dc.rf_degenerate:
-        if joint:
-            m = primary_link.mu_p(params, dc)
-            return HarvestPmf(np.array([m]), 1.0 - m, KIND_RF_JOINT)
         return HarvestPmf(np.array([1.0]), 0.0, KIND_RF_CONDITIONAL)
-    inc = rf_increments(dc, epsilon)
-    if joint:
-        tail = max(0.0, 1.0 - math.fsum(inc))
-        return HarvestPmf(inc, tail, KIND_RF_JOINT)
-    probs = inc / math.exp(-dc.lambda_y * dc.a)
-    tail = max(0.0, 1.0 - math.fsum(probs))
-    return HarvestPmf(probs, tail, KIND_RF_CONDITIONAL)
+    return _with_tail(rf_increments(dc, n_max) / math.exp(-dc.lambda_y * dc.a),
+                      KIND_RF_CONDITIONAL)
 
 
-def nature_pmf(params: SystemParams, epsilon=DEFAULT_TAIL_EPS) -> HarvestPmf:
-    """Poisson(lambda_e * T) packets per slot, truncated at tail < epsilon.
+def _poisson_terms(m, size):
+    """Poisson(m) pmf at 0..size-1, evaluated in log space because exp(-m)
+    underflows once m > ~745."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    return np.exp(np.arange(size) * math.log(m) - log_fact - m)
 
-    The support ends at the smallest count k with Pr{N > k} < epsilon. Terms
-    are evaluated in log space because exp(-m) underflows once m > ~745.
-    """
+
+def nature_pmf(params: SystemParams, n_max) -> HarvestPmf:
+    """Poisson(lambda_e * T) packets per slot, cut by the support rule."""
     m = params.lambda_e * params.T
     if m == 0:
         return HarvestPmf(np.array([1.0]), 0.0, KIND_NATURE)
+    if m >= n_max:
+        # the Poisson median is at least m - ln 2, so Pr{N >= n} >= 1/2 for
+        # every n <= m, and the cap ends the support
+        return _with_tail(_poisson_terms(m, n_max), KIND_NATURE)
     # Bernstein: Pr{N >= m + t} <= exp(-t^2 / (2 (m + t/3))); the grid ends
-    # where that bound is exp(-b) = epsilon * e^-40, far below epsilon
-    b = 40.0 - math.log(epsilon)
-    size = m + b / 3 + math.sqrt(b * b / 9 + 2 * b * m) + 2
-    if not size <= _MAX_BINS:
-        raise ValueError(f"nature pmf support exceeds {_MAX_BINS} bins before tail < {epsilon}")
-    ks = np.arange(int(size))
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(ks.size)])
-    terms = np.exp(ks * math.log(m) - log_fact - m)
+    # where that bound is exp(-b) = TAIL_EPS * e^-40, far below TAIL_EPS.
+    # It holds O(n_max) counts because m < n_max.
+    b = 40.0 - math.log(TAIL_EPS)
+    terms = _poisson_terms(m, int(m + b / 3 + math.sqrt(b * b / 9 + 2 * b * m) + 2))
     # at_least[k] = Pr{N >= k}, summed from the smallest terms up so that it
-    # keeps full relative precision near epsilon, where 1 - cdf would not
+    # keeps full relative precision near TAIL_EPS, where 1 - cdf would not
     at_least = np.cumsum(terms[::-1])[::-1]
-    n_bins = int(np.argmax(at_least[1:] < epsilon)) + 1
-    probs = terms[:n_bins]
-    tail = max(0.0, 1.0 - math.fsum(probs))
-    return HarvestPmf(probs, tail, KIND_NATURE)
+    n_bins = min(n_max, int(np.argmax(at_least[1:] < TAIL_EPS)) + 1)
+    return _with_tail(terms[:n_bins], KIND_NATURE)
 
 
-def _require_normalized(pmf: HarvestPmf, role):
-    if pmf.tail_mass > 1e-6:
-        raise ValueError(f"{role} pmf is not normalized (tail_mass={pmf.tail_mass})")
-
-
-def combined_pmf(rf: HarvestPmf, nature: HarvestPmf) -> HarvestPmf:
-    """Packets from both sources in a primary-active slot.
+def combined_pmf(rf: HarvestPmf, nature: HarvestPmf, n_max) -> HarvestPmf:
+    """Packets from both sources in a primary-active slot, cut at n_max.
 
     The two sources are independent integer counts, so the combined law is
-    their discrete convolution over nonnegative supports.
+    their discrete convolution over nonnegative supports. Its first n_max
+    bins need only the first n_max bins of each source.
     """
-    _require_normalized(rf, "rf")
-    _require_normalized(nature, "nature")
-    probs = np.convolve(nature.probs, rf.probs)
-    tail = max(0.0, 1.0 - math.fsum(probs))
-    return HarvestPmf(probs, tail, KIND_COMBINED_ACTIVE)
+    return _with_tail(np.convolve(nature.probs, rf.probs)[:n_max], KIND_COMBINED_ACTIVE)
 
 
-def arrival_pmfs(params: SystemParams, dc: DerivedConstants,
-                 epsilon=DEFAULT_TAIL_EPS) -> tuple[HarvestPmf, HarvestPmf]:
-    """(idle-slot, active-slot) energy arrival distributions.
+def arrival_pmfs(params: SystemParams, dc: DerivedConstants) -> tuple[HarvestPmf, HarvestPmf]:
+    """(idle-slot, active-slot) energy arrival distributions, cut at E_max.
 
     Idle slots receive ambient packets only; active slots receive ambient
     plus RF-converted packets.
     """
-    nat = nature_pmf(params, epsilon)
+    nat = nature_pmf(params, params.E_max)
     idle = HarvestPmf(nat.probs.copy(), nat.tail_mass, KIND_NATURE_IDLE)
-    active = combined_pmf(rf_pmf(params, dc, epsilon), nat)
+    active = combined_pmf(rf_pmf(dc, params.E_max), nat, params.E_max)
     return idle, active

@@ -20,12 +20,14 @@ from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
                      optimize_g, rf_harvest_samples, simulate, validate)
 from ehshare.energy_chain import (ReducibleChainWarning, build_chain, solve_chain,
                                   stationary, success_probability, su_throughput)
-from ehshare.harvest import arrival_pmfs, nature_pmf, ratio_cap_cdf, rf_increments, rf_pmf
+from ehshare.harvest import (arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
+                             rf_increments, rf_pmf)
 from ehshare.primary_link import mu_p, pi_idle, pu_throughput
 
 SLOTS = 10**6
 WARMUP = 10**4
 LAMBDA_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
+FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
 
 def _report(number, description, ok, detail=""):
@@ -34,11 +36,11 @@ def _report(number, description, ok, detail=""):
     assert ok, f"criterion {number}: {description} {detail}"
 
 
-def _mu_s_star(params, epsilon=1e-12):
+def _mu_s_star(params):
     dc = derive(params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ReducibleChainWarning)
-        return optimize_g(params, dc, arrival_pmfs(params, dc, epsilon)).mu_s_star
+        return optimize_g(params, dc, arrival_pmfs(params, dc)).mu_s_star
 
 
 def test_criterion_01_closed_form_cdf_matches_quadrature():
@@ -65,7 +67,7 @@ def test_criterion_02_rf_increments_telescope():
     worst = 0.0
     for over in ({}, {"eta": 0.3}, {"sigma_ppd": 1.0}, {"P_max": 0.005}):
         dc = derive(default_params(**over))
-        inc = rf_increments(dc, epsilon=1e-12)
+        inc = rf_increments(dc, FULL)
         worst = max(worst, abs(math.fsum(inc) - math.exp(-dc.lambda_y * dc.a)))
     _report(2, "un-normalized RF increments telescope to exp(-lambda_y*a)",
             worst < 1e-12, f"worst gap {worst:.2e}")
@@ -97,11 +99,12 @@ def test_criterion_04_harvest_pmfs_match_conditioned_histograms():
                             - np.pad(probs, (0, width - probs.size))).max())
 
     rf_draws = rf_harvest_samples(p, n, seed=404)
-    rf_gap = max_gap(rf_pmf(p, dc).probs, rf_draws)
+    rf, nat = rf_pmf(dc, FULL), nature_pmf(p, FULL)
+    rf_gap = max_gap(rf.probs, rf_draws)
     nat_draws = np.random.default_rng(405).poisson(p.lambda_e * p.T, n)
-    nat_gap = max_gap(nature_pmf(p).probs, nat_draws)
+    nat_gap = max_gap(nat.probs, nat_draws)
     comb = np.asarray(rf_draws) + np.random.default_rng(406).poisson(p.lambda_e * p.T, n)
-    comb_gap = max_gap(arrival_pmfs(p, dc)[1].probs, comb)
+    comb_gap = max_gap(combined_pmf(rf, nat, FULL).probs, comb)
     worst = max(rf_gap, nat_gap, comb_gap)
     _report(4, "rf/nature/combined pmfs match 1e6-sample histograms bin-wise",
             worst <= 0.003, f"gaps rf={rf_gap:.4f} nat={nat_gap:.4f} comb={comb_gap:.4f}")

@@ -1,12 +1,15 @@
-"""The vectorized chain build, the scipy-free stationary solver and the
-closed-form Poisson pmf, checked against the implementations they replaced.
+"""The vectorized chain build, the scipy-free stationary solver, the
+closed-form Poisson pmf and the pmfs cut at E_max, checked against the
+implementations they replaced.
 
 The references below are the former library code, kept as oracles: a
 per-entry loop for the transition matrix, a strongly-connected-components
-test with an absorption-probability mixture for reducible chains, and
-scipy.stats for the ambient Poisson pmf.
+test with an absorption-probability mixture for reducible chains,
+scipy.stats for the ambient Poisson pmf, and pmfs over their whole
+TAIL_EPS support for the pmfs cut at E_max.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -15,11 +18,14 @@ from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ehshare import default_params, derive
+from ehshare import dbm_to_watts, default_params, derive
 from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, _solve_direct,
                                   build_chain, stationary)
-from ehshare.harvest import DEFAULT_TAIL_EPS, HarvestPmf, arrival_pmfs, nature_pmf
+from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
+                             rf_pmf)
 from ehshare.primary_link import pi_idle
+
+FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
 
 def _at(p, m):
@@ -152,9 +158,40 @@ def test_reducible_chain_with_two_closed_classes_matches_absorption_mixture():
 
 @given(lambda_e=st.floats(min_value=0.0, max_value=50.0, exclude_min=True))
 def test_nature_pmf_matches_scipy_poisson(lambda_e):
-    pmf = nature_pmf(default_params(lambda_e=lambda_e))
+    pmf = nature_pmf(default_params(lambda_e=lambda_e), FULL)
     sf = stats.poisson.sf(np.arange(pmf.probs.size + 50), lambda_e)
-    n_bins = int(np.argmax(sf < DEFAULT_TAIL_EPS)) + 1
+    n_bins = int(np.argmax(sf < TAIL_EPS)) + 1
     assert pmf.probs.size == n_bins
     np.testing.assert_allclose(pmf.probs, stats.poisson.pmf(np.arange(n_bins), lambda_e),
                                rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lambda_e=st.sampled_from([0.0, 0.5, 5.0]), eta=st.sampled_from([0.0, 0.3, 0.9]),
+       p_max_dbm=st.sampled_from([1.76, 10.0, 40.0]), e_max=st.sampled_from([1, 6, 40, 150]))
+def test_pmfs_cut_at_e_max_match_full_support(lambda_e, eta, p_max_dbm, e_max):
+    # the grid has caps below the TAIL_EPS support (RF at 40 dBm has 97,929
+    # bins; Poisson(5) at E_max <= 6) and above it (lambda_e = 0, E_max = 150)
+    p = default_params(lambda_e=lambda_e, eta=eta, P_max=dbm_to_watts(p_max_dbm),
+                       E_max=e_max, G=1)
+    dc = derive(p)
+    nat, rf = nature_pmf(p, FULL), rf_pmf(dc, FULL)
+    sources = [(nature_pmf(p, e_max), nat), (rf_pmf(dc, e_max), rf)]
+    for cut, whole in sources:
+        assert np.array_equal(cut.probs, whole.probs[:e_max])
+    # arrival_pmfs as they were before the cut at E_max
+    full = (HarvestPmf(nat.probs, nat.tail_mass, "nature_idle"), combined_pmf(rf, nat, FULL))
+    capped = arrival_pmfs(p, dc)
+    for cut, whole in sources + list(zip(capped, full)):
+        assert cut.probs.size == min(e_max, whole.probs.size)
+        # np.convolve sums the shorter inputs in another order (3e-17 seen)
+        assert np.max(np.abs(cut.probs - whole.probs[:e_max])) <= 1e-15
+        beyond = math.fsum(whole.probs[e_max:]) + whole.tail_mass
+        assert abs(cut.tail_mass - beyond) <= 1e-12
+    pi = pi_idle(p, dc)
+    for g in sorted({1, (e_max + 1) // 2, e_max}):
+        cut_chain, whole_chain = build_chain(*capped, pi, g, e_max), build_chain(*full, pi, g, e_max)
+        assert np.max(np.abs(cut_chain.omega - whole_chain.omega)) <= 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReducibleChainWarning)
+            assert np.max(np.abs(stationary(cut_chain) - stationary(whole_chain))) <= 1e-12

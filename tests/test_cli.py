@@ -220,14 +220,55 @@ def test_compare_reports_deltas(tmp_path):
 
 
 def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
-    # P_max = 100 W at eta = 0.9 exceeds the analytic engine's RF support cap
+    def fail(*args):
+        raise ValueError("analytic engine failed")
+
     calls = []
+    monkeypatch.setattr(cli_sweep, "_analytic_point", fail)
     monkeypatch.setattr(cli_sweep, "run_simulation", lambda *a: calls.append(a))
     spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
                      sim=SimConfig(n_slots=1000, seed=1, warmup=10))
     rows = compare(spec)
     assert calls == []
-    assert len(rows) == 1 and "RF pmf support" in rows[0]["error"]
+    assert len(rows) == 1 and "analytic engine failed" in rows[0]["error"]
+
+
+def test_large_inputs_get_an_analytic_result(tmp_path):
+    # 100 W at eta = 0.9 and lambda_e = 2e6 have harvest pmfs far longer than
+    # the battery; the chain only needs their first E_max bins
+    for flags in (["--p-max-dbm", "50", "--eta", "0.9"], ["--lambda-e", "2e6"]):
+        out = tmp_path / "point.csv"
+        assert main(["analytic", *flags, "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert row["error"] == ""
+        p = default_params(P_max=float(row["P_max"]), eta=float(row["eta"]),
+                           lambda_e=float(row["lambda_e"]))
+        dc = derive(p)
+        assert float(row["pu_throughput"]) == pytest.approx(
+            min(p.lambda_p, math.exp(-dc.a / p.sigma_ppd)), rel=1e-12)
+        assert 1 <= int(row["g"]) <= p.E_max
+        assert 0.0 <= float(row["mu_s"]) <= float(row["pi_idle"])
+
+
+def _load_perfbench(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["high_power", "big_battery"])
+def test_benchmark_workload_rows_pass_its_checks(workload, capsys):
+    # the benchmark's own row checks: closed forms, and its seed-0 reference
+    # rows within 1e-12; high_power reaches 50 dBm at eta = 0.9
+    workloads = _load_perfbench("workloads")
+    invs = workloads.invocations(workload, 0)
+    refs = workloads.load_reference(workload, invs)
+    for inv, ref in zip(invs, refs):
+        assert main(list(inv.argv)) == 0
+        assert workloads.check_output(inv, capsys.readouterr().out, ref) == (0, 0, [])
 
 
 def test_compare_degenerate_sources_agree_exactly(tmp_path):
@@ -298,11 +339,7 @@ def test_presets_match_reference_rows(tmp_path):
 
 def test_traced_functions_exist():
     # the benchmark's tracer wraps these functions by name
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     for mod, attr, _ in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"ehshare.{mod}"), attr)), (mod, attr)
 

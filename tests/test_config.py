@@ -134,3 +134,24 @@ def test_malformed_line_is_rejected(tmp_path):
 def test_noninteger_queue_fields_are_rejected():
     with pytest.raises(ParameterError):
         load_params(overrides={"E_max": 7.5})
+
+
+@pytest.mark.parametrize("line, field", [("lambda_p = abc", "lambda_p"),
+                                         ("p_max_dbm = abc", "P_max"),
+                                         ("E_max = abc", "E_max"),
+                                         ("E_max = inf", "E_max")])
+def test_config_value_that_is_not_a_number_is_rejected_by_name(tmp_path, line, field):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ParameterError) as exc:
+        parse_config_file(cfg)
+    assert exc.value.fields == [field]
+
+
+def test_cli_config_value_that_is_not_a_number_exits_2(tmp_path, capsys):
+    from ehshare.cli_sweep import main
+    cfg = tmp_path / "point.cfg"
+    for line, field in (("lambda_p = abc", "lambda_p"), ("p_max_dbm = abc", "P_max")):
+        cfg.write_text(line + "\n")
+        assert main(["analytic", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err

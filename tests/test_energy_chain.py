@@ -11,7 +11,7 @@ from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning
                                   build_chain, mu_e, optimize_g, outage_threshold,
                                   solve_chain, stationary, success_probability,
                                   su_throughput)
-from ehshare.harvest import HarvestPmf, arrival_pmfs, nature_pmf, rf_pmf
+from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
 
 P = default_params()
@@ -88,12 +88,6 @@ def test_build_rejects_bad_energy_budget():
         build_chain(still, still, 0.5, g=4, e_max=3)
     with pytest.raises(ChainError):
         build_chain(still, still, 1.5, g=1, e_max=3)
-
-
-def test_build_rejects_unnormalized_pmf():
-    bad = rf_pmf(P, DC, joint=True)  # sums to mu_p, not 1
-    with pytest.raises(ChainError):
-        build_chain(bad, pmf(1.0), 0.5, g=1, e_max=3)
 
 
 def test_stationary_of_rank_one_chain_is_the_common_row():

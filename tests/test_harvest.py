@@ -8,10 +8,10 @@ from scipy import integrate
 from ehshare import default_params, derive, rf_harvest_samples
 from ehshare.harvest import (HarvestPmf, arrival_pmfs, combined_pmf, f_of_z,
                              nature_pmf, ratio_cap_cdf, rf_increments, rf_pmf)
-from ehshare.primary_link import mu_p
 
 P = default_params()
 DC = derive(P)
+FULL = 1 << 20  # a support cap above every TAIL_EPS support used here
 
 
 def quad_ratio_cap_cdf(z, lam_x, lam_y, a):
@@ -58,12 +58,12 @@ def test_cdf_monotone_and_bounded(z1, dz, lam_x, lam_y, a):
 
 
 def test_rf_increments_telescope_to_transmission_probability():
-    inc = rf_increments(DC, epsilon=1e-12)
+    inc = rf_increments(DC, FULL)
     assert abs(math.fsum(inc) - math.exp(-DC.lambda_y * DC.a)) < 1e-12
 
 
 def test_rf_pmf_head_bin_matches_closed_form():
-    pmf = rf_pmf(P, DC)
+    pmf = rf_pmf(DC, FULL)
     expected = f_of_z(DC.alpha, DC) / math.exp(-DC.lambda_y * DC.a)
     assert pmf.probs[0] == pytest.approx(expected, rel=1e-12)
     # frozen regression value at the reference point
@@ -71,14 +71,14 @@ def test_rf_pmf_head_bin_matches_closed_form():
 
 
 def test_rf_pmf_is_normalized_with_small_tail():
-    pmf = rf_pmf(P, DC, epsilon=1e-12)
+    pmf = rf_pmf(DC, FULL)
     assert math.fsum(pmf.probs) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert pmf.tail_mass <= 1e-12
     assert pmf.kind == "rf_conditional"
 
 
 def test_rf_pmf_against_conditioned_draws():
-    pmf = rf_pmf(P, DC)
+    pmf = rf_pmf(DC, FULL)
     draws = rf_harvest_samples(P, 200_000, seed=77)
     emp = np.bincount(draws, minlength=pmf.probs.size) / draws.size
     width = max(emp.size, pmf.probs.size)
@@ -89,39 +89,23 @@ def test_rf_pmf_against_conditioned_draws():
 
 def test_rf_pmf_degenerates_without_conversion():
     p0 = default_params(eta=0.0)
-    pmf = rf_pmf(p0, derive(p0))
+    pmf = rf_pmf(derive(p0), FULL)
     assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
 
 
-def test_joint_variant_sums_to_transmission_probability():
-    lit = rf_pmf(P, DC, joint=True)
-    assert lit.kind == "rf_joint"
-    assert math.fsum(lit.probs) == pytest.approx(mu_p(P, DC), abs=1e-12)
-    assert lit.tail_mass == pytest.approx(1.0 - mu_p(P, DC), abs=1e-12)
-    # conditional head bin is the literal head bin rescaled
-    cond = rf_pmf(P, DC)
-    assert cond.probs[0] == pytest.approx(lit.probs[0] / mu_p(P, DC), rel=1e-12)
-
-
-def test_joint_degenerate_keeps_transmission_mass():
-    p0 = default_params(eta=0.0)
-    lit = rf_pmf(p0, derive(p0), joint=True)
-    assert lit.probs[0] == pytest.approx(mu_p(p0, derive(p0)), rel=1e-12)
-
-
 def test_nature_pmf_without_arrivals():
-    pmf = nature_pmf(default_params(lambda_e=0.0))
+    pmf = nature_pmf(default_params(lambda_e=0.0), FULL)
     assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
 
 
 def test_nature_pmf_unit_rate_head():
-    pmf = nature_pmf(default_params(lambda_e=1.0))
+    pmf = nature_pmf(default_params(lambda_e=1.0), FULL)
     assert pmf.probs[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert pmf.probs[0] == pytest.approx(0.367879, abs=1e-6)
 
 
 def test_nature_pmf_matches_factorial_evaluation():
-    pmf = nature_pmf(default_params(lambda_e=2.0))
+    pmf = nature_pmf(default_params(lambda_e=2.0), FULL)
     for k in range(8):
         direct = 2.0 ** k * math.exp(-2.0) / math.factorial(k)
         assert pmf.probs[k] == pytest.approx(direct, rel=1e-9)
@@ -129,29 +113,29 @@ def test_nature_pmf_matches_factorial_evaluation():
 
 
 def test_nature_pmf_truncation_tail():
-    pmf = nature_pmf(default_params(lambda_e=1.5), epsilon=1e-12)
+    pmf = nature_pmf(default_params(lambda_e=1.5), FULL)
     assert pmf.tail_mass <= 1e-12
     assert math.fsum(pmf.probs) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convolving_with_point_mass_is_identity():
-    rf = rf_pmf(P, DC)
+    rf = rf_pmf(DC, FULL)
     ident = HarvestPmf(np.array([1.0]), 0.0, "nature")
-    out = combined_pmf(rf, ident)
+    out = combined_pmf(rf, ident, FULL)
     assert np.allclose(out.probs, rf.probs, rtol=0, atol=0)
 
 
 def test_convolution_of_point_masses_shifts():
     one = HarvestPmf(np.array([0.0, 1.0]), 0.0, "rf_conditional")
     two = HarvestPmf(np.array([0.0, 0.0, 1.0]), 0.0, "nature")
-    out = combined_pmf(one, two)
+    out = combined_pmf(one, two, FULL)
     assert out.probs.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_combined_mean_is_additive():
-    rf = rf_pmf(P, DC)
-    nat = nature_pmf(default_params(lambda_e=0.5))
-    out = combined_pmf(rf, nat)
+    rf = rf_pmf(DC, FULL)
+    nat = nature_pmf(default_params(lambda_e=0.5), FULL)
+    out = combined_pmf(rf, nat, FULL)
     assert out.mean() == pytest.approx(rf.mean() + nat.mean(), abs=1e-9)
     assert out.kind == "combined_active"
 
@@ -159,7 +143,7 @@ def test_combined_mean_is_additive():
 def test_combined_against_independent_draws():
     p = default_params(lambda_e=0.5)
     dc = derive(p)
-    out = combined_pmf(rf_pmf(p, dc), nature_pmf(p))
+    out = combined_pmf(rf_pmf(dc, FULL), nature_pmf(p, FULL), FULL)
     rng = np.random.default_rng(2026_02)
     total = rf_harvest_samples(p, 200_000, seed=88) + rng.poisson(0.5, 200_000)
     emp = np.bincount(total, minlength=out.probs.size) / total.size
@@ -169,17 +153,11 @@ def test_combined_against_independent_draws():
     assert gap.max() < 0.01
 
 
-def test_combined_rejects_unnormalized_input():
-    lit = rf_pmf(P, DC, joint=True)
-    with pytest.raises(ValueError):
-        combined_pmf(lit, nature_pmf(P))
-
-
 def test_rf_mean_drops_as_primary_channel_improves():
     # better direct link -> lower inversion power -> fewer packets converted
     lo = default_params(sigma_ppd=0.5)
     hi = default_params(sigma_ppd=0.6)
-    assert rf_pmf(hi, derive(hi)).mean() < rf_pmf(lo, derive(lo)).mean()
+    assert rf_pmf(derive(hi), FULL).mean() < rf_pmf(derive(lo), FULL).mean()
 
 
 def test_arrival_pmfs_kinds_and_zero_efficiency_routing():
@@ -191,7 +169,7 @@ def test_arrival_pmfs_kinds_and_zero_efficiency_routing():
 
 
 def test_two_column_serialization_round_trip(tmp_path):
-    pmf = rf_pmf(P, DC)
+    pmf = rf_pmf(DC, FULL)
     path = tmp_path / "rf.txt"
     pmf.write_text(path)
     rows = [line.split() for line in path.read_text().splitlines()
@@ -218,4 +196,3 @@ def test_arrival_pmfs_always_normalized(lam_e, eta, sigma_ppd):
     for pmf in arrival_pmfs(p, derive(p)):
         assert np.all(pmf.probs >= 0)
         assert math.fsum(pmf.probs) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
-        assert pmf.tail_mass <= 1e-9
