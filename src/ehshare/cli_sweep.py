@@ -357,10 +357,7 @@ def params_from_args(args) -> SystemParams:
 
 
 def _sim_config(args) -> SimConfig:
-    try:
-        return SimConfig(n_slots=args.slots, seed=args.seed, warmup=args.warmup)
-    except ValueError as exc:
-        raise ParameterError([f"slots/warmup: {exc}"])
+    return SimConfig(n_slots=args.slots, seed=args.seed, warmup=args.warmup)
 
 
 # ---------------------------------------------------------------------------

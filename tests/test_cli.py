@@ -194,6 +194,15 @@ def test_bad_grid_exits_nonzero(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def test_bad_seed_exits_nonzero(capsys):
+    grid = ["--param", "lambda_p", "--values", "0.4"]
+    for argv in (["simulate"], ["compare", *grid],
+                 ["sweep", *grid, "--engine", "simulate"], ["sweep", *grid, "--engine", "both"],
+                 ["preset", "fig2", "--engine", "simulate"], ["preset", "fig2", "--engine", "both"]):
+        assert main(argv + ["--seed", "-1", "--slots", "1000", "--warmup", "10"]) == 2, argv
+        assert "seed: must be an integer >= 0" in capsys.readouterr().err, argv
+
+
 def test_removed_flags_are_rejected(capsys):
     for argv in (["simulate", "--jobs", "2"], ["analytic", "--epsilon", "1e-9"],
                  ["preset", "fig2", "--epsilon", "1e-9"],
@@ -259,10 +268,11 @@ def _load_perfbench(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["high_power", "big_battery"])
+@pytest.mark.parametrize("workload", ["high_power", "big_battery", "monte_carlo"])
 def test_benchmark_workload_rows_pass_its_checks(workload, capsys):
     # the benchmark's own row checks: closed forms, and its seed-0 reference
-    # rows within 1e-12; high_power reaches 50 dBm at eta = 0.9
+    # rows, analytic columns within 1e-12 and simulator columns (s_*) bit for
+    # bit; high_power reaches 50 dBm at eta = 0.9
     workloads = _load_perfbench("workloads")
     invs = workloads.invocations(workload, 0)
     refs = workloads.load_reference(workload, invs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import (SimConfig, default_params, derive, harvest_draw,
+from ehshare import (ParameterError, SimConfig, default_params, derive, harvest_draw,
                      optimize_g, rf_harvest_samples, simulate, validate)
 from ehshare.harvest import arrival_pmfs
 from ehshare.primary_link import mu_p
@@ -20,6 +20,9 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_slots=100, seed=1, warmup=-1)
     assert SimConfig(n_slots=101, seed=1, warmup=100).warmup == 100
+    for seed in (-1, 1.5, "7"):
+        with pytest.raises(ParameterError, match="seed"):
+            SimConfig(n_slots=100, seed=seed, warmup=10)
 
 
 def test_equal_seeds_give_bit_identical_results():
