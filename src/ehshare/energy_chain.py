@@ -18,6 +18,8 @@ from .config import DerivedConstants, SystemParams
 from .harvest import HarvestPmf
 from . import primary_link
 
+_STACK_CELLS = 2 ** 15  # transition-matrix entries solved in one stack
+
 
 class ChainError(ValueError):
     """Inconsistent inputs to chain construction."""
@@ -59,6 +61,25 @@ def _arrival_rows(probs, base, e_max):
     return rows
 
 
+def _omega_stacks(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
+    """Check every input, then yield (i, omega): the transition matrices of
+    budgets[i:i + len(omega)], in stacks of at most _STACK_CELLS entries."""
+    for g in budgets:
+        if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
+            raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
+    if not 0.0 <= pi_idle <= 1.0:
+        raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
+    pi, stay = float(pi_idle), np.arange(e_max + 1)
+    idle = pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max)
+    active = (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)
+    per_stack = max(1, _STACK_CELLS // active.size)
+    for i in range(0, len(budgets), per_stack):
+        g = np.asarray(budgets[i:i + per_stack])[:, None]
+        omega = idle[np.where(stay >= g, stay - g, stay)]
+        omega += active
+        yield i, omega
+
+
 def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
                 pi_idle, g, e_max) -> EnergyChain:
     """Assemble the transition matrix of the energy queue.
@@ -70,28 +91,8 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     complementary sums, which hold each pmf's tail_mass, so every row
     totals 1 by construction.
     """
-    if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
-        raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
-    if not 0.0 <= pi_idle <= 1.0:
-        raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-
-    n = e_max + 1
-    stay = np.arange(n)
-    base = np.where(stay >= g, stay - g, stay)
-    pi = float(pi_idle)
-    omega = pi * _arrival_rows(p_idle_arrivals.probs, base, e_max) \
-        + (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)
-    return EnergyChain(omega=omega, g=g)
-
-
-def _solve_direct(omega):
-    n = omega.shape[0]
-    a = np.vstack([omega.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    chi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    chi = np.clip(chi, 0.0, None)
-    return chi / chi.sum()
+    _, omega = next(_omega_stacks(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max))
+    return EnergyChain(omega=omega[0], g=g)
 
 
 def _power_iteration(omega, chi, tol):
@@ -116,47 +117,60 @@ def _power_iteration(omega, chi, tol):
         f"power iteration did not converge within 2^64 steps (residual {residual:.3e})")
 
 
-def _reaches_all(edges):
-    """Whether every state is reachable from state 0 along edges[i, j]."""
-    seen = np.zeros(edges.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen
-    while frontier.any():
-        frontier = edges[frontier].any(axis=0) & ~seen
+def _all_reached(edges):
+    """Per matrix of edges (B, n, n): is every state reachable from state 0?
+    Each sweep ORs the rows of the states the previous one reached first."""
+    seen = np.zeros(edges.shape[:2], dtype=bool)
+    seen[:, 0] = True
+    b, s = np.nonzero(seen)
+    while b.size:
+        first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+        frontier = np.zeros_like(seen)
+        frontier[b[first]] = np.logical_or.reduceat(edges[b, s], first) & ~seen[b[first]]
         seen |= frontier
-    return bool(seen.all())
+        b, s = np.nonzero(frontier)
+    return seen.all(axis=1)
+
+
+def _solve_stack(omega, tol=1e-10, start_state=0):
+    """stationary for a stack of chains omega (B, n, n), with one batched LU solve."""
+    if np.max(np.abs(omega.sum(axis=2) - 1.0)) > 1e-9 or np.any(omega < 0):
+        raise ChainError("omega must be row-stochastic")
+    edges = omega > 0.0
+    irreducible = _all_reached(edges) & _all_reached(np.swapaxes(edges, 1, 2))
+    n, chi = omega.shape[1], np.zeros(omega.shape[:2])
+    a = np.swapaxes(omega[irreducible], 1, 2) - np.eye(n)
+    a[:, -1] = 1.0  # the last balance equation, implied by the others, becomes sum(chi) = 1
+    direct = np.clip(np.linalg.solve(a, np.eye(n)[:, -1:])[..., 0], 0.0, None)
+    chi[irreducible] = direct / direct.sum(axis=1, keepdims=True)
+    residual = np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
+    for b in np.flatnonzero(~irreducible | (residual >= tol)):
+        if irreducible[b]:
+            chi[b] = _power_iteration(omega[b], np.full(n, 1.0 / n), tol=1e-12)
+        else:
+            warnings.warn("energy chain is reducible; returning the occupancy reached from "
+                          "an empty queue", ReducibleChainWarning, stacklevel=3)
+            chi[b] = _power_iteration(omega[b], np.eye(n)[start_state], tol=1e-14)
+        residual = float(np.max(np.abs(chi[b] @ omega[b] - chi[b])))
+        if residual >= tol:
+            raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {tol:.1e}")
+    return chi
 
 
 def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
     """Solve chi = chi @ omega, store it on the chain, and return it.
 
-    Irreducible chains get the unique stationary vector via a direct linear
-    solve (power iteration as fallback). Reducible chains are reported with
-    a ReducibleChainWarning and resolved as the long-run occupancy from
+    Irreducible chains get the unique stationary vector by an LU solve of
+    chi (omega - I) = 0 with the last equation replaced by sum(chi) = 1, and
+    power iteration if that misses tol. Reducible chains are reported with a
+    ReducibleChainWarning and resolved as the long-run occupancy from
     start_state (the simulator's empty-queue initial condition).
     """
     omega = np.asarray(chain.omega, dtype=float)
-    n = omega.shape[0]
-    row_err = float(np.max(np.abs(omega.sum(axis=1) - 1.0)))
-    if omega.shape != (n, n) or row_err > 1e-9 or np.any(omega < 0):
-        raise ChainError("omega must be row-stochastic")
-
-    edges = omega > 0.0
-    if _reaches_all(edges) and _reaches_all(edges.T):
-        chi = _solve_direct(omega)
-        if float(np.max(np.abs(chi @ omega - chi))) >= tol:
-            chi = _power_iteration(omega, np.full(n, 1.0 / n), tol=1e-12)
-    else:
-        warnings.warn(
-            "energy chain is reducible; returning the occupancy reached from an empty queue",
-            ReducibleChainWarning, stacklevel=2)
-        chi = _power_iteration(omega, np.eye(n)[start_state], tol=1e-14)
-
-    residual = float(np.max(np.abs(chi @ omega - chi)))
-    if residual >= tol:
-        raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {tol:.1e}")
-    chain.chi = chi
-    return chi
+    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
+        raise ChainError(f"omega must be a square matrix (got shape {omega.shape})")
+    chain.chi = _solve_stack(omega[None], tol, start_state)[0]
+    return chain.chi
 
 
 def solve_chain(p_idle_arrivals, p_active_arrivals, pi_idle, g, e_max) -> EnergyChain:
@@ -217,20 +231,21 @@ def optimize_g(params: SystemParams, dc: DerivedConstants,
                pmfs: tuple[HarvestPmf, HarvestPmf], budgets=None) -> ThroughputReport:
     """Evaluate each energy budget (default every one in 1..E_max) and pick the best.
 
-    Ties break toward the budget evaluated first, the smallest for the
-    default ascending order.
+    The chains are solved as in stationary, in stacks of at most _STACK_CELLS
+    matrix entries: one batched LU solve per stack, then power iteration one
+    chain at a time for those that are reducible or miss the residual. Ties
+    break toward the budget evaluated first, the smallest by default.
     """
-    if budgets is None:
-        budgets = range(1, params.E_max + 1)
-    idle, active = pmfs
+    budgets = list(range(1, params.E_max + 1) if budgets is None else budgets)
+    if not budgets:
+        raise ChainError("budgets: must be nonempty")
     pi = primary_link.pi_idle(params, dc)
-    mu_s_by_g = {}
-    best = None
-    for g in budgets:
-        chain = solve_chain(idle, active, pi, g, params.E_max)
-        mu_s_by_g[g] = su_throughput(chain, params, dc)
-        if best is None or mu_s_by_g[g] > mu_s_by_g[best.g]:
-            best = chain
+    mu_s_by_g, best = {}, None
+    for i, omega in _omega_stacks(*pmfs, pi, budgets, params.E_max):
+        for g, omega_g, chi in zip(budgets[i:], omega, _solve_stack(omega)):
+            mu_s_by_g[g] = su_throughput(EnergyChain(omega_g, g, chi), params, dc)
+            if best is None or mu_s_by_g[g] > mu_s_by_g[best.g]:
+                best = EnergyChain(omega_g.copy(), g, chi.copy())
     return ThroughputReport(
         pi_idle=pi,
         mu_p=primary_link.mu_p(params, dc),

@@ -1,11 +1,13 @@
 """The vectorized chain build, the scipy-free stationary solver, the
-closed-form Poisson pmf and the pmfs cut at E_max, checked against the
-implementations they replaced.
+stacked budget search, the closed-form Poisson pmf and the pmfs cut at
+E_max, checked against the implementations they replaced.
 
 The references below are the former library code, kept as oracles: a
-per-entry loop for the transition matrix, a strongly-connected-components
-test with an absorption-probability mixture for reducible chains,
-scipy.stats for the ambient Poisson pmf, and pmfs over their whole
+per-entry loop for the transition matrix, a least-squares solve of the
+balance equations with the normalization row appended, a
+strongly-connected-components test with an absorption-probability mixture
+for reducible chains, a one-budget-at-a-time search over the energy
+budgets, scipy.stats for the ambient Poisson pmf, and pmfs over their whole
 TAIL_EPS support for the pmfs cut at E_max.
 """
 
@@ -18,9 +20,9 @@ from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ehshare import dbm_to_watts, default_params, derive
-from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, _solve_direct,
-                                  build_chain, stationary)
+from ehshare import dbm_to_watts, default_params, derive, energy_chain
+from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chain, optimize_g,
+                                  stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from ehshare.primary_link import pi_idle
@@ -53,10 +55,22 @@ def reference_omega(pp, pa, pi, g, e_max):
     return omega
 
 
+def lstsq_stationary(omega):
+    """Stationary vector of an irreducible chain by least squares on the
+    balance equations with the normalization row appended."""
+    n = omega.shape[0]
+    a = np.vstack([omega.T - np.eye(n), np.ones((1, n))])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    chi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    chi = np.clip(chi, 0.0, None)
+    return chi / chi.sum()
+
+
 def reference_stationary(omega, start_state=0):
     """(chi, reducible) by strongly connected components.
 
-    An irreducible chain gets the direct solve. A reducible one gets the
+    An irreducible chain gets the least-squares solve. A reducible one gets the
     mixture of its terminal classes' stationary vectors, weighted by the
     absorption probabilities from start_state.
     """
@@ -64,7 +78,7 @@ def reference_stationary(omega, start_state=0):
     n_comp, labels = connected_components(
         csr_matrix(omega > 0.0), directed=True, connection="strong")
     if n_comp == 1:
-        return _solve_direct(omega), False
+        return lstsq_stationary(omega), False
 
     rows, cols = np.nonzero(omega > 0.0)
     terminal = set(range(n_comp)) - {labels[r] for r, c in zip(rows, cols)
@@ -89,7 +103,7 @@ def reference_stationary(omega, start_state=0):
             continue
         states = term_states[c]
         sub = omega[np.ix_(states, states)]
-        chi[states] = w * (_solve_direct(sub) if len(states) > 1 else 1.0)
+        chi[states] = w * (lstsq_stationary(sub) if len(states) > 1 else 1.0)
     return chi / chi.sum(), True
 
 
@@ -111,6 +125,63 @@ def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, 
         warned = any(issubclass(w.category, ReducibleChainWarning) for w in caught)
         assert warned == reducible
         assert np.max(np.abs(chi - ref_chi)) <= 1e-12
+
+
+def reference_optimize(p):
+    """(mu_s_by_g, g_star, reducible budgets) from the loop build and the
+    component solver, one budget at a time."""
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    pi = pi_idle(p, dc)
+    mu_s_by_g, reducible = {}, []
+    for g in range(1, p.E_max + 1):
+        chi, red = reference_stationary(reference_omega(idle.probs, active.probs, pi, g, p.E_max))
+        mu_s_by_g[g] = pi * success_probability(p, dc, g) * float(chi[g:].sum())
+        reducible += [g] * red
+    g_star = max(mu_s_by_g, key=lambda g: (mu_s_by_g[g], -g))
+    return mu_s_by_g, g_star, reducible
+
+
+def _optimize_counting_warnings(p):
+    dc = derive(p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReducibleChainWarning)
+        report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    return report, sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
+
+
+def _assert_matches_reference(report, warned, ref):
+    mu_s_by_g, g_star, reducible = ref
+    assert list(report.mu_s_by_g) == list(mu_s_by_g)
+    assert max(abs(report.mu_s_by_g[g] - v) for g, v in mu_s_by_g.items()) <= 1e-12
+    assert report.g_star == g_star
+    assert warned == len(reducible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lambda_p=st.sampled_from([0.0, 0.4, 1.0]), eta=st.sampled_from([0.0, 0.6]),
+       lambda_e=st.sampled_from([0.0, 0.5, 800.0]), e_max=st.sampled_from([1, 6, 40]))
+def test_stacked_budget_search_matches_per_budget_reference(lambda_p, eta, lambda_e, e_max):
+    # one ReducibleChainWarning per budget the component test calls reducible
+    p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
+    _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
+
+
+def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
+    # lambda_p=0, lambda_e=0.5: some budgets leave the top states unreachable
+    # and others do not, so stacks mix the LU solve with the reducible fallback
+    p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=40, G=1)
+    ref = reference_optimize(p)
+    assert 0 < len(ref[2]) < p.E_max
+    cells = (p.E_max + 1) ** 2
+    monkeypatch.setattr(energy_chain, "_STACK_CELLS", p.E_max * cells)
+    whole, whole_warned = _optimize_counting_warnings(p)
+    monkeypatch.setattr(energy_chain, "_STACK_CELLS", 3 * cells + 5)
+    split, split_warned = _optimize_counting_warnings(p)  # 13 stacks of 3 and one of 1
+    _assert_matches_reference(split, split_warned, ref)
+    assert split.mu_s_by_g == whole.mu_s_by_g and split_warned == whole_warned
+    assert np.array_equal(split.chain.chi, whole.chain.chi)
+    assert np.array_equal(split.chain.omega, whole.chain.omega)
 
 
 def test_heavy_ambient_arrivals_make_a_reducible_chain():

@@ -1,3 +1,4 @@
+import csv
 import math
 import warnings
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehshare import SimConfig, default_params, derive, energy_chain, simulate, validate
+from ehshare.cli_sweep import main
 from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
                                   build_chain, mu_e, optimize_g, outage_threshold,
                                   solve_chain, stationary, success_probability,
@@ -106,14 +108,79 @@ def test_stationary_two_state_birth_death_balance():
 
 def test_power_iteration_fallback_when_direct_solve_misses(monkeypatch):
     p, q = 0.3, 0.2
-    monkeypatch.setattr(energy_chain, "_solve_direct", lambda omega: np.full(2, 0.5))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(a.shape[:2] + (1,), 0.5))
     chi = stationary(EnergyChain(omega=np.array([[1 - p, p], [q, 1 - q]]), g=1))
     assert np.allclose(chi, [q / (p + q), p / (p + q)], atol=1e-12)
+
+
+def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
+    p = default_params(E_max=6)
+    dc = derive(p)
+    omega = next(energy_chain._omega_stacks(*arrival_pmfs(p, dc), pi_idle(p, dc),
+                                            [1, 2, 3, 4, 5, 6], p.E_max))[1]
+    assert omega.shape == (6, 7, 7)
+    direct = energy_chain._solve_stack(omega)
+    solve, power_iteration = np.linalg.solve, energy_chain._power_iteration
+    fallbacks = []
+
+    def miss_budget_3(a, b):
+        x = solve(a, b)
+        x[2] = 1.0
+        return x
+
+    def counted(omega_b, chi, tol):
+        fallbacks.append(omega_b)
+        return power_iteration(omega_b, chi, tol)
+
+    monkeypatch.setattr(np.linalg, "solve", miss_budget_3)
+    monkeypatch.setattr(energy_chain, "_power_iteration", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducibleChainWarning)
+        chi = energy_chain._solve_stack(omega)
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], omega[2])
+    assert np.max(np.abs(chi[2] - direct[2])) <= 1e-12
+    others = [0, 1, 3, 4, 5]
+    assert np.array_equal(chi[others], direct[others])
 
 
 def test_stationary_requires_row_stochastic_matrix():
     with pytest.raises(ChainError):
         stationary(EnergyChain(omega=np.array([[0.5, 0.4], [0.2, 0.8]]), g=1))
+
+
+@pytest.mark.parametrize("omega", [np.array([0.5, 0.5]), np.full((2, 3), 1.0 / 3),
+                                   np.full((1, 2, 2), 0.5)])
+def test_stationary_requires_a_square_matrix(omega):
+    with pytest.raises(ChainError, match="square"):
+        stationary(EnergyChain(omega=omega, g=1))
+
+
+def test_optimize_rejects_empty_and_bad_budgets_before_solving(monkeypatch):
+    p = default_params(E_max=6)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    with pytest.raises(ChainError, match="budgets"):
+        optimize_g(p, dc, pmfs, budgets=[])
+    monkeypatch.setattr(energy_chain, "_solve_stack", lambda omega: pytest.fail("solved"))
+    for bad in (0, 7, 2.0):
+        with pytest.raises(ChainError, match="1 <= g <= e_max"):
+            optimize_g(p, dc, pmfs, budgets=[1, 2, 3, 4, 5, 6, bad])
+
+
+def test_no_least_squares_solve_on_the_runtime_path(monkeypatch, tmp_path):
+    def banned(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", banned)
+    for e_max in (10, 40):
+        p = default_params(E_max=e_max, lambda_e=0.5)
+        dc = derive(p)
+        assert len(optimize_g(p, dc, arrival_pmfs(p, dc)).mu_s_by_g) == e_max
+    out = tmp_path / "fig2.csv"
+    assert main(["preset", "fig2", "--jobs", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 84 and all(row["error"] == "" for row in rows)
 
 
 def test_absorbing_empty_queue_is_detected_and_resolved():
