@@ -136,12 +136,12 @@ def _solve_stack(omega, tol=1e-10, start_state=0):
     """stationary for a stack of chains omega (B, n, n), with one batched LU solve."""
     if np.max(np.abs(omega.sum(axis=2) - 1.0)) > 1e-9 or np.any(omega < 0):
         raise ChainError("omega must be row-stochastic")
-    edges = omega > 0.0
-    irreducible = _all_reached(edges) & _all_reached(np.swapaxes(edges, 1, 2))
+    irreducible = _all_reached(omega > 0.0) & _all_reached(np.swapaxes(omega, 1, 2) > 0.0)
     n, chi = omega.shape[1], np.zeros(omega.shape[:2])
     a = np.swapaxes(omega[irreducible], 1, 2) - np.eye(n)
     a[:, -1] = 1.0  # the last balance equation, implied by the others, becomes sum(chi) = 1
-    direct = np.clip(np.linalg.solve(a, np.eye(n)[:, -1:])[..., 0], 0.0, None)
+    rhs = np.broadcast_to(np.eye(n)[:, -1:], a.shape[:2] + (1,))  # (B, n, 1): numpy < 2 reads
+    direct = np.clip(np.linalg.solve(a, rhs)[..., 0], 0.0, None)  # an (n, 1) rhs as vectors
     chi[irreducible] = direct / direct.sum(axis=1, keepdims=True)
     residual = np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
     for b in np.flatnonzero(~irreducible | (residual >= tol)):

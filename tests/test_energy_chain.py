@@ -143,6 +143,24 @@ def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
     assert np.array_equal(chi[others], direct[others])
 
 
+def test_lu_right_hand_side_carries_the_stack_shape(monkeypatch):
+    # numpy < 2 reads an (n, 1) right-hand side against (B, n, n) matrices as a
+    # stack of vectors; a (B, n, 1) one means a stack of matrices in every numpy.
+    solve, shapes = np.linalg.solve, []
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    p = default_params(E_max=6)
+    dc = derive(p)
+    optimize_g(p, dc, arrival_pmfs(p, dc))
+    stationary(EnergyChain(omega=np.array([[0.7, 0.3], [0.2, 0.8]]), g=1))
+    assert [a for a, _ in shapes] == [(6, 7, 7), (1, 2, 2)]
+    assert all(b == a[:-1] + (1,) for a, b in shapes)
+
+
 def test_stationary_requires_row_stochastic_matrix():
     with pytest.raises(ChainError):
         stationary(EnergyChain(omega=np.array([[0.5, 0.4], [0.2, 0.8]]), g=1))
