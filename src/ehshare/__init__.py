@@ -3,27 +3,27 @@ primary user and an energy-harvesting secondary user, validated against a
 seeded slot-level Monte Carlo simulator."""
 
 from .config import (DerivedConstants, ParameterError, SystemParams, dbm_to_watts,
-                     default_params, derive, load_params, validate, watts_to_dbm)
+                     default_params, derive, load_params, validate)
 from .primary_link import mu_p, pi_idle, pu_throughput, regime
-from .harvest import (HarvestPmf, arrival_pmfs, combined_pmf, f_of_z, nature_pmf,
-                      ratio_cap_cdf, rf_increments, rf_pmf)
+from .harvest import (HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
+                      rf_increments, rf_pmf)
 from .energy_chain import (EnergyChain, ReducibleChainWarning, ThroughputReport,
                            build_chain, mu_e, optimize_g, solve_chain, stationary,
                            success_probability, su_throughput)
-from .simulator import SimConfig, SimResult, harvest_draw, rf_harvest_samples
+from .simulator import SimConfig, SimResult, run_many
 from .simulator import run as simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DerivedConstants", "ParameterError", "SystemParams", "dbm_to_watts",
-    "default_params", "derive", "load_params", "validate", "watts_to_dbm",
+    "default_params", "derive", "load_params", "validate",
     "mu_p", "pi_idle", "pu_throughput", "regime",
-    "HarvestPmf", "arrival_pmfs", "combined_pmf", "f_of_z", "nature_pmf",
+    "HarvestPmf", "arrival_pmfs", "combined_pmf", "nature_pmf",
     "ratio_cap_cdf", "rf_increments", "rf_pmf",
     "EnergyChain", "ReducibleChainWarning", "ThroughputReport", "build_chain",
     "mu_e", "optimize_g", "solve_chain", "stationary", "success_probability",
     "su_throughput",
-    "SimConfig", "SimResult", "harvest_draw", "rf_harvest_samples", "simulate",
+    "SimConfig", "SimResult", "run_many", "simulate",
     "__version__",
 ]

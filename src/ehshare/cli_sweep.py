@@ -21,7 +21,7 @@ import numpy as np
 from . import energy_chain, harvest, primary_link
 from .config import (ParameterError, SystemParams, coerce_field, dbm_to_watts,
                      default_params, derive, load_params, validate)
-from .simulator import SimConfig, run as run_simulation
+from .simulator import SimConfig, run as run_simulation, run_many as simulate_many
 
 PARAM_FIELDS = [f.name for f in fields(SystemParams)]
 METRIC_COLUMNS = ["engine", "mu_p", "pi_idle", "pu_throughput", "regime", "g",
@@ -73,40 +73,44 @@ def _analytic_point(params: SystemParams, g_policy):
     return energy_chain.optimize_g(params, dc, pmfs, budgets), dc
 
 
-def _evaluate(spec: SweepSpec, value):
-    """Run the spec's engines at one grid point, analytic first.
+def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
+    """The rows of a slice of grid points: to_rows(outcome) per point, in order.
 
-    Yields (params, engine, result) per engine; result is the engine's
-    result or its exception. An analytic result is (report, dc); a simulate
-    result is (params it ran at, SimResult). The simulator runs at the
-    analytic report's g_star when there is one (the configured G under the
-    fixed policy), else at G, and only once the caller asks for its result.
-    An invalid point fails every engine, and params is then the point as
-    given, unvalidated, so that rows show the bad value.
-    """
+    An outcome lists (params, engine, result) per engine; result is (report,
+    dc), (params it ran at, SimResult), or the engine's exception. The
+    analytic engine runs at every point, then one lockstep simulator run at
+    each analytic g_star (else at G); without sim_after_failure an analytic
+    failure skips the point's simulation. An invalid point fails every
+    engine, with params as given. Analytic-only points become rows at once."""
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name = spec.swept_param
-    try:
-        params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
-    except Exception as exc:
-        for engine in engines:
-            yield replace(spec.fixed, **{name: value}), engine, exc
-        return
-    g_used = params.G
-    if "analytic" in engines:
+    rows, outcomes, sim_points = [], [], []
+    for value in values:
         try:
-            result = _analytic_point(params, spec.g_policy)
-            g_used = result[0].g_star
+            params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
         except Exception as exc:
-            result = exc
-        yield params, "analytic", result
-    if "simulate" in engines:
-        try:
-            sim_params = validate(replace(params, G=g_used))
-            result = (sim_params, run_simulation(sim_params, spec.sim))
-        except Exception as exc:
-            result = exc
-        yield params, "simulate", result
+            outcome = [(replace(spec.fixed, **{name: value}), engine, exc) for engine in engines]
+        else:
+            outcome, g_used, result = [], params.G, None
+            if "analytic" in engines:
+                try:
+                    result = _analytic_point(params, spec.g_policy)
+                    g_used = result[0].g_star
+                except Exception as exc:
+                    result = exc
+                outcome.append((params, "analytic", result))
+            if "simulate" in engines and (sim_after_failure or not isinstance(result, Exception)):
+                sim_points.append((outcome, params, replace(params, G=g_used)))
+        if "simulate" in engines:
+            outcomes.append(outcome)
+        else:
+            rows += to_rows(outcome)
+    if sim_points:
+        results = simulate_many([sim_params for _, _, sim_params in sim_points], spec.sim)
+        for (outcome, params, sim_params), result in zip(sim_points, results):
+            outcome.append((params, "simulate",
+                            result if isinstance(result, Exception) else (sim_params, result)))
+    return rows + [row for outcome in outcomes for row in to_rows(outcome)]
 
 
 def _row(params, metrics, **values):
@@ -146,18 +150,16 @@ def _simulate_row(params, result):
     )
 
 
+def _sweep_row(params, engine, result):
+    if isinstance(result, Exception):
+        return _row(params, METRIC_COLUMNS, engine=engine, error=str(result))
+    return _analytic_row(params, *result) if engine == "analytic" else _simulate_row(*result)
+
+
 def _eval_sweep_point(task):
-    """One grid point -> one row per engine. Top-level so worker pools can pickle it."""
-    spec, value = task
-    rows = []
-    for params, engine, result in _evaluate(spec, value):
-        if isinstance(result, Exception):
-            rows.append(_row(params, METRIC_COLUMNS, engine=engine, error=str(result)))
-        elif engine == "analytic":
-            rows.append(_analytic_row(params, *result))
-        else:
-            rows.append(_simulate_row(*result))
-    return rows
+    """A slice of grid points -> one row per engine and point (pickled to workers)."""
+    spec, values = task
+    return _evaluate(spec, values, lambda outcome: [_sweep_row(*entry) for entry in outcome])
 
 
 def _rel(delta, ref):
@@ -165,47 +167,36 @@ def _rel(delta, ref):
 
 
 def _compare_point(task):
-    """One grid point -> its single compare row, in a list like _eval_sweep_point."""
-    spec, value = task
-    outcome = {}
-    for params, engine, result in _evaluate(spec, value):
+    """A slice of grid points -> one compare row per point, like _eval_sweep_point."""
+    spec, values = task
+    return _evaluate(spec, values, _compare_rows, sim_after_failure=False)
+
+
+def _compare_rows(outcome):
+    for params, _, result in outcome:
         if isinstance(result, Exception):
-            # Returning here leaves the simulator unrun after an analytic failure.
             return [_row(params, COMPARE_METRICS, error=str(result))]
-        outcome[engine] = result
-    (report, _), (sim_params, result) = outcome["analytic"], outcome["simulate"]
+    (_, _, (report, _)), (_, _, (sim_params, result)) = outcome
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
-    return [_row(
-        sim_params, COMPARE_METRICS,
-        g=report.g_star,
-        a_mu_s=report.mu_s_star,
-        s_mu_s=result.su_throughput_hat,
-        d_mu_s_abs=abs(report.mu_s_star - result.su_throughput_hat),
-        d_mu_s_rel=_rel(report.mu_s_star - result.su_throughput_hat, report.mu_s_star),
-        a_pi_idle=report.pi_idle,
-        s_pi_idle=result.pi_idle_hat,
-        d_pi_idle_abs=abs(report.pi_idle - result.pi_idle_hat),
-        d_pi_idle_rel=_rel(report.pi_idle - result.pi_idle_hat, report.pi_idle),
-        a_pu_throughput=report.pu_throughput,
-        s_pu_throughput=result.pu_throughput_hat,
-        d_pu_throughput_abs=abs(report.pu_throughput - result.pu_throughput_hat),
-        d_pu_throughput_rel=_rel(report.pu_throughput - result.pu_throughput_hat,
-                                 report.pu_throughput),
-        tv_occupancy=tv,
-        seed=result.seed,
-        slots=result.n_slots,
-    )]
+    row = _row(sim_params, COMPARE_METRICS, g=report.g_star, tv_occupancy=tv, seed=result.seed,
+               slots=result.n_slots)
+    for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
+                       ("pi_idle", report.pi_idle, result.pi_idle_hat),
+                       ("pu_throughput", report.pu_throughput, result.pu_throughput_hat)):
+        row.update({f"a_{name}": a, f"s_{name}": s, f"d_{name}_abs": abs(a - s),
+                    f"d_{name}_rel": _rel(a - s, a)})
+    return [row]
 
 
 def _run_grid(point_fn, specs, jobs):
-    """point_fn over every grid point of every spec, in order; the rows flattened.
-
-    jobs > 1 evaluates the points in one pool of worker processes.
-    """
+    """point_fn over contiguous slices of every spec's grid, in order; the
+    rows flattened. A grid is cut into min(jobs, points) slices: one at
+    jobs=1, and jobs > 1 evaluates them in one pool of worker processes."""
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
     specs = [spec.check() for spec in specs]
-    tasks = [(spec, value) for spec in specs for value in spec.grid]
+    tasks = [(spec, spec.grid[len(spec.grid) * i // k:len(spec.grid) * (i + 1) // k])
+             for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             nested = list(pool.map(point_fn, tasks))
@@ -344,11 +335,8 @@ def _add_outputs_flag(group):
 
 
 def params_from_args(args) -> SystemParams:
-    overrides = {}
-    for name in PARAM_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {name: getattr(args, name) for name in PARAM_FIELDS
+                 if getattr(args, name, None) is not None}
     if getattr(args, "p_max_dbm", None) is not None:
         if "P_max" in overrides:
             raise ParameterError(["P_max: given in both Watts and dBm"])
@@ -394,12 +382,9 @@ def cmd_simulate(args):
         row[f"occ_{j}"] = frac
     columns += [f"occ_{j}" for j in range(len(result.energy_occupancy_hist))]
     if args.format == "json":
-        row["rf_harvest_hist"] = result.rf_harvest_hist
-        row["nature_harvest_hist"] = result.nature_harvest_hist
-        row["total_harvested"] = result.total_harvested
-        row["total_consumed"] = result.total_consumed
-        row["total_dropped"] = result.total_dropped
-        row["final_energy_level"] = result.final_energy_level
+        for name in ("rf_harvest_hist", "nature_harvest_hist", "total_harvested",
+                     "total_consumed", "total_dropped", "final_energy_level"):
+            row[name] = getattr(result, name)
     write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 

@@ -68,7 +68,6 @@ class DerivedConstants:
     alpha:     energy-packet quantization constant; None when eta == 0
     lambda_x:  rate of the primary->secondary gain (1/sigma_ps)
     lambda_y:  rate of the primary->destination gain (1/sigma_ppd)
-    p_min_num: N0*W*(2**R_p - 1), numerator of the channel-inversion power
     rf_degenerate: True when eta == 0, i.e. RF harvesting yields 0 packets
     """
 
@@ -78,7 +77,6 @@ class DerivedConstants:
     alpha: float | None
     lambda_x: float
     lambda_y: float
-    p_min_num: float
     rf_degenerate: bool
 
 
@@ -87,35 +85,30 @@ def dbm_to_watts(p_dbm):
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts):
-    """Convert a power in Watts to dBm."""
-    if p_watts <= 0:
-        raise ValueError("power must be > 0 to express in dBm")
-    return 30.0 + 10.0 * math.log10(p_watts)
-
-
 def validate(params: SystemParams) -> SystemParams:
-    """Return `params` unchanged if every invariant holds.
+    """Return `params` unchanged if every invariant holds; every float field
+    must be finite.
 
     Raises ParameterError naming every violated field, not just the first.
     """
     v = []
-    if not params.beta > 0:
-        v.append(f"beta: must be > 0 (got {params.beta})")
-    if not params.W > 0:
-        v.append(f"W: must be > 0 (got {params.W})")
-    if not params.N0 > 0:
-        v.append(f"N0: must be > 0 (got {params.N0})")
-    if not params.e_pkt > 0:
-        v.append(f"e_pkt: must be > 0 (got {params.e_pkt})")
-    if not params.P_max > 0:
-        v.append(f"P_max: must be > 0 (got {params.P_max})")
+
+    def positive(name):
+        x = getattr(params, name)
+        if not 0 < x < math.inf:
+            v.append(f"{name}: must be {'finite' if x == math.inf else '> 0'} (got {x})")
+
+    for name in ("beta", "W", "N0", "e_pkt", "P_max"):
+        positive(name)
     if not 0 < params.tau < params.T:
         v.append(f"tau: must satisfy 0 < tau < T (got tau={params.tau}, T={params.T})")
+    if not params.T < math.inf:
+        v.append(f"T: must be finite (got {params.T})")
     if not 0 <= params.lambda_p <= 1:
         v.append(f"lambda_p: must lie in [0, 1] (got {params.lambda_p})")
-    if not params.lambda_e >= 0:
-        v.append(f"lambda_e: must be >= 0 (got {params.lambda_e})")
+    if not 0 <= params.lambda_e < math.inf:
+        v.append(f"lambda_e: must be {'finite' if params.lambda_e == math.inf else '>= 0'} "
+                 f"(got {params.lambda_e})")
     if not 0 <= params.eta <= 1:
         v.append(f"eta: must lie in [0, 1] (got {params.eta})")
     if not (isinstance(params.E_max, int) and params.E_max >= 1):
@@ -125,8 +118,7 @@ def validate(params: SystemParams) -> SystemParams:
     ):
         v.append(f"G: must be an integer in 1..E_max (got G={params.G}, E_max={params.E_max})")
     for name in ("sigma_ppd", "sigma_ps", "sigma_ssd"):
-        if not getattr(params, name) > 0:
-            v.append(f"{name}: must be > 0 (got {getattr(params, name)})")
+        positive(name)
     if v:
         raise ParameterError(v)
     return params
@@ -156,7 +148,6 @@ def derive(params: SystemParams) -> DerivedConstants:
         alpha=alpha,
         lambda_x=1.0 / params.sigma_ps,
         lambda_y=1.0 / params.sigma_ppd,
-        p_min_num=p_min_num,
         rf_degenerate=degenerate,
     )
 

@@ -55,10 +55,6 @@ class HarvestPmf:
             raise ValueError("probs and tail_mass must total 1")
         object.__setattr__(self, "probs", p)
 
-    def mean(self) -> float:
-        """Mean packet count of the truncated support."""
-        return float(np.arange(self.probs.size) @ self.probs)
-
     def to_text(self) -> str:
         """Two-column `n probability` rendering, with a comment header."""
         lines = [f"# kind={self.kind} tail_mass={self.tail_mass:.17g}"]
@@ -80,11 +76,6 @@ def ratio_cap_cdf(z, lam_x, lam_y, a):
     if np.any(z < 0):
         raise ValueError("z must be >= 0")
     return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
-
-
-def f_of_z(z, dc: DerivedConstants):
-    """ratio_cap_cdf evaluated at the model's gain rates and cutoff."""
-    return ratio_cap_cdf(z, dc.lambda_x, dc.lambda_y, dc.a)
 
 
 def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:

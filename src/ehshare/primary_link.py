@@ -11,13 +11,6 @@ import math
 from .config import DerivedConstants, SystemParams
 
 
-def min_power(h_ppd, dc: DerivedConstants):
-    """Minimum transmit power (Watts) avoiding outage at channel gain h_ppd."""
-    if h_ppd <= 0:
-        raise ValueError("h_ppd must be > 0")
-    return dc.p_min_num / h_ppd
-
-
 def mu_p(params: SystemParams, dc: DerivedConstants):
     """Primary service probability: the inversion power fits under the cap."""
     return math.exp(-dc.a / params.sigma_ppd)

@@ -17,26 +17,26 @@ the next slot):
 4. RF packets (active slots) and Poisson ambient packets are added.
 5. The energy queue saturates at E_max; overflow is dropped.
 
-The recipe is computed with array operations, _CHUNK slots at a time; only
-the primary backlog, the battery level and integer counters carry from one
-chunk to the next. The primary queue never depends on the battery, so its
-backlog follows Lindley's recursion q' = max(0, q + arrival - service),
-which cumulative sums and minima give exactly. The battery is a finite
-automaton driven by the slots, e' = min(E_max, e - G*[idle and e >= G] +
-add): each block of _BLOCK slots gets its transfer map over the start
-levels 0..E_max (all blocks stepped at once; levels whose path through the
-block has a closed form are left out), the maps are chained to find each
-block's start level, and one more pass over the blocks replays every
-slot's level. The per-slot loop this replaces is kept in the tests
-(`_run_reference` in tests/test_sim_oracle.py), and results must match it
-bit for bit.
+run_many simulates a batch of points (a slice of a sweep grid) in lockstep,
+and run is its one-point case. The points share one seed (common random
+numbers), so a chunk of at most _CHUNK slots and _POINT_SLOTS point-slots
+draws its uniforms and three standard exponentials once; each point
+thresholds the uniforms at its lambda_p and scales the exponentials by its
+sigmas (bit for bit Generator.exponential(sigma)), and Poisson counts are
+drawn once per distinct lambda_e * T. The primary backlog follows
+Lindley's recursion. The battery, e' = min(E_max, e - G*[idle and e >= G]
++ add), is chained through blocks of _BLOCK slots by transfer maps over
+start levels (levels beyond _MAP_LEVELS are walked alone), and a replay
+gives every slot; each Python-level step serves every point. A 5-point
+grid of 1e6 slots takes about 0.5 s on 2 vCPUs, against 1.2-1.5 s point
+by point. Results must match the per-slot loop this replaces bit for bit
+(`_run_reference` in tests/test_sim_oracle.py).
 
 Statistics are collected after a warmup period; energy-conservation
-counters span the whole run. Equal seeds give bit-identical results: all
-randomness flows from one SeedSequence split into per-purpose substreams
-(arrivals, h_ppd, h_ps, h_ssd, ambient), so sweeps that reuse a seed across
-parameter points share channel randomness (common random numbers).
-Drawing a substream in chunks yields the same numbers as drawing it at once.
+counters span the whole run. All randomness flows from one SeedSequence
+split into per-purpose substreams (arrivals, h_ppd, h_ps, h_ssd, ambient),
+and drawing a substream in chunks yields the same numbers as drawing it at
+once, so a point's result depends on neither the chunk size nor its batch.
 """
 
 from dataclasses import dataclass
@@ -47,9 +47,13 @@ from .config import ParameterError, SystemParams, derive
 from .energy_chain import outage_threshold
 
 _DEFAULT_WARMUP = 10_000
-_CHUNK = 2 ** 16  # slots drawn and processed at a time
-_BLOCK = 256      # slots per battery transfer map
-_MAP_CELLS = 2 ** 20  # transfer-map entries held at once
+_CHUNK = 2 ** 16         # most slots drawn and processed at a time
+_POINT_SLOTS = 2 ** 17   # most point-slots of a batch processed at a time
+_BLOCK = 256             # slots per battery transfer map
+_MAP_CELLS = 2 ** 20     # transfer-map entries held at once
+_MAP_LEVELS = 48         # most start levels per transfer map
+# The largest mean numpy's Generator.poisson accepts.
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -80,10 +84,10 @@ class SimResult:
     primary-active slots (point mass at 0 when none occurred). The two
     harvest histograms are folded at E_max, the cut the harvest pmfs use:
     they cover 0..min(largest count seen, E_max), and the last bin holds
-    every count of E_max or more. The four
-    total_* / final_* counters span the whole run including warmup and
-    satisfy: total_consumed + total_dropped + final_energy_level ==
-    total_harvested (the queue starts empty).
+    every count of E_max or more. The four total_* / final_* counters span
+    the whole run including warmup and satisfy: total_consumed +
+    total_dropped + final_energy_level == total_harvested (the queue starts
+    empty).
     """
 
     pu_throughput_hat: float
@@ -104,57 +108,17 @@ class SimResult:
     final_energy_level: int
 
 
-def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
-    """Packets converted from one primary transmission at gains (h_ppd, h_ps).
-
-    Only defined while the primary transmits, i.e. h_ppd at or above the
-    cutoff; calls below it are rejected.
-    """
-    if dc is None:
-        dc = derive(params)
-    if h_ppd < dc.a:
-        raise ValueError(f"h_ppd={h_ppd} is below the transmission cutoff a={dc.a}")
-    if h_ps < 0:
-        raise ValueError("h_ps must be >= 0")
-    if dc.rf_degenerate:
-        return 0
-    return int(_rf_packets(h_ppd, h_ps, dc.alpha))
-
-
 def _rf_packets(h_ppd, h_ps, alpha):
-    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise.
-
-    The ratio is clipped at 2**62 so the int cast stays safe for extreme
-    ratio draws.
-    """
+    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise; the ratio is
+    clipped at 2**62 so the int cast stays safe for extreme ratio draws."""
     return np.floor(np.minimum(h_ps / (h_ppd * alpha), 2.0 ** 62)).astype(np.int64)
-
-
-def rf_harvest_samples(params: SystemParams, n, seed, dc=None):
-    """n per-transmission packet counts, conditioned on the primary transmitting.
-
-    h_ppd is drawn above the cutoff by memorylessness (cutoff + fresh
-    exponential); the count applies the floor quantization to the physical
-    received energy, independent of the closed-form cdf route.
-    """
-    if dc is None:
-        dc = derive(params)
-    ss_ppd, ss_ps = np.random.SeedSequence(seed).spawn(2)
-    h_ppd = dc.a + np.random.default_rng(ss_ppd).exponential(params.sigma_ppd, n)
-    h_ps = np.random.default_rng(ss_ps).exponential(params.sigma_ps, n)
-    if dc.rf_degenerate:
-        return np.zeros(n, dtype=np.int64)
-    energy = params.eta * params.N0 * params.W * (2.0 ** dc.R_p - 1.0) * h_ps * params.T / h_ppd
-    return np.floor(energy / params.e_pkt).astype(np.int64)
 
 
 def _exact_sum(x) -> int:
     """Sum of a nonnegative int64 array as a Python int, without overflow."""
-    if x.size == 0:
-        return 0
-    if int(x.max()) * x.size < 2 ** 63:
-        return int(x.sum())
-    return sum(x.tolist())
+    if x.size and int(x.max()) * x.size >= 2 ** 63:
+        return sum(x.tolist())
+    return int(x.sum())
 
 
 def _folded_hist(counts, total) -> np.ndarray:
@@ -164,170 +128,245 @@ def _folded_hist(counts, total) -> np.ndarray:
     return counts[:np.flatnonzero(counts)[-1] + 1] / total
 
 
-def _battery_levels(e0, spend_at, add, g, e_max):
-    """Battery level at the start of every slot, and after the last one.
-
-    Slot t spends g when the level is at least spend_at[t] (g when idle,
-    e_max + 1, which no level reaches, when active), then adds add[t] <=
-    e_max and saturates at e_max.
-    """
-    m = add.size
-    n_blocks = -(-m // _BLOCK)
-    pad = n_blocks * _BLOCK - m
-    dtype = np.min_scalar_type(2 * e_max)
-    g_t = dtype.type(g)
-    # Padding slots neither spend nor add, so they keep the level. Rows are
-    # slots within a block, columns are blocks.
-    spend_at = np.concatenate((spend_at, np.full(pad, e_max + 1))).astype(dtype)
-    spend_at = np.ascontiguousarray(spend_at.reshape(n_blocks, _BLOCK).T)
-    add = np.concatenate((add, np.zeros(pad, np.int64))).astype(dtype)
-    add = np.ascontiguousarray(add.reshape(n_blocks, _BLOCK).T)
-
-    def step(e, k, cols, mask):
-        np.greater_equal(e, spend_at[k, cols], out=mask)
-        np.subtract(e, mask if g == 1 else mask * g_t, out=e)
-        np.add(e, add[k, cols], out=e)
-        np.minimum(e, e_max, out=e)
-
-    # Two ranges of start levels need no transfer map. A level below lo
-    # stays below g up to the block's last idle slot, so it never spends and
-    # ends at min(e_max, level + gained). A level of at least hi = g * (idle
-    # slots) spends at every idle slot, so it ends at min(level + net, cap):
-    # net is the block's net change and cap = e_max + net - (peak of the
-    # running net change), where a path saturating at that peak ends.
+def _closed_forms(spend_at, add, g, e_max):
+    """(lo, hi, net, cap, gained), lists over the blocks of one point's
+    (_BLOCK, blocks) slots. A level below lo stays below g up to the block's
+    last idle slot, so it ends at min(e_max, level + gained). A level of at
+    least hi = g * (idle slots) spends at every idle slot, so it ends at
+    min(level + net, cap): net is the block's net change and cap = e_max +
+    net - (peak of the running net change), where a path saturating there
+    ends."""
     idle = spend_at == g
     gained_before = np.cumsum(add, axis=0, dtype=np.int64) - add
-    gained = (gained_before[-1] + add[-1]).tolist()
-    lo = np.maximum(g - np.where(idle, gained_before, 0).max(axis=0), 0)
-    hi = np.minimum(g * idle.sum(axis=0), e_max + 1)
     walk = np.cumsum(add - g * idle.astype(np.int64), axis=0)
-    net = walk[-1].tolist()
-    cap = (e_max + walk[-1] - walk.max(axis=0)).tolist()
-    width = max(0, int((hi - lo).max()))
+    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=0), 0).tolist(),
+            np.minimum(g * idle.sum(axis=0), e_max + 1).tolist(),
+            walk[-1].tolist(),
+            (e_max + walk[-1] - walk.max(axis=0)).tolist(),
+            (gained_before[-1] + add[-1]).tolist())
 
-    def transfer_maps(cols):
-        """maps[j, b - cols.start]: the level after block b from lo[b] + j."""
-        maps = np.minimum(lo[cols] + np.arange(width)[:, None], e_max).astype(dtype)
-        mask = np.empty(maps.shape, bool)
+
+def _battery_levels(e0, spend_at, add, g, e_max):
+    """Battery levels of a batch of points at the start of every slot, as a
+    (points, slots) array, and after the last one, as a list of ints.
+
+    spend_at and add are (points, slots), of an unsigned dtype that holds
+    2 * max(e_max); e0, g and e_max hold one int per point. Point p's slot t
+    spends g[p] when the level is at least spend_at[p, t] (g[p] when idle,
+    e_max[p] + 1, which no level reaches, when active), then adds add[p, t]
+    <= e_max[p] and saturates at e_max[p].
+    """
+    (n_pts, m), dtype = add.shape, add.dtype
+    n_blocks = -(-m // _BLOCK)
+    g_col, cap_col = (np.array(x, dtype)[:, None] for x in (g, e_max))
+
+    def blocked(x, fill):  # (_BLOCK, points, blocks): row k holds slot k of every block
+        x = np.pad(x, ((0, 0), (0, n_blocks * _BLOCK - m)), constant_values=fill)
+        return np.ascontiguousarray(x.reshape(n_pts, n_blocks, _BLOCK).transpose(2, 0, 1))
+
+    # padding slots neither spend (no level reaches the dtype's top) nor add
+    spend_at, add = blocked(spend_at, np.iinfo(dtype).max), blocked(add, 0)
+
+    def step_block(e, cols, record=None):
+        """Steps e, (..., points, blocks in cols), through its blocks; record[k] <- slot k."""
+        mask = np.empty(e.shape, bool)
+        spent = np.empty(e.shape, dtype)
         for k in range(_BLOCK):
-            step(maps, k, cols, mask)
-        return maps
+            if record is not None:
+                record[k] = e
+            np.greater_equal(e, spend_at[k, :, cols], out=mask)
+            np.subtract(e, np.multiply(mask, g_col, out=spent), out=e)
+            np.add(e, add[k, :, cols], out=e)
+            np.minimum(e, cap_col, out=e)
+
+    def walk_block(p, b, e):
+        """Point p's level after block b from e, one slot at a time."""
+        spend, top = g[p], e_max[p]
+        for s, a in zip(spend_at[:, p, b].tolist(), add[:, p, b].tolist()):
+            if e >= s:
+                e -= spend
+            e += a
+            if e > top:
+                e = top
+        return e
+
+    # Transfer maps cover the start levels lo..lo+width-1 of each block;
+    # levels above are walked alone. A battery of fewer than _MAP_LEVELS
+    # levels maps them all.
+    forms = [_closed_forms(spend_at[:, p], add[:, p], g[p], e_max[p]) if e_max[p] >= _MAP_LEVELS
+             else ([0] * n_blocks, [e_max[p] + 1] * n_blocks, None, None, None)
+             for p in range(n_pts)]
+    lo = np.array([f[0] for f in forms], np.int64)
+    width = min(max(0, int((np.array([f[1] for f in forms]) - lo).max())), _MAP_LEVELS)
 
     # Chain the blocks. The maps of a group of blocks, as many as
     # _MAP_CELLS allows, are computed once a start level needs them.
-    lo_l, hi_l = lo.tolist(), hi.tolist()
-    per_group = max(1, _MAP_CELLS // max(width, 1))
-    starts = np.empty(n_blocks, dtype)
-    e = e0
+    per_group = max(1, _MAP_CELLS // max(n_pts * width, 1))
+    starts, ends = [[] for _ in range(n_pts)], list(e0)
     for first in range(0, n_blocks, per_group):
         cols = slice(first, min(first + per_group, n_blocks))
-        maps = None
-        for b in range(cols.start, cols.stop):
-            starts[b] = e
-            if e >= hi_l[b]:
-                e = min(e + net[b], cap[b])
-            elif e < lo_l[b]:
-                e = min(e + gained[b], e_max)
-            else:
-                if maps is None:
-                    maps = transfer_maps(cols)
-                e = maps.item(e - lo_l[b], b - first)
+        maps = None  # maps[j, p, b - first]: point p's level after block b from lo[p, b] + j
+        for p, (lo_p, hi_p, net_p, cap_p, gained_p) in enumerate(forms):
+            e, row = ends[p], starts[p]
+            for b in range(cols.start, cols.stop):
+                row.append(e)
+                if e >= hi_p[b]:
+                    e = min(e + net_p[b], cap_p[b])
+                elif e < lo_p[b]:
+                    e = min(e + gained_p[b], e_max[p])
+                elif e - lo_p[b] < width:
+                    if maps is None:
+                        maps = np.minimum(lo[:, cols] + np.arange(width)[:, None, None],
+                                          cap_col).astype(dtype)
+                        step_block(maps, cols)
+                    e = maps.item(e - lo_p[b], p, b - first)
+                else:
+                    e = walk_block(p, b, e)
+            ends[p] = e
 
-    levels = np.empty((_BLOCK, n_blocks), dtype)
-    mask = np.empty(n_blocks, bool)
-    for k in range(_BLOCK):
-        levels[k] = starts
-        step(starts, k, slice(None), mask)
-    return levels.T.reshape(-1)[:m], e
+    levels = np.empty((_BLOCK, n_pts, n_blocks), dtype)
+    step_block(np.array(starts, dtype), slice(None), levels)
+    return levels.transpose(1, 2, 0).reshape(n_pts, -1)[:, :m], ends
+
+
+class _Point:
+    """One point of a lockstep batch: its constants and running counters."""
+
+    def __init__(self, params: SystemParams):
+        self.params, self.dc = params, derive(params)
+        self.lam = params.lambda_e * params.T
+        if not self.lam <= _POISSON_MAX:
+            raise ParameterError([f"lambda_e: lambda_e * T = {self.lam:g} exceeds the largest "
+                                  f"Poisson mean the simulator can draw ({_POISSON_MAX:.6g})"])
+        self.su_threshold = outage_threshold(params, self.dc, params.G)
+        self.qp = self.qe = 0  # primary data queue, energy queue
+        self.pu_delivered = self.su_delivered = self.pu_queue_sum = 0
+        self.spends = self.spends_post = self.harvested = 0  # spends: whole run
+        self.occupancy, self.rf_counts, self.nat_counts = (
+            np.zeros(params.E_max + 1, np.int64) for _ in range(3))
+
+    def prepare(self, draws, post, spend_at, add, su_ok):
+        """Play the primary queue and the energy arrivals over one chunk of
+        shared draws, and fill the point's rows of spend_at, add and su_ok."""
+        p, dc, e_max = self.params, self.dc, self.params.E_max
+        u, z_ppd, z_ps, z_ssd, ambient = draws
+        arrival = u < p.lambda_p
+        h_ppd = z_ppd * p.sigma_ppd
+        pu_ok = h_ppd >= dc.a
+        np.greater_equal(z_ssd * p.sigma_ssd, self.su_threshold, out=su_ok)
+
+        # primary queue: backlog after each slot by Lindley's recursion,
+        # q_after = c + max(qp, -min(c[:t+1])) for c the running net arrivals
+        c = np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8),
+                      dtype=np.int32 if self.qp + u.size < 2 ** 31 else np.int64)
+        q_after = c + np.maximum(-np.minimum.accumulate(c), self.qp)
+        q_before = np.concatenate(([self.qp], q_after[:-1]))
+        active = np.flatnonzero(pu_ok & ((q_before > 0) | arrival))
+        pre = int(np.searchsorted(active, post))  # active slots before warmup ends
+        self.pu_queue_sum += int(q_before[post:].sum(dtype=np.int64))
+        self.qp = int(q_after[-1])
+        self.pu_delivered += active.size - pre
+
+        # energy arrivals: RF packets in active slots, ambient packets in all
+        rf = np.zeros(active.size, np.int64) if dc.rf_degenerate else \
+            _rf_packets(h_ppd.take(active), z_ps.take(active) * p.sigma_ps, dc.alpha)
+        self.harvested += _exact_sum(rf)
+        rf = np.minimum(rf, e_max).astype(add.dtype)
+        self.rf_counts += np.bincount(rf[pre:], minlength=e_max + 1)
+        if self.lam > 0:
+            add[:], counts, total = ambient[self.lam, e_max]
+            self.nat_counts += counts
+            self.harvested += total
+        else:
+            add.fill(0)
+            self.nat_counts[0] += u.size - post
+        add[active] += rf
+        np.minimum(add, e_max, out=add)
+        spend_at.fill(p.G)
+        spend_at[active] = e_max + 1
+
+    def result(self, sim: SimConfig) -> SimResult:
+        g, n_eff = self.params.G, sim.n_slots - sim.warmup
+        consumed = g * self.spends
+        return SimResult(
+            pu_throughput_hat=self.pu_delivered / n_eff,
+            su_throughput_hat=self.su_delivered / n_eff,
+            pi_idle_hat=(n_eff - self.pu_delivered) / n_eff,
+            energy_occupancy_hist=self.occupancy / n_eff,
+            rf_harvest_hist=_folded_hist(self.rf_counts, self.pu_delivered),
+            nature_harvest_hist=_folded_hist(self.nat_counts, n_eff),
+            pu_queue_mean=self.pu_queue_sum / n_eff,
+            energy_consumed_per_slot=g * self.spends_post / n_eff,
+            n_slots=sim.n_slots,
+            warmup=sim.warmup,
+            seed=sim.seed,
+            g=g,
+            total_harvested=self.harvested,
+            total_consumed=consumed,
+            total_dropped=self.harvested - consumed - self.qe,
+            final_energy_level=self.qe,
+        )
+
+
+def run_many(points, sim: SimConfig) -> list:
+    """Simulate every point with sim's slots and seed, in lockstep.
+
+    Returns one entry per point, in order: its SimResult, equal to what
+    run() gives for that point alone, or the exception that rejected the
+    point (a ParameterError naming the field). The other points still run.
+    """
+    out = []
+    for params in points:
+        try:
+            out.append(_Point(params))
+        except Exception as exc:
+            out.append(exc)
+    batch = [pt for pt in out if isinstance(pt, _Point)]
+    if not batch:
+        return out
+    e_max = [pt.params.E_max for pt in batch]
+    dtype = np.min_scalar_type(2 * max(e_max))
+    chunk = min(_CHUNK, max(_BLOCK, _POINT_SLOTS // len(batch) // _BLOCK * _BLOCK))
+
+    streams = np.random.SeedSequence(sim.seed).spawn(5)
+    rng_arr, rng_ppd, rng_ps, rng_ssd = (np.random.default_rng(s) for s in streams[:4])
+    rf_used = not all(pt.dc.rf_degenerate for pt in batch)
+    # one generator per distinct ambient mean, each replaying the same substream
+    rng_nat = {pt.lam: np.random.default_rng(streams[4]) for pt in batch if pt.lam > 0}
+
+    for start in range(0, sim.n_slots, chunk):
+        m = min(chunk, sim.n_slots - start)
+        post = min(max(sim.warmup - start, 0), m)  # the chunk's first post-warmup slot
+        ambient = {}  # (mean, E_max) -> counts clipped at E_max, their histogram, total
+        for lam, rng in rng_nat.items():
+            counts = rng.poisson(lam, m)
+            for e in {pt.params.E_max for pt in batch if pt.lam == lam}:
+                clipped = np.minimum(counts, e).astype(dtype)
+                ambient[lam, e] = clipped, np.bincount(clipped[post:], minlength=e + 1), \
+                    _exact_sum(counts)
+        draws = (rng_arr.random(m), rng_ppd.standard_exponential(m),
+                 rng_ps.standard_exponential(m) if rf_used else None,
+                 rng_ssd.standard_exponential(m), ambient)
+        spend_at, add = np.empty((2, len(batch), m), dtype)
+        su_ok = np.empty((len(batch), m), bool)
+        for j, pt in enumerate(batch):
+            pt.prepare(draws, post, spend_at[j], add[j], su_ok[j])
+        del draws, ambient
+        levels, ends = _battery_levels([pt.qe for pt in batch], spend_at, add,
+                                       [pt.params.G for pt in batch], e_max)
+        for j, pt in enumerate(batch):
+            pt.qe = ends[j]
+            spend = levels[j] >= spend_at[j]
+            pt.occupancy += np.bincount(levels[j, post:], minlength=pt.params.E_max + 1)
+            pt.spends += int(np.count_nonzero(spend))
+            pt.spends_post += int(np.count_nonzero(spend[post:]))
+            pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[j, post:]))
+    return [pt if isinstance(pt, Exception) else pt.result(sim) for pt in out]
 
 
 def run(params: SystemParams, sim: SimConfig) -> SimResult:
     """Simulate sim.n_slots slots and return post-warmup statistics."""
-    dc = derive(params)
-    n = sim.n_slots
-    g = params.G
-    e_max = params.E_max
-    warmup = sim.warmup
-    n_eff = n - warmup
-    su_threshold = outage_threshold(params, dc, g)
-
-    streams = np.random.SeedSequence(sim.seed).spawn(5)
-    rng_arr, rng_ppd, rng_ps, rng_ssd, rng_nat = (np.random.default_rng(s) for s in streams)
-
-    qp = 0          # primary data queue
-    qe = 0          # energy queue
-    pu_delivered = 0
-    su_delivered = 0
-    pu_queue_sum = 0
-    spends = 0      # whole run
-    spends_post = 0
-    harvested = 0
-    occupancy = np.zeros(e_max + 1, np.int64)
-    rf_counts = np.zeros(e_max + 1, np.int64)
-    nat_counts = np.zeros(e_max + 1, np.int64)
-
-    for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
-        post = min(max(warmup - start, 0), m)  # the chunk's first post-warmup slot
-
-        arrival = rng_arr.random(m) < params.lambda_p
-        h_ppd = rng_ppd.exponential(params.sigma_ppd, m)
-        su_ok = rng_ssd.exponential(params.sigma_ssd, m) >= su_threshold
-
-        # primary queue: backlog after each slot by Lindley's recursion
-        pu_ok = h_ppd >= dc.a
-        walk = qp + np.cumsum(arrival.astype(np.int64) - pu_ok)
-        q_after = walk - np.minimum(np.minimum.accumulate(walk), 0)
-        q_before = np.concatenate(([qp], q_after[:-1]))
-        active = pu_ok & (q_before + arrival > 0)
-        qp = int(q_after[-1])
-        pu_delivered += int(np.count_nonzero(active[post:]))
-        pu_queue_sum += int(q_before[post:].sum())
-
-        # energy arrivals: RF packets in active slots, ambient packets in all
-        add = np.zeros(m, np.int64)
-        if dc.rf_degenerate:
-            rf = np.zeros(np.count_nonzero(active), np.int64)
-        else:
-            h_ps = rng_ps.exponential(params.sigma_ps, m)
-            rf = _rf_packets(h_ppd[active], h_ps[active], dc.alpha)
-            add[active] = np.minimum(rf, e_max)
-        harvested += _exact_sum(rf)
-        rf_counts += np.bincount(np.minimum(rf[np.count_nonzero(active[:post]):], e_max),
-                                 minlength=e_max + 1)
-        if params.lambda_e > 0:
-            ambient = rng_nat.poisson(params.lambda_e * params.T, m)
-            harvested += _exact_sum(ambient)
-            nat_counts += np.bincount(np.minimum(ambient[post:], e_max), minlength=e_max + 1)
-            add = np.minimum(add + np.minimum(ambient, e_max), e_max)
-        else:
-            nat_counts[0] += m - post
-
-        # battery: secondary transmissions spend from the level at slot start
-        spend_at = np.where(active, e_max + 1, g)
-        levels, qe = _battery_levels(qe, spend_at, add, g, e_max)
-        spend = levels >= spend_at
-        occupancy += np.bincount(levels[post:], minlength=e_max + 1)
-        spends += int(np.count_nonzero(spend))
-        spends_post += int(np.count_nonzero(spend[post:]))
-        su_delivered += int(np.count_nonzero(spend[post:] & su_ok[post:]))
-
-    consumed = g * spends
-    return SimResult(
-        pu_throughput_hat=pu_delivered / n_eff,
-        su_throughput_hat=su_delivered / n_eff,
-        pi_idle_hat=(n_eff - pu_delivered) / n_eff,
-        energy_occupancy_hist=occupancy / n_eff,
-        rf_harvest_hist=_folded_hist(rf_counts, pu_delivered),
-        nature_harvest_hist=_folded_hist(nat_counts, n_eff),
-        pu_queue_mean=pu_queue_sum / n_eff,
-        energy_consumed_per_slot=g * spends_post / n_eff,
-        n_slots=n,
-        warmup=warmup,
-        seed=sim.seed,
-        g=g,
-        total_harvested=harvested,
-        total_consumed=consumed,
-        total_dropped=harvested - consumed - qe,
-        final_energy_level=qe,
-    )
+    (result,) = run_many([params], sim)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -1,0 +1,74 @@
+"""Independent routes to quantities the library computes, used only as test
+oracles: scalar and physical-energy harvest draws, the capped ratio cdf at
+the model's rates, the channel-inversion power, dBm conversion back from
+Watts, and the mean of a truncated pmf.
+"""
+
+import math
+
+import numpy as np
+
+from ehshare.config import DerivedConstants, SystemParams, derive
+from ehshare.harvest import HarvestPmf, ratio_cap_cdf
+from ehshare.simulator import _rf_packets
+
+
+def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
+    """Packets converted from one primary transmission at gains (h_ppd, h_ps).
+
+    Only defined while the primary transmits, i.e. h_ppd at or above the
+    cutoff; calls below it are rejected.
+    """
+    if dc is None:
+        dc = derive(params)
+    if h_ppd < dc.a:
+        raise ValueError(f"h_ppd={h_ppd} is below the transmission cutoff a={dc.a}")
+    if h_ps < 0:
+        raise ValueError("h_ps must be >= 0")
+    if dc.rf_degenerate:
+        return 0
+    return int(_rf_packets(h_ppd, h_ps, dc.alpha))
+
+
+def rf_harvest_samples(params: SystemParams, n, seed, dc=None):
+    """n per-transmission packet counts, conditioned on the primary transmitting.
+
+    h_ppd is drawn above the cutoff by memorylessness (cutoff + fresh
+    exponential); the count applies the floor quantization to the physical
+    received energy, independent of the closed-form cdf route.
+    """
+    if dc is None:
+        dc = derive(params)
+    ss_ppd, ss_ps = np.random.SeedSequence(seed).spawn(2)
+    h_ppd = dc.a + np.random.default_rng(ss_ppd).exponential(params.sigma_ppd, n)
+    h_ps = np.random.default_rng(ss_ps).exponential(params.sigma_ps, n)
+    if dc.rf_degenerate:
+        return np.zeros(n, dtype=np.int64)
+    energy = params.eta * params.N0 * params.W * (2.0 ** dc.R_p - 1.0) * h_ps * params.T / h_ppd
+    return np.floor(energy / params.e_pkt).astype(np.int64)
+
+
+def f_of_z(z, dc: DerivedConstants):
+    """ratio_cap_cdf evaluated at the model's gain rates and cutoff."""
+    return ratio_cap_cdf(z, dc.lambda_x, dc.lambda_y, dc.a)
+
+
+def min_power(h_ppd, params: SystemParams):
+    """Minimum transmit power (Watts) avoiding outage at channel gain h_ppd:
+    N0 * W * (2**R_p - 1) / h_ppd, from the parameters alone."""
+    if h_ppd <= 0:
+        raise ValueError("h_ppd must be > 0")
+    r_p = params.beta / (params.T * params.W)
+    return params.N0 * params.W * (2.0 ** r_p - 1.0) / h_ppd
+
+
+def watts_to_dbm(p_watts):
+    """Convert a power in Watts to dBm."""
+    if p_watts <= 0:
+        raise ValueError("power must be > 0 to express in dBm")
+    return 30.0 + 10.0 * math.log10(p_watts)
+
+
+def pmf_mean(pmf: HarvestPmf) -> float:
+    """Mean packet count of the truncated support."""
+    return float(np.arange(pmf.probs.size) @ pmf.probs)

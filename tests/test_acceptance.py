@@ -17,12 +17,13 @@ import pytest
 from scipy import integrate
 
 from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
-                     optimize_g, rf_harvest_samples, simulate, validate)
+                     optimize_g, simulate, validate)
 from ehshare.energy_chain import (ReducibleChainWarning, build_chain, solve_chain,
                                   stationary, success_probability, su_throughput)
 from ehshare.harvest import (arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
                              rf_increments, rf_pmf)
 from ehshare.primary_link import mu_p, pi_idle, pu_throughput
+from oracles import rf_harvest_samples
 
 SLOTS = 10**6
 WARMUP = 10**4

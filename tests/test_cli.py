@@ -17,7 +17,7 @@ from ehshare.config import default_params, derive
 from ehshare.energy_chain import mu_e, solve_chain, su_throughput
 from ehshare.harvest import arrival_pmfs
 from ehshare.primary_link import pi_idle
-from ehshare.simulator import SimConfig
+from ehshare.simulator import SimConfig, run as simulate
 
 
 def read_csv(path):
@@ -235,6 +235,7 @@ def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
     calls = []
     monkeypatch.setattr(cli_sweep, "_analytic_point", fail)
     monkeypatch.setattr(cli_sweep, "run_simulation", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli_sweep, "simulate_many", lambda *a: calls.append(a) or [])
     spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
                      sim=SimConfig(n_slots=1000, seed=1, warmup=10))
     rows = compare(spec)
@@ -360,6 +361,52 @@ def test_sweep_api_with_worker_pool_matches_serial():
     serial = sweep(spec, jobs=1)
     pooled = sweep(spec, jobs=2)
     assert serial == pooled
+
+
+def test_compare_and_preset_with_worker_pool_match_serial():
+    # each worker simulates one contiguous slice of a grid in lockstep; the
+    # rows must not depend on how the grid is cut
+    spec = SweepSpec("lambda_p", (0.1, 0.3, 0.5, 0.7, 0.9), default_params(lambda_e=0.5),
+                     sim=SimConfig(n_slots=20_000, seed=3, warmup=500))
+    assert compare(spec, jobs=2) == compare(spec, jobs=1)
+    assert compare(spec, jobs=5) == compare(spec, jobs=1)
+    sim = SimConfig(n_slots=20_000, seed=12345, warmup=10_000)
+    specs = preset_specs("fig4", engines="both", sim=sim)
+    assert cli_sweep._run_grid(cli_sweep._eval_sweep_point, specs, 2) \
+        == cli_sweep._run_grid(cli_sweep._eval_sweep_point, specs, 1)
+
+
+def test_simulate_sweep_gives_only_the_failing_point_an_error_row(tmp_path):
+    # lambda_e * T = 1e300 exceeds numpy's Poisson limit; the simulator
+    # rejects that point before drawing and the other points still run
+    out = tmp_path / "sim.csv"
+    assert main(["sweep", "--param", "lambda_e", "--values", "0.5,2.0,1e300", "--engine",
+                 "simulate", "--slots", "3000", "--warmup", "100", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["error"] == "" for r in rows] == [True, True, False]
+    assert rows[2]["error"].startswith("invalid parameters: lambda_e:")
+    for row, lam_e in zip(rows, (0.5, 2.0)):
+        res = simulate(default_params(lambda_e=lam_e), SimConfig(n_slots=3000, seed=12345,
+                                                                 warmup=100))
+        assert float(row["mu_s"]) == res.su_throughput_hat
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--lambda-e", "1e300", "--slots", "2000", "--warmup", "10"], "lambda_e"),
+    (["analytic", "--t", "inf"], "T"),
+    (["analytic", "--lambda-e", "inf"], "lambda_e"),
+    (["analytic", "--beta", "inf"], "beta"),
+    (["analytic", "--sigma-ppd", "inf"], "sigma_ppd"),
+    (["analytic", "--e-pkt", "inf"], "e_pkt"),
+    (["analytic", "--w", "inf"], "W"),
+    (["analytic", "--n0", "inf"], "N0"),
+    (["simulate", "--p-max", "inf", "--slots", "2000", "--warmup", "10"], "P_max"),
+    (["analytic", "--sigma-ps", "inf"], "sigma_ps"),
+    (["analytic", "--sigma-ssd", "inf"], "sigma_ssd"),
+])
+def test_extreme_inputs_exit_2_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    assert f"invalid parameters: {field}:" in capsys.readouterr().err
 
 
 def test_sweep_rejects_empty_grid():

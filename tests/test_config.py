@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehshare import (ParameterError, SystemParams, dbm_to_watts, default_params,
-                     derive, load_params, validate, watts_to_dbm)
+                     derive, load_params, validate)
 from ehshare.config import parse_config_file
+from oracles import watts_to_dbm
 
 
 def test_reference_defaults_are_valid():

@@ -5,27 +5,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehshare import default_params, derive
-from ehshare.primary_link import min_power, mu_p, pi_idle, pu_throughput, regime
+from ehshare.primary_link import mu_p, pi_idle, pu_throughput, regime
+from oracles import min_power
 
 P = default_params()
 DC = derive(P)
 
 
 def test_min_power_at_cutoff_equals_cap():
-    assert min_power(DC.a, DC) == pytest.approx(P.P_max, rel=1e-12)
+    assert min_power(DC.a, P) == pytest.approx(P.P_max, rel=1e-12)
 
 
 def test_min_power_inverse_proportionality():
-    assert min_power(2.0 * DC.a, DC) == pytest.approx(P.P_max / 2.0, rel=1e-12)
+    assert min_power(2.0 * DC.a, P) == pytest.approx(P.P_max / 2.0, rel=1e-12)
 
 
 def test_min_power_at_unit_gain():
-    assert min_power(1.0, DC) == pytest.approx(0.001, rel=1e-12)
+    assert min_power(1.0, P) == pytest.approx(0.001, rel=1e-12)
 
 
 def test_min_power_rejects_nonpositive_gain():
     with pytest.raises(ValueError):
-        min_power(0.0, DC)
+        min_power(0.0, P)
 
 
 def test_mu_p_reference_value():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import SimConfig, SimResult, default_params, derive, simulate
+from ehshare import ParameterError, SimConfig, SimResult, default_params, derive, simulate
 from ehshare.energy_chain import outage_threshold
 from ehshare import simulator
 from ehshare.simulator import _BLOCK, _CHUNK, _battery_levels, _rf_packets
@@ -201,8 +201,10 @@ def test_battery_levels_match_slot_recursion(seed, n, e_max, g_frac, idle_p, add
         if e >= spend_at[t]:
             e -= g
         e = min(e + int(add[t]), e_max)
-    levels, end = _battery_levels(e0, spend_at, add, g, e_max)
-    assert levels.tolist() == want
+    dtype = np.min_scalar_type(2 * e_max)
+    levels, (end,) = _battery_levels([e0], spend_at[None].astype(dtype),
+                                     add[None].astype(dtype), [g], [e_max])
+    assert levels[0].tolist() == want
     assert type(end) is int and end == e
 
 
@@ -234,3 +236,104 @@ def test_clipped_rf_counts_give_exact_totals_beyond_int64():
     assert res.rf_harvest_hist[-1] == 1.0
     assert res.total_consumed + res.total_dropped + res.final_energy_level \
         == res.total_harvested
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 0.37, 1.0, 2.7, 1e300])
+def test_scaled_standard_exponentials_equal_exponential_draws(sigma):
+    # run_many draws standard exponentials once per chunk and scales them by
+    # each point's sigma; that must be what Generator.exponential draws
+    want = np.random.default_rng(17).exponential(sigma, 10_000)
+    got = sigma * np.random.default_rng(17).standard_exponential(10_000)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    points=st.lists(st.tuples(
+        st.sampled_from([0.0, 0.3, 0.7, 1.0]),   # lambda_p
+        st.sampled_from([0.0, 0.6]),             # eta
+        st.sampled_from([0.0, 0.5, 3.0]),        # lambda_e
+        st.sampled_from([1, 6, 40, 300]),        # E_max
+        st.floats(min_value=0.0, max_value=1.0),  # G as a fraction of E_max
+        st.sampled_from([0.3, 0.5, 2.0]),        # sigma_ppd
+        st.sampled_from([0.5, 1.0]),             # sigma_ps
+        st.sampled_from([0.2, 1.0]),             # sigma_ssd
+    ), min_size=1, max_size=6),
+    n_slots=st.sampled_from([300, 3_001]),
+)
+def test_lockstep_batch_matches_each_point_alone(seed, points, n_slots):
+    params = [default_params(lambda_p=lp, eta=eta, lambda_e=le, E_max=e, G=1 + round(gf * (e - 1)),
+                             sigma_ppd=sp, sigma_ps=sx, sigma_ssd=ss)
+              for lp, eta, le, e, gf, sp, sx, ss in points]
+    sim = SimConfig(n_slots=n_slots, seed=seed, warmup=100)
+    for p, got in zip(params, simulator.run_many(params, sim)):
+        assert_same_result(got, simulate(p, sim))
+        assert_same_result(got, _run_reference(p, sim))
+
+
+def test_lockstep_batch_across_chunks_with_small_point_slot_budget(monkeypatch):
+    # 7 points in 2-block chunks: the queues and batteries carry across
+    # many chunk edges, and warmup ends inside a chunk
+    monkeypatch.setattr(simulator, "_POINT_SLOTS", 7 * 2 * _BLOCK)
+    params = [default_params(lambda_p=lp, lambda_e=le, E_max=e, G=g)
+              for lp, le, e, g in [(0.1, 0.5, 10, 1), (0.95, 3.0, 40, 40), (0.5, 0.0, 6, 2),
+                                   (0.7, 0.5, 300, 7), (0.3, 3.0, 1, 1), (0.9, 0.5, 10, 3),
+                                   (0.0, 0.0, 5, 5)]]
+    sim = SimConfig(n_slots=5_000, seed=12, warmup=777)
+    for p, got in zip(params, simulator.run_many(params, sim)):
+        assert_same_result(got, _run_reference(p, sim))
+
+
+def test_failing_point_leaves_the_rest_of_the_batch_running():
+    # lambda_e * T above numpy's Poisson limit is rejected before any draw
+    good = [default_params(lambda_p=0.3, lambda_e=0.5), default_params(lambda_p=0.7)]
+    huge = default_params(lambda_e=1e300)
+    sim = SimConfig(n_slots=2_000, seed=4, warmup=10)
+    results = simulator.run_many([good[0], huge, good[1]], sim)
+    assert isinstance(results[1], ParameterError) and results[1].fields == ["lambda_e"]
+    for p, got in zip(good, results[::2]):
+        assert_same_result(got, simulate(p, sim))
+    with pytest.raises(ParameterError, match="lambda_e"):
+        simulate(huge, sim)
+    assert simulator.run_many([], sim) == []
+
+
+def test_battery_walks_levels_above_the_map_bit_for_bit(monkeypatch):
+    # With two mapped levels per block, most start levels between the
+    # closed-form ranges are walked slot by slot; points of one batch mix
+    # mapped, walked and closed-form blocks
+    monkeypatch.setattr(simulator, "_MAP_LEVELS", 2)
+    rng = np.random.default_rng(9)
+    n = 5 * _BLOCK + 17
+    cases = [(1, 60, 0.5, 3.0), (7, 300, 0.4, 30.0), (3, 5, 0.9, 0.5), (50, 90, 0.2, 20.0)]
+    dtype = np.min_scalar_type(2 * max(e for _, e, _, _ in cases))
+    spend_at = np.empty((len(cases), n), dtype)
+    add = np.empty((len(cases), n), dtype)
+    e0, want_levels, want_ends = [], [], []
+    for j, (g, e_max, idle_p, add_mean) in enumerate(cases):
+        spend_at[j] = np.where(rng.random(n) < idle_p, g, e_max + 1)
+        add[j] = np.minimum(rng.poisson(add_mean, n), e_max)
+        e = int(rng.integers(0, e_max + 1))
+        e0.append(e)
+        want = []
+        for t in range(n):
+            want.append(e)
+            if e >= spend_at[j, t]:
+                e -= g
+            e = min(e + int(add[j, t]), e_max)
+        want_levels.append(want)
+        want_ends.append(e)
+    levels, ends = _battery_levels(e0, spend_at, add, [c[0] for c in cases], [c[1] for c in cases])
+    assert levels.tolist() == want_levels
+    assert ends == want_ends and all(type(e) is int for e in ends)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(E_max=10**4, G=100, lambda_e=50.0),
+    dict(E_max=10**5, G=5 * 10**4, lambda_e=1000.0),
+])
+def test_matches_loop_where_maps_would_span_thousands_of_levels(overrides):
+    # the start levels between a block's closed-form ranges span thousands
+    # of levels here; they are walked instead of mapped
+    _check(default_params(**overrides), SimConfig(n_slots=20_000, seed=5, warmup=500))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import (ParameterError, SimConfig, default_params, derive, harvest_draw,
-                     optimize_g, rf_harvest_samples, simulate, validate)
+from ehshare import (ParameterError, SimConfig, default_params, derive, optimize_g,
+                     simulate, validate)
 from ehshare.harvest import arrival_pmfs
 from ehshare.primary_link import mu_p
+from oracles import harvest_draw, rf_harvest_samples
 
 P = default_params()
 DC = derive(P)
