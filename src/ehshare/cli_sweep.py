@@ -74,17 +74,21 @@ def _analytic_point(params: SystemParams, g_policy):
 
 
 def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
-    """The rows of a slice of grid points: to_rows(outcome) per point, in order.
+    """The rows of a slice of grid points: one list, to_rows(outcome), per point.
 
     An outcome lists (params, engine, result) per engine; result is (report,
     dc), (params it ran at, SimResult), or the engine's exception. The
     analytic engine runs at every point, then one lockstep simulator run at
     each analytic g_star (else at G); without sim_after_failure an analytic
-    failure skips the point's simulation. An invalid point fails every
-    engine, with params as given. Analytic-only points become rows at once."""
+    failure skips the point's simulation. An error that ends the lockstep
+    run is the simulate result of each of its points. An invalid point
+    fails every engine, with params as given. Analytic-only points become
+    rows at once.
+    """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name = spec.swept_param
-    rows, outcomes, sim_points = [], [], []
+    simulate = "simulate" in engines
+    points, sim_points = [], []
     for value in values:
         try:
             params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
@@ -99,18 +103,18 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
                 except Exception as exc:
                     result = exc
                 outcome.append((params, "analytic", result))
-            if "simulate" in engines and (sim_after_failure or not isinstance(result, Exception)):
+            if simulate and (sim_after_failure or not isinstance(result, Exception)):
                 sim_points.append((outcome, params, replace(params, G=g_used)))
-        if "simulate" in engines:
-            outcomes.append(outcome)
-        else:
-            rows += to_rows(outcome)
+        points.append(outcome if simulate else to_rows(outcome))
     if sim_points:
-        results = simulate_many([sim_params for _, _, sim_params in sim_points], spec.sim)
+        try:
+            results = simulate_many([sim_params for _, _, sim_params in sim_points], spec.sim)
+        except Exception as exc:
+            results = [exc] * len(sim_points)
         for (outcome, params, sim_params), result in zip(sim_points, results):
             outcome.append((params, "simulate",
                             result if isinstance(result, Exception) else (sim_params, result)))
-    return rows + [row for outcome in outcomes for row in to_rows(outcome)]
+    return [to_rows(outcome) for outcome in points] if simulate else points
 
 
 def _row(params, metrics, **values):
@@ -157,7 +161,7 @@ def _sweep_row(params, engine, result):
 
 
 def _eval_sweep_point(task):
-    """A slice of grid points -> one row per engine and point (pickled to workers)."""
+    """A slice of grid points -> per point, one row per engine (pickled to workers)."""
     spec, values = task
     return _evaluate(spec, values, lambda outcome: [_sweep_row(*entry) for entry in outcome])
 
@@ -167,7 +171,7 @@ def _rel(delta, ref):
 
 
 def _compare_point(task):
-    """A slice of grid points -> one compare row per point, like _eval_sweep_point."""
+    """A slice of grid points -> per point, its one compare row, like _eval_sweep_point."""
     spec, values = task
     return _evaluate(spec, values, _compare_rows, sim_after_failure=False)
 
@@ -178,31 +182,53 @@ def _compare_rows(outcome):
             return [_row(params, COMPARE_METRICS, error=str(result))]
     (_, _, (report, _)), (_, _, (sim_params, result)) = outcome
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
-    row = _row(sim_params, COMPARE_METRICS, g=report.g_star, tv_occupancy=tv, seed=result.seed,
-               slots=result.n_slots)
-    for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
-                       ("pi_idle", report.pi_idle, result.pi_idle_hat),
-                       ("pu_throughput", report.pu_throughput, result.pu_throughput_hat)):
-        row.update({f"a_{name}": a, f"s_{name}": s, f"d_{name}_abs": abs(a - s),
-                    f"d_{name}_rel": _rel(a - s, a)})
-    return [row]
+    return [_row(
+        sim_params, COMPARE_METRICS,
+        g=report.g_star,
+        a_mu_s=report.mu_s_star,
+        s_mu_s=result.su_throughput_hat,
+        d_mu_s_abs=abs(report.mu_s_star - result.su_throughput_hat),
+        d_mu_s_rel=_rel(report.mu_s_star - result.su_throughput_hat, report.mu_s_star),
+        a_pi_idle=report.pi_idle,
+        s_pi_idle=result.pi_idle_hat,
+        d_pi_idle_abs=abs(report.pi_idle - result.pi_idle_hat),
+        d_pi_idle_rel=_rel(report.pi_idle - result.pi_idle_hat, report.pi_idle),
+        a_pu_throughput=report.pu_throughput,
+        s_pu_throughput=result.pu_throughput_hat,
+        d_pu_throughput_abs=abs(report.pu_throughput - result.pu_throughput_hat),
+        d_pu_throughput_rel=_rel(report.pu_throughput - result.pu_throughput_hat,
+                                 report.pu_throughput),
+        tv_occupancy=tv,
+        seed=result.seed,
+        slots=result.n_slots,
+    )]
 
 
 def _run_grid(point_fn, specs, jobs):
-    """point_fn over contiguous slices of every spec's grid, in order; the
-    rows flattened. A grid is cut into min(jobs, points) slices: one at
-    jobs=1, and jobs > 1 evaluates them in one pool of worker processes."""
+    """point_fn over every grid point of every spec, in order; the rows flattened.
+
+    Each grid is dealt into k = min(jobs, points) strided slices, grid[i::k],
+    so that workers share a grid whose points grow costlier along it; at
+    jobs=1 the slice is the whole grid. point_fn gives a row list per point
+    of its slice, and jobs > 1 evaluates the slices in one pool of worker
+    processes.
+    """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
     specs = [spec.check() for spec in specs]
-    tasks = [(spec, spec.grid[len(spec.grid) * i // k:len(spec.grid) * (i + 1) // k])
+    tasks = [(spec, spec.grid[i::k])
              for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             nested = list(pool.map(point_fn, tasks))
     else:
         nested = [point_fn(t) for t in tasks]
-    return [row for rows in nested for row in rows]
+    rows = []
+    for spec in specs:  # point i of a grid is point i // k of slice i % k
+        k = min(jobs, len(spec.grid))
+        slices, nested = nested[:k], nested[k:]
+        rows += [row for i in range(len(spec.grid)) for row in slices[i % k][i // k]]
+    return rows
 
 
 def sweep(spec: SweepSpec, jobs=1) -> list[dict]:
@@ -335,8 +361,11 @@ def _add_outputs_flag(group):
 
 
 def params_from_args(args) -> SystemParams:
-    overrides = {name: getattr(args, name) for name in PARAM_FIELDS
-                 if getattr(args, name, None) is not None}
+    overrides = {}
+    for name in PARAM_FIELDS:
+        value = getattr(args, name, None)
+        if value is not None:
+            overrides[name] = value
     if getattr(args, "p_max_dbm", None) is not None:
         if "P_max" in overrides:
             raise ParameterError(["P_max: given in both Watts and dBm"])
@@ -382,9 +411,12 @@ def cmd_simulate(args):
         row[f"occ_{j}"] = frac
     columns += [f"occ_{j}" for j in range(len(result.energy_occupancy_hist))]
     if args.format == "json":
-        for name in ("rf_harvest_hist", "nature_harvest_hist", "total_harvested",
-                     "total_consumed", "total_dropped", "final_energy_level"):
-            row[name] = getattr(result, name)
+        row["rf_harvest_hist"] = result.rf_harvest_hist
+        row["nature_harvest_hist"] = result.nature_harvest_hist
+        row["total_harvested"] = result.total_harvested
+        row["total_consumed"] = result.total_consumed
+        row["total_dropped"] = result.total_dropped
+        row["final_energy_level"] = result.final_energy_level
     write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 

@@ -84,10 +84,10 @@ class SimResult:
     primary-active slots (point mass at 0 when none occurred). The two
     harvest histograms are folded at E_max, the cut the harvest pmfs use:
     they cover 0..min(largest count seen, E_max), and the last bin holds
-    every count of E_max or more. The four total_* / final_* counters span
-    the whole run including warmup and satisfy: total_consumed +
-    total_dropped + final_energy_level == total_harvested (the queue starts
-    empty).
+    every count of E_max or more. The four
+    total_* / final_* counters span the whole run including warmup and
+    satisfy: total_consumed + total_dropped + final_energy_level ==
+    total_harvested (the queue starts empty).
     """
 
     pu_throughput_hat: float
@@ -109,16 +109,21 @@ class SimResult:
 
 
 def _rf_packets(h_ppd, h_ps, alpha):
-    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise; the ratio is
-    clipped at 2**62 so the int cast stays safe for extreme ratio draws."""
+    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise.
+
+    The ratio is clipped at 2**62 so the int cast stays safe for extreme
+    ratio draws.
+    """
     return np.floor(np.minimum(h_ps / (h_ppd * alpha), 2.0 ** 62)).astype(np.int64)
 
 
 def _exact_sum(x) -> int:
     """Sum of a nonnegative int64 array as a Python int, without overflow."""
-    if x.size and int(x.max()) * x.size >= 2 ** 63:
-        return sum(x.tolist())
-    return int(x.sum())
+    if x.size == 0:
+        return 0
+    if int(x.max()) * x.size < 2 ** 63:
+        return int(x.sum())
+    return sum(x.tolist())
 
 
 def _folded_hist(counts, total) -> np.ndarray:
@@ -129,21 +134,22 @@ def _folded_hist(counts, total) -> np.ndarray:
 
 
 def _closed_forms(spend_at, add, g, e_max):
-    """(lo, hi, net, cap, gained), lists over the blocks of one point's
-    (_BLOCK, blocks) slots. A level below lo stays below g up to the block's
-    last idle slot, so it ends at min(e_max, level + gained). A level of at
-    least hi = g * (idle slots) spends at every idle slot, so it ends at
-    min(level + net, cap): net is the block's net change and cap = e_max +
-    net - (peak of the running net change), where a path saturating there
-    ends."""
+    """(lo, hi, net, cap, gained), int64 (points, blocks) arrays over the
+    blocks of (_BLOCK, points, blocks) slots; g and e_max hold one int per
+    point. A level below lo stays below g up to the block's last idle slot,
+    so it ends at min(e_max, level + gained). A level of at least hi = g *
+    (idle slots) spends at every idle slot, so it ends at min(level + net,
+    cap): net is the block's net change and cap = e_max + net - (peak of
+    the running net change), where a path saturating there ends."""
+    g, e_max = (np.array(x, np.int64)[:, None] for x in (g, e_max))
     idle = spend_at == g
     gained_before = np.cumsum(add, axis=0, dtype=np.int64) - add
-    walk = np.cumsum(add - g * idle.astype(np.int64), axis=0)
-    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=0), 0).tolist(),
-            np.minimum(g * idle.sum(axis=0), e_max + 1).tolist(),
-            walk[-1].tolist(),
-            (e_max + walk[-1] - walk.max(axis=0)).tolist(),
-            (gained_before[-1] + add[-1]).tolist())
+    walk = np.cumsum(add - g * idle, axis=0)
+    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=0), 0),
+            np.minimum(g * idle.sum(axis=0), e_max + 1),
+            walk[-1],
+            e_max + walk[-1] - walk.max(axis=0),
+            gained_before[-1] + add[-1])
 
 
 def _battery_levels(e0, spend_at, add, g, e_max):
@@ -191,13 +197,15 @@ def _battery_levels(e0, spend_at, add, g, e_max):
         return e
 
     # Transfer maps cover the start levels lo..lo+width-1 of each block;
-    # levels above are walked alone. A battery of fewer than _MAP_LEVELS
-    # levels maps them all.
-    forms = [_closed_forms(spend_at[:, p], add[:, p], g[p], e_max[p]) if e_max[p] >= _MAP_LEVELS
-             else ([0] * n_blocks, [e_max[p] + 1] * n_blocks, None, None, None)
-             for p in range(n_pts)]
-    lo = np.array([f[0] for f in forms], np.int64)
-    width = min(max(0, int((np.array([f[1] for f in forms]) - lo).max())), _MAP_LEVELS)
+    # levels above are walked alone. When one map holds every level of
+    # every battery, the closed forms would save nothing and are skipped.
+    if max(e_max) >= _MAP_LEVELS:
+        lo, hi, *rest = _closed_forms(spend_at, add, g, e_max)
+    else:  # lo = 0 and hi = E_max + 1, so no level takes a closed form
+        lo = np.zeros((n_pts, n_blocks), np.int64)
+        hi, rest = lo + np.array(e_max)[:, None] + 1, [lo] * 3
+    width = min(max(0, int((hi - lo).max())), _MAP_LEVELS)
+    forms = list(zip(*(x.tolist() for x in (lo, hi, *rest))))
 
     # Chain the blocks. The maps of a group of blocks, as many as
     # _MAP_CELLS allows, are computed once a start level needs them.
@@ -256,15 +264,18 @@ class _Point:
         np.greater_equal(z_ssd * p.sigma_ssd, self.su_threshold, out=su_ok)
 
         # primary queue: backlog after each slot by Lindley's recursion,
-        # q_after = c + max(qp, -min(c[:t+1])) for c the running net arrivals
-        c = np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8),
-                      dtype=np.int32 if self.qp + u.size < 2 ** 31 else np.int64)
-        q_after = c + np.maximum(-np.minimum.accumulate(c), self.qp)
-        q_before = np.concatenate(([self.qp], q_after[:-1]))
+        # q_after = c + max(qp, -min(c[:t+1])) for c the running net arrivals.
+        # |c| <= m, the chunk's length, so a backlog beyond m stays positive
+        # through the chunk: it is carried as lift, and int32 is exact.
+        base = min(self.qp, u.size)
+        lift = self.qp - base
+        c = np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8), dtype=np.int32)
+        q_after = c + np.maximum(-np.minimum.accumulate(c), base)
+        q_before = np.concatenate((np.full(1, base, np.int32), q_after[:-1]))
         active = np.flatnonzero(pu_ok & ((q_before > 0) | arrival))
         pre = int(np.searchsorted(active, post))  # active slots before warmup ends
-        self.pu_queue_sum += int(q_before[post:].sum(dtype=np.int64))
-        self.qp = int(q_after[-1])
+        self.pu_queue_sum += int(q_before[post:].sum(dtype=np.int64)) + lift * (u.size - post)
+        self.qp = int(q_after[-1]) + lift
         self.pu_delivered += active.size - pre
 
         # energy arrivals: RF packets in active slots, ambient packets in all
@@ -313,7 +324,9 @@ def run_many(points, sim: SimConfig) -> list:
 
     Returns one entry per point, in order: its SimResult, equal to what
     run() gives for that point alone, or the exception that rejected the
-    point (a ParameterError naming the field). The other points still run.
+    point (a ParameterError naming the field), while the other points still
+    run. Only these per-point rejections are isolated: an error raised once
+    the batch is running propagates and ends the whole batch.
     """
     out = []
     for params in points:

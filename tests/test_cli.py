@@ -364,8 +364,8 @@ def test_sweep_api_with_worker_pool_matches_serial():
 
 
 def test_compare_and_preset_with_worker_pool_match_serial():
-    # each worker simulates one contiguous slice of a grid in lockstep; the
-    # rows must not depend on how the grid is cut
+    # each worker simulates one strided slice of a grid in lockstep; the
+    # rows must not depend on how the grid is dealt
     spec = SweepSpec("lambda_p", (0.1, 0.3, 0.5, 0.7, 0.9), default_params(lambda_e=0.5),
                      sim=SimConfig(n_slots=20_000, seed=3, warmup=500))
     assert compare(spec, jobs=2) == compare(spec, jobs=1)
@@ -389,6 +389,19 @@ def test_simulate_sweep_gives_only_the_failing_point_an_error_row(tmp_path):
         res = simulate(default_params(lambda_e=lam_e), SimConfig(n_slots=3000, seed=12345,
                                                                  warmup=100))
         assert float(row["mu_s"]) == res.su_throughput_hat
+
+
+def test_a_failed_lockstep_run_errors_each_of_its_points_and_the_sweep_goes_on(monkeypatch):
+    def fail(points, sim):
+        raise MemoryError("batch too large")
+
+    monkeypatch.setattr(cli_sweep, "simulate_many", fail)
+    spec = SweepSpec("lambda_p", (0.2, 0.4, 0.6), default_params(), engines="both",
+                     sim=SimConfig(n_slots=1000, seed=1, warmup=10))
+    rows = sweep(spec)
+    assert [(r["engine"], r["error"]) for r in rows] \
+        == [("analytic", ""), ("simulate", "batch too large")] * 3
+    assert [r["error"] for r in compare(spec)] == ["batch too large"] * 3
 
 
 @pytest.mark.parametrize("argv, field", [

@@ -178,6 +178,20 @@ def test_matches_loop_across_chunks_with_a_backlog():
     assert res.pu_queue_mean > 100
 
 
+def test_matches_loop_with_a_backlog_beyond_the_chunk_length(monkeypatch):
+    # 256-slot chunks and a primary that rarely clears its cutoff: the
+    # backlog outgrows the chunk length, beyond which it is carried as a
+    # lift over the chunk's queue scans
+    monkeypatch.setattr(simulator, "_POINT_SLOTS", 2 * _BLOCK)
+    params = [default_params(lambda_p=0.95, sigma_ppd=0.05, lambda_e=0.5),
+              default_params(lambda_p=0.3, lambda_e=0.5)]
+    sim = SimConfig(n_slots=5_000, seed=6, warmup=300)
+    results = simulator.run_many(params, sim)
+    for p, got in zip(params, results):
+        assert_same_result(got, _run_reference(p, sim))
+    assert results[0].pu_queue_mean > 8 * _BLOCK
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
