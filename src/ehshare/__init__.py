@@ -8,8 +8,8 @@ from .primary_link import mu_p, pi_idle, pu_throughput, regime
 from .harvest import (HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
                       rf_increments, rf_pmf)
 from .energy_chain import (EnergyChain, ReducibleChainWarning, ThroughputReport,
-                           build_chain, mu_e, optimize_g, solve_chain, stationary,
-                           success_probability, su_throughput)
+                           build_chain, mu_e, optimize_g, optimize_many, solve_chain,
+                           stationary, success_probability, su_throughput)
 from .simulator import SimConfig, SimResult, run_many
 from .simulator import run as simulate
 
@@ -22,8 +22,8 @@ __all__ = [
     "HarvestPmf", "arrival_pmfs", "combined_pmf", "nature_pmf",
     "ratio_cap_cdf", "rf_increments", "rf_pmf",
     "EnergyChain", "ReducibleChainWarning", "ThroughputReport", "build_chain",
-    "mu_e", "optimize_g", "solve_chain", "stationary", "success_probability",
-    "su_throughput",
+    "mu_e", "optimize_g", "optimize_many", "solve_chain", "stationary",
+    "success_probability", "su_throughput",
     "SimConfig", "SimResult", "run_many", "simulate",
     "__version__",
 ]

@@ -66,11 +66,10 @@ class SweepSpec:
 
 
 def _analytic_point(params: SystemParams, g_policy):
-    """Returns (report, dc); report.chain is solved at the reported g."""
+    """The point's optimize_g arguments: (params, dc, pmfs, budgets)."""
     dc = derive(params)
-    pmfs = harvest.arrival_pmfs(params, dc)
     budgets = None if g_policy == "optimize" else (params.G,)
-    return energy_chain.optimize_g(params, dc, pmfs, budgets), dc
+    return params, dc, harvest.arrival_pmfs(params, dc), budgets
 
 
 def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
@@ -78,34 +77,44 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
 
     An outcome lists (params, engine, result) per engine; result is (report,
     dc), (params it ran at, SimResult), or the engine's exception. The
-    analytic engine runs at every point, then one lockstep simulator run at
-    each analytic g_star (else at G); without sim_after_failure an analytic
-    failure skips the point's simulation. An error that ends the lockstep
-    run is the simulate result of each of its points. An invalid point
-    fails every engine, with params as given. Analytic-only points become
-    rows at once.
+    analytic engine solves every point of the slice together, then one
+    lockstep simulator run goes at each analytic g_star (else at G);
+    without sim_after_failure an analytic failure skips the point's
+    simulation. An error that ends the shared solve or the lockstep run is
+    that engine's result at each of its points. An invalid point fails
+    every engine, with params as given.
     """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name = spec.swept_param
-    simulate = "simulate" in engines
-    points, sim_points = [], []
+    outcomes, valid = [], []  # valid: (outcome, params, analytic input or its failure)
     for value in values:
         try:
             params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
         except Exception as exc:
-            outcome = [(replace(spec.fixed, **{name: value}), engine, exc) for engine in engines]
-        else:
-            outcome, g_used, result = [], params.G, None
-            if "analytic" in engines:
-                try:
-                    result = _analytic_point(params, spec.g_policy)
-                    g_used = result[0].g_star
-                except Exception as exc:
-                    result = exc
-                outcome.append((params, "analytic", result))
-            if simulate and (sim_after_failure or not isinstance(result, Exception)):
-                sim_points.append((outcome, params, replace(params, G=g_used)))
-        points.append(outcome if simulate else to_rows(outcome))
+            outcomes.append([(replace(spec.fixed, **{name: value}), engine, exc)
+                             for engine in engines])
+            continue
+        try:
+            analytic = _analytic_point(params, spec.g_policy) if "analytic" in engines else None
+        except Exception as exc:
+            analytic = exc
+        outcomes.append([])
+        valid.append((outcomes[-1], params, analytic))
+    inputs = [x for *_, x in valid if isinstance(x, tuple)]
+    try:
+        reports = iter(energy_chain.optimize_many(inputs))
+    except Exception as exc:
+        reports = iter([exc] * len(inputs))
+    sim_points = []
+    for outcome, params, result in valid:
+        if isinstance(result, tuple):
+            report = next(reports)
+            result = report if isinstance(report, Exception) else (report, result[1])
+        if result is not None:
+            outcome.append((params, "analytic", result))
+        if "simulate" in engines and (sim_after_failure or not isinstance(result, Exception)):
+            g_used = result[0].g_star if isinstance(result, tuple) else params.G
+            sim_points.append((outcome, params, replace(params, G=g_used)))
     if sim_points:
         try:
             results = simulate_many([sim_params for _, _, sim_params in sim_points], spec.sim)
@@ -114,7 +123,7 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
         for (outcome, params, sim_params), result in zip(sim_points, results):
             outcome.append((params, "simulate",
                             result if isinstance(result, Exception) else (sim_params, result)))
-    return [to_rows(outcome) for outcome in points] if simulate else points
+    return [to_rows(outcome) for outcome in outcomes]
 
 
 def _row(params, metrics, **values):
@@ -382,7 +391,8 @@ def _sim_config(args) -> SimConfig:
 
 def cmd_analytic(args):
     params = params_from_args(args)
-    report, dc = _analytic_point(params, "fixed" if args.fixed_g else "optimize")
+    inputs = _analytic_point(params, "fixed" if args.fixed_g else "optimize")
+    report, dc = energy_chain.optimize_g(*inputs), inputs[1]
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value

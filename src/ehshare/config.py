@@ -12,12 +12,13 @@ from dataclasses import dataclass, fields, replace
 class ParameterError(ValueError):
     """One or more parameter invariants are violated.
 
-    `fields` lists the offending field names; `violations` the full messages.
+    `fields` lists the offending field names; `violations` the full messages,
+    each prefixed by the field, or the comma-separated fields, it names.
     """
 
     def __init__(self, violations):
         self.violations = list(violations)
-        self.fields = [v.split(":", 1)[0] for v in self.violations]
+        self.fields = [f for v in self.violations for f in v.split(":", 1)[0].split(", ")]
         super().__init__("invalid parameters: " + "; ".join(self.violations))
 
 
@@ -68,7 +69,8 @@ class DerivedConstants:
     alpha:     energy-packet quantization constant; None when eta == 0
     lambda_x:  rate of the primary->secondary gain (1/sigma_ps)
     lambda_y:  rate of the primary->destination gain (1/sigma_ppd)
-    rf_degenerate: True when eta == 0, i.e. RF harvesting yields 0 packets
+    rf_degenerate: True when RF harvesting yields 0 packets: eta == 0, or
+               alpha * lambda_x overflows
     """
 
     R_p: float
@@ -129,26 +131,35 @@ def derive(params: SystemParams) -> DerivedConstants:
 
     eta == 0 is legal: alpha is left undefined and flagged so the RF harvest
     distribution degenerates to a point mass at zero packets instead of
-    dividing by zero.
+    dividing by zero. So does an alpha * lambda_x that overflows: packets
+    too large for any transmission to fill, or h_ps == 0.
+
+    Finite parameters can still combine into constants that overflow or
+    vanish: 2**R_s must be finite and N0 * W * (2**R_p - 1) positive and
+    finite, else a ParameterError names every field involved.
     """
     R_p = params.beta / (params.T * params.W)
     R_s = params.beta / ((params.T - params.tau) * params.W)
+    if not R_s < 1024.0:  # 2.0 ** R_s overflows
+        raise ParameterError([f"beta, T, tau, W: the secondary rate beta / ((T - tau) * W) = "
+                              f"{R_s:g} bits/s/Hz must be below 1024"])
     p_min_num = params.N0 * params.W * (2.0 ** R_p - 1.0)
-    a = p_min_num / params.P_max
+    if not 0.0 < p_min_num < math.inf:
+        raise ParameterError([f"beta, T, W, N0: N0 * W * (2**R_p - 1) = {p_min_num:g}, with "
+                              f"R_p = beta / (T * W) = {R_p:g}, must be positive and finite"])
+    lambda_x = 1.0 / params.sigma_ps
+    alpha = None
     if params.eta > 0:
-        alpha = params.e_pkt / (params.eta * p_min_num * params.T)
-        degenerate = False
-    else:
-        alpha = None
-        degenerate = True
+        den = params.eta * p_min_num * params.T
+        alpha = params.e_pkt / den if den > 0 else math.inf
     return DerivedConstants(
         R_p=R_p,
         R_s=R_s,
-        a=a,
+        a=p_min_num / params.P_max,
         alpha=alpha,
-        lambda_x=1.0 / params.sigma_ps,
+        lambda_x=lambda_x,
         lambda_y=1.0 / params.sigma_ppd,
-        rf_degenerate=degenerate,
+        rf_degenerate=alpha is None or alpha * lambda_x == math.inf,
     )
 
 

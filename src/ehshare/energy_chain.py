@@ -61,23 +61,29 @@ def _arrival_rows(probs, base, e_max):
     return rows
 
 
-def _omega_stacks(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
-    """Check every input, then yield (i, omega): the transition matrices of
-    budgets[i:i + len(omega)], in stacks of at most _STACK_CELLS entries."""
+def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
+    """Check every input, then return the idle and active kernels, (2, n, n),
+    that the chains of every budget are gathered from (_omegas)."""
+    if not budgets:
+        raise ChainError("budgets: must be nonempty")
     for g in budgets:
         if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
     pi, stay = float(pi_idle), np.arange(e_max + 1)
-    idle = pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max)
-    active = (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)
-    per_stack = max(1, _STACK_CELLS // active.size)
-    for i in range(0, len(budgets), per_stack):
-        g = np.asarray(budgets[i:i + per_stack])[:, None]
-        omega = idle[np.where(stay >= g, stay - g, stay)]
-        omega += active
-        yield i, omega
+    return np.array([pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max),
+                     (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)])
+
+
+def _omegas(kernels, point, g):
+    """Transition matrices (len(g), n, n) of the chains (point[b], g[b]), from
+    the points' kernels (points, 2, n, n): row j of budget g is row j - g of
+    the idle kernel (row j if j < g) plus row j of the active one."""
+    stay, point, g = np.arange(kernels.shape[2]), np.asarray(point), np.asarray(g)[:, None]
+    omega = kernels[point[:, None], 0, np.where(stay >= g, stay - g, stay)]
+    omega += kernels[point, 1]
+    return omega
 
 
 def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
@@ -91,30 +97,35 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     complementary sums, which hold each pmf's tail_mass, so every row
     totals 1 by construction.
     """
-    _, omega = next(_omega_stacks(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max))
-    return EnergyChain(omega=omega[0], g=g)
+    kernels = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max)
+    return EnergyChain(omega=_omegas(kernels[None], [0], [g])[0], g=g)
 
 
 def _power_iteration(omega, chi, tol):
-    """Long-run occupancy reached from the distribution chi.
+    """Long-run occupancies of the chains omega (B, n, n) reached from the
+    distributions chi (B, n), chain b converged to tol[b].
 
-    Iterates the lazy kernel K = (I + omega)/2, which has omega's Cesaro
-    limit and no periodic classes, taking chi @ K^(2^s - 1) for s = 1, 2, ...
-    by repeated squaring; convergence is tested over the last 2^s steps.
-    Rows are renormalized after each squaring so that rounding in the row
-    sums cannot compound.
+    Iterates the lazy kernels K = (I + omega)/2, which have omega's Cesaro
+    limits and no periodic classes, taking chi @ K^(2^s - 1) for s = 1, 2, ...
+    by repeated squaring; convergence is tested over the last 2^s steps, and
+    a chain leaves the stack once it converges. Rows are renormalized after
+    each squaring so that rounding in the row sums cannot compound. Returns
+    the occupancies and a mask of the chains that converged within 2^64
+    steps; the others hold their last iterate.
     """
-    kernel = 0.5 * (np.eye(omega.shape[0]) + omega)
+    kernel = 0.5 * (np.eye(omega.shape[1]) + omega)
+    out, live = chi.copy(), np.arange(len(chi))
     for _ in range(64):
-        nxt = chi @ kernel
-        if np.max(np.abs(nxt - chi)) < tol:
-            return nxt / nxt.sum()
-        chi = nxt
+        nxt = np.matmul(chi[:, None], kernel)[:, 0]
+        done = np.max(np.abs(nxt - chi), axis=1) < tol[live]
+        out[live[done]] = nxt[done] / nxt[done].sum(axis=1, keepdims=True)
+        live, chi, kernel = live[~done], nxt[~done], kernel[~done]
+        if not live.size:
+            break
         kernel = kernel @ kernel
-        kernel /= kernel.sum(axis=1, keepdims=True)
-    residual = float(np.max(np.abs(chi @ omega - chi)))
-    raise StationarySolveError(
-        f"power iteration did not converge within 2^64 steps (residual {residual:.3e})")
+        kernel /= kernel.sum(axis=2, keepdims=True)
+    out[live] = chi
+    return out, ~np.isin(np.arange(len(out)), live)
 
 
 def _all_reached(edges):
@@ -132,29 +143,62 @@ def _all_reached(edges):
     return seen.all(axis=1)
 
 
+def _residuals(omega, chi):
+    """max |chi @ omega - chi| per chain of a stack."""
+    return np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
+
+
 def _solve_stack(omega, tol=1e-10, start_state=0):
-    """stationary for a stack of chains omega (B, n, n), with one batched LU solve."""
-    if np.max(np.abs(omega.sum(axis=2) - 1.0)) > 1e-9 or np.any(omega < 0):
-        raise ChainError("omega must be row-stochastic")
-    irreducible = _all_reached(omega > 0.0) & _all_reached(np.swapaxes(omega, 1, 2) > 0.0)
-    n, chi = omega.shape[1], np.zeros(omega.shape[:2])
-    a = np.swapaxes(omega[irreducible], 1, 2) - np.eye(n)
+    """stationary for each chain of a stack omega (B, n, n), failing chain by chain.
+
+    Returns chi (B, n) and a dict mapping each chain that got no stationary
+    vector to the exception that says why; every other chain gets the vector
+    it gets when solved alone. A chain that is not row-stochastic (NaN
+    entries included) is left out. The irreducible chains share one batched
+    LU solve, or are solved one by one if a singular member makes it raise.
+    Reducible chains, with one ReducibleChainWarning each, and chains whose
+    solve misses tol then go through power iteration together.
+    """
+    n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
+    ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
+    for b in np.flatnonzero(~ok).tolist():
+        failures[b] = ChainError("omega must be row-stochastic")
+    irreducible = ok & _all_reached(omega > 0.0) & _all_reached(np.swapaxes(omega, 1, 2) > 0.0)
+    solved = np.flatnonzero(irreducible)
+    a = np.swapaxes(omega[solved], 1, 2) - np.eye(n)
     a[:, -1] = 1.0  # the last balance equation, implied by the others, becomes sum(chi) = 1
     rhs = np.broadcast_to(np.eye(n)[:, -1:], a.shape[:2] + (1,))  # (B, n, 1): numpy < 2 reads
-    direct = np.clip(np.linalg.solve(a, rhs)[..., 0], 0.0, None)  # an (n, 1) rhs as vectors
-    chi[irreducible] = direct / direct.sum(axis=1, keepdims=True)
-    residual = np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
-    for b in np.flatnonzero(~irreducible | (residual >= tol)):
-        if irreducible[b]:
-            chi[b] = _power_iteration(omega[b], np.full(n, 1.0 / n), tol=1e-12)
-        else:
-            warnings.warn("energy chain is reducible; returning the occupancy reached from "
-                          "an empty queue", ReducibleChainWarning, stacklevel=3)
-            chi[b] = _power_iteration(omega[b], np.eye(n)[start_state], tol=1e-14)
-        residual = float(np.max(np.abs(chi[b] @ omega[b] - chi[b])))
-        if residual >= tol:
-            raise StationarySolveError(f"stationary residual {residual:.3e} exceeds {tol:.1e}")
-    return chi
+    try:                                                           # an (n, 1) rhs as vectors
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        x = np.zeros(rhs.shape)
+        for k, b in enumerate(solved.tolist()):
+            try:
+                x[k] = np.linalg.solve(a[k:k + 1], rhs[k:k + 1])[0]
+            except np.linalg.LinAlgError as exc:
+                ok[b], failures[b] = False, exc
+        x, solved = x[ok[solved]], solved[ok[solved]]
+    direct = np.clip(x[..., 0], 0.0, None)
+    chi[solved] = direct / direct.sum(axis=1, keepdims=True)
+    residual = np.full(len(omega), np.inf)
+    residual[solved] = _residuals(omega[solved], chi[solved])
+    retry = np.flatnonzero(ok & ~(residual < tol))
+    for _ in np.flatnonzero(ok & ~irreducible):
+        warnings.warn("energy chain is reducible; returning the occupancy reached from "
+                      "an empty queue", ReducibleChainWarning, stacklevel=3)
+    if retry.size:
+        start = np.where(irreducible[retry, None], 1.0 / n, np.eye(n)[start_state])
+        chi[retry], converged = _power_iteration(omega[retry], start,
+                                                 np.where(irreducible[retry], 1e-12, 1e-14))
+        residual[retry] = _residuals(omega[retry], chi[retry])
+        for b, converged_b in zip(retry.tolist(), converged):
+            if not converged_b:
+                failures[b] = StationarySolveError("power iteration did not converge within "
+                                                   f"2^64 steps (residual {residual[b]:.3e})")
+            elif not residual[b] < tol:
+                failures[b] = StationarySolveError(
+                    f"stationary residual {residual[b]:.3e} exceeds {tol:.1e}")
+    return chi, failures
 
 
 def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
@@ -169,7 +213,10 @@ def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ChainError(f"omega must be a square matrix (got shape {omega.shape})")
-    chain.chi = _solve_stack(omega[None], tol, start_state)[0]
+    chi, failures = _solve_stack(omega[None], tol, start_state)
+    if failures:
+        raise failures[0]
+    chain.chi = chi[0]
     return chain.chi
 
 
@@ -227,32 +274,71 @@ class ThroughputReport:
     chain: EnergyChain = field(repr=False, compare=False)
 
 
+def optimize_many(points) -> list:
+    """optimize_g for every point (params, dc, pmfs, budgets) of a slice at once.
+
+    Returns one entry per point, in order: its ThroughputReport, or the
+    exception that failed it while the other points still get theirs. The
+    chains of every (point, budget) pair with the same E_max are gathered,
+    point by point in budget order, into stacks of at most _STACK_CELLS
+    matrix entries, and each stack is one _solve_stack call, so one LU
+    solve serves many points. A chain that fails fails only its own point,
+    and the others get the values they get alone.
+    """
+    out, found = [None] * len(points), {}
+    for e_max in dict.fromkeys(params.E_max for params, *_ in points):
+        chains, kernels = [], []
+        for i, (params, dc, pmfs, budgets) in enumerate(points):
+            if params.E_max != e_max:
+                continue
+            budgets = list(range(1, e_max + 1) if budgets is None else budgets)
+            try:
+                kernels.append(_kernels(*pmfs, primary_link.pi_idle(params, dc), budgets, e_max))
+            except Exception as exc:
+                out[i] = exc
+                continue
+            chains += [(len(kernels) - 1, i, g) for g in budgets]
+            found[i] = ({}, None)
+        kernels = np.array(kernels)
+        per_stack = max(1, _STACK_CELLS // (e_max + 1) ** 2)
+        for s in range(0, len(chains), per_stack):
+            k, point, g = zip(*chains[s:s + per_stack])
+            omega = _omegas(kernels, k, g)
+            chi, failures = _solve_stack(omega)
+            for b, (i, g_b) in enumerate(zip(point, g)):
+                if out[i] is None and b in failures:
+                    out[i] = failures[b]
+                if out[i] is not None:
+                    continue
+                (params, dc, *_), (mu_s_by_g, best) = points[i], found[i]
+                mu_s_by_g[g_b] = su_throughput(EnergyChain(omega[b], g_b, chi[b]), params, dc)
+                if best is None or mu_s_by_g[g_b] > mu_s_by_g[best.g]:
+                    found[i] = mu_s_by_g, EnergyChain(omega[b].copy(), g_b, chi[b].copy())
+    for i, (params, dc, *_) in enumerate(points):
+        if out[i] is None:
+            mu_s_by_g, best = found[i]
+            out[i] = ThroughputReport(
+                pi_idle=primary_link.pi_idle(params, dc),
+                mu_p=primary_link.mu_p(params, dc),
+                pu_throughput=primary_link.pu_throughput(params, dc),
+                mu_e=mu_e(best, params, dc),
+                mu_s_by_g=mu_s_by_g,
+                g_star=best.g,
+                mu_s_star=mu_s_by_g[best.g],
+                chain=best,
+            )
+    return out
+
+
 def optimize_g(params: SystemParams, dc: DerivedConstants,
                pmfs: tuple[HarvestPmf, HarvestPmf], budgets=None) -> ThroughputReport:
     """Evaluate each energy budget (default every one in 1..E_max) and pick the best.
 
-    The chains are solved as in stationary, in stacks of at most _STACK_CELLS
-    matrix entries: one batched LU solve per stack, then power iteration one
-    chain at a time for those that are reducible or miss the residual. Ties
-    break toward the budget evaluated first, the smallest by default.
+    The one-point case of optimize_many; it raises the point's failure. Each
+    budget's chain is solved as in stationary (_solve_stack). Ties break
+    toward the budget evaluated first, the smallest by default.
     """
-    budgets = list(range(1, params.E_max + 1) if budgets is None else budgets)
-    if not budgets:
-        raise ChainError("budgets: must be nonempty")
-    pi = primary_link.pi_idle(params, dc)
-    mu_s_by_g, best = {}, None
-    for i, omega in _omega_stacks(*pmfs, pi, budgets, params.E_max):
-        for g, omega_g, chi in zip(budgets[i:], omega, _solve_stack(omega)):
-            mu_s_by_g[g] = su_throughput(EnergyChain(omega_g, g, chi), params, dc)
-            if best is None or mu_s_by_g[g] > mu_s_by_g[best.g]:
-                best = EnergyChain(omega_g.copy(), g, chi.copy())
-    return ThroughputReport(
-        pi_idle=pi,
-        mu_p=primary_link.mu_p(params, dc),
-        pu_throughput=primary_link.pu_throughput(params, dc),
-        mu_e=mu_e(best, params, dc),
-        mu_s_by_g=mu_s_by_g,
-        g_star=best.g,
-        mu_s_star=mu_s_by_g[best.g],
-        chain=best,
-    )
+    (report,) = optimize_many([(params, dc, pmfs, budgets)])
+    if isinstance(report, Exception):
+        raise report
+    return report

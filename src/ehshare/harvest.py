@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DerivedConstants, SystemParams
+from .config import DerivedConstants, ParameterError, SystemParams
 
 TAIL_EPS = 1e-12
 
@@ -86,7 +86,8 @@ def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
     transmits, not to 1: they carry the event {primary transmits}.
     """
     if dc.rf_degenerate:
-        raise ValueError("eta == 0: RF increments are undefined (degenerate harvest)")
+        raise ValueError("RF harvesting yields no packets (eta == 0 or alpha * lambda_x "
+                         "overflows): RF increments are undefined")
     # Pr{count >= n | transmits} in closed form for n = 1..n_max; it falls
     # with n, so the support ends one bin past the last tail >= TAIL_EPS
     z = dc.alpha * np.arange(1, n_max + 1)
@@ -108,12 +109,18 @@ def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
     consistent with weighting active slots by their own probability in the
     energy-queue chain.
 
-    eta == 0 degenerates to a point mass at zero packets.
+    eta == 0 degenerates to a point mass at zero packets. A primary that
+    never transmits (exp(-lambda_y*a) underflows to 0) leaves the pmf
+    undefined: a ParameterError names the fields of a and sigma_ppd.
     """
     if dc.rf_degenerate:
         return HarvestPmf(np.array([1.0]), 0.0, KIND_RF_CONDITIONAL)
-    return _with_tail(rf_increments(dc, n_max) / math.exp(-dc.lambda_y * dc.a),
-                      KIND_RF_CONDITIONAL)
+    transmits = math.exp(-dc.lambda_y * dc.a)
+    if not transmits > 0.0:
+        raise ParameterError([f"P_max, sigma_ppd, N0, W, beta, T: the primary never transmits "
+                              f"(exp(-a / sigma_ppd) = 0 at a = {dc.a:g}), and the RF harvest "
+                              f"(eta > 0) is conditioned on a transmission"])
+    return _with_tail(rf_increments(dc, n_max) / transmits, KIND_RF_CONDITIONAL)
 
 
 def _poisson_terms(m, size):

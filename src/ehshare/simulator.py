@@ -327,16 +327,28 @@ def run_many(points, sim: SimConfig) -> list:
     point (a ParameterError naming the field), while the other points still
     run. Only these per-point rejections are isolated: an error raised once
     the batch is running propagates and ends the whole batch.
+
+    Points run in groups of one level dtype and one side of E_max <
+    _MAP_LEVELS, so a large battery neither widens the levels of small ones
+    nor makes them pay for the closed forms.
     """
-    out = []
+    out, groups = [], {}
     for params in points:
         try:
             out.append(_Point(params))
         except Exception as exc:
             out.append(exc)
-    batch = [pt for pt in out if isinstance(pt, _Point)]
-    if not batch:
-        return out
+        else:
+            e_max = params.E_max
+            groups.setdefault((np.min_scalar_type(2 * e_max), e_max < _MAP_LEVELS),
+                              []).append(out[-1])
+    for batch in groups.values():
+        _run_batch(batch, sim)
+    return [pt if isinstance(pt, Exception) else pt.result(sim) for pt in out]
+
+
+def _run_batch(batch, sim: SimConfig):
+    """Simulate the _Points of batch in lockstep, leaving the counts on them."""
     e_max = [pt.params.E_max for pt in batch]
     dtype = np.min_scalar_type(2 * max(e_max))
     chunk = min(_CHUNK, max(_BLOCK, _POINT_SLOTS // len(batch) // _BLOCK * _BLOCK))
@@ -374,7 +386,6 @@ def run_many(points, sim: SimConfig) -> list:
             pt.spends += int(np.count_nonzero(spend))
             pt.spends_post += int(np.count_nonzero(spend[post:]))
             pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[j, post:]))
-    return [pt if isinstance(pt, Exception) else pt.result(sim) for pt in out]
 
 
 def run(params: SystemParams, sim: SimConfig) -> SimResult:

@@ -1,6 +1,7 @@
 """The vectorized chain build, the scipy-free stationary solver, the
-stacked budget search, the closed-form Poisson pmf and the pmfs cut at
-E_max, checked against the implementations they replaced.
+stacked budget search, the stacks shared by a slice's points, the
+closed-form Poisson pmf and the pmfs cut at E_max, checked against the
+implementations they replaced.
 
 The references below are the former library code, kept as oracles: a
 per-entry loop for the transition matrix, a least-squares solve of the
@@ -13,6 +14,7 @@ TAIL_EPS support for the pmfs cut at E_max.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from ehshare import dbm_to_watts, default_params, derive, energy_chain
 from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chain, optimize_g,
-                                  stationary, success_probability)
+                                  optimize_many, stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from ehshare.primary_link import pi_idle
@@ -182,6 +184,53 @@ def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
     assert split.mu_s_by_g == whole.mu_s_by_g and split_warned == whole_warned
     assert np.array_equal(split.chain.chi, whole.chain.chi)
     assert np.array_equal(split.chain.omega, whole.chain.omega)
+
+
+def _slice_inputs(points):
+    """optimize_many inputs of (E_max, lambda_e, lambda_p, eta, fixed G or None)."""
+    inputs = []
+    for e_max, lambda_e, lambda_p, eta, g in points:
+        g = None if g is None else min(g, e_max)
+        p = default_params(E_max=e_max, lambda_e=lambda_e, lambda_p=lambda_p, eta=eta, G=g or 1)
+        dc = derive(p)
+        inputs.append((p, dc, arrival_pmfs(p, dc), None if g is None else (g,)))
+    return inputs
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(st.tuples(st.sampled_from([1, 6, 10, 40]),
+                                 st.sampled_from([0.0, 0.5, 800.0]),
+                                 st.sampled_from([0.0, 0.4, 1.0]), st.sampled_from([0.0, 0.6]),
+                                 st.one_of(st.none(), st.integers(1, 40))),
+                       min_size=1, max_size=6),
+       cells=st.sampled_from([60, 300, 1000, 5000, 2 ** 15]))
+def test_slice_stacks_match_each_point_solved_alone(points, cells):
+    # small cell budgets split stacks unevenly across points and budgets
+    inputs = _slice_inputs(points)
+    with mock.patch.object(energy_chain, "_STACK_CELLS", cells), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        reports = optimize_many(inputs)
+        alone = [optimize_g(*x) for x in inputs]
+    for report, ref in zip(reports, alone):
+        assert report.mu_s_by_g == ref.mu_s_by_g
+        assert report.g_star == ref.g_star and report.mu_e == ref.mu_e
+        assert np.array_equal(report.chain.chi, ref.chain.chi)
+        assert np.array_equal(report.chain.omega, ref.chain.omega)
+
+
+def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
+    points = [(6, 800.0, 0.4, 0.6, None), (40, 0.5, 0.0, 0.6, None), (10, 0.0, 0.4, 0.6, None),
+              (40, 800.0, 1.0, 0.0, None), (1, 0.5, 0.0, 0.0, None), (6, 0.5, 0.0, 0.6, None)]
+    inputs = _slice_inputs(points)
+    refs = [reference_optimize(p) for p, *_ in inputs]
+    monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReducibleChainWarning)
+        reports = optimize_many(inputs)
+    warned = sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
+    assert warned == sum(len(ref[2]) for ref in refs) > 0
+    for report, ref in zip(reports, refs):
+        _assert_matches_reference(report, len(ref[2]), ref)
 
 
 def test_heavy_ambient_arrivals_make_a_reducible_chain():

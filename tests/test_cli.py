@@ -404,6 +404,19 @@ def test_a_failed_lockstep_run_errors_each_of_its_points_and_the_sweep_goes_on(m
     assert [r["error"] for r in compare(spec)] == ["batch too large"] * 3
 
 
+def test_a_failed_shared_solve_errors_each_of_its_points_and_the_sweep_goes_on(monkeypatch):
+    def fail(points):
+        raise MemoryError("stack too large")
+
+    monkeypatch.setattr(cli_sweep.energy_chain, "optimize_many", fail)
+    spec = SweepSpec("lambda_p", (0.2, 0.4, 0.6), default_params(), engines="both",
+                     sim=SimConfig(n_slots=1000, seed=1, warmup=10))
+    rows = sweep(spec)
+    assert [(r["engine"], r["error"]) for r in rows] \
+        == [("analytic", "stack too large"), ("simulate", "")] * 3
+    assert [r["error"] for r in compare(spec)] == ["stack too large"] * 3
+
+
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "--lambda-e", "1e300", "--slots", "2000", "--warmup", "10"], "lambda_e"),
     (["analytic", "--t", "inf"], "T"),
@@ -420,6 +433,21 @@ def test_a_failed_lockstep_run_errors_each_of_its_points_and_the_sweep_goes_on(m
 def test_extreme_inputs_exit_2_naming_the_field(argv, field, capsys):
     assert main(argv) == 2
     assert f"invalid parameters: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--beta", "1e30", "beta"),
+    ("--beta", "1e-300", "beta"),
+    ("--t", "1e30", "T"),
+    ("--w", "1e-300", "W"),
+    ("--n0", "1e30", "N0"),
+    ("--p-max", "1e-300", "P_max"),
+    ("--sigma-ppd", "1e-300", "sigma_ppd"),
+])
+def test_extreme_finite_inputs_exit_2_naming_the_field(flag, value, field, capsys):
+    assert main(["analytic", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert field in err.split("invalid parameters: ", 1)[1].split(":", 1)[0].split(", ")
 
 
 def test_sweep_rejects_empty_grid():

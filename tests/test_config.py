@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from ehshare import (ParameterError, SystemParams, dbm_to_watts, default_params,
-                     derive, load_params, validate)
+from ehshare import (ParameterError, SystemParams, arrival_pmfs, dbm_to_watts, default_params,
+                     derive, load_params, mu_p, optimize_g, validate)
 from ehshare.config import parse_config_file
 from oracles import watts_to_dbm
 
@@ -37,6 +37,40 @@ def test_every_violation_is_reported():
     with pytest.raises(ParameterError) as exc:
         validate(bad)
     assert {"tau", "lambda_p", "eta", "sigma_ps"} <= set(exc.value.fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", 1e30), ("beta", 1e-300), ("T", 1e30), ("W", 1e-300), ("N0", 1e30),
+    ("P_max", 1e-300), ("sigma_ppd", 1e-300),
+])
+def test_extreme_finite_values_are_rejected_by_name(field, value):
+    # 2**R_s overflows or N0 * W * (2**R_p - 1) vanishes (derive), or the
+    # primary never transmits, which the RF harvest pmf conditions on
+    p = default_params(**{field: value})
+    with pytest.raises(ParameterError) as exc:
+        arrival_pmfs(p, derive(p))
+    assert field in exc.value.fields
+
+
+def test_a_primary_that_never_transmits_needs_rf_harvesting_off():
+    p = default_params(N0=1e30)
+    assert mu_p(p, derive(p)) == 0.0
+    with pytest.raises(ParameterError) as exc:
+        arrival_pmfs(p, derive(p))
+    assert exc.value.fields == ["P_max", "sigma_ppd", "N0", "W", "beta", "T"]
+    p = replace(p, eta=0.0)
+    assert arrival_pmfs(p, derive(p))[1].probs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("over", [{"sigma_ps": 1e-310}, {"eta": 1e-300, "beta": 1e-10}])
+def test_rf_packets_too_large_to_fill_mean_no_rf_harvest(over):
+    # alpha * lambda_x overflows: no transmission converts to a packet
+    p = default_params(**over)
+    dc = derive(p)
+    assert dc.rf_degenerate
+    off = replace(p, eta=0.0)
+    assert optimize_g(p, dc, arrival_pmfs(p, dc)).mu_s_by_g \
+        == optimize_g(off, derive(off), arrival_pmfs(off, derive(off))).mu_s_by_g
 
 
 def test_dbm_conversions():

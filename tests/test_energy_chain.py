@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from ehshare import SimConfig, default_params, derive, energy_chain, simulate, validate
 from ehshare.cli_sweep import main
 from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
-                                  build_chain, mu_e, optimize_g, outage_threshold,
-                                  solve_chain, stationary, success_probability,
-                                  su_throughput)
+                                  StationarySolveError, build_chain, mu_e, optimize_g,
+                                  optimize_many, outage_threshold, solve_chain, stationary,
+                                  success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
 
@@ -116,10 +116,11 @@ def test_power_iteration_fallback_when_direct_solve_misses(monkeypatch):
 def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
     p = default_params(E_max=6)
     dc = derive(p)
-    omega = next(energy_chain._omega_stacks(*arrival_pmfs(p, dc), pi_idle(p, dc),
-                                            [1, 2, 3, 4, 5, 6], p.E_max))[1]
+    idle, active = arrival_pmfs(p, dc)
+    omega = np.array([build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)])
     assert omega.shape == (6, 7, 7)
-    direct = energy_chain._solve_stack(omega)
+    direct, failures = energy_chain._solve_stack(omega)
+    assert failures == {}
     solve, power_iteration = np.linalg.solve, energy_chain._power_iteration
     fallbacks = []
 
@@ -136,8 +137,9 @@ def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
     monkeypatch.setattr(energy_chain, "_power_iteration", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ReducibleChainWarning)
-        chi = energy_chain._solve_stack(omega)
-    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], omega[2])
+        chi, failures = energy_chain._solve_stack(omega)
+    assert failures == {}
+    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], omega[[2]])
     assert np.max(np.abs(chi[2] - direct[2])) <= 1e-12
     others = [0, 1, 3, 4, 5]
     assert np.array_equal(chi[others], direct[others])
@@ -157,13 +159,93 @@ def test_lu_right_hand_side_carries_the_stack_shape(monkeypatch):
     dc = derive(p)
     optimize_g(p, dc, arrival_pmfs(p, dc))
     stationary(EnergyChain(omega=np.array([[0.7, 0.3], [0.2, 0.8]]), g=1))
-    assert [a for a, _ in shapes] == [(6, 7, 7), (1, 2, 2)]
+    optimize_many(_slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "G": 3}, budgets=[None, (3,)]))
+    assert [a for a, _ in shapes] == [(6, 7, 7), (1, 2, 2), (7, 7, 7)]
     assert all(b == a[:-1] + (1,) for a, b in shapes)
+
+
+def _slice(*overrides, budgets=None):
+    """optimize_many inputs of points at E_max=6 with the given overrides."""
+    inputs = []
+    for over, points_budgets in zip(overrides, budgets or [None] * len(overrides)):
+        p = default_params(E_max=6, **over)
+        dc = derive(p)
+        inputs.append((p, dc, arrival_pmfs(p, dc), points_budgets))
+    return inputs
+
+
+@pytest.mark.parametrize("fault", ["residual", "nan", "singular"])
+def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
+    inputs = _slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "lambda_e": 0.5}, {"lambda_p": 0.8})
+    alone = [optimize_g(*x) for x in inputs]
+    p, dc, (idle, active), _ = inputs[1]
+    bad = [build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)]
+    if fault == "residual":  # every chain of the middle point misses, power iteration too
+        residuals = energy_chain._residuals
+
+        def missed(omega, chi):
+            r = residuals(omega, chi)
+            r[[any(np.array_equal(w, b) for b in bad) for w in omega]] = np.inf
+            return r
+
+        monkeypatch.setattr(energy_chain, "_residuals", missed)
+        expected = StationarySolveError
+    elif fault == "nan":  # a NaN pmf passes HarvestPmf's checks
+        inputs[1] = (p, dc, (pmf(np.nan, 1.0), active), None)
+        expected = ChainError
+    else:  # np.linalg.solve raises for the whole stack when one member is singular
+        solve, singular = np.linalg.solve, []
+        for w in bad:
+            singular.append(w.T - np.eye(7))
+            singular[-1][-1] = 1.0
+
+        def raising(a, b):
+            if any(np.array_equal(m, s) for m in a for s in singular):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", raising)
+        expected = np.linalg.LinAlgError
+    stacks, solve_stack = [], energy_chain._solve_stack
+    monkeypatch.setattr(energy_chain, "_solve_stack",
+                        lambda omega: stacks.append(len(omega)) or solve_stack(omega))
+    out = optimize_many(inputs)
+    assert stacks == [18]
+    assert isinstance(out[1], expected)
+    for i in (0, 2):
+        assert out[i].mu_s_by_g == alone[i].mu_s_by_g and out[i].g_star == alone[i].g_star
+        assert np.array_equal(out[i].chain.chi, alone[i].chain.chi)
+    with pytest.raises(expected):
+        optimize_g(*inputs[1])
+
+
+def test_fallback_chains_iterate_together_as_they_would_alone(monkeypatch):
+    # lambda_e=800 makes every budget's chain reducible at E_max=6
+    p = default_params(E_max=6, lambda_e=800.0)
+    dc = derive(p)
+    power_iteration, calls = energy_chain._power_iteration, []
+
+    def recorded(omega, chi, tol):
+        calls.append(len(omega))
+        return power_iteration(omega, chi, tol)
+
+    monkeypatch.setattr(energy_chain, "_power_iteration", recorded)
+    with pytest.warns(ReducibleChainWarning):
+        report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    assert calls == [6]
+    idle, active = arrival_pmfs(p, dc)
+    for g in range(1, 7):
+        omega = build_chain(idle, active, pi_idle(p, dc), g, 6).omega[None]
+        chi, converged = power_iteration(omega, np.eye(7)[:1], np.array([1e-14]))
+        assert converged.all()
+        assert report.mu_s_by_g[g] == su_throughput(EnergyChain(omega[0], g, chi[0]), p, dc)
 
 
 def test_stationary_requires_row_stochastic_matrix():
     with pytest.raises(ChainError):
         stationary(EnergyChain(omega=np.array([[0.5, 0.4], [0.2, 0.8]]), g=1))
+    with pytest.raises(ChainError):
+        stationary(EnergyChain(omega=np.array([[np.nan, 1.0], [0.2, 0.8]]), g=1))
 
 
 @pytest.mark.parametrize("omega", [np.array([0.5, 0.5]), np.full((2, 3), 1.0 / 3),

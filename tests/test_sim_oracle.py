@@ -299,6 +299,23 @@ def test_lockstep_batch_across_chunks_with_small_point_slot_budget(monkeypatch):
         assert_same_result(got, _run_reference(p, sim))
 
 
+def test_a_batch_runs_in_groups_of_one_level_dtype_and_one_map_side(monkeypatch):
+    # a large battery neither widens small batteries' levels nor makes them
+    # take the closed forms (E_max >= _MAP_LEVELS)
+    seen, battery_levels = [], simulator._battery_levels
+
+    def recorded(e0, spend_at, add, g, e_max):
+        seen.append((str(add.dtype), tuple(e_max)))
+        return battery_levels(e0, spend_at, add, g, e_max)
+
+    monkeypatch.setattr(simulator, "_battery_levels", recorded)
+    params = [default_params(lambda_e=0.5, E_max=e, G=min(e, 3)) for e in (10, 200, 47, 48, 1)]
+    sim = SimConfig(n_slots=2_000, seed=5, warmup=10)
+    for p, got in zip(params, simulator.run_many(params, sim)):
+        assert_same_result(got, _run_reference(p, sim))
+    assert sorted(seen) == [("uint16", (200,)), ("uint8", (10, 47, 1)), ("uint8", (48,))]
+
+
 def test_failing_point_leaves_the_rest_of_the_batch_running():
     # lambda_e * T above numpy's Poisson limit is rejected before any draw
     good = [default_params(lambda_p=0.3, lambda_e=0.5), default_params(lambda_p=0.7)]
