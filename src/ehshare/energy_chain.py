@@ -79,10 +79,14 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
 def _omegas(kernels, point, g):
     """Transition matrices (len(g), n, n) of the chains (point[b], g[b]), from
     the points' kernels (points, 2, n, n): row j of budget g is row j - g of
-    the idle kernel (row j if j < g) plus row j of the active one."""
+    the idle kernel (row j if j < g) plus row j of the active one. A point's
+    chains are adjacent, so its active kernel is added in place to each run:
+    a gathered (B, n, n) copy of it would be a fresh mapping to fault in."""
     stay, point, g = np.arange(kernels.shape[2]), np.asarray(point), np.asarray(g)[:, None]
     omega = kernels[point[:, None], 0, np.where(stay >= g, stay - g, stay)]
-    omega += kernels[point, 1]
+    starts = np.flatnonzero(np.diff(point, prepend=-1)).tolist()
+    for s, e in zip(starts, starts[1:] + [len(point)]):
+        omega[s:e] += kernels[point[s], 1]
     return omega
 
 
@@ -180,9 +184,8 @@ def _solve_stack(omega, tol=1e-10, start_state=0):
         x, solved = x[ok[solved]], solved[ok[solved]]
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
-    residual = np.full(len(omega), np.inf)
-    residual[solved] = _residuals(omega[solved], chi[solved])
-    retry = np.flatnonzero(ok & ~(residual < tol))
+    residual = _residuals(omega, chi)
+    retry = np.flatnonzero(ok & ~(irreducible & (residual < tol)))
     for _ in np.flatnonzero(ok & ~irreducible):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
                       "an empty queue", ReducibleChainWarning, stacklevel=3)
