@@ -62,8 +62,8 @@ def _arrival_rows(probs, base, e_max):
 
 
 def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
-    """Check every input, then return the idle and active kernels, (2, n, n),
-    that the chains of every budget are gathered from (_omegas)."""
+    """Check every input, then return the idle and active kernels, (n, n)
+    each, that the chains of every budget are gathered from (_omegas)."""
     if not budgets:
         raise ChainError("budgets: must be nonempty")
     for g in budgets:
@@ -72,8 +72,8 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
     pi, stay = float(pi_idle), np.arange(e_max + 1)
-    return np.array([pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max),
-                     (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max)])
+    return (pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max),
+            (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max))
 
 
 def _omegas(kernels, point, g):
@@ -84,7 +84,7 @@ def _omegas(kernels, point, g):
     a gathered (B, n, n) copy of it would be a fresh mapping to fault in."""
     stay, point, g = np.arange(kernels.shape[2]), np.asarray(point), np.asarray(g)[:, None]
     omega = kernels[point[:, None], 0, np.where(stay >= g, stay - g, stay)]
-    starts = np.flatnonzero(np.diff(point, prepend=-1)).tolist()
+    starts = [0] + (np.flatnonzero(point[1:] != point[:-1]) + 1).tolist()
     for s, e in zip(starts, starts[1:] + [len(point)]):
         omega[s:e] += kernels[point[s], 1]
     return omega
@@ -102,7 +102,7 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     totals 1 by construction.
     """
     kernels = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max)
-    return EnergyChain(omega=_omegas(kernels[None], [0], [g])[0], g=g)
+    return EnergyChain(omega=_omegas(np.array([kernels]), [0], [g])[0], g=g)
 
 
 def _power_iteration(omega, chi, tol):
