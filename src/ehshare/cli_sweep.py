@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -228,6 +227,7 @@ def _run_grid(point_fn, specs, jobs):
     tasks = [(spec, spec.grid[i::k])
              for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # at jobs=1 no CLI run imports it
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             nested = list(pool.map(point_fn, tasks))
     else:

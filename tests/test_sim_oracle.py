@@ -161,8 +161,9 @@ def test_matches_loop_on_parameter_grid(seed, lam_p, eta, lam_e, e_max, g_is_e_m
 @pytest.mark.parametrize("n_slots, warmup", [
     (5_000, 0),
     (5_000, 4_999),                        # one post-warmup slot
-    (_CHUNK + 3 * _BLOCK + 7, _CHUNK + 5),  # warmup ends inside the second chunk
+    (_CHUNK + 775, _CHUNK + 5),            # warmup ends inside the second chunk
     (2 * _CHUNK + 1, 10),                  # one slot in the last chunk
+    (255, 0),                              # a partial last block
     (_BLOCK - 1, 0),                       # shorter than one block
 ])
 @pytest.mark.parametrize("lam_e", [0.0, 0.5])
@@ -179,7 +180,7 @@ def test_matches_loop_across_chunks_with_a_backlog():
 
 
 def test_matches_loop_with_a_backlog_beyond_the_chunk_length(monkeypatch):
-    # 256-slot chunks and a primary that rarely clears its cutoff: the
+    # one-block chunks and a primary that rarely clears its cutoff: the
     # backlog outgrows the chunk length, beyond which it is carried as a
     # lift over the chunk's queue scans
     monkeypatch.setattr(simulator, "_POINT_SLOTS", 2 * _BLOCK)
@@ -192,10 +193,21 @@ def test_matches_loop_with_a_backlog_beyond_the_chunk_length(monkeypatch):
     assert results[0].pu_queue_mean > 8 * _BLOCK
 
 
+def _slot_recursion(e, spend_at, add, g, e_max):
+    """One point's level at the start of every slot, and after the last."""
+    levels = []
+    for s, a in zip(spend_at.tolist(), add.tolist()):
+        levels.append(e)
+        if e >= s:
+            e -= g
+        e = min(e + a, e_max)
+    return levels, e
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
-    n=st.integers(min_value=1, max_value=3 * _BLOCK),
+    n=st.integers(min_value=1, max_value=40 * _BLOCK),
     e_max=st.sampled_from([1, 5, 40, 300]),
     g_frac=st.floats(min_value=0.0, max_value=1.0),
     idle_p=st.sampled_from([0.02, 0.5, 0.98]),
@@ -203,23 +215,43 @@ def test_matches_loop_with_a_backlog_beyond_the_chunk_length(monkeypatch):
     e0_frac=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_battery_levels_match_slot_recursion(seed, n, e_max, g_frac, idle_p, add_mean, e0_frac):
-    # start levels anywhere in 0..e_max reach both closed forms and the maps
+    # start levels anywhere in 0..e_max reach both closed forms and the maps;
+    # up to 40 blocks span six levels of the small batteries' chaining tree
     g = 1 + round(g_frac * (e_max - 1))
     rng = np.random.default_rng(seed)
     spend_at = np.where(rng.random(n) < idle_p, g, e_max + 1)
     add = np.minimum(rng.poisson(add_mean, n), e_max)
-    e = e0 = round(e0_frac * e_max)
-    want = []
-    for t in range(n):
-        want.append(e)
-        if e >= spend_at[t]:
-            e -= g
-        e = min(e + int(add[t]), e_max)
+    e0 = round(e0_frac * e_max)
+    want, e = _slot_recursion(e0, spend_at, add, g, e_max)
     dtype = np.min_scalar_type(2 * e_max)
     levels, (end,) = _battery_levels([e0], spend_at[None].astype(dtype),
                                      add[None].astype(dtype), [g], [e_max])
     assert levels[0].tolist() == want
     assert type(end) is int and end == e
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 5, 33])
+def test_battery_tree_chains_mixed_batteries_at_uneven_block_counts(n_blocks):
+    # every battery fits one transfer map (E_max < _MAP_LEVELS), so the
+    # blocks are chained by the tree; block counts that are not powers of
+    # two pad it with identity maps, and a partial last block pads a block
+    rng = np.random.default_rng(n_blocks)
+    n = n_blocks * _BLOCK - (n_blocks > 1) * 3
+    cases = [(g, e_max, e0) for g, e_max in [(1, 1), (2, 5), (13, 47)] for e0 in (0, e_max)]
+    assert max(e_max for _, e_max, _ in cases) < simulator._MAP_LEVELS
+    spend_at = np.empty((len(cases), n), np.uint8)
+    add = np.empty((len(cases), n), np.uint8)
+    want_levels, want_ends = [], []
+    for j, (g, e_max, e0) in enumerate(cases):
+        spend_at[j] = np.where(rng.random(n) < 0.6, g, e_max + 1)
+        add[j] = np.minimum(rng.poisson(0.3 * g + 0.2, n), e_max)
+        want, end = _slot_recursion(e0, spend_at[j], add[j], g, e_max)
+        want_levels.append(want)
+        want_ends.append(end)
+    levels, ends = _battery_levels([c[2] for c in cases], spend_at, add,
+                                   [c[0] for c in cases], [c[1] for c in cases])
+    assert levels.tolist() == want_levels
+    assert ends == want_ends and all(type(e) is int for e in ends)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -345,16 +377,10 @@ def test_battery_walks_levels_above_the_map_bit_for_bit(monkeypatch):
     for j, (g, e_max, idle_p, add_mean) in enumerate(cases):
         spend_at[j] = np.where(rng.random(n) < idle_p, g, e_max + 1)
         add[j] = np.minimum(rng.poisson(add_mean, n), e_max)
-        e = int(rng.integers(0, e_max + 1))
-        e0.append(e)
-        want = []
-        for t in range(n):
-            want.append(e)
-            if e >= spend_at[j, t]:
-                e -= g
-            e = min(e + int(add[j, t]), e_max)
+        e0.append(int(rng.integers(0, e_max + 1)))
+        want, end = _slot_recursion(e0[-1], spend_at[j], add[j], g, e_max)
         want_levels.append(want)
-        want_ends.append(e)
+        want_ends.append(end)
     levels, ends = _battery_levels(e0, spend_at, add, [c[0] for c in cases], [c[1] for c in cases])
     assert levels.tolist() == want_levels
     assert ends == want_ends and all(type(e) is int for e in ends)
