@@ -2,8 +2,10 @@
 """Sweep the primary arrival rate and report analytic-vs-simulated deltas.
 
 Writes the per-point comparison table and prints the worst absolute gaps,
-a quick health check on the closed forms (and on the one approximation
-they make: independent primary activity inside the energy chain).
+a quick health check on the closed forms. The energy chain treats primary
+activity as independent across slots, yet it is exact at stable points
+(tests/test_coupled_oracle.py), so the gaps are Monte Carlo noise, which
+the acceptance budgets bound.
 
   python3 scripts/analytic_vs_sim.py --slots 1000000 --out compare.csv
 """

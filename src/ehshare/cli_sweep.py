@@ -13,16 +13,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import energy_chain, harvest, primary_link
-from .config import (ParameterError, SystemParams, coerce_field, dbm_to_watts,
+from .config import (PARAM_FIELDS, ParameterError, SystemParams, coerce_field, dbm_to_watts,
                      default_params, derive, load_params, validate)
 from .simulator import SimConfig, run as run_simulation, run_many as simulate_many
 
-PARAM_FIELDS = [f.name for f in fields(SystemParams)]
 METRIC_COLUMNS = ["engine", "mu_p", "pi_idle", "pu_throughput", "regime", "g",
                   "mu_s", "mu_e", "success_prob", "seed", "slots", "warmup", "error"]
 COMPARE_METRICS = ["g", "a_mu_s", "s_mu_s", "d_mu_s_abs", "d_mu_s_rel",
@@ -174,10 +173,6 @@ def _eval_sweep_point(task):
     return _evaluate(spec, values, lambda outcome: [_sweep_row(*entry) for entry in outcome])
 
 
-def _rel(delta, ref):
-    return abs(delta) / abs(ref) if ref != 0 else ""
-
-
 def _compare_point(task):
     """A slice of grid points -> per point, its one compare row, like _eval_sweep_point."""
     spec, values = task
@@ -190,26 +185,13 @@ def _compare_rows(outcome):
             return [_row(params, COMPARE_METRICS, error=str(result))]
     (_, _, (report, _)), (_, _, (sim_params, result)) = outcome
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
-    return [_row(
-        sim_params, COMPARE_METRICS,
-        g=report.g_star,
-        a_mu_s=report.mu_s_star,
-        s_mu_s=result.su_throughput_hat,
-        d_mu_s_abs=abs(report.mu_s_star - result.su_throughput_hat),
-        d_mu_s_rel=_rel(report.mu_s_star - result.su_throughput_hat, report.mu_s_star),
-        a_pi_idle=report.pi_idle,
-        s_pi_idle=result.pi_idle_hat,
-        d_pi_idle_abs=abs(report.pi_idle - result.pi_idle_hat),
-        d_pi_idle_rel=_rel(report.pi_idle - result.pi_idle_hat, report.pi_idle),
-        a_pu_throughput=report.pu_throughput,
-        s_pu_throughput=result.pu_throughput_hat,
-        d_pu_throughput_abs=abs(report.pu_throughput - result.pu_throughput_hat),
-        d_pu_throughput_rel=_rel(report.pu_throughput - result.pu_throughput_hat,
-                                 report.pu_throughput),
-        tv_occupancy=tv,
-        seed=result.seed,
-        slots=result.n_slots,
-    )]
+    values = dict(g=report.g_star, tv_occupancy=tv, seed=result.seed, slots=result.n_slots)
+    for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
+                       ("pi_idle", report.pi_idle, result.pi_idle_hat),
+                       ("pu_throughput", report.pu_throughput, result.pu_throughput_hat)):
+        values.update({f"a_{name}": a, f"s_{name}": s, f"d_{name}_abs": abs(a - s),
+                       f"d_{name}_rel": abs(a - s) / abs(a) if a != 0 else ""})
+    return [_row(sim_params, COMPARE_METRICS, **values)]
 
 
 def _run_grid(point_fn, specs, jobs):
@@ -266,9 +248,9 @@ _LAMBDA_P_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 _SIGMA_PPD_GRID = tuple(round(0.1 * i, 1) for i in range(1, 31))
 
 
-def preset_specs(name, engines="analytic", sim=None, g_policy="optimize") -> list[SweepSpec]:
+def preset_specs(name, engines="analytic", sim=None) -> list[SweepSpec]:
     """Sweep specs reproducing the bundled figure-style experiments."""
-    common = dict(engines=engines, sim=sim, g_policy=g_policy)
+    common = dict(engines=engines, sim=sim)
     if name == "fig2":
         return [
             SweepSpec("lambda_p", _LAMBDA_P_GRID,
@@ -302,8 +284,11 @@ def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
     """Write rows as CSV (stable column set) or JSON (full values).
 
     outputs, when given, keeps only those metric columns in the CSV, plus
-    the parameter, engine and error columns.
+    the parameter, engine and error columns; each must be one of columns.
     """
+    unknown = [c for c in outputs if c not in columns]
+    if unknown:
+        raise ParameterError([f"outputs: unknown column(s) {', '.join(unknown)}"])
     if fmt == "csv":
         if outputs:
             keep = set(outputs) | {"engine", "error"}
@@ -337,12 +322,10 @@ def _jsonable(obj):
 def _add_param_flags(parser):
     grp = parser.add_argument_group("model parameters")
     grp.add_argument("--config", metavar="PATH", help="flat key=value parameter file")
-    for name in PARAM_FIELDS:
-        flag = "--" + name.lower().replace("_", "-")
-        typ = int if name in ("E_max", "G") else float
-        grp.add_argument(flag, dest=name, type=typ, default=None, metavar=name)
-    grp.add_argument("--p-max-dbm", dest="p_max_dbm", type=float, default=None,
-                     metavar="DBM", help="primary power cap in dBm (converted on ingest)")
+    for name in PARAM_FIELDS:  # values are ingested as config-file values (load_params)
+        grp.add_argument("--" + name.lower().replace("_", "-"), dest=name, metavar=name)
+    grp.add_argument("--p-max-dbm", dest="p_max_dbm", metavar="DBM",
+                     help="primary power cap in dBm (converted on ingest)")
 
 
 def _add_sim_flags(parser):
@@ -370,16 +353,9 @@ def _add_outputs_flag(group):
 
 
 def params_from_args(args) -> SystemParams:
-    overrides = {}
-    for name in PARAM_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "p_max_dbm", None) is not None:
-        if "P_max" in overrides:
-            raise ParameterError(["P_max: given in both Watts and dBm"])
-        overrides["P_max"] = dbm_to_watts(args.p_max_dbm)
-    return load_params(getattr(args, "config", None), overrides)
+    """The config file and the parameter flags given, flags winning."""
+    given = {key: getattr(args, key) for key in PARAM_FIELDS + ["p_max_dbm"]}
+    return load_params(args.config, {k: v for k, v in given.items() if v is not None})
 
 
 def _sim_config(args) -> SimConfig:
@@ -441,20 +417,18 @@ def _floats(text, sep):
 
 
 def _grid_from_args(args):
-    if args.values:
+    if args.values is not None:
         return tuple(_floats(args.values, ","))
-    if args.grid:
-        parts = _floats(args.grid, ":")
-        if len(parts) != 3:
-            raise ParameterError(["grid: expected START:STOP:STEP"])
-        start, stop, step = parts
-        if step == 0:
-            raise ParameterError(["grid: step must be nonzero"])
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise ParameterError(["grid: empty range"])
-        return tuple(round(start + i * step, 12) for i in range(count))
-    raise ParameterError(["grid: provide --grid or --values"])
+    parts = _floats(args.grid, ":")
+    if len(parts) != 3:
+        raise ParameterError(["grid: expected START:STOP:STEP"])
+    start, stop, step = parts
+    if step == 0:
+        raise ParameterError(["grid: step must be nonzero"])
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if count < 1:
+        raise ParameterError(["grid: empty range"])
+    return tuple(round(start + i * step, 12) for i in range(count))
 
 
 def cmd_grid(args):
@@ -508,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_jobs_flag(p)
         _add_outputs_flag(_add_out_flags(p))
         p.add_argument("--param", required=True, help="SystemParams field to sweep")
-        p.add_argument("--grid", help="START:STOP:STEP (inclusive)")
-        p.add_argument("--values", help="comma-separated grid values")
+        grid = p.add_mutually_exclusive_group(required=True)
+        grid.add_argument("--grid", help="START:STOP:STEP (inclusive)")
+        grid.add_argument("--values", help="comma-separated grid values")
         p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
         p.set_defaults(func=cmd_grid)
     grid_commands["sweep"].add_argument("--engine", choices=engine_choices, default="analytic")

@@ -188,7 +188,7 @@ def default_params(**overrides) -> SystemParams:
     return validate(replace(SystemParams(**_DEFAULTS), **overrides))
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(SystemParams)}
+PARAM_FIELDS = [f.name for f in fields(SystemParams)]
 _INT_FIELDS = {"E_max", "G"}
 
 
@@ -205,12 +205,29 @@ def coerce_field(key, value):
     return f
 
 
+def _ingest(out, key, value, where):
+    """Set one `key = value` entry, a config-file line or an override, in out.
+
+    key names a SystemParams field in any case, or is p_max_dbm, which sets
+    P_max converted from dBm to Watts. A field may be set once per source, so
+    P_max and p_max_dbm conflict. where locates the entry in error messages.
+    """
+    dbm = key.lower().endswith("_dbm")
+    base = key[:-4] if dbm else key
+    name = next((f for f in PARAM_FIELDS if f.lower() == base.lower()), None)
+    if name is None or (dbm and name != "P_max"):
+        raise ParameterError([f"{where}: unknown parameter {key!r}"])
+    value = coerce_field(name, value)
+    if name in out:
+        raise ParameterError([f"{name}: assigned more than once, again at {where}"])
+    out[name] = dbm_to_watts(value) if dbm else value
+
+
 def parse_config_file(path) -> dict:
     """Parse a flat `key = value` configuration file into a field dict.
 
     One assignment per line; blank lines and `#` comments are ignored. Keys
-    must name SystemParams fields. A key with a `_dbm` suffix (e.g.
-    `p_max_dbm`) is converted to Watts and assigned to the base field.
+    name SystemParams fields, in any case, or are p_max_dbm (see _ingest).
     """
     out = {}
     with open(path) as fh:
@@ -221,41 +238,21 @@ def parse_config_file(path) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParameterError([f"line {lineno}: expected `key = value` (got {raw.strip()!r})"])
-            key = key.strip()
-            value = value.strip()
-            if key.lower().endswith("_dbm"):
-                base = _match_field(key[:-4], lineno)
-                if base.lower() != "p_max":
-                    raise ParameterError([f"line {lineno}: dBm ingest only applies to power fields (got {key!r})"])
-                converted = dbm_to_watts(coerce_field(base, value))
-                _set_once(out, base, converted, lineno)
-            else:
-                base = _match_field(key, lineno)
-                _set_once(out, base, coerce_field(base, value), lineno)
+            _ingest(out, key.strip(), value.strip(), f"line {lineno}")
     return out
 
 
-def _match_field(key, lineno):
-    for name in _FIELD_TYPES:
-        if name.lower() == key.lower():
-            return name
-    raise ParameterError([f"line {lineno}: unknown parameter {key!r}"])
-
-
-def _set_once(out, key, value, lineno):
-    if key in out:
-        raise ParameterError([f"line {lineno}: {key!r} assigned more than once (dBm and linear forms conflict)"])
-    out[key] = value
-
-
 def load_params(path=None, overrides=None) -> SystemParams:
-    """Build validated SystemParams from defaults <- config file <- overrides."""
+    """Build validated SystemParams from defaults <- config file <- overrides.
+
+    overrides maps keys, named as in a config file, to values.
+    """
     merged = dict(_DEFAULTS)
     if path is not None:
         merged.update(parse_config_file(path))
     if overrides:
+        given = {}
         for key, value in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ParameterError([f"{key}: unknown parameter"])
-            merged[key] = coerce_field(key, value)
+            _ingest(given, key, value, key)
+        merged.update(given)
     return validate(SystemParams(**merged))

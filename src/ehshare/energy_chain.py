@@ -19,6 +19,7 @@ from .harvest import HarvestPmf
 from . import primary_link
 
 _STACK_CELLS = 2 ** 15  # transition-matrix entries solved in one stack
+_TOL = 1e-10  # largest stationary residual max |chi @ omega - chi| accepted
 
 
 class ChainError(ValueError):
@@ -152,7 +153,7 @@ def _residuals(omega, chi):
     return np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
 
 
-def _solve_stack(omega, tol=1e-10, start_state=0):
+def _solve_stack(omega):
     """stationary for each chain of a stack omega (B, n, n), failing chain by chain.
 
     Returns chi (B, n) and a dict mapping each chain that got no stationary
@@ -161,7 +162,7 @@ def _solve_stack(omega, tol=1e-10, start_state=0):
     entries included) is left out. The irreducible chains share one batched
     LU solve, or are solved one by one if a singular member makes it raise.
     Reducible chains, with one ReducibleChainWarning each, and chains whose
-    solve misses tol then go through power iteration together.
+    solve misses _TOL then go through power iteration together.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
@@ -185,12 +186,12 @@ def _solve_stack(omega, tol=1e-10, start_state=0):
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
     residual = _residuals(omega, chi)
-    retry = np.flatnonzero(ok & ~(irreducible & (residual < tol)))
+    retry = np.flatnonzero(ok & ~(irreducible & (residual < _TOL)))
     for _ in np.flatnonzero(ok & ~irreducible):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
                       "an empty queue", ReducibleChainWarning, stacklevel=3)
     if retry.size:
-        start = np.where(irreducible[retry, None], 1.0 / n, np.eye(n)[start_state])
+        start = np.where(irreducible[retry, None], 1.0 / n, np.eye(n)[0])
         chi[retry], converged = _power_iteration(omega[retry], start,
                                                  np.where(irreducible[retry], 1e-12, 1e-14))
         residual[retry] = _residuals(omega[retry], chi[retry])
@@ -198,25 +199,25 @@ def _solve_stack(omega, tol=1e-10, start_state=0):
             if not converged_b:
                 failures[b] = StationarySolveError("power iteration did not converge within "
                                                    f"2^64 steps (residual {residual[b]:.3e})")
-            elif not residual[b] < tol:
+            elif not residual[b] < _TOL:
                 failures[b] = StationarySolveError(
-                    f"stationary residual {residual[b]:.3e} exceeds {tol:.1e}")
+                    f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
     return chi, failures
 
 
-def stationary(chain: EnergyChain, tol=1e-10, start_state=0) -> np.ndarray:
+def stationary(chain: EnergyChain) -> np.ndarray:
     """Solve chi = chi @ omega, store it on the chain, and return it.
 
     Irreducible chains get the unique stationary vector by an LU solve of
     chi (omega - I) = 0 with the last equation replaced by sum(chi) = 1, and
-    power iteration if that misses tol. Reducible chains are reported with a
-    ReducibleChainWarning and resolved as the long-run occupancy from
-    start_state (the simulator's empty-queue initial condition).
+    power iteration if that misses the residual _TOL. Reducible chains are
+    reported with a ReducibleChainWarning and resolved as the long-run
+    occupancy from the empty queue (the simulator's initial condition).
     """
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise ChainError(f"omega must be a square matrix (got shape {omega.shape})")
-    chi, failures = _solve_stack(omega[None], tol, start_state)
+    chi, failures = _solve_stack(omega[None])
     if failures:
         raise failures[0]
     chain.chi = chi[0]

@@ -1,9 +1,12 @@
 """Seeded slot-level Monte Carlo simulation of the coupled system.
 
-Unlike the analytic chain, nothing here assumes primary activity is
-independent across slots: the simulator plays the primary queue and the
-battery together, so this module is the ground truth each closed form is
-checked against.
+The simulator plays the primary queue and the battery together, slot by
+slot, so it checks each closed form without assuming, as the analytic
+chain does, that primary activity is independent across slots. The chain
+is exact all the same: the battery marginal of the coupled (backlog,
+battery) process equals its stationary vector (tests/test_coupled_oracle.py).
+The gap between the two engines is therefore Monte Carlo noise, and the
+acceptance budgets bound that noise.
 
 Slot recipe (departures before arrivals; harvested energy becomes usable
 the next slot):
@@ -29,8 +32,7 @@ Lindley's recursion. The battery, e' = min(E_max, e - G*[idle and e >= G]
 start levels (composed by a tree when one map holds every level, else
 block by block with levels beyond _MAP_LEVELS walked alone), and a replay
 gives every slot; each Python-level step serves every point. A 5-point
-grid of 1e6 slots takes about 0.35 s in process on one CPU (0.57 s with
-256-slot blocks chained one by one, 1.2-1.5 s point by point). Results must
+grid of 1e6 slots takes about 0.35 s in process on one CPU. Results must
 match the per-slot loop this replaces bit for bit (`_run_reference` in
 tests/test_sim_oracle.py).
 
@@ -52,7 +54,6 @@ _DEFAULT_WARMUP = 10_000
 _CHUNK = 2 ** 16         # most slots drawn and processed at a time
 _POINT_SLOTS = 2 ** 17   # most point-slots of a batch processed at a time
 _BLOCK = 32              # slots per battery transfer map
-_MAP_CELLS = 2 ** 20     # transfer-map entries held at once
 _MAP_LEVELS = 48         # most start levels per transfer map
 # The largest mean numpy's Generator.poisson accepts.
 _POISSON_MAX = float(np.iinfo(np.int64).max) - 10 * np.sqrt(np.iinfo(np.int64).max)
@@ -188,7 +189,7 @@ def _battery_levels(e0, spend_at, add, g, e_max):
 
     Blocks of _BLOCK slots are stepped as transfer maps, which _chain composes
     when one map holds every level (max(e_max) < _MAP_LEVELS); else they are
-    chained block by block.
+    chained block by block, and every block's map is stepped in one pass.
     """
     (n_pts, m), dtype = add.shape, add.dtype
     n_blocks = -(-m // _BLOCK)
@@ -201,16 +202,16 @@ def _battery_levels(e0, spend_at, add, g, e_max):
     # padding slots neither spend (no level reaches the dtype's top) nor add
     spend_at, add = blocked(spend_at, np.iinfo(dtype).max), blocked(add, 0)
 
-    def step_block(e, cols, record=None):
-        """Steps e, (..., points, blocks in cols), through its blocks; record[k] <- slot k."""
+    def step_block(e, record=None):
+        """Steps e, (..., points, blocks), through its blocks; record[k] <- slot k."""
         mask = np.empty(e.shape, bool)
         spent = np.empty(e.shape, dtype)
         for k in range(_BLOCK):
             if record is not None:
                 record[k] = e
-            np.greater_equal(e, spend_at[k, :, cols], out=mask)
+            np.greater_equal(e, spend_at[k], out=mask)
             np.subtract(e, np.multiply(mask, g_col, out=spent), out=e)
-            np.add(e, add[k, :, cols], out=e)
+            np.add(e, add[k], out=e)
             np.minimum(e, cap_col, out=e)
 
     def walk_block(p, b, e):
@@ -227,13 +228,13 @@ def _battery_levels(e0, spend_at, add, g, e_max):
     def replay(starts):
         """Every slot's level, as (points, slots), from each block's start level."""
         levels = np.empty((_BLOCK, n_pts, n_blocks), dtype)
-        step_block(np.array(starts, dtype), slice(None), levels)
+        step_block(np.array(starts, dtype), levels)
         return levels.transpose(1, 2, 0).reshape(n_pts, -1)[:, :m]
 
     if max(e_max) < _MAP_LEVELS:  # one map holds every level of every battery
         start = np.arange(max(e_max) + 1, dtype=dtype)[:, None, None]
         maps = np.minimum(start, cap_col).repeat(n_blocks, axis=2)  # maps[j]: from level j
-        step_block(maps, slice(None))
+        step_block(maps)
         starts, ends = _chain(maps.transpose(1, 2, 0), e0)
         return replay(starts), ends
 
@@ -243,30 +244,25 @@ def _battery_levels(e0, spend_at, add, g, e_max):
     width = min(max(0, int((hi - lo).max())), _MAP_LEVELS)
     forms = list(zip(*(x.tolist() for x in (lo, hi, *rest))))
 
-    # Chain the blocks. The maps of a group of blocks, as many as
-    # _MAP_CELLS allows, are computed once a start level needs them.
-    per_group = max(1, _MAP_CELLS // max(n_pts * width, 1))
+    # Chain the blocks. The maps are computed once a start level needs them.
     starts, ends = [[] for _ in range(n_pts)], list(e0)
-    for first in range(0, n_blocks, per_group):
-        cols = slice(first, min(first + per_group, n_blocks))
-        maps = None  # maps[j, p, b - first]: point p's level after block b from lo[p, b] + j
-        for p, (lo_p, hi_p, net_p, cap_p, gained_p) in enumerate(forms):
-            e, row = ends[p], starts[p]
-            for b in range(cols.start, cols.stop):
-                row.append(e)
-                if e >= hi_p[b]:
-                    e = min(e + net_p[b], cap_p[b])
-                elif e < lo_p[b]:
-                    e = min(e + gained_p[b], e_max[p])
-                elif e - lo_p[b] < width:
-                    if maps is None:
-                        maps = np.minimum(lo[:, cols] + np.arange(width)[:, None, None],
-                                          cap_col).astype(dtype)
-                        step_block(maps, cols)
-                    e = maps.item(e - lo_p[b], p, b - first)
-                else:
-                    e = walk_block(p, b, e)
-            ends[p] = e
+    maps = None  # maps[j, p, b]: point p's level after block b from lo[p, b] + j
+    for p, (lo_p, hi_p, net_p, cap_p, gained_p) in enumerate(forms):
+        e, row = ends[p], starts[p]
+        for b in range(n_blocks):
+            row.append(e)
+            if e >= hi_p[b]:
+                e = min(e + net_p[b], cap_p[b])
+            elif e < lo_p[b]:
+                e = min(e + gained_p[b], e_max[p])
+            elif e - lo_p[b] < width:
+                if maps is None:
+                    maps = np.minimum(lo + np.arange(width)[:, None, None], cap_col).astype(dtype)
+                    step_block(maps)
+                e = maps.item(e - lo_p[b], p, b)
+            else:
+                e = walk_block(p, b, e)
+        ends[p] = e
     return replay(starts), ends
 
 

@@ -180,6 +180,22 @@ def test_sweep_outputs_filter(tmp_path):
     assert "mu_s" in rows[0] and "mu_e" not in rows[0]
 
 
+def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys):
+    grid, sim = ["--param", "lambda_p", "--values", "0.2"], ["--slots", "2000", "--warmup", "10"]
+    for argv in (["sweep", *grid, "--outputs", "mu_S"],
+                 ["compare", *grid, *sim, "--outputs", "engine"],
+                 ["analytic", "--outputs", "mu_s_g11"],
+                 ["simulate", *sim, "--outputs", "mu_s,occ_11"]):
+        assert main(argv) == 2, argv
+        assert "invalid parameters: outputs: unknown column(s)" in capsys.readouterr().err, argv
+    out = tmp_path / "narrow.csv"
+    for argv, col in ((["analytic", "--outputs", "mu_s_g10"], "mu_s_g10"),
+                      (["simulate", *sim, "--outputs", "occ_10,pu_queue_mean"], "pu_queue_mean"),
+                      (["compare", *grid, *sim, "--outputs", "d_mu_s_rel"], "d_mu_s_rel")):
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert col in read_csv(out)[0], argv
+
+
 def test_bad_grid_exits_nonzero(capsys):
     assert main(["sweep", "--param", "lambda_p", "--grid", "0.1:0.5"]) == 2
     assert main(["sweep", "--param", "nope", "--values", "0.1"]) == 2
@@ -210,6 +226,15 @@ def test_removed_flags_are_rejected(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_grid_and_values_are_required_and_exclusive(capsys):
+    for cmd in ("sweep", "compare"):
+        for argv in ([], ["--grid", "0.1:0.5:0.1", "--values", "0.2"]):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--param", "lambda_p", "--slots", "2000", "--warmup", "10", *argv])
+            assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -145,6 +145,27 @@ def test_load_params_overrides_win_over_file(tmp_path):
     assert params.lambda_p == 0.75
 
 
+def test_overrides_take_config_file_keys(tmp_path):
+    assert load_params(overrides={"p_max_dbm": "10", "e_max": 7}).P_max == pytest.approx(0.01)
+    with pytest.raises(ParameterError) as exc:
+        load_params(overrides={"P_max": 0.02, "p_max_dbm": 10})
+    assert exc.value.fields == ["P_max"]
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text("p_max_dbm = 10\n")
+    assert load_params(cfg, overrides={"P_max": 0.02}).P_max == 0.02
+    for key in ("lambda_q", "lambda_p_dbm"):
+        with pytest.raises(ParameterError, match="unknown parameter"):
+            load_params(overrides={key: 1})
+
+
+def test_cli_parameter_flags_are_ingested_like_config_values(capsys):
+    from ehshare.cli_sweep import main
+    for flag, value, field in (("--e-max", "7.5", "E_max"), ("--lambda-p", "abc", "lambda_p"),
+                               ("--p-max-dbm", "abc", "P_max")):
+        assert main(["analytic", flag, value]) == 2
+        assert f"invalid parameters: {field}:" in capsys.readouterr().err
+
+
 def test_unknown_config_key_is_rejected(tmp_path):
     cfg = tmp_path / "point.cfg"
     cfg.write_text("lambda_q = 0.25\n")

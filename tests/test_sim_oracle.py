@@ -260,14 +260,10 @@ def test_battery_tree_chains_mixed_batteries_at_uneven_block_counts(n_blocks):
     dict(E_max=3_000, G=3, lambda_p=0.5, eta=0.0, lambda_e=2.0),      # both
     dict(E_max=400, G=300, lambda_e=3.0, lambda_p=0.2),               # G above 255
 ])
-@pytest.mark.parametrize("map_cells", [None, 1_000])
-def test_matches_loop_with_large_batteries(overrides, map_cells, monkeypatch):
+def test_matches_loop_with_large_batteries(overrides):
     # Many block start levels here are either too low to reach G before the
     # block's last idle slot or at least G * (idle slots in the block); they
-    # follow closed forms instead of transfer maps. A small _MAP_CELLS maps
-    # a few blocks at a time.
-    if map_cells:
-        monkeypatch.setattr(simulator, "_MAP_CELLS", map_cells)
+    # follow closed forms instead of transfer maps.
     _check(default_params(**overrides), SimConfig(n_slots=20_000, seed=5, warmup=500))
 
 
