@@ -280,15 +280,21 @@ def preset_specs(name, engines="analytic", sim=None) -> list[SweepSpec]:
 # ---------------------------------------------------------------------------
 # output plumbing
 
+def _check_outputs(columns, outputs):
+    """columns, once every name in outputs is one of them."""
+    unknown = [c for c in outputs if c not in columns]
+    if unknown:
+        raise ParameterError([f"outputs: unknown column(s) {', '.join(unknown)}"])
+    return columns
+
+
 def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
     """Write rows as CSV (stable column set) or JSON (full values).
 
     outputs, when given, keeps only those metric columns in the CSV, plus
     the parameter, engine and error columns; each must be one of columns.
     """
-    unknown = [c for c in outputs if c not in columns]
-    if unknown:
-        raise ParameterError([f"outputs: unknown column(s) {', '.join(unknown)}"])
+    _check_outputs(columns, outputs)
     if fmt == "csv":
         if outputs:
             keep = set(outputs) | {"engine", "error"}
@@ -367,12 +373,14 @@ def _sim_config(args) -> SimConfig:
 
 def cmd_analytic(args):
     params = params_from_args(args)
+    budgets = [params.G] if args.fixed_g else range(1, params.E_max + 1)
+    columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in budgets],
+                             args.outputs)
     inputs = _analytic_point(params, "fixed" if args.fixed_g else "optimize")
     report, dc = energy_chain.optimize_g(*inputs), inputs[1]
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
-    columns = PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in sorted(report.mu_s_by_g)]
     if args.dump_pmfs:
         os.makedirs(args.dump_pmfs, exist_ok=True)
         idle, active = harvest.arrival_pmfs(params, dc)
@@ -389,20 +397,17 @@ def cmd_analytic(args):
 
 def cmd_simulate(args):
     params = params_from_args(args)
+    columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + ["pu_queue_mean"]
+                             + [f"occ_{j}" for j in range(params.E_max + 1)], args.outputs)
     result = run_simulation(params, _sim_config(args))
     row = _simulate_row(params, result)
     row["pu_queue_mean"] = result.pu_queue_mean
-    columns = PARAM_FIELDS + METRIC_COLUMNS + ["pu_queue_mean"]
     for j, frac in enumerate(result.energy_occupancy_hist):
         row[f"occ_{j}"] = frac
-    columns += [f"occ_{j}" for j in range(len(result.energy_occupancy_hist))]
     if args.format == "json":
-        row["rf_harvest_hist"] = result.rf_harvest_hist
-        row["nature_harvest_hist"] = result.nature_harvest_hist
-        row["total_harvested"] = result.total_harvested
-        row["total_consumed"] = result.total_consumed
-        row["total_dropped"] = result.total_dropped
-        row["final_energy_level"] = result.final_energy_level
+        row.update({name: getattr(result, name) for name in (
+            "rf_harvest_hist", "nature_harvest_hist", "total_harvested", "total_consumed",
+            "total_dropped", "final_energy_level")})
     write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 
@@ -433,12 +438,13 @@ def _grid_from_args(args):
 
 def cmd_grid(args):
     """sweep (one row per engine and point) or compare (one row per point)."""
+    columns = _check_outputs(PARAM_FIELDS + args.metrics, args.outputs)
     fixed = params_from_args(args)
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
     spec = SweepSpec(args.param, _grid_from_args(args), fixed, engines=args.engine, sim=sim,
                      g_policy=args.g_policy)
     rows = args.run(spec, jobs=args.jobs)
-    write_rows(rows, PARAM_FIELDS + args.metrics, args.out, args.format, args.outputs)
+    write_rows(rows, columns, args.out, args.format, args.outputs)
     return 0
 
 

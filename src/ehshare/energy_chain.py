@@ -106,38 +106,23 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     return EnergyChain(omega=_omegas(np.array([kernels]), [0], [g])[0], g=g)
 
 
-def _power_iteration(omega, chi, tol):
-    """Long-run occupancies of the chains omega (B, n, n) reached from the
-    distributions chi (B, n), chain b converged to tol[b].
-
-    Iterates the lazy kernels K = (I + omega)/2, which have omega's Cesaro
-    limits and no periodic classes, taking chi @ K^(2^s - 1) for s = 1, 2, ...
-    by repeated squaring; convergence is tested over the last 2^s steps, and
-    a chain leaves the stack once it converges. Rows are renormalized after
-    each squaring so that rounding in the row sums cannot compound. Returns
-    the occupancies and a mask of the chains that converged within 2^64
-    steps; the others hold their last iterate.
-    """
+def _occupancy(omega):
+    """Row 0 of the lazy kernels K = (I + omega)/2 of a stack (B, n, n) raised to
+    2^64 by repeated squaring: the long-run occupancy reached from state 0, as K
+    has omega's Cesaro limits and no periodic classes. Rows are renormalized
+    after each squaring so that rounding in the row sums cannot compound."""
     kernel = 0.5 * (np.eye(omega.shape[1]) + omega)
-    out, live = chi.copy(), np.arange(len(chi))
     for _ in range(64):
-        nxt = np.matmul(chi[:, None], kernel)[:, 0]
-        done = np.max(np.abs(nxt - chi), axis=1) < tol[live]
-        out[live[done]] = nxt[done] / nxt[done].sum(axis=1, keepdims=True)
-        live, chi, kernel = live[~done], nxt[~done], kernel[~done]
-        if not live.size:
-            break
         kernel = kernel @ kernel
         kernel /= kernel.sum(axis=2, keepdims=True)
-    out[live] = chi
-    return out, ~np.isin(np.arange(len(out)), live)
+    return kernel[:, 0]
 
 
-def _all_reached(edges):
-    """Per matrix of edges (B, n, n): is every state reachable from state 0?
-    Each sweep ORs the rows of the states the previous one reached first."""
+def _reached(edges, start):
+    """Per matrix of edges (B, n, n): the states (B, n) reachable from state
+    start[b]. Each sweep ORs the rows of the states the previous one reached first."""
     seen = np.zeros(edges.shape[:2], dtype=bool)
-    seen[:, 0] = True
+    seen[np.arange(len(seen)), start] = True
     b, s = np.nonzero(seen)
     while b.size:
         first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
@@ -145,7 +130,7 @@ def _all_reached(edges):
         frontier[b[first]] = np.logical_or.reduceat(edges[b, s], first) & ~seen[b[first]]
         seen |= frontier
         b, s = np.nonzero(frontier)
-    return seen.all(axis=1)
+    return seen
 
 
 def _residuals(omega, chi):
@@ -159,21 +144,32 @@ def _solve_stack(omega):
     Returns chi (B, n) and a dict mapping each chain that got no stationary
     vector to the exception that says why; every other chain gets the vector
     it gets when solved alone. A chain that is not row-stochastic (NaN
-    entries included) is left out. The irreducible chains share one batched
-    LU solve, or are solved one by one if a singular member makes it raise.
-    Reducible chains, with one ReducibleChainWarning each, and chains whose
-    solve misses _TOL then go through power iteration together.
+    entries included) is left out. When the states reached from 0 hold one
+    closed class (all reach 0, or else all reach the top one, t), the balance
+    equations over them, with t's replaced by sum(chi) = 1 and identity rows
+    for the others, have one solution. Such chains share one batched LU
+    solve, or are solved one by one if a singular member makes it raise. The
+    rest, and chains whose solve misses _TOL, go to _occupancy. Each
+    reducible chain gets a ReducibleChainWarning.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
     for b in np.flatnonzero(~ok).tolist():
         failures[b] = ChainError("omega must be row-stochastic")
-    irreducible = ok & _all_reached(omega > 0.0) & _all_reached(np.swapaxes(omega, 1, 2) > 0.0)
-    solved = np.flatnonzero(irreducible)
+    backward = np.swapaxes(omega, 1, 2) > 0.0
+    reached, to_0 = _reached(omega > 0.0, 0), _reached(backward, 0)
+    certified = ok & np.all(to_0 | ~reached, axis=1)
+    top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
+    check = np.flatnonzero(ok & ~certified)
+    if check.size:
+        certified[check] = np.all(_reached(backward[check], top[check]) | ~reached[check], axis=1)
+    solved = np.flatnonzero(certified)
     a = np.swapaxes(omega[solved], 1, 2) - np.eye(n)
-    a[:, -1] = 1.0  # the last balance equation, implied by the others, becomes sum(chi) = 1
-    rhs = np.broadcast_to(np.eye(n)[:, -1:], a.shape[:2] + (1,))  # (B, n, 1): numpy < 2 reads
-    try:                                                           # an (n, 1) rhs as vectors
+    a[np.arange(solved.size), top[solved]] = 1.0  # sum(chi) = 1; t is E_max if irreducible
+    chain, state = np.nonzero(~reached[solved])  # identity rows: chi is 0 where not reached
+    a[chain, state] = np.eye(n)[state]
+    rhs = np.eye(n)[top[solved], :, None]  # (B, n, 1): numpy < 2 reads an (n, 1) rhs as vectors
+    try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         x = np.zeros(rhs.shape)
@@ -186,33 +182,29 @@ def _solve_stack(omega):
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
     residual = _residuals(omega, chi)
-    retry = np.flatnonzero(ok & ~(irreducible & (residual < _TOL)))
-    for _ in np.flatnonzero(ok & ~irreducible):
+    for _ in np.flatnonzero(ok & ~(reached.all(axis=1) & to_0.all(axis=1))):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
                       "an empty queue", ReducibleChainWarning, stacklevel=3)
+    retry = np.flatnonzero(ok & ~(certified & (residual < _TOL)))
     if retry.size:
-        start = np.where(irreducible[retry, None], 1.0 / n, np.eye(n)[0])
-        chi[retry], converged = _power_iteration(omega[retry], start,
-                                                 np.where(irreducible[retry], 1e-12, 1e-14))
+        chi[retry] = _occupancy(omega[retry])
         residual[retry] = _residuals(omega[retry], chi[retry])
-        for b, converged_b in zip(retry.tolist(), converged):
-            if not converged_b:
-                failures[b] = StationarySolveError("power iteration did not converge within "
-                                                   f"2^64 steps (residual {residual[b]:.3e})")
-            elif not residual[b] < _TOL:
-                failures[b] = StationarySolveError(
-                    f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
+        for b in retry[~(residual[retry] < _TOL)].tolist():
+            failures[b] = StationarySolveError(
+                f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
     return chi, failures
 
 
 def stationary(chain: EnergyChain) -> np.ndarray:
     """Solve chi = chi @ omega, store it on the chain, and return it.
 
-    Irreducible chains get the unique stationary vector by an LU solve of
-    chi (omega - I) = 0 with the last equation replaced by sum(chi) = 1, and
-    power iteration if that misses the residual _TOL. Reducible chains are
-    reported with a ReducibleChainWarning and resolved as the long-run
-    occupancy from the empty queue (the simulator's initial condition).
+    The result is the long-run occupancy from the empty queue (the
+    simulator's initial condition); for an irreducible chain that is the
+    unique stationary vector. It comes from an LU solve of chi (omega - I) = 0
+    over the states reached from 0, with the top one's equation replaced by
+    sum(chi) = 1, whenever those states hold one closed class, and from
+    repeated squaring otherwise or if the solve misses the residual _TOL.
+    Reducible chains are reported with a ReducibleChainWarning.
     """
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:

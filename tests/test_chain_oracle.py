@@ -17,6 +17,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.sparse import csr_matrix
@@ -30,6 +31,10 @@ from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, n
 from ehshare.primary_link import pi_idle
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
+
+
+def _no_occupancy(omega):
+    pytest.fail("a model chain left the LU solve for _occupancy")
 
 
 def _at(p, m):
@@ -121,7 +126,8 @@ def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, 
         chain = build_chain(idle, active, pi, g, e_max)
         assert np.array_equal(chain.omega, reference_omega(idle.probs, active.probs, pi, g, e_max))
         ref_chi, reducible = reference_stationary(chain.omega)
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(energy_chain, "_occupancy", _no_occupancy):
             warnings.simplefilter("always", ReducibleChainWarning)
             chi = stationary(chain)
         warned = any(issubclass(w.category, ReducibleChainWarning) for w in caught)
@@ -166,12 +172,22 @@ def _assert_matches_reference(report, warned, ref):
 def test_stacked_budget_search_matches_per_budget_reference(lambda_p, eta, lambda_e, e_max):
     # one ReducibleChainWarning per budget the component test calls reducible
     p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
-    _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
+    with mock.patch.object(energy_chain, "_occupancy", _no_occupancy):
+        _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
+
+
+def test_large_battery_without_primary_traffic_takes_the_lu(monkeypatch):
+    # lambda_p=0, lambda_e=0.5, E_max=100: 76 budgets leave the top states unreached
+    p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=100, G=1)
+    ref = reference_optimize(p)
+    assert len(ref[2]) == 76
+    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
+    _assert_matches_reference(*_optimize_counting_warnings(p), ref)
 
 
 def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
     # lambda_p=0, lambda_e=0.5: some budgets leave the top states unreachable
-    # and others do not, so stacks mix the LU solve with the reducible fallback
+    # and others do not, so stacks mix reducible and irreducible chains
     p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=40, G=1)
     ref = reference_optimize(p)
     assert 0 < len(ref[2]) < p.E_max
@@ -224,6 +240,7 @@ def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
     inputs = _slice_inputs(points)
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
+    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReducibleChainWarning)
         reports = optimize_many(inputs)
@@ -247,6 +264,23 @@ def test_heavy_ambient_arrivals_make_a_reducible_chain():
         chi = stationary(chain)
     assert any(issubclass(w.category, ReducibleChainWarning) for w in caught)
     assert np.max(np.abs(chi - reference_stationary(chain.omega)[0])) <= 1e-12
+
+
+def test_heavy_ambient_chains_warn_and_take_the_lu(monkeypatch):
+    # every budget's chain is reducible at lambda_e=800, E_max=6; the states
+    # reached from 0 still hold one closed class, so the LU solves them all
+    p = default_params(E_max=6, lambda_e=800.0, G=1)
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    omega = np.array([build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)])
+    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ReducibleChainWarning)
+        chi, failures = energy_chain._solve_stack(omega)
+    assert failures == {}
+    assert sum(issubclass(w.category, ReducibleChainWarning) for w in caught) == 6
+    for chi_g, omega_g in zip(chi, omega):
+        assert np.max(np.abs(chi_g - reference_stationary(omega_g)[0])) <= 1e-12
 
 
 def test_overfull_pmf_gives_no_negative_complement():

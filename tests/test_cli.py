@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ehshare
-from ehshare import cli_sweep
+from ehshare import cli_sweep, energy_chain
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
 from ehshare.config import default_params, derive
 from ehshare.energy_chain import mu_e, solve_chain, su_throughput
@@ -180,14 +180,20 @@ def test_sweep_outputs_filter(tmp_path):
     assert "mu_s" in rows[0] and "mu_e" not in rows[0]
 
 
-def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys):
+def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys, monkeypatch):
+    # the columns follow from the parameters, so a bad name fails before any work
     grid, sim = ["--param", "lambda_p", "--values", "0.2"], ["--slots", "2000", "--warmup", "10"]
-    for argv in (["sweep", *grid, "--outputs", "mu_S"],
-                 ["compare", *grid, *sim, "--outputs", "engine"],
-                 ["analytic", "--outputs", "mu_s_g11"],
-                 ["simulate", *sim, "--outputs", "mu_s,occ_11"]):
-        assert main(argv) == 2, argv
-        assert "invalid parameters: outputs: unknown column(s)" in capsys.readouterr().err, argv
+    with monkeypatch.context() as patched:
+        for module, name in ((energy_chain, "optimize_many"), (energy_chain, "optimize_g"),
+                             (cli_sweep, "simulate_many"), (cli_sweep, "run_simulation")):
+            patched.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+        for argv in (["sweep", *grid, "--outputs", "mu_S"],
+                     ["compare", *grid, *sim, "--outputs", "engine"],
+                     ["analytic", "--outputs", "mu_s_g11"],
+                     ["analytic", "--fixed-g", "--g", "2", "--outputs", "mu_s_g1"],
+                     ["simulate", *sim, "--outputs", "mu_s,occ_11"]):
+            assert main(argv) == 2, argv
+            assert "invalid parameters: outputs: unknown column(s)" in capsys.readouterr().err, argv
     out = tmp_path / "narrow.csv"
     for argv, col in ((["analytic", "--outputs", "mu_s_g10"], "mu_s_g10"),
                       (["simulate", *sim, "--outputs", "occ_10,pu_queue_mean"], "pu_queue_mean"),

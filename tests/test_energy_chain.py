@@ -121,7 +121,7 @@ def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
     assert omega.shape == (6, 7, 7)
     direct, failures = energy_chain._solve_stack(omega)
     assert failures == {}
-    solve, power_iteration = np.linalg.solve, energy_chain._power_iteration
+    solve, occupancy = np.linalg.solve, energy_chain._occupancy
     fallbacks = []
 
     def miss_budget_3(a, b):
@@ -129,12 +129,12 @@ def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
         x[2] = 1.0
         return x
 
-    def counted(omega_b, chi, tol):
+    def counted(omega_b):
         fallbacks.append(omega_b)
-        return power_iteration(omega_b, chi, tol)
+        return occupancy(omega_b)
 
     monkeypatch.setattr(np.linalg, "solve", miss_budget_3)
-    monkeypatch.setattr(energy_chain, "_power_iteration", counted)
+    monkeypatch.setattr(energy_chain, "_occupancy", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ReducibleChainWarning)
         chi, failures = energy_chain._solve_stack(omega)
@@ -180,7 +180,7 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
     alone = [optimize_g(*x) for x in inputs]
     p, dc, (idle, active), _ = inputs[1]
     bad = [build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)]
-    if fault == "residual":  # every chain of the middle point misses, power iteration too
+    if fault == "residual":  # every chain of the middle point misses, _occupancy too
         residuals = energy_chain._residuals
 
         def missed(omega, chi):
@@ -217,28 +217,6 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
         assert np.array_equal(out[i].chain.chi, alone[i].chain.chi)
     with pytest.raises(expected):
         optimize_g(*inputs[1])
-
-
-def test_fallback_chains_iterate_together_as_they_would_alone(monkeypatch):
-    # lambda_e=800 makes every budget's chain reducible at E_max=6
-    p = default_params(E_max=6, lambda_e=800.0)
-    dc = derive(p)
-    power_iteration, calls = energy_chain._power_iteration, []
-
-    def recorded(omega, chi, tol):
-        calls.append(len(omega))
-        return power_iteration(omega, chi, tol)
-
-    monkeypatch.setattr(energy_chain, "_power_iteration", recorded)
-    with pytest.warns(ReducibleChainWarning):
-        report = optimize_g(p, dc, arrival_pmfs(p, dc))
-    assert calls == [6]
-    idle, active = arrival_pmfs(p, dc)
-    for g in range(1, 7):
-        omega = build_chain(idle, active, pi_idle(p, dc), g, 6).omega[None]
-        chi, converged = power_iteration(omega, np.eye(7)[:1], np.array([1e-14]))
-        assert converged.all()
-        assert report.mu_s_by_g[g] == su_throughput(EnergyChain(omega[0], g, chi[0]), p, dc)
 
 
 def test_stationary_requires_row_stochastic_matrix():
