@@ -376,14 +376,15 @@ def cmd_analytic(args):
     budgets = [params.G] if args.fixed_g else range(1, params.E_max + 1)
     columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in budgets],
                              args.outputs)
-    inputs = _analytic_point(params, "fixed" if args.fixed_g else "optimize")
-    report, dc = energy_chain.optimize_g(*inputs), inputs[1]
+    dc = derive(params)
+    pmfs = harvest.arrival_pmfs(params, dc)
+    report = energy_chain.optimize_g(params, dc, pmfs, budgets)
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
     if args.dump_pmfs:
         os.makedirs(args.dump_pmfs, exist_ok=True)
-        idle, active = harvest.arrival_pmfs(params, dc)
+        idle, active = pmfs
         idle.write_text(os.path.join(args.dump_pmfs, "idle_arrivals.txt"))
         active.write_text(os.path.join(args.dump_pmfs, "active_arrivals.txt"))
         harvest.rf_pmf(dc, params.E_max).write_text(os.path.join(args.dump_pmfs, "rf_conditional.txt"))

@@ -256,8 +256,9 @@ class ThroughputReport:
     """Analytic summary at one operating point.
 
     mu_s_by_g maps every evaluated energy budget to its secondary
-    throughput; g_star is the first maximizer in evaluation order, chain
-    the solved chain built with g_star and mu_e its consumption rate.
+    throughput, in budget order: the budgets given, or those the search for
+    g* solved. g_star is the first maximizer in budget order, chain the
+    solved chain built with g_star and mu_e its consumption rate.
     """
 
     pi_idle: float
@@ -270,55 +271,75 @@ class ThroughputReport:
     chain: EnergyChain = field(repr=False, compare=False)
 
 
+def _bounds(params, dc, kernels):
+    """Upper bounds s(g) min(pi_idle, m / g) on mu_s(g), g = 1..E_max, from a
+    point's kernels: in steady state the battery spends g pi_idle P(E >= g)
+    packets per slot, no more than the mean m of min(arrivals, E_max) (row 0)."""
+    idle, active = kernels
+    g = np.arange(1, len(idle))
+    s = np.array([success_probability(params, dc, b) for b in g.tolist()])
+    m = (idle[0] + active[0]) @ np.arange(len(idle))
+    return s * np.minimum(primary_link.pi_idle(params, dc), m / g)
+
+
 def optimize_many(points) -> list:
     """optimize_g for every point (params, dc, pmfs, budgets) of a slice at once.
 
     Returns one entry per point, in order: its ThroughputReport, or the
-    exception that failed it while the other points still get theirs. The
-    chains of every (point, budget) pair with the same E_max are gathered,
-    point by point in budget order, into stacks of at most _STACK_CELLS
-    matrix entries, and each stack is one _solve_stack call, so one LU
-    solve serves many points. A chain that fails fails only its own point,
-    and the others get the values they get alone.
+    exception that failed it while the other points still get theirs.
+    Budgets None searches 1..E_max: round 1 solves the budget of largest
+    _bounds, and round 2 each other one whose bound is not below the round-1
+    mu_s, less a 1e-9 margin so that rounding prunes no tie. In each round
+    the chains of every (point, budget) pair with the same E_max are
+    gathered, point by point in budget order, into stacks of at most
+    _STACK_CELLS matrix entries, each one _solve_stack call. A chain that
+    fails fails only its own point; the others get the values they get alone.
     """
     out, found = [None] * len(points), {}
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
-        chains, kernels = [], []
+        chains, searched, kernels = [], [], []
         for i, (params, dc, pmfs, budgets) in enumerate(points):
             if params.E_max != e_max:
                 continue
-            budgets = list(range(1, e_max + 1) if budgets is None else budgets)
+            order = range(1, e_max + 1) if budgets is None else list(budgets)
             try:
-                kernels.append(_kernels(*pmfs, primary_link.pi_idle(params, dc), budgets, e_max))
+                kernels.append(_kernels(*pmfs, primary_link.pi_idle(params, dc), order, e_max))
             except Exception as exc:
                 out[i] = exc
                 continue
-            chains += [(len(kernels) - 1, i, g) for g in budgets]
-            found[i] = ({}, None)
-        kernels = np.array(kernels)
-        per_stack = max(1, _STACK_CELLS // (e_max + 1) ** 2)
-        for s in range(0, len(chains), per_stack):
-            k, point, g = zip(*chains[s:s + per_stack])
-            omega = _omegas(kernels, k, g)
-            chi, failures = _solve_stack(omega)
-            for b, (i, g_b) in enumerate(zip(point, g)):
-                if out[i] is None and b in failures:
-                    out[i] = failures[b]
-                if out[i] is not None:
-                    continue
-                (params, dc, *_), (mu_s_by_g, best) = points[i], found[i]
-                mu_s_by_g[g_b] = su_throughput(EnergyChain(omega[b], g_b, chi[b]), params, dc)
-                if best is None or mu_s_by_g[g_b] > mu_s_by_g[best.g]:
-                    found[i] = mu_s_by_g, EnergyChain(omega[b].copy(), g_b, chi[b].copy())
+            k, found[i] = len(kernels) - 1, [{}, None, order]
+            if budgets is None:
+                searched.append((k, i, _bounds(params, dc, kernels[-1])))
+                order = [int(np.argmax(searched[-1][2])) + 1]
+            chains += [(k, i, g) for g in order]
+        kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
+        while chains:
+            for s in range(0, len(chains), per_stack):
+                k, point, g = zip(*chains[s:s + per_stack])
+                omega = _omegas(kernels, k, g)
+                chi, failures = _solve_stack(omega)
+                for b, (i, g_b) in enumerate(zip(point, g)):
+                    if out[i] is None and b in failures:
+                        out[i] = failures[b]
+                    if out[i] is not None:
+                        continue
+                    (params, dc, *_), (mu_s_by_g, best, order) = points[i], found[i]
+                    mu_s_by_g[g_b] = su_throughput(EnergyChain(omega[b], g_b, chi[b]), params, dc)
+                    if best is None or (mu_s_by_g[g_b], -order.index(g_b)) > (
+                            mu_s_by_g[best.g], -order.index(best.g)):
+                        found[i][1] = EnergyChain(omega[b].copy(), g_b, chi[b].copy())
+            chains, searched = [(k, i, g) for k, i, bound in searched if out[i] is None
+                                for g in range(1, e_max + 1) if g not in found[i][0] and
+                                not bound[g - 1] < max(found[i][0].values()) * (1 - 1e-9)], []
     for i, (params, dc, *_) in enumerate(points):
         if out[i] is None:
-            mu_s_by_g, best = found[i]
+            mu_s_by_g, best, order = found[i]
             out[i] = ThroughputReport(
                 pi_idle=primary_link.pi_idle(params, dc),
                 mu_p=primary_link.mu_p(params, dc),
                 pu_throughput=primary_link.pu_throughput(params, dc),
                 mu_e=mu_e(best, params, dc),
-                mu_s_by_g=mu_s_by_g,
+                mu_s_by_g={g: mu_s_by_g[g] for g in order if g in mu_s_by_g},
                 g_star=best.g,
                 mu_s_star=mu_s_by_g[best.g],
                 chain=best,
@@ -328,11 +349,13 @@ def optimize_many(points) -> list:
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,
                pmfs: tuple[HarvestPmf, HarvestPmf], budgets=None) -> ThroughputReport:
-    """Evaluate each energy budget (default every one in 1..E_max) and pick the best.
+    """Evaluate the given energy budgets, or search 1..E_max for g* if None.
 
     The one-point case of optimize_many; it raises the point's failure. Each
-    budget's chain is solved as in stationary (_solve_stack). Ties break
-    toward the budget evaluated first, the smallest by default.
+    budget's chain is solved as in stationary (_solve_stack); the search
+    solves only the budgets that energy balance cannot rule out, so
+    ReducibleChainWarning fires for those alone. Ties break toward the budget
+    given first, or the smallest when searching.
     """
     (report,) = optimize_many([(params, dc, pmfs, budgets)])
     if isinstance(report, Exception):

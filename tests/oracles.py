@@ -1,14 +1,17 @@
 """Independent routes to quantities the library computes, used only as test
 oracles: scalar and physical-energy harvest draws, the capped ratio cdf at
 the model's rates, the channel-inversion power, dBm conversion back from
-Watts, and the mean of a truncated pmf.
+Watts, the mean of a truncated pmf, and the search for g* checked against
+the report of an exhaustive one.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from ehshare.config import DerivedConstants, SystemParams, derive
+from ehshare.energy_chain import ReducibleChainWarning, optimize_g
 from ehshare.harvest import HarvestPmf, ratio_cap_cdf
 from ehshare.simulator import _rf_packets
 
@@ -72,3 +75,16 @@ def watts_to_dbm(p_watts):
 def pmf_mean(pmf: HarvestPmf) -> float:
     """Mean packet count of the truncated support."""
     return float(np.arange(pmf.probs.size) @ pmf.probs)
+
+
+def assert_search_matches(exhaustive, params, dc, pmfs):
+    """optimize_g's search for g* (budgets None) picks exhaustive's g_star,
+    mu_s_star, mu_e and stationary vector bit for bit, and every budget it
+    solves has the exhaustive value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        searched = optimize_g(params, dc, pmfs)
+    assert (searched.g_star, searched.mu_s_star, searched.mu_e) \
+        == (exhaustive.g_star, exhaustive.mu_s_star, exhaustive.mu_e)
+    assert np.array_equal(searched.chain.chi, exhaustive.chain.chi)
+    assert searched.mu_s_by_g.items() <= exhaustive.mu_s_by_g.items()

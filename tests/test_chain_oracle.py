@@ -9,7 +9,8 @@ balance equations with the normalization row appended, a
 strongly-connected-components test with an absorption-probability mixture
 for reducible chains, a one-budget-at-a-time search over the energy
 budgets, scipy.stats for the ambient Poisson pmf, and pmfs over their whole
-TAIL_EPS support for the pmfs cut at E_max.
+TAIL_EPS support for the pmfs cut at E_max. The search for g* that energy
+balance prunes is checked against the search over every budget.
 """
 
 import math
@@ -29,6 +30,7 @@ from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chai
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from ehshare.primary_link import pi_idle
+from oracles import assert_search_matches
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
@@ -151,10 +153,13 @@ def reference_optimize(p):
 
 
 def _optimize_counting_warnings(p):
+    """Every budget's report and its warning count; the search for g* must match it."""
     dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReducibleChainWarning)
-        report = optimize_g(p, dc, arrival_pmfs(p, dc))
+        report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
+    assert_search_matches(report, p, dc, pmfs)
     return report, sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
 
 
@@ -237,7 +242,7 @@ def test_slice_stacks_match_each_point_solved_alone(points, cells):
 def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
     points = [(6, 800.0, 0.4, 0.6, None), (40, 0.5, 0.0, 0.6, None), (10, 0.0, 0.4, 0.6, None),
               (40, 800.0, 1.0, 0.0, None), (1, 0.5, 0.0, 0.0, None), (6, 0.5, 0.0, 0.6, None)]
-    inputs = _slice_inputs(points)
+    inputs = [(p, dc, pmfs, range(1, p.E_max + 1)) for p, dc, pmfs, _ in _slice_inputs(points)]
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
     monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
@@ -246,8 +251,128 @@ def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
         reports = optimize_many(inputs)
     warned = sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
     assert warned == sum(len(ref[2]) for ref in refs) > 0
-    for report, ref in zip(reports, refs):
+    for report, ref, (p, dc, pmfs, _) in zip(reports, refs, inputs):
         _assert_matches_reference(report, len(ref[2]), ref)
+        assert_search_matches(report, p, dc, pmfs)
+
+
+def _bounds_of(p, dc, pmfs):
+    kernels = energy_chain._kernels(*pmfs, pi_idle(p, dc), [1], p.E_max)
+    return energy_chain._bounds(p, dc, kernels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lambda_p=st.sampled_from([0.0, 0.4, 1.0]), eta=st.sampled_from([0.0, 0.6, 1.0]),
+       lambda_e=st.sampled_from([0.0, 0.5, 800.0]),
+       p_max_dbm=st.sampled_from([1.76, 10.0, 40.0, 50.0]), e_max=st.sampled_from([1, 6, 40, 100]))
+def test_energy_balance_bounds_every_budget(lambda_p, eta, lambda_e, p_max_dbm, e_max):
+    # mu_s(g) = pi_idle s(g) P(E >= g) <= s(g) min(pi_idle, m / g), as the battery
+    # spends g pi_idle P(E >= g) per slot and accepts at most m = E[min(A, E_max)]
+    p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e,
+                       P_max=dbm_to_watts(p_max_dbm), E_max=e_max, G=1)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
+    bound = _bounds_of(p, dc, pmfs)
+    assert all(report.mu_s_by_g[g] <= bound[g - 1] * (1 + 1e-12) for g in report.mu_s_by_g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.4, 0.8, 1.0]),
+                                 st.sampled_from([0.0, 0.6, 1.0]),
+                                 st.sampled_from([0.0, 0.5, 2.0, 50.0, 800.0]),
+                                 st.sampled_from([1, 3, 6, 10, 40, 100]),
+                                 st.sampled_from([0.5, 1e-3])), min_size=1, max_size=4))
+def test_pruned_search_equals_the_exhaustive_one(points):
+    # a slice's round-2 stacks mix the budgets that several points keep
+    inputs = []
+    for lambda_p, eta, lambda_e, e_max, sigma_ppd in points:
+        p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max,
+                           sigma_ppd=sigma_ppd, G=1)
+        dc = derive(p)
+        inputs.append((p, dc, arrival_pmfs(p, dc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        searched = optimize_many([x + (None,) for x in inputs])
+        full = optimize_many([x + (range(1, x[0].E_max + 1),) for x in inputs])
+    for s, f in zip(searched, full):
+        assert (s.g_star, s.mu_s_star, s.mu_e) == (f.g_star, f.mu_s_star, f.mu_e)
+        assert np.array_equal(s.chain.chi, f.chain.chi)
+        assert np.array_equal(s.chain.omega, f.chain.omega)
+        assert s.mu_s_by_g.items() <= f.mu_s_by_g.items()
+        assert list(s.mu_s_by_g) == sorted(s.mu_s_by_g)
+
+
+def test_bounds_of_zero_keep_every_budget_and_the_smallest_wins(monkeypatch):
+    # lambda_p = lambda_e = 0: nothing is harvested, so m = 0, every bound and
+    # every mu_s is 0, nothing is pruned and all budgets tie
+    p = default_params(lambda_p=0.0, lambda_e=0.0, eta=0.6, E_max=10, G=1)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    assert not np.any(_bounds_of(p, dc, pmfs))
+    stacks, solve_stack = [], energy_chain._solve_stack
+    monkeypatch.setattr(energy_chain, "_solve_stack",
+                        lambda omega: stacks.append(len(omega)) or solve_stack(omega))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        report = optimize_g(p, dc, pmfs)
+        assert list(report.mu_s_by_g) == list(range(1, 11)) and stacks == [1, 9]
+        assert report.g_star == 1 and report.mu_s_star == 0.0
+        # round 1 solving the largest budget must not let it win the tie
+        monkeypatch.setattr(energy_chain, "_bounds", lambda p, dc, k: np.arange(1.0, 11.0))
+        report = optimize_g(p, dc, pmfs)
+    assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 11))
+
+
+def test_a_bound_rounded_below_a_tie_prunes_nothing(monkeypatch):
+    # lambda_e = 800 keeps the battery full and sigma_ssd = 1e30 rounds s(g) to
+    # 1, so every budget ties at mu_s = pi_idle. Bounds 1e-12 below that tie,
+    # as rounding could leave them, must not prune the smaller budgets.
+    p = default_params(lambda_e=800.0, sigma_ssd=1e30, E_max=6, G=1)
+    dc = derive(p)
+    pmfs, pi = arrival_pmfs(p, dc), pi_idle(p, dc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
+        monkeypatch.setattr(energy_chain, "_bounds",
+                            lambda p, dc, k: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
+        report = optimize_g(p, dc, pmfs)
+    assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 7))
+
+
+@pytest.mark.parametrize("budget", ["pruned", "solved"])
+def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
+    # three points of one E_max, so that their chains share stacks
+    inputs = [x[:3] for x in _slice_inputs([(10, 0.5, 0.4, 0.6, None), (10, 0.5, 0.2, 0.6, None),
+                                            (10, 0.5, 0.8, 0.6, None)])]
+    p, dc, (idle, active) = inputs[1]
+    alone = [optimize_g(*x) for x in inputs]
+    pruned = sorted(set(range(1, 11)) - set(alone[1].mu_s_by_g))
+    assert pruned and alone[1].g_star in alone[1].mu_s_by_g
+    g = pruned[-1] if budget == "pruned" else alone[1].g_star
+    bad = build_chain(idle, active, pi_idle(p, dc), g, 10).omega
+    residuals = energy_chain._residuals
+
+    def missed(omega, chi):  # the faulty chain misses the residual, _occupancy too
+        r = residuals(omega, chi)
+        r[[np.array_equal(w, bad) for w in omega]] = np.inf
+        return r
+
+    monkeypatch.setattr(energy_chain, "_residuals", missed)
+    out = optimize_many([x + (None,) for x in inputs])
+    for i in (0, 2):
+        assert out[i].mu_s_by_g == alone[i].mu_s_by_g and out[i].g_star == alone[i].g_star
+        assert np.array_equal(out[i].chain.chi, alone[i].chain.chi)
+    if budget == "solved":
+        assert isinstance(out[1], energy_chain.StationarySolveError)
+    else:
+        assert out[1].mu_s_by_g == alone[1].mu_s_by_g and out[1].g_star == alone[1].g_star
+        assert np.array_equal(out[1].chain.chi, alone[1].chain.chi)
+    # every budget solved: the fault fails the point either way
+    with pytest.raises(energy_chain.StationarySolveError):
+        optimize_g(p, dc, (idle, active), range(1, 11))
 
 
 def test_heavy_ambient_arrivals_make_a_reducible_chain():

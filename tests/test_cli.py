@@ -49,6 +49,19 @@ def test_analytic_report_row(tmp_path):
 
 
 
+def test_analytic_reports_every_budget(tmp_path):
+    # the search for g* skips budgets; analytic still writes all of them
+    out = tmp_path / "point.json"
+    assert main(["analytic", "--e-max", "12", "--format", "json", "--out", str(out)]) == 0
+    (row,) = json.loads(out.read_text())
+    p = default_params(E_max=12)
+    dc = derive(p)
+    report = energy_chain.optimize_g(p, dc, arrival_pmfs(p, dc), budgets=range(1, 13))
+    assert [c for c in row if c.startswith("mu_s_g")] == [f"mu_s_g{g}" for g in range(1, 13)]
+    assert all(row[f"mu_s_g{g}"] == report.mu_s_by_g[g] for g in range(1, 13))
+    assert row["g"] == report.g_star and row["mu_s"] == report.mu_s_star
+
+
 def test_analytic_fixed_budget_reports_that_budget_only(tmp_path):
     out = tmp_path / "fixed.csv"
     assert main(["analytic", "--g", "3", "--fixed-g", "--out", str(out)]) == 0

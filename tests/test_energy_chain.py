@@ -15,6 +15,7 @@ from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
+from oracles import assert_search_matches
 
 P = default_params()
 DC = derive(P)
@@ -157,9 +158,10 @@ def test_lu_right_hand_side_carries_the_stack_shape(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recorded)
     p = default_params(E_max=6)
     dc = derive(p)
-    optimize_g(p, dc, arrival_pmfs(p, dc))
+    optimize_g(p, dc, arrival_pmfs(p, dc), range(1, 7))
     stationary(EnergyChain(omega=np.array([[0.7, 0.3], [0.2, 0.8]]), g=1))
-    optimize_many(_slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "G": 3}, budgets=[None, (3,)]))
+    optimize_many(_slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "G": 3},
+                         budgets=[range(1, 7), (3,)]))
     assert [a for a, _ in shapes] == [(6, 7, 7), (1, 2, 2), (7, 7, 7)]
     assert all(b == a[:-1] + (1,) for a, b in shapes)
 
@@ -176,7 +178,8 @@ def _slice(*overrides, budgets=None):
 
 @pytest.mark.parametrize("fault", ["residual", "nan", "singular"])
 def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
-    inputs = _slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "lambda_e": 0.5}, {"lambda_p": 0.8})
+    inputs = _slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "lambda_e": 0.5}, {"lambda_p": 0.8},
+                    budgets=[range(1, 7)] * 3)
     alone = [optimize_g(*x) for x in inputs]
     p, dc, (idle, active), _ = inputs[1]
     bad = [build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)]
@@ -191,7 +194,7 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
         monkeypatch.setattr(energy_chain, "_residuals", missed)
         expected = StationarySolveError
     elif fault == "nan":  # a NaN pmf passes HarvestPmf's checks
-        inputs[1] = (p, dc, (pmf(np.nan, 1.0), active), None)
+        inputs[1] = (p, dc, (pmf(np.nan, 1.0), active), range(1, 7))
         expected = ChainError
     else:  # np.linalg.solve raises for the whole stack when one member is singular
         solve, singular = np.linalg.solve, []
@@ -215,6 +218,7 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
     for i in (0, 2):
         assert out[i].mu_s_by_g == alone[i].mu_s_by_g and out[i].g_star == alone[i].g_star
         assert np.array_equal(out[i].chain.chi, alone[i].chain.chi)
+        assert_search_matches(alone[i], *inputs[i][:3])
     with pytest.raises(expected):
         optimize_g(*inputs[1])
 
@@ -253,7 +257,10 @@ def test_no_least_squares_solve_on_the_runtime_path(monkeypatch, tmp_path):
     for e_max in (10, 40):
         p = default_params(E_max=e_max, lambda_e=0.5)
         dc = derive(p)
-        assert len(optimize_g(p, dc, arrival_pmfs(p, dc)).mu_s_by_g) == e_max
+        pmfs = arrival_pmfs(p, dc)
+        report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
+        assert len(report.mu_s_by_g) == e_max
+        assert_search_matches(report, p, dc, pmfs)
     out = tmp_path / "fig2.csv"
     assert main(["preset", "fig2", "--jobs", "1", "--out", str(out)]) == 0
     with open(out, newline="") as fh:
@@ -372,7 +379,8 @@ def test_optimize_equals_exhaustive_reevaluation():
         p = default_params(**over)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        report = optimize_g(p, dc, (idle, active))
+        report = optimize_g(p, dc, (idle, active), range(1, p.E_max + 1))
+        assert_search_matches(report, p, dc, (idle, active))
         pi = pi_idle(p, dc)
         best_g, best_v = None, -1.0
         for g in range(1, p.E_max + 1):
