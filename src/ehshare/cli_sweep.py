@@ -35,8 +35,8 @@ class SweepSpec:
     """One swept parameter over a strictly monotone grid.
 
     engines: 'analytic', 'simulate', or 'both'. g_policy 'optimize' picks
-    the throughput-maximizing energy budget per point (the simulator then
-    reuses it when both engines run); 'fixed' keeps the configured G.
+    the throughput-maximizing energy budget per point, which the simulator
+    reuses when both engines run (alone, it runs at G); 'fixed' keeps G.
     """
 
     swept_param: str

@@ -9,6 +9,7 @@ truncated pmf tails back in.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,36 +46,36 @@ class EnergyChain:
     chi: np.ndarray | None = None
 
 
-def _arrival_rows(probs, base, e_max):
-    """Per-row arrival kernel of one slot type, shape (len(base), e_max+1).
+def _arrival_rows(probs, e_max):
+    """Arrival kernel of one slot type, (e_max+1, e_max+1), from base level j.
 
-    Row j holds pmf(k - base[j]) for k < e_max and, in column e_max, the
-    complement Pr{arrivals >= e_max - base[j]}, clamped at 0: a pmf summing
-    to 1 + 1ulp must not produce a negative transition probability. Only the
+    Row j holds pmf(k - j) for k < e_max and, in column e_max, the
+    complement Pr{arrivals >= e_max - j}, clamped at 0: a pmf summing to
+    1 + 1ulp must not produce a negative transition probability. Only the
     first e_max pmf entries can land below the top state.
     """
     head = probs[:e_max]
     padded = np.concatenate([np.zeros(e_max), head, np.zeros(e_max - head.size)])
     cum = np.concatenate([[0.0], np.cumsum(padded[e_max:])])
-    rows = np.empty((base.size, e_max + 1))
-    rows[:, :e_max] = padded[np.arange(e_max) + e_max - base[:, None]]
-    rows[:, e_max] = np.maximum(0.0, 1.0 - cum[e_max - base])
+    rows = np.empty((e_max + 1, e_max + 1))
+    rows[:, :e_max] = padded[np.arange(e_max) + np.arange(e_max, -1, -1)[:, None]]
+    rows[:, e_max] = np.maximum(0.0, 1.0 - cum[::-1])
     return rows
 
 
 def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
-    """Check every input, then return the idle and active kernels, (n, n)
-    each, that the chains of every budget are gathered from (_omegas)."""
+    """Check every input, then return the budgets as ints and the idle and
+    active kernels, (n, n) each, that their chains are gathered from (_omegas)."""
     if not budgets:
         raise ChainError("budgets: must be nonempty")
+    budgets = [operator.index(g) if hasattr(g, "__index__") else g for g in budgets]
     for g in budgets:
         if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-    pi, stay = float(pi_idle), np.arange(e_max + 1)
-    return (pi * _arrival_rows(p_idle_arrivals.probs, stay, e_max),
-            (1.0 - pi) * _arrival_rows(p_active_arrivals.probs, stay, e_max))
+    return (budgets, pi_idle * _arrival_rows(p_idle_arrivals.probs, e_max),
+            (1.0 - pi_idle) * _arrival_rows(p_active_arrivals.probs, e_max))
 
 
 def _omegas(kernels, point, g):
@@ -102,7 +103,7 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     complementary sums, which hold each pmf's tail_mass, so every row
     totals 1 by construction.
     """
-    kernels = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max)
+    (g,), *kernels = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max)
     return EnergyChain(omega=_omegas(np.array([kernels]), [0], [g])[0], g=g)
 
 
@@ -303,10 +304,11 @@ def optimize_many(points) -> list:
                 continue
             order = range(1, e_max + 1) if budgets is None else list(budgets)
             try:
-                kernels.append(_kernels(*pmfs, primary_link.pi_idle(params, dc), order, e_max))
+                order, *kernel = _kernels(*pmfs, primary_link.pi_idle(params, dc), order, e_max)
             except Exception as exc:
                 out[i] = exc
                 continue
+            kernels.append(kernel)
             k, found[i] = len(kernels) - 1, [{}, None, order]
             if budgets is None:
                 searched.append((k, i, _bounds(params, dc, kernels[-1])))

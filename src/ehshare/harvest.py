@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DerivedConstants, ParameterError, SystemParams
+from .config import DerivedConstants, SystemParams
 
 TAIL_EPS = 1e-12
 
@@ -78,49 +78,44 @@ def ratio_cap_cdf(z, lam_x, lam_y, a):
     return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
 
 
-def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
-    """Raw per-bin increments of the capped ratio cdf at packet boundaries,
-    over the support rule's bins (see the module docstring).
+def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
+    """Packets converted from one primary transmission, conditioned on it.
 
-    These telescope to exp(-lambda_y * a), the probability the primary
-    transmits, not to 1: they carry the event {primary transmits}.
+    The count reaches n >= 1 with probability
+    T(n) = exp(-a x(n)) / (1 + x(n) / lambda_y), x(n) = lambda_x alpha n,
+    and bin n is T(n) - T(n+1), T(0) = 1. eta == 0 gives a point mass at
+    zero packets, and so does a primary that never transmits (a = inf):
+    the chain weights its active slots by 0.
+    """
+    if dc.rf_degenerate:
+        return HarvestPmf(np.array([1.0]), 0.0, KIND_RF_CONDITIONAL)
+    # T(n) for n = 1..n_max; it falls with n, so the support ends one bin
+    # past the last tail >= TAIL_EPS
+    x = dc.lambda_x * dc.alpha * np.arange(1, n_max + 1)
+    tails = np.exp(-dc.a * x) / (1.0 + x / dc.lambda_y)
+    n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
+    # bin n is T(n) (1 - T(n+1) / T(n)) = T(n) (1 - e^-c + e^-c x(1) / (lambda_y
+    # + x(n+1))) with c = a x(1): two nonnegative terms, so no bin cancels
+    c = dc.a * x[0]
+    drop = -math.expm1(-c) + math.exp(-c) * x[0] / (dc.lambda_y + x[:n])
+    return HarvestPmf(np.concatenate(([1.0], tails[:n - 1])) * drop, float(tails[n - 1]),
+                      KIND_RF_CONDITIONAL)
+
+
+def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
+    """rf_pmf's bins times exp(-lambda_y * a), the probability the primary
+    transmits: the joint probabilities of {primary transmits, count = n}.
+
+    They telescope to that probability, not to 1.
     """
     if dc.rf_degenerate:
         raise ValueError("RF harvesting yields no packets (eta == 0 or alpha * lambda_x "
                          "overflows): RF increments are undefined")
-    # Pr{count >= n | transmits} in closed form for n = 1..n_max; it falls
-    # with n, so the support ends one bin past the last tail >= TAIL_EPS
-    z = dc.alpha * np.arange(1, n_max + 1)
-    tails = (dc.lambda_y / (dc.lambda_y + dc.lambda_x * z)) * np.exp(-dc.a * dc.lambda_x * z)
-    n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
-    grid = dc.alpha * np.arange(n + 1, dtype=float)
-    return np.diff(ratio_cap_cdf(grid, dc.lambda_x, dc.lambda_y, dc.a))
+    return math.exp(-dc.lambda_y * dc.a) * rf_pmf(dc, n_max).probs
 
 
 def _with_tail(probs, kind):
     return HarvestPmf(probs, max(0.0, 1.0 - math.fsum(probs)), kind)
-
-
-def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
-    """Distribution of packets converted from one primary transmission.
-
-    The raw cdf increments are divided by exp(-lambda_y*a), so the pmf
-    conditions on the primary actually transmitting; this is the version
-    consistent with weighting active slots by their own probability in the
-    energy-queue chain.
-
-    eta == 0 degenerates to a point mass at zero packets. A primary that
-    never transmits (exp(-lambda_y*a) underflows to 0) leaves the pmf
-    undefined: a ParameterError names the fields of a and sigma_ppd.
-    """
-    if dc.rf_degenerate:
-        return HarvestPmf(np.array([1.0]), 0.0, KIND_RF_CONDITIONAL)
-    transmits = math.exp(-dc.lambda_y * dc.a)
-    if not transmits > 0.0:
-        raise ParameterError([f"P_max, sigma_ppd, N0, W, beta, T: the primary never transmits "
-                              f"(exp(-a / sigma_ppd) = 0 at a = {dc.a:g}), and the RF harvest "
-                              f"(eta > 0) is conditioned on a transmission"])
-    return _with_tail(rf_increments(dc, n_max) / transmits, KIND_RF_CONDITIONAL)
 
 
 def _poisson_terms(m, size):

@@ -257,7 +257,7 @@ def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
 
 
 def _bounds_of(p, dc, pmfs):
-    kernels = energy_chain._kernels(*pmfs, pi_idle(p, dc), [1], p.E_max)
+    _, *kernels = energy_chain._kernels(*pmfs, pi_idle(p, dc), [1], p.E_max)
     return energy_chain._bounds(p, dc, kernels)
 
 

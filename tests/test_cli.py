@@ -178,6 +178,33 @@ def test_sweep_both_engines_share_optimized_budget(tmp_path):
         assert int(sim["seed"]) == 4  # common random numbers across points
 
 
+def test_fixed_g_policy_runs_every_engine_at_the_configured_budget(tmp_path):
+    out, sim = tmp_path / "fixed.csv", ["--slots", "20000", "--warmup", "1000"]
+    grid = ["--param", "lambda_p", "--values", "0.2,0.4", "--g", "3", "--g-policy", "fixed"]
+    assert main(["sweep", *grid, "--engine", "both", *sim, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["engine"] for r in rows] == ["analytic", "simulate"] * 2
+    assert all(r["g"] == "3" and r["error"] == "" for r in rows)
+    fixed = []
+    for lambda_p in (0.2, 0.4):
+        p = default_params(lambda_p=lambda_p, G=3)
+        fixed.append(energy_chain.optimize_g(p, derive(p), arrival_pmfs(p, derive(p)), [3]))
+    assert [float(r["mu_s"]) for r in rows[::2]] == [r.mu_s_star for r in fixed]
+    assert main(["compare", *grid, *sim, "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["g"] for r in rows] == ["3", "3"]
+    assert [float(r["a_mu_s"]) for r in rows] == [r.mu_s_star for r in fixed]
+
+
+def test_simulate_sweep_runs_at_the_configured_budget(tmp_path):
+    # no analytic engine runs, so the default policy has no optimum to reuse
+    out = tmp_path / "sim.csv"
+    assert main(["sweep", "--param", "lambda_p", "--values", "0.2,0.4", "--g", "3",
+                 "--engine", "simulate", "--slots", "20000", "--warmup", "1000",
+                 "--out", str(out)]) == 0
+    assert [r["g"] for r in read_csv(out)] == ["3", "3"]
+
+
 def test_sweep_integer_parameter(tmp_path):
     out = tmp_path / "emax.csv"
     assert main(["sweep", "--param", "E_max", "--values", "2,4,6",
@@ -484,14 +511,36 @@ def test_extreme_inputs_exit_2_naming_the_field(argv, field, capsys):
     ("--beta", "1e-300", "beta"),
     ("--t", "1e30", "T"),
     ("--w", "1e-300", "W"),
-    ("--n0", "1e30", "N0"),
-    ("--p-max", "1e-300", "P_max"),
-    ("--sigma-ppd", "1e-300", "sigma_ppd"),
 ])
 def test_extreme_finite_inputs_exit_2_naming_the_field(flag, value, field, capsys):
     assert main(["analytic", flag, value]) == 2
     err = capsys.readouterr().err
     assert field in err.split("invalid parameters: ", 1)[1].split(":", 1)[0].split(", ")
+
+
+@pytest.mark.parametrize("flags", [["--n0", "1e30"], ["--p-max", "1e-300"],
+                                   ["--sigma-ppd", "1e-300"], ["--n0", "1e30", "--p-max", "1e-300"]],
+                         ids=["N0", "P_max", "sigma_ppd", "N0-P_max"])
+def test_a_primary_that_never_transmits_gets_the_eta_0_row(flags, tmp_path):
+    # the RF harvest conditions on a transmission that never happens; active
+    # slots have weight 0, so every budget's mu_s is the one without RF
+    rows = []
+    for eta in ("0.6", "0"):
+        out = tmp_path / f"eta{eta}.csv"
+        assert main(["analytic", *flags, "--eta", eta, "--out", str(out)]) == 0
+        rows.append(read_csv(out)[0])
+    assert rows[0]["error"] == "" and rows[0]["mu_p"] == "0.0"
+    assert {**rows[0], "eta": ""} == {**rows[1], "eta": ""}
+
+
+def test_compare_at_a_primary_that_never_transmits_agrees_with_the_simulator(tmp_path):
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--param", "lambda_p", "--values", "0.2,0.6", "--lambda-e", "0.5",
+                 "--p-max", "1e-300", "--out", str(out)]) == 0
+    for row in read_csv(out):
+        assert row["error"] == ""
+        a, s = float(row["a_mu_s"]), float(row["s_mu_s"])
+        assert abs(a - s) <= max(0.05 * a, 0.01)
 
 
 def test_sweep_rejects_empty_grid():

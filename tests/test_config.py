@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,26 +41,31 @@ def test_every_violation_is_reported():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("beta", 1e30), ("beta", 1e-300), ("T", 1e30), ("W", 1e-300), ("N0", 1e30),
-    ("P_max", 1e-300), ("sigma_ppd", 1e-300),
+    ("beta", 1e30), ("beta", 1e-300), ("T", 1e30), ("W", 1e-300),
 ])
 def test_extreme_finite_values_are_rejected_by_name(field, value):
-    # 2**R_s overflows or N0 * W * (2**R_p - 1) vanishes (derive), or the
-    # primary never transmits, which the RF harvest pmf conditions on
+    # 2**R_s overflows or N0 * W * (2**R_p - 1) vanishes (derive)
     p = default_params(**{field: value})
     with pytest.raises(ParameterError) as exc:
         arrival_pmfs(p, derive(p))
     assert field in exc.value.fields
 
 
-def test_a_primary_that_never_transmits_needs_rf_harvesting_off():
-    p = default_params(N0=1e30)
+@pytest.mark.parametrize("over", [{"N0": 1e30}, {"P_max": 1e-300}, {"sigma_ppd": 1e-300},
+                                  {"N0": 1e30, "P_max": 1e-300}, {"sigma_ppd": 1e-310}],
+                         ids=["N0", "P_max", "sigma_ppd", "N0-P_max", "sigma_ppd-subnormal"])
+def test_a_primary_that_never_transmits_solves_as_with_eta_0(over):
+    # the RF harvest conditions on a transmission of probability 0; the
+    # chain gives active slots weight 0, so eta cannot matter. A subnormal
+    # sigma_ppd makes lambda_y = 1 / sigma_ppd infinite.
+    p = default_params(**over)
     assert mu_p(p, derive(p)) == 0.0
-    with pytest.raises(ParameterError) as exc:
-        arrival_pmfs(p, derive(p))
-    assert exc.value.fields == ["P_max", "sigma_ppd", "N0", "W", "beta", "T"]
-    p = replace(p, eta=0.0)
-    assert arrival_pmfs(p, derive(p))[1].probs.tolist() == [1.0]
+    off = replace(p, eta=0.0)
+    for budgets in (None, range(1, p.E_max + 1)):
+        on_r, off_r = (optimize_g(q, derive(q), arrival_pmfs(q, derive(q)), budgets)
+                       for q in (p, off))
+        assert on_r.mu_s_by_g == off_r.mu_s_by_g and on_r.g_star == off_r.g_star
+        assert np.array_equal(on_r.chain.omega, off_r.chain.omega)
 
 
 @pytest.mark.parametrize("over", [{"sigma_ps": 1e-310}, {"eta": 1e-300, "beta": 1e-10}])

@@ -249,6 +249,18 @@ def test_optimize_rejects_empty_and_bad_budgets_before_solving(monkeypatch):
             optimize_g(p, dc, pmfs, budgets=[1, 2, 3, 4, 5, 6, bad])
 
 
+def test_numpy_integer_budgets_give_the_report_of_python_ints():
+    p = default_params(E_max=6)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    want = optimize_g(p, dc, pmfs, range(1, 4))
+    for budgets in (np.arange(1, 4), [np.int64(1), np.int32(2), np.uint8(3)]):
+        report = optimize_g(p, dc, pmfs, budgets)
+        assert report == want and np.array_equal(report.chain.omega, want.chain.omega)
+        assert type(report.g_star) is int and all(type(g) is int for g in report.mu_s_by_g)
+    assert build_chain(*pmfs, pi_idle(p, dc), np.int64(2), p.E_max).g == 2
+
+
 def test_no_least_squares_solve_on_the_runtime_path(monkeypatch, tmp_path):
     def banned(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq called")

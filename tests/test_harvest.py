@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from ehshare import default_params, derive
+from ehshare import dbm_to_watts, default_params, derive
 from ehshare.harvest import (HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              ratio_cap_cdf, rf_increments, rf_pmf)
 from oracles import f_of_z, pmf_mean, rf_harvest_samples
@@ -92,6 +92,27 @@ def test_rf_pmf_degenerates_without_conversion():
     p0 = default_params(eta=0.0)
     pmf = rf_pmf(derive(p0), FULL)
     assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
+
+
+@pytest.mark.parametrize("p_max_dbm", [30.0, 46.0])
+def test_rf_pmf_tail_bins_keep_full_relative_precision(p_max_dbm):
+    # with T(n) = Pr{count >= n | transmits}, bin n is T(n) - T(n+1); the
+    # reference takes it as T(n) (1 - T(n+1) / T(n)) with the ratio in log
+    # form, free of cancellation down to the last bin near TAIL_EPS
+    dc = derive(default_params(eta=0.9, P_max=dbm_to_watts(p_max_dbm)))
+    probs = rf_pmf(dc, 10**6).probs
+    z, step = dc.alpha * np.arange(probs.size), dc.lambda_x * dc.alpha
+    at_least = dc.lambda_y / (dc.lambda_y + dc.lambda_x * z) * np.exp(-dc.a * dc.lambda_x * z)
+    log_ratio = -dc.a * step + np.log1p(-step / (dc.lambda_y + dc.lambda_x * z + step))
+    assert np.max(np.abs(probs / (at_least * -np.expm1(log_ratio)) - 1.0)) < 1e-12
+
+
+def test_rf_pmf_of_a_primary_that_never_transmits_is_a_point_mass():
+    dc = derive(default_params(N0=1e30, P_max=1e-300))
+    assert dc.a == math.inf and not dc.rf_degenerate
+    pmf = rf_pmf(dc, FULL)
+    assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
+    assert rf_increments(dc, FULL).tolist() == [0.0]
 
 
 def test_nature_pmf_without_arrivals():
