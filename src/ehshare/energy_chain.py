@@ -119,19 +119,33 @@ def _occupancy(omega):
     return kernel[:, 0]
 
 
-def _reached(edges, start):
-    """Per matrix of edges (B, n, n): the states (B, n) reachable from state
-    start[b]. Each sweep ORs the rows of the states the previous one reached first."""
-    seen = np.zeros(edges.shape[:2], dtype=bool)
-    seen[np.arange(len(seen)), start] = True
-    b, s = np.nonzero(seen)
-    while b.size:
-        first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
-        frontier = np.zeros_like(seen)
-        frontier[b[first]] = np.logical_or.reduceat(edges[b, s], first) & ~seen[b[first]]
-        seen |= frontier
-        b, s = np.nonzero(frontier)
-    return seen
+def _closure(edges):
+    """Reflexive transitive closure of each boolean matrix of edges (B, n, n),
+    as float32 0/1: entry [b, i, j] is 1 iff chain b can go from i to j.
+
+    Munro's 2x2 block recursion, O(n^3) like a matrix product: with edges
+    [[A, B], [C, D]], A* = close(A), D* = close(D + C A* B), B' = A* B D*,
+    C' = D* C A* and A' = A* + A* B C'. A block of at most 64 states is
+    squared ceil(log2 n) times instead. Each product counts paths, so it is
+    clipped back to 0/1 before it can grow past float32's exact integers.
+    """
+    n = edges.shape[1]
+    if n <= 64:
+        closed = (edges | np.eye(n, dtype=bool)).astype(np.float32)
+        for _ in range((n - 1).bit_length()):
+            closed = np.minimum(closed @ closed, 1.0)
+        return closed
+    h = n // 2
+    a = _closure(edges[:, :h, :h])
+    ab = np.minimum(a @ edges[:, :h, h:].astype(np.float32), 1.0)
+    c = edges[:, h:, :h].astype(np.float32)
+    d = _closure(edges[:, h:, h:] | (c @ ab > 0.0))
+    closed = np.empty(edges.shape, dtype=np.float32)
+    closed[:, :h, h:] = np.minimum(ab @ d, 1.0)
+    closed[:, h:, :h] = np.minimum(d @ np.minimum(c @ a, 1.0), 1.0)
+    closed[:, :h, :h] = np.minimum(a + ab @ closed[:, h:, :h], 1.0)
+    closed[:, h:, h:] = d
+    return closed
 
 
 def _residuals(omega, chi):
@@ -148,22 +162,21 @@ def _solve_stack(omega):
     entries included) is left out. When the states reached from 0 hold one
     closed class (all reach 0, or else all reach the top one, t), the balance
     equations over them, with t's replaced by sum(chi) = 1 and identity rows
-    for the others, have one solution. Such chains share one batched LU
-    solve, or are solved one by one if a singular member makes it raise. The
-    rest, and chains whose solve misses _TOL, go to _occupancy. Each
-    reducible chain gets a ReducibleChainWarning.
+    for the others, have one solution. The states reached from 0 and those
+    that reach 0 or t are read off one _closure of the stack, O(n^3) like the
+    LU. Such chains share one batched LU solve, or are solved one by one if a
+    singular member makes it raise. The rest, and chains whose solve misses
+    _TOL, go to _occupancy. Each reducible chain gets a ReducibleChainWarning.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
     for b in np.flatnonzero(~ok).tolist():
         failures[b] = ChainError("omega must be row-stochastic")
-    backward = np.swapaxes(omega, 1, 2) > 0.0
-    reached, to_0 = _reached(omega > 0.0, 0), _reached(backward, 0)
-    certified = ok & np.all(to_0 | ~reached, axis=1)
+    closed = _closure(omega > 0.0) > 0.0
+    reached, to_0 = closed[:, 0], closed[:, :, 0]
     top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
-    check = np.flatnonzero(ok & ~certified)
-    if check.size:
-        certified[check] = np.all(_reached(backward[check], top[check]) | ~reached[check], axis=1)
+    to_top = closed[np.arange(len(top)), :, top]
+    certified = ok & (np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1))
     solved = np.flatnonzero(certified)
     a = np.swapaxes(omega[solved], 1, 2) - np.eye(n)
     a[np.arange(solved.size), top[solved]] = 1.0  # sum(chi) = 1; t is E_max if irreducible
@@ -205,6 +218,8 @@ def stationary(chain: EnergyChain) -> np.ndarray:
     over the states reached from 0, with the top one's equation replaced by
     sum(chi) = 1, whenever those states hold one closed class, and from
     repeated squaring otherwise or if the solve misses the residual _TOL.
+    Which states are reached, and whether they hold one closed class, is read
+    off the chain's transitive closure (_closure), which costs O(n^3).
     Reducible chains are reported with a ReducibleChainWarning.
     """
     omega = np.asarray(chain.omega, dtype=float)
@@ -278,7 +293,7 @@ def _bounds(params, dc, kernels):
     packets per slot, no more than the mean m of min(arrivals, E_max) (row 0)."""
     idle, active = kernels
     g = np.arange(1, len(idle))
-    s = np.array([success_probability(params, dc, b) for b in g.tolist()])
+    s = np.exp(-outage_threshold(params, dc, 1) / params.sigma_ssd / g)
     m = (idle[0] + active[0]) @ np.arange(len(idle))
     return s * np.minimum(primary_link.pi_idle(params, dc), m / g)
 

@@ -1,8 +1,9 @@
 """Independent routes to quantities the library computes, used only as test
 oracles: scalar and physical-energy harvest draws, the capped ratio cdf at
 the model's rates, the channel-inversion power, dBm conversion back from
-Watts, the mean of a truncated pmf, and the search for g* checked against
-the report of an exhaustive one.
+Watts, the mean of a truncated pmf, the search for g* checked against
+the report of an exhaustive one, and the frontier sweeps that decided which
+chains the stationary solver certifies before the transitive closure did.
 """
 
 import math
@@ -88,3 +89,32 @@ def assert_search_matches(exhaustive, params, dc, pmfs):
         == (exhaustive.g_star, exhaustive.mu_s_star, exhaustive.mu_e)
     assert np.array_equal(searched.chain.chi, exhaustive.chain.chi)
     assert searched.mu_s_by_g.items() <= exhaustive.mu_s_by_g.items()
+
+
+def frontier_reached(edges, start):
+    """Per matrix of edges (B, n, n): the states (B, n) reachable from state
+    start[b]. Each sweep ORs the rows of the states the previous one reached first."""
+    seen = np.zeros(edges.shape[:2], dtype=bool)
+    seen[np.arange(len(seen)), start] = True
+    b, s = np.nonzero(seen)
+    while b.size:
+        first = np.flatnonzero(np.concatenate(([True], b[1:] != b[:-1])))
+        frontier = np.zeros_like(seen)
+        frontier[b[first]] = np.logical_or.reduceat(edges[b, s], first) & ~seen[b[first]]
+        seen |= frontier
+        b, s = np.nonzero(frontier)
+    return seen
+
+
+def frontier_verdicts(omega):
+    """(certified, reducible), (B,) each, for a stack of row-stochastic chains
+    omega (B, n, n), by forward and backward frontier sweeps. A chain is
+    certified for the LU solve when every state reached from 0 reaches 0, or
+    else every one reaches the top reached state; it is reducible unless every
+    state is reached from 0 and reaches 0."""
+    n, backward = omega.shape[1], np.swapaxes(omega, 1, 2) > 0.0
+    reached, to_0 = frontier_reached(omega > 0.0, 0), frontier_reached(backward, 0)
+    top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
+    to_top = frontier_reached(backward, top)
+    certified = np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1)
+    return certified, ~(reached.all(axis=1) & to_0.all(axis=1))

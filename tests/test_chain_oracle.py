@@ -1,7 +1,8 @@
 """The vectorized chain build, the scipy-free stationary solver, the
-stacked budget search, the stacks shared by a slice's points, the
-closed-form Poisson pmf and the pmfs cut at E_max, checked against the
-implementations they replaced.
+transitive closure that certifies chains for its LU solve, the stacked
+budget search, the stacks shared by a slice's points, the closed-form
+Poisson pmf and the pmfs cut at E_max, checked against the implementations
+they replaced.
 
 The references below are the former library code, kept as oracles: a
 per-entry loop for the transition matrix, a least-squares solve of the
@@ -9,10 +10,13 @@ balance equations with the normalization row appended, a
 strongly-connected-components test with an absorption-probability mixture
 for reducible chains, a one-budget-at-a-time search over the energy
 budgets, scipy.stats for the ambient Poisson pmf, and pmfs over their whole
-TAIL_EPS support for the pmfs cut at E_max. The search for g* that energy
-balance prunes is checked against the search over every budget.
+TAIL_EPS support for the pmfs cut at E_max. The closure is checked against
+scipy.sparse.csgraph and the frontier sweeps it replaced (oracles.py), and
+the search for g* that energy balance prunes against the search over every
+budget.
 """
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ehshare import dbm_to_watts, default_params, derive, energy_chain
 from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chain, optimize_g,
@@ -30,7 +34,7 @@ from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chai
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from ehshare.primary_link import pi_idle
-from oracles import assert_search_matches
+from oracles import assert_search_matches, frontier_verdicts
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
@@ -182,12 +186,66 @@ def test_stacked_budget_search_matches_per_budget_reference(lambda_p, eta, lambd
 
 
 def test_large_battery_without_primary_traffic_takes_the_lu(monkeypatch):
-    # lambda_p=0, lambda_e=0.5, E_max=100: 76 budgets leave the top states unreached
-    p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=100, G=1)
-    ref = reference_optimize(p)
-    assert len(ref[2]) == 76
+    # lambda_p=0, lambda_e=0.5: most budgets leave the top states unreached;
+    # E_max=150 takes the closure's block recursion two levels deep
     monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
-    _assert_matches_reference(*_optimize_counting_warnings(p), ref)
+    for e_max, unreached in [(100, 76), (150, 126)]:
+        p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=e_max, G=1)
+        ref = reference_optimize(p)
+        assert len(ref[2]) == unreached
+        _assert_matches_reference(*_optimize_counting_warnings(p), ref)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 257])
+def test_closure_matches_csgraph_reachability(n, b):
+    # 64 states is the largest block squared directly; 65, 129 and 257 recurse
+    # one to three levels deep, into halves of odd and even sizes. A shuffled
+    # path needs the longest walks.
+    rng = np.random.default_rng(10 * n + b)
+    path = np.zeros((b, n, n), dtype=bool)
+    for k in range(b):
+        order = rng.permutation(n)
+        path[k, order[:-1], order[1:]] = True
+    for edges in [rng.random((b, n, n)) < density for density in (0.0, 1 / n, 3 / n, 0.5)] + [path]:
+        closed = energy_chain._closure(edges)
+        assert closed.dtype == np.float32 and np.all((closed == 0.0) | (closed == 1.0))
+        for k in range(b):
+            hops = shortest_path(csr_matrix(edges[k]), unweighted=True)
+            assert np.array_equal(closed[k] == 1.0, np.isfinite(hops))
+
+
+@pytest.mark.parametrize("e_max", [6, 40, 100, 150])
+def test_certification_matches_the_frontier_sweeps(e_max, monkeypatch):
+    # the closure must send to the LU, and warn for, exactly the chains the
+    # frontier sweeps it replaced did. Model chains are all certified, so a
+    # sparse random stack adds chains whose reached states hold several
+    # closed classes.
+    stacks = []
+    for lambda_p, lambda_e in itertools.product((0.0, 0.4, 1.0), (0.0, 0.5, 800.0)):
+        p = default_params(lambda_p=lambda_p, lambda_e=lambda_e, E_max=e_max, G=1)
+        dc = derive(p)
+        idle, active = arrival_pmfs(p, dc)
+        stacks.append(np.array([build_chain(idle, active, pi_idle(p, dc), g, e_max).omega
+                                for g in range(1, e_max + 1)]))
+    n = e_max + 1
+    edges = np.random.default_rng(e_max).random((e_max, n, n)) < 1.5 / n
+    edges |= ~edges.any(axis=2, keepdims=True) & np.eye(n, dtype=bool)
+    stacks.append(edges / edges.sum(axis=2, keepdims=True))
+    uncertified = []
+    monkeypatch.setattr(energy_chain, "_occupancy",
+                        lambda omega: uncertified.append(omega) or np.zeros(omega.shape[:2]))
+    for omega in stacks:
+        # split by verdict, a stack's warning count names its reducible chains
+        reducible = frontier_verdicts(omega)[1]
+        for part, warned in [(omega[reducible], reducible.sum()), (omega[~reducible], 0)]:
+            uncertified.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ReducibleChainWarning)
+                energy_chain._solve_stack(part)
+            assert len(caught) == warned
+            certified = frontier_verdicts(part)[0]
+            assert np.array_equal(np.concatenate([part[:0]] + uncertified), part[~certified])
 
 
 def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
