@@ -87,6 +87,11 @@ def dbm_to_watts(p_dbm):
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
+def is_int(x) -> bool:
+    """True for a Python int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return `params` unchanged if every invariant holds; every float field
     must be finite.
@@ -113,11 +118,10 @@ def validate(params: SystemParams) -> SystemParams:
                  f"(got {params.lambda_e})")
     if not 0 <= params.eta <= 1:
         v.append(f"eta: must lie in [0, 1] (got {params.eta})")
-    if not (isinstance(params.E_max, int) and params.E_max >= 1):
-        v.append(f"E_max: must be an integer >= 1 (got {params.E_max})")
-    if not (isinstance(params.G, int) and 1 <= params.G) or (
-        isinstance(params.E_max, int) and params.E_max >= 1 and params.G > params.E_max
-    ):
+    e_max_ok = is_int(params.E_max) and params.E_max >= 1
+    if not e_max_ok:
+        v.append(f"E_max: must be an integer >= 1 (got {params.E_max!r})")
+    if not (is_int(params.G) and 1 <= params.G) or (e_max_ok and params.G > params.E_max):
         v.append(f"G: must be an integer in 1..E_max (got G={params.G}, E_max={params.E_max})")
     for name in ("sigma_ppd", "sigma_ps", "sigma_ssd"):
         positive(name)

@@ -223,8 +223,8 @@ def stationary(chain: EnergyChain) -> np.ndarray:
     Reducible chains are reported with a ReducibleChainWarning.
     """
     omega = np.asarray(chain.omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise ChainError(f"omega must be a square matrix (got shape {omega.shape})")
+    if omega.ndim != 2 or not omega.shape[0] == omega.shape[1] > 0:
+        raise ChainError(f"omega must be a nonempty square matrix (got shape {omega.shape})")
     chi, failures = _solve_stack(omega[None])
     if failures:
         raise failures[0]

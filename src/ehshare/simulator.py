@@ -23,18 +23,20 @@ the next slot):
 run_many simulates a batch of points (a slice of a sweep grid) in lockstep,
 and run is its one-point case. The points share one seed (common random
 numbers), so a chunk of at most _CHUNK slots and _POINT_SLOTS point-slots
-draws its uniforms and three standard exponentials once; each point
-thresholds the uniforms at its lambda_p and scales the exponentials by its
-sigmas (bit for bit Generator.exponential(sigma)), and Poisson counts are
-drawn once per distinct lambda_e * T. The primary backlog follows
-Lindley's recursion. The battery, e' = min(E_max, e - G*[idle and e >= G]
-+ add), is chained through blocks of _BLOCK slots by transfer maps over
-start levels (composed by a tree when one map holds every level, else
-block by block with levels beyond _MAP_LEVELS walked alone), and a replay
-gives every slot; each Python-level step serves every point. A 5-point
-grid of 1e6 slots takes about 0.35 s in process on one CPU. Results must
-match the per-slot loop this replaces bit for bit (`_run_reference` in
-tests/test_sim_oracle.py).
+draws its uniforms and three standard exponentials once, into buffers the
+batch reuses. A channel stage computes each array that depends only on the
+draws once per distinct key of the derived values it needs: pu_ok, su_ok, RF
+packets over the pu_ok slots, their clip at E_max, and Poisson counts (a
+scaled exponential is bit for bit Generator.exponential(sigma)). Each point
+runs Lindley's recursion for its primary backlog and builds its arrivals and
+spend thresholds from its dense mask of active slots. The battery, e' =
+min(E_max, e - G*[idle and e >= G] + add), is chained through blocks of
+_BLOCK slots by transfer maps over start levels (composed by a tree when one
+map holds every level, else block by block with levels beyond _MAP_LEVELS
+walked alone), and a replay gives every slot; each Python-level step serves
+every point. A 5-point grid of 1e6 slots takes about 0.2 s in process on
+one CPU. Results must match the per-slot loop this replaces bit for bit
+(`_run_reference` in tests/test_sim_oracle.py).
 
 Statistics are collected after a warmup period; energy-conservation
 counters span the whole run. All randomness flows from one SeedSequence
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ParameterError, SystemParams, derive
+from .config import ParameterError, SystemParams, derive, is_int
 from .energy_chain import outage_threshold
 
 _DEFAULT_WARMUP = 10_000
@@ -68,12 +70,12 @@ class SimConfig:
     warmup: int = _DEFAULT_WARMUP
 
     def __post_init__(self):
-        v = []
-        if not (isinstance(self.n_slots, int) and isinstance(self.warmup, int)
-                and self.n_slots > self.warmup >= 0):
+        v = [f"{name}: must be an integer (got {getattr(self, name)!r})"
+             for name in ("n_slots", "warmup") if not is_int(getattr(self, name))]
+        if not v and not self.n_slots > self.warmup >= 0:
             v.append(f"slots/warmup: need n_slots > warmup >= 0 (got n_slots={self.n_slots}, "
                      f"warmup={self.warmup})")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             v.append(f"seed: must be an integer >= 0 (got {self.seed!r})")
         if v:
             raise ParameterError(v)
@@ -275,55 +277,57 @@ class _Point:
         if not self.lam <= _POISSON_MAX:
             raise ParameterError([f"lambda_e: lambda_e * T = {self.lam:g} exceeds the largest "
                                   f"Poisson mean the simulator can draw ({_POISSON_MAX:.6g})"])
-        self.su_threshold = outage_threshold(params, self.dc, params.G)
+        # keys of the chunk's shared pu_ok, su_ok and clipped RF packets (RF key: clip_key[:-1])
+        self.pu_key = (params.sigma_ppd, self.dc.a)
+        self.su_key = (params.sigma_ssd, outage_threshold(params, self.dc, params.G))
+        self.clip_key = (*self.pu_key, params.sigma_ps, self.dc.alpha, self.dc.rf_degenerate,
+                         params.E_max)
         self.qp = self.qe = 0  # primary data queue, energy queue
         self.pu_delivered = self.su_delivered = self.pu_queue_sum = 0
         self.spends = self.spends_post = self.harvested = 0  # spends: whole run
         self.occupancy, self.rf_counts, self.nat_counts = (
             np.zeros(params.E_max + 1, np.int64) for _ in range(3))
 
-    def prepare(self, draws, post, spend_at, add, su_ok):
-        """Play the primary queue and the energy arrivals over one chunk of
-        shared draws, and fill the point's rows of spend_at, add and su_ok."""
-        p, dc, e_max = self.params, self.dc, self.params.E_max
-        u, z_ppd, z_ps, z_ssd, ambient = draws
+    def prepare(self, u, post, pu_ok, rf, ambient, spend_at, add):
+        """Play the primary queue and the energy arrivals over one chunk of shared
+        draws and channel arrays, and fill the point's rows of spend_at and add."""
+        p, e_max, m = self.params, self.params.E_max, u.size
         arrival = u < p.lambda_p
-        h_ppd = z_ppd * p.sigma_ppd
-        pu_ok = h_ppd >= dc.a
-        np.greater_equal(z_ssd * p.sigma_ssd, self.su_threshold, out=su_ok)
 
-        # primary queue: backlog after each slot by Lindley's recursion,
-        # q_after = c + max(qp, -min(c[:t+1])) for c the running net arrivals.
+        # primary queue by Lindley's recursion: q = c - (running minimum of c)
+        # for c = -qp followed by the running net arrivals, then q[0] = qp, so
+        # q[t] is the backlog before slot t and q[m] the one after the chunk.
         # |c| <= m, the chunk's length, so a backlog beyond m stays positive
         # through the chunk: it is carried as lift, and int32 is exact.
-        base = min(self.qp, u.size)
+        base = min(self.qp, m)
         lift = self.qp - base
-        c = np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8), dtype=np.int32)
-        q_after = c + np.maximum(-np.minimum.accumulate(c), base)
-        q_before = np.concatenate((np.full(1, base, np.int32), q_after[:-1]))
-        active = np.flatnonzero(pu_ok & ((q_before > 0) | arrival))
-        pre = int(np.searchsorted(active, post))  # active slots before warmup ends
-        self.pu_queue_sum += int(q_before[post:].sum(dtype=np.int64)) + lift * (u.size - post)
-        self.qp = int(q_after[-1]) + lift
-        self.pu_delivered += active.size - pre
+        q = np.empty(m + 1, np.int32)
+        q[0] = -base
+        np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8), dtype=np.int32, out=q[1:])
+        q -= np.minimum.accumulate(q)
+        q[0] = base
+        busy = pu_ok & ((q[:-1] > 0) | arrival)
+        n_post = int(np.count_nonzero(busy[post:]))  # active slots after warmup
+        self.pu_queue_sum += int(q[post:-1].sum(dtype=np.int64)) + lift * (m - post)
+        self.qp = int(q[-1]) + lift
+        self.pu_delivered += n_post
 
-        # energy arrivals: RF packets in active slots, ambient packets in all
-        rf = np.zeros(active.size, np.int64) if dc.rf_degenerate else \
-            _rf_packets(h_ppd.take(active), z_ps.take(active) * p.sigma_ps, dc.alpha)
-        self.harvested += _exact_sum(rf)
-        rf = np.minimum(rf, e_max).astype(add.dtype)
-        self.rf_counts += np.bincount(rf[pre:], minlength=e_max + 1)
-        if self.lam > 0:
-            add[:], counts, total = ambient[self.lam, e_max]
+        # energy arrivals: RF packets in active slots (rf: the clipped packets of
+        # every pu_ok slot, the slots over E_max and their excess), ambient in all
+        rf_row, over, excess = rf
+        np.multiply(rf_row, busy, out=add)
+        self.harvested += int(add.sum(dtype=np.int64)) + _exact_sum(excess[busy[over]])
+        self.rf_counts += np.bincount(add[post:], minlength=e_max + 1)
+        self.rf_counts[0] -= m - post - n_post  # idle slots after warmup
+        if self.lam > 0:  # add <- min(add, E_max - ambient) + ambient
+            clipped, room, counts, total = ambient[self.lam, e_max]
+            np.add(np.minimum(add, room, out=add), clipped, out=add)
             self.nat_counts += counts
             self.harvested += total
         else:
-            add.fill(0)
-            self.nat_counts[0] += u.size - post
-        add[active] += rf
-        np.minimum(add, e_max, out=add)
-        spend_at.fill(p.G)
-        spend_at[active] = e_max + 1
+            self.nat_counts[0] += m - post
+        dt = add.dtype.type
+        np.add(np.multiply(busy, dt(e_max + 1 - p.G), out=spend_at), dt(p.G), out=spend_at)
 
     def result(self, sim: SimConfig) -> SimResult:
         g, n_eff = self.params.G, sim.n_slots - sim.warmup
@@ -388,33 +392,56 @@ def _run_batch(batch, sim: SimConfig):
     # one generator per distinct ambient mean, each replaying the same substream
     rng_nat = {pt.lam: np.random.default_rng(streams[4]) for pt in batch if pt.lam > 0}
 
+    # buffers every chunk reuses: the draws and a scaled gain, each channel
+    # array once per distinct key ({key: buffer}), and the points' rows
+    draws = np.empty((5, chunk))
+    pu_ok, su_ok, rf_clip = ({getattr(pt, key): np.empty(chunk, t) for pt in batch} for key, t in
+                             (("pu_key", bool), ("su_key", bool), ("clip_key", dtype)))
+    spend_at, add = np.empty((2, len(batch), chunk), dtype)
+
     for start in range(0, sim.n_slots, chunk):
         m = min(chunk, sim.n_slots - start)
         post = min(max(sim.warmup - start, 0), m)  # the chunk's first post-warmup slot
-        ambient = {}  # (mean, E_max) -> counts clipped at E_max, their histogram, total
+        u, z_ppd, z_ssd, z_ps, h = draws[:, :m]
+        rng_arr.random(out=u)
+        for rng, z in zip((rng_ppd, rng_ssd, rng_ps)[:2 + rf_used], (z_ppd, z_ssd, z_ps)):
+            rng.standard_exponential(out=z)
+        ambient = {}  # (mean, E_max) -> clipped counts, E_max less them, histogram, total
         for lam, rng in rng_nat.items():
             counts = rng.poisson(lam, m)
             for e in {pt.params.E_max for pt in batch if pt.lam == lam}:
                 clipped = np.minimum(counts, e).astype(dtype)
-                ambient[lam, e] = clipped, np.bincount(clipped[post:], minlength=e + 1), \
-                    _exact_sum(counts)
-        draws = (rng_arr.random(m), rng_ppd.standard_exponential(m),
-                 rng_ps.standard_exponential(m) if rf_used else None,
-                 rng_ssd.standard_exponential(m), ambient)
-        spend_at, add = np.empty((2, len(batch), m), dtype)
-        su_ok = np.empty((len(batch), m), bool)
+                ambient[lam, e] = clipped, np.subtract(dtype.type(e), clipped), \
+                    np.bincount(clipped[post:], minlength=e + 1), _exact_sum(counts)
+
+        # the channel stage: each array once per distinct key
+        for z, arrays in ((z_ppd, pu_ok), (z_ssd, su_ok)):
+            for (sigma, cut), ok in arrays.items():  # h >= cut, h the gain z * sigma
+                np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
+        packets, rf = {}, {}  # RF key -> pu_ok slots and their packets; clip key -> prepare's rf
+        for key, clip in rf_clip.items():
+            (sigma_ppd, a, sigma_ps, alpha, degenerate), e = key[:-1], key[-1]
+            if key[:-1] not in packets:
+                ok = np.flatnonzero(pu_ok[sigma_ppd, a][:m])
+                packets[key[:-1]] = ok, np.zeros(ok.size, np.int64) if degenerate else \
+                    _rf_packets(z_ppd.take(ok) * sigma_ppd, z_ps.take(ok) * sigma_ps, alpha)
+            ok, n = packets[key[:-1]]
+            clip[:m] = 0
+            clip[ok] = np.minimum(n, e)
+            rf[key] = clip[:m], ok[n > e], n[n > e] - e
+
         for j, pt in enumerate(batch):
-            pt.prepare(draws, post, spend_at[j], add[j], su_ok[j])
-        del draws, ambient
-        levels, ends = _battery_levels([pt.qe for pt in batch], spend_at, add,
+            pt.prepare(u, post, pu_ok[pt.pu_key][:m], rf[pt.clip_key], ambient,
+                       spend_at[j, :m], add[j, :m])
+        levels, ends = _battery_levels([pt.qe for pt in batch], spend_at[:, :m], add[:, :m],
                                        [pt.params.G for pt in batch], e_max)
         for j, pt in enumerate(batch):
             pt.qe = ends[j]
-            spend = levels[j] >= spend_at[j]
+            spend = levels[j] >= spend_at[j, :m]
             pt.occupancy += np.bincount(levels[j, post:], minlength=pt.params.E_max + 1)
             pt.spends += int(np.count_nonzero(spend))
             pt.spends_post += int(np.count_nonzero(spend[post:]))
-            pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[j, post:]))
+            pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[pt.su_key][post:m]))
 
 
 def run(params: SystemParams, sim: SimConfig) -> SimResult:

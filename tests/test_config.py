@@ -33,6 +33,15 @@ def test_g_above_capacity_is_rejected_by_name():
     assert "G" in exc.value.fields
 
 
+def test_bools_are_rejected_where_integers_are_required():
+    with pytest.raises(ParameterError) as exc:
+        default_params(E_max=True, G=True)
+    assert exc.value.fields == ["E_max", "G"]
+    with pytest.raises(ParameterError) as exc:
+        default_params(G=True)
+    assert exc.value.fields == ["G"]
+
+
 def test_every_violation_is_reported():
     bad = replace(default_params(), tau=2.0, lambda_p=1.5, eta=-0.1, sigma_ps=0.0)
     with pytest.raises(ParameterError) as exc:

@@ -231,7 +231,7 @@ def test_stationary_requires_row_stochastic_matrix():
 
 
 @pytest.mark.parametrize("omega", [np.array([0.5, 0.5]), np.full((2, 3), 1.0 / 3),
-                                   np.full((1, 2, 2), 0.5)])
+                                   np.full((1, 2, 2), 0.5), np.zeros((0, 0))])
 def test_stationary_requires_a_square_matrix(omega):
     with pytest.raises(ChainError, match="square"):
         stationary(EnergyChain(omega=omega, g=1))

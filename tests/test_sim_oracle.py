@@ -301,13 +301,19 @@ def test_scaled_standard_exponentials_equal_exponential_draws(sigma):
         st.sampled_from([0.3, 0.5, 2.0]),        # sigma_ppd
         st.sampled_from([0.5, 1.0]),             # sigma_ps
         st.sampled_from([0.2, 1.0]),             # sigma_ssd
+        st.sampled_from([0.002, 0.01, 0.05]),    # P_max: moves a
+        st.sampled_from([500.0, 1000.0, 4000.0]),  # beta: moves a, alpha, the outage threshold
     ), min_size=1, max_size=6),
+    n_dup=st.integers(min_value=0, max_value=3),
     n_slots=st.sampled_from([300, 3_001]),
 )
-def test_lockstep_batch_matches_each_point_alone(seed, points, n_slots):
+def test_lockstep_batch_matches_each_point_alone(seed, points, n_dup, n_slots):
+    # points share channel arrays wherever their keys agree; the last n_dup
+    # points repeat the first ones
     params = [default_params(lambda_p=lp, eta=eta, lambda_e=le, E_max=e, G=1 + round(gf * (e - 1)),
-                             sigma_ppd=sp, sigma_ps=sx, sigma_ssd=ss)
-              for lp, eta, le, e, gf, sp, sx, ss in points]
+                             sigma_ppd=sp, sigma_ps=sx, sigma_ssd=ss, P_max=pm, beta=b)
+              for lp, eta, le, e, gf, sp, sx, ss, pm, b in points]
+    params += params[:n_dup]
     sim = SimConfig(n_slots=n_slots, seed=seed, warmup=100)
     for p, got in zip(params, simulator.run_many(params, sim)):
         assert_same_result(got, simulate(p, sim))
@@ -324,6 +330,28 @@ def test_lockstep_batch_across_chunks_with_small_point_slot_budget(monkeypatch):
                                    (0.0, 0.0, 5, 5)]]
     sim = SimConfig(n_slots=5_000, seed=12, warmup=777)
     for p, got in zip(params, simulator.run_many(params, sim)):
+        assert_same_result(got, _run_reference(p, sim))
+
+
+def test_rf_packets_are_quantized_once_per_distinct_rf_key_and_chunk(monkeypatch):
+    # 8 chunks of 128 slots. The first three points share one RF key (the
+    # third clips it at another E_max), P_max and sigma_ps give two more, and
+    # eta = 0 quantizes nothing: 3 calls per chunk.
+    calls, rf_packets = [], simulator._rf_packets
+
+    def counted(h_ppd, h_ps, alpha):
+        calls.append(h_ppd.size)
+        return rf_packets(h_ppd, h_ps, alpha)
+
+    monkeypatch.setattr(simulator, "_rf_packets", counted)
+    monkeypatch.setattr(simulator, "_POINT_SLOTS", 6 * 128)
+    params = [default_params(lambda_p=0.3, lambda_e=0.5), default_params(lambda_p=0.7, G=3),
+              default_params(E_max=20, G=2), default_params(P_max=0.05),
+              default_params(sigma_ps=0.5), default_params(eta=0.0, lambda_e=0.5)]
+    sim = SimConfig(n_slots=1_000, seed=8, warmup=100)
+    results = simulator.run_many(params, sim)
+    assert len(calls) == 3 * 8
+    for p, got in zip(params, results):
         assert_same_result(got, _run_reference(p, sim))
 
 

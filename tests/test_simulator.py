@@ -26,6 +26,18 @@ def test_sim_config_validation():
             SimConfig(n_slots=100, seed=seed, warmup=10)
 
 
+@pytest.mark.parametrize("args, fields", [
+    ((True, True, False), ["n_slots", "warmup", "seed"]),
+    ((100, 1, True), ["warmup"]),
+    ((100, False, 10), ["seed"]),
+    ((100.0, 1, 10), ["n_slots"]),
+])
+def test_sim_config_rejects_bools_and_non_integers_by_name(args, fields):
+    with pytest.raises(ParameterError) as exc:
+        SimConfig(*args)
+    assert exc.value.fields == fields
+
+
 def test_equal_seeds_give_bit_identical_results():
     cfg = SimConfig(n_slots=50_000, seed=5, warmup=1_000)
     a = simulate(P, cfg)
