@@ -5,11 +5,10 @@ seeded slot-level Monte Carlo simulator."""
 from .config import (DerivedConstants, ParameterError, SystemParams, dbm_to_watts,
                      default_params, derive, load_params, validate)
 from .primary_link import mu_p, pi_idle, pu_throughput, regime
-from .harvest import (HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
-                      rf_increments, rf_pmf)
+from .harvest import HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
 from .energy_chain import (EnergyChain, ReducibleChainWarning, ThroughputReport,
-                           build_chain, mu_e, optimize_g, optimize_many, solve_chain,
-                           stationary, success_probability, su_throughput)
+                           build_chain, mu_e, optimize_g, optimize_many, stationary,
+                           success_probability, su_throughput)
 from .simulator import SimConfig, SimResult, run_many
 from .simulator import run as simulate
 
@@ -19,10 +18,9 @@ __all__ = [
     "DerivedConstants", "ParameterError", "SystemParams", "dbm_to_watts",
     "default_params", "derive", "load_params", "validate",
     "mu_p", "pi_idle", "pu_throughput", "regime",
-    "HarvestPmf", "arrival_pmfs", "combined_pmf", "nature_pmf",
-    "ratio_cap_cdf", "rf_increments", "rf_pmf",
+    "HarvestPmf", "arrival_pmfs", "combined_pmf", "nature_pmf", "rf_pmf",
     "EnergyChain", "ReducibleChainWarning", "ThroughputReport", "build_chain",
-    "mu_e", "optimize_g", "optimize_many", "solve_chain", "stationary",
+    "mu_e", "optimize_g", "optimize_many", "stationary",
     "success_probability", "su_throughput",
     "SimConfig", "SimResult", "run_many", "simulate",
     "__version__",

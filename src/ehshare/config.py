@@ -66,17 +66,17 @@ class DerivedConstants:
 
     R_p, R_s:  primary / secondary spectral efficiency, bits/s/Hz
     a:         minimum channel gain for a primary transmission
-    alpha:     energy-packet quantization constant; None when eta == 0
+    alpha:     energy-packet quantization constant; inf when eta == 0
     lambda_x:  rate of the primary->secondary gain (1/sigma_ps)
     lambda_y:  rate of the primary->destination gain (1/sigma_ppd)
-    rf_degenerate: True when RF harvesting yields 0 packets: eta == 0, or
-               alpha * lambda_x overflows
+    rf_degenerate: True when RF harvesting yields 0 packets: eta == 0,
+               alpha * lambda_x overflows, or a == inf (no transmission)
     """
 
     R_p: float
     R_s: float
     a: float
-    alpha: float | None
+    alpha: float
     lambda_x: float
     lambda_y: float
     rf_degenerate: bool
@@ -133,37 +133,45 @@ def validate(params: SystemParams) -> SystemParams:
 def derive(params: SystemParams) -> DerivedConstants:
     """Compute the derived constants used by every other module.
 
-    eta == 0 is legal: alpha is left undefined and flagged so the RF harvest
+    eta == 0 is legal: alpha is inf and flagged so the RF harvest
     distribution degenerates to a point mass at zero packets instead of
-    dividing by zero. So does an alpha * lambda_x that overflows: packets
-    too large for any transmission to fill, or h_ps == 0.
+    dividing by zero. So does an alpha * lambda_x that overflows (packets
+    too large for any transmission to fill, or h_ps == 0), and a = inf, a
+    primary that never transmits.
 
     Finite parameters can still combine into constants that overflow or
-    vanish: 2**R_s must be finite and N0 * W * (2**R_p - 1) positive and
-    finite, else a ParameterError names every field involved.
+    vanish: 2**R_s and lambda_e * T must be finite, N0 * W * (2**R_p - 1)
+    positive and finite, and alpha * lambda_x not 0 * inf, else a
+    ParameterError names every field involved.
     """
-    R_p = params.beta / (params.T * params.W)
-    R_s = params.beta / ((params.T - params.tau) * params.W)
+    tw_s = (params.T - params.tau) * params.W  # no larger than T * W; 0 if it underflows
+    R_s = params.beta / tw_s if tw_s > 0 else math.inf
     if not R_s < 1024.0:  # 2.0 ** R_s overflows
         raise ParameterError([f"beta, T, tau, W: the secondary rate beta / ((T - tau) * W) = "
                               f"{R_s:g} bits/s/Hz must be below 1024"])
+    R_p = params.beta / (params.T * params.W)
     p_min_num = params.N0 * params.W * (2.0 ** R_p - 1.0)
     if not 0.0 < p_min_num < math.inf:
         raise ParameterError([f"beta, T, W, N0: N0 * W * (2**R_p - 1) = {p_min_num:g}, with "
                               f"R_p = beta / (T * W) = {R_p:g}, must be positive and finite"])
-    lambda_x = 1.0 / params.sigma_ps
-    alpha = None
-    if params.eta > 0:
-        den = params.eta * p_min_num * params.T
-        alpha = params.e_pkt / den if den > 0 else math.inf
+    if not params.lambda_e * params.T < math.inf:
+        raise ParameterError([f"lambda_e, T: the ambient mean lambda_e * T = "
+                              f"{params.lambda_e * params.T:g} must be finite"])
+    lambda_x, a = 1.0 / params.sigma_ps, p_min_num / params.P_max
+    den = params.eta * p_min_num * params.T
+    alpha = params.e_pkt / den if den > 0 else math.inf
+    if math.isnan(alpha * lambda_x):  # alpha underflows to 0 and lambda_x overflows
+        raise ParameterError(["beta, T, W, N0, e_pkt, eta, sigma_ps: the packet scale alpha * "
+                              "lambda_x = e_pkt / (eta * N0 * W * (2**R_p - 1) * T * sigma_ps) "
+                              "is 0 * inf"])
     return DerivedConstants(
         R_p=R_p,
         R_s=R_s,
-        a=p_min_num / params.P_max,
+        a=a,
         alpha=alpha,
         lambda_x=lambda_x,
         lambda_y=1.0 / params.sigma_ppd,
-        rf_degenerate=alpha is None or alpha * lambda_x == math.inf,
+        rf_degenerate=alpha * lambda_x == math.inf or a == math.inf,
     )
 
 

@@ -107,18 +107,6 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     return EnergyChain(omega=_omegas(np.array([kernels]), [0], [g])[0], g=g)
 
 
-def _occupancy(omega):
-    """Row 0 of the lazy kernels K = (I + omega)/2 of a stack (B, n, n) raised to
-    2^64 by repeated squaring: the long-run occupancy reached from state 0, as K
-    has omega's Cesaro limits and no periodic classes. Rows are renormalized
-    after each squaring so that rounding in the row sums cannot compound."""
-    kernel = 0.5 * (np.eye(omega.shape[1]) + omega)
-    for _ in range(64):
-        kernel = kernel @ kernel
-        kernel /= kernel.sum(axis=2, keepdims=True)
-    return kernel[:, 0]
-
-
 def _closure(edges):
     """Reflexive transitive closure of each boolean matrix of edges (B, n, n),
     as float32 0/1: entry [b, i, j] is 1 iff chain b can go from i to j.
@@ -158,15 +146,19 @@ def _solve_stack(omega):
 
     Returns chi (B, n) and a dict mapping each chain that got no stationary
     vector to the exception that says why; every other chain gets the vector
-    it gets when solved alone. A chain that is not row-stochastic (NaN
-    entries included) is left out. When the states reached from 0 hold one
-    closed class (all reach 0, or else all reach the top one, t), the balance
-    equations over them, with t's replaced by sum(chi) = 1 and identity rows
-    for the others, have one solution. The states reached from 0 and those
-    that reach 0 or t are read off one _closure of the stack, O(n^3) like the
-    LU. Such chains share one batched LU solve, or are solved one by one if a
-    singular member makes it raise. The rest, and chains whose solve misses
-    _TOL, go to _occupancy. Each reducible chain gets a ReducibleChainWarning.
+    it gets when solved alone. A chain fails with a ChainError if it is not
+    row-stochastic (NaN entries included) or if the states it reaches from 0
+    hold several closed classes, which no model chain's do (checked over the
+    whole parameter space by tests/test_whole_space.py). Else all of them
+    reach 0, or all the top one, t, and the balance equations over them,
+    with t's replaced by sum(chi) = 1 and identity rows for the others, have
+    one solution; _closure reads this off in O(n^3), like the LU. Each
+    diagonal entry of omega - I is minus its row's off-diagonal mass
+    (Grassmann, Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1
+    ulp away. The chains share one batched LU solve, or are solved one by one
+    if a singular member makes it raise; a solve that misses _TOL fails with
+    a StationarySolveError. Each reducible chain solved gets a
+    ReducibleChainWarning.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
@@ -176,9 +168,14 @@ def _solve_stack(omega):
     reached, to_0 = closed[:, 0], closed[:, :, 0]
     top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
     to_top = closed[np.arange(len(top)), :, top]
-    certified = ok & (np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1))
-    solved = np.flatnonzero(certified)
-    a = np.swapaxes(omega[solved], 1, 2) - np.eye(n)
+    certified = np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1)
+    for b in np.flatnonzero(ok & ~certified).tolist():
+        ok[b], failures[b] = False, ChainError(
+            "the states reached from 0 hold several closed classes")
+    solved, diag = np.flatnonzero(ok), np.arange(n)
+    a = np.swapaxes(omega[solved], 1, 2)
+    a[:, diag, diag] = 0.0
+    a[:, diag, diag] = -a.sum(axis=1)  # minus each row's off-diagonal mass (GTH)
     a[np.arange(solved.size), top[solved]] = 1.0  # sum(chi) = 1; t is E_max if irreducible
     chain, state = np.nonzero(~reached[solved])  # identity rows: chi is 0 where not reached
     a[chain, state] = np.eye(n)[state]
@@ -195,17 +192,13 @@ def _solve_stack(omega):
         x, solved = x[ok[solved]], solved[ok[solved]]
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
-    residual = _residuals(omega, chi)
     for _ in np.flatnonzero(ok & ~(reached.all(axis=1) & to_0.all(axis=1))):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
                       "an empty queue", ReducibleChainWarning, stacklevel=3)
-    retry = np.flatnonzero(ok & ~(certified & (residual < _TOL)))
-    if retry.size:
-        chi[retry] = _occupancy(omega[retry])
-        residual[retry] = _residuals(omega[retry], chi[retry])
-        for b in retry[~(residual[retry] < _TOL)].tolist():
-            failures[b] = StationarySolveError(
-                f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
+    residual = _residuals(omega, chi)
+    for b in solved[~(residual[solved] < _TOL)].tolist():
+        failures[b] = StationarySolveError(
+            f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
     return chi, failures
 
 
@@ -214,13 +207,8 @@ def stationary(chain: EnergyChain) -> np.ndarray:
 
     The result is the long-run occupancy from the empty queue (the
     simulator's initial condition); for an irreducible chain that is the
-    unique stationary vector. It comes from an LU solve of chi (omega - I) = 0
-    over the states reached from 0, with the top one's equation replaced by
-    sum(chi) = 1, whenever those states hold one closed class, and from
-    repeated squaring otherwise or if the solve misses the residual _TOL.
-    Which states are reached, and whether they hold one closed class, is read
-    off the chain's transitive closure (_closure), which costs O(n^3).
-    Reducible chains are reported with a ReducibleChainWarning.
+    unique stationary vector. It is _solve_stack's for a stack of one chain,
+    whose ChainError or StationarySolveError it raises.
     """
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or not omega.shape[0] == omega.shape[1] > 0:
@@ -232,17 +220,10 @@ def stationary(chain: EnergyChain) -> np.ndarray:
     return chain.chi
 
 
-def solve_chain(p_idle_arrivals, p_active_arrivals, pi_idle, g, e_max) -> EnergyChain:
-    """build_chain followed by stationary."""
-    chain = build_chain(p_idle_arrivals, p_active_arrivals, pi_idle, g, e_max)
-    stationary(chain)
-    return chain
-
-
 def outage_threshold(params: SystemParams, dc: DerivedConstants, g):
     """Channel gain the secondary link must reach when spending g packets."""
     return params.N0 * params.W * (params.T - params.tau) * (2.0 ** dc.R_s - 1.0) \
-        / (g * params.e_pkt)
+        / params.e_pkt / g  # g * e_pkt may overflow, and inf / inf is NaN
 
 
 def success_probability(params: SystemParams, dc: DerivedConstants, g):

@@ -5,7 +5,8 @@ Three sources feed the secondary battery:
 * conversion of primary RF transmissions, quantized to whole packets; its
   exact distribution follows from the law of the gain ratio h_ps / h_ppd
   on the event that the primary transmits,
-* ambient (nature) harvesting, Poisson per slot,
+* ambient (nature) harvesting, Poisson per slot, the whole arrival law of
+  a primary-idle slot,
 * their sum on primary-active slots, a plain discrete convolution.
 
 Every pmf takes a support cap n_max. A source pmf covers counts 0..n-1,
@@ -26,56 +27,33 @@ from .config import DerivedConstants, SystemParams
 
 TAIL_EPS = 1e-12
 
-KIND_RF_CONDITIONAL = "rf_conditional"
-KIND_NATURE = "nature"
-KIND_NATURE_IDLE = "nature_idle"
-KIND_COMBINED_ACTIVE = "combined_active"
-
 
 @dataclass(frozen=True)
 class HarvestPmf:
     """Truncated pmf over packet counts 0..len(probs)-1.
 
     tail_mass is whatever probability the truncation left out; probs and
-    tail_mass always total 1. kind records what the distribution conditions
-    on (see module constants).
+    tail_mass always total 1.
     """
 
     probs: np.ndarray
     tail_mass: float
-    kind: str
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-D array")
-        if np.any(p < 0):
+        if not np.all(p >= 0):
             raise ValueError("probabilities must be nonnegative")
-        if not 0 <= self.tail_mass <= 1 or abs(float(math.fsum(p)) + self.tail_mass - 1.0) > 1e-9:
+        if not (0 <= self.tail_mass <= 1 and abs(math.fsum(p) + self.tail_mass - 1.0) <= 1e-9):
             raise ValueError("probs and tail_mass must total 1")
         object.__setattr__(self, "probs", p)
 
-    def to_text(self) -> str:
-        """Two-column `n probability` rendering, with a comment header."""
-        lines = [f"# kind={self.kind} tail_mass={self.tail_mass:.17g}"]
-        lines += [f"{n} {p:.17g}" for n, p in enumerate(self.probs)]
-        return "\n".join(lines) + "\n"
-
     def write_text(self, path):
+        """Write `n probability` lines under a `# tail_mass=...` header."""
         with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-
-def ratio_cap_cdf(z, lam_x, lam_y, a):
-    """Pr{X/Y <= z and Y >= a} for independent exponentials, elementwise in z.
-
-    X has rate lam_x, Y has rate lam_y. Increases from 0 at z=0 to
-    exp(-lam_y*a) as z -> inf.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be >= 0")
-    return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
+            fh.write(f"# tail_mass={self.tail_mass:.17g}\n")
+            fh.writelines(f"{n} {p:.17g}\n" for n, p in enumerate(self.probs))
 
 
 def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
@@ -83,12 +61,12 @@ def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
 
     The count reaches n >= 1 with probability
     T(n) = exp(-a x(n)) / (1 + x(n) / lambda_y), x(n) = lambda_x alpha n,
-    and bin n is T(n) - T(n+1), T(0) = 1. eta == 0 gives a point mass at
-    zero packets, and so does a primary that never transmits (a = inf):
-    the chain weights its active slots by 0.
+    and bin n is T(n) - T(n+1), T(0) = 1. dc.rf_degenerate gives a point
+    mass at zero packets; for a primary that never transmits (a = inf) the
+    chain weights its active slots by 0 in any case.
     """
     if dc.rf_degenerate:
-        return HarvestPmf(np.array([1.0]), 0.0, KIND_RF_CONDITIONAL)
+        return HarvestPmf(np.array([1.0]), 0.0)
     # T(n) for n = 1..n_max; it falls with n, so the support ends one bin
     # past the last tail >= TAIL_EPS
     x = dc.lambda_x * dc.alpha * np.arange(1, n_max + 1)
@@ -98,24 +76,11 @@ def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
     # + x(n+1))) with c = a x(1): two nonnegative terms, so no bin cancels
     c = dc.a * x[0]
     drop = -math.expm1(-c) + math.exp(-c) * x[0] / (dc.lambda_y + x[:n])
-    return HarvestPmf(np.concatenate(([1.0], tails[:n - 1])) * drop, float(tails[n - 1]),
-                      KIND_RF_CONDITIONAL)
+    return HarvestPmf(np.concatenate(([1.0], tails[:n - 1])) * drop, float(tails[n - 1]))
 
 
-def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
-    """rf_pmf's bins times exp(-lambda_y * a), the probability the primary
-    transmits: the joint probabilities of {primary transmits, count = n}.
-
-    They telescope to that probability, not to 1.
-    """
-    if dc.rf_degenerate:
-        raise ValueError("RF harvesting yields no packets (eta == 0 or alpha * lambda_x "
-                         "overflows): RF increments are undefined")
-    return math.exp(-dc.lambda_y * dc.a) * rf_pmf(dc, n_max).probs
-
-
-def _with_tail(probs, kind):
-    return HarvestPmf(probs, max(0.0, 1.0 - math.fsum(probs)), kind)
+def _with_tail(probs):
+    return HarvestPmf(probs, max(0.0, 1.0 - math.fsum(probs)))
 
 
 def _poisson_terms(m, size):
@@ -129,11 +94,11 @@ def nature_pmf(params: SystemParams, n_max) -> HarvestPmf:
     """Poisson(lambda_e * T) packets per slot, cut by the support rule."""
     m = params.lambda_e * params.T
     if m == 0:
-        return HarvestPmf(np.array([1.0]), 0.0, KIND_NATURE)
+        return HarvestPmf(np.array([1.0]), 0.0)
     if m >= n_max:
         # the Poisson median is at least m - ln 2, so Pr{N >= n} >= 1/2 for
         # every n <= m, and the cap ends the support
-        return _with_tail(_poisson_terms(m, n_max), KIND_NATURE)
+        return _with_tail(_poisson_terms(m, n_max))
     # Bernstein: Pr{N >= m + t} <= exp(-t^2 / (2 (m + t/3))); the grid ends
     # where that bound is exp(-b) = TAIL_EPS * e^-40, far below TAIL_EPS.
     # It holds O(n_max) counts because m < n_max.
@@ -143,7 +108,7 @@ def nature_pmf(params: SystemParams, n_max) -> HarvestPmf:
     # keeps full relative precision near TAIL_EPS, where 1 - cdf would not
     at_least = np.cumsum(terms[::-1])[::-1]
     n_bins = min(n_max, int(np.argmax(at_least[1:] < TAIL_EPS)) + 1)
-    return _with_tail(terms[:n_bins], KIND_NATURE)
+    return _with_tail(terms[:n_bins])
 
 
 def combined_pmf(rf: HarvestPmf, nature: HarvestPmf, n_max) -> HarvestPmf:
@@ -153,16 +118,14 @@ def combined_pmf(rf: HarvestPmf, nature: HarvestPmf, n_max) -> HarvestPmf:
     their discrete convolution over nonnegative supports. Its first n_max
     bins need only the first n_max bins of each source.
     """
-    return _with_tail(np.convolve(nature.probs, rf.probs)[:n_max], KIND_COMBINED_ACTIVE)
+    return _with_tail(np.convolve(nature.probs, rf.probs)[:n_max])
 
 
 def arrival_pmfs(params: SystemParams, dc: DerivedConstants) -> tuple[HarvestPmf, HarvestPmf]:
     """(idle-slot, active-slot) energy arrival distributions, cut at E_max.
 
-    Idle slots receive ambient packets only; active slots receive ambient
-    plus RF-converted packets.
+    Idle slots receive ambient packets only, so the idle pmf is the nature
+    pmf itself; active slots receive ambient plus RF-converted packets.
     """
     nat = nature_pmf(params, params.E_max)
-    idle = HarvestPmf(nat.probs.copy(), nat.tail_mass, KIND_NATURE_IDLE)
-    active = combined_pmf(rf_pmf(dc, params.E_max), nat, params.E_max)
-    return idle, active
+    return nat, combined_pmf(rf_pmf(dc, params.E_max), nat, params.E_max)

@@ -1,9 +1,11 @@
 """Independent routes to quantities the library computes, used only as test
-oracles: scalar and physical-energy harvest draws, the capped ratio cdf at
-the model's rates, the channel-inversion power, dBm conversion back from
+oracles: scalar and physical-energy harvest draws, the capped ratio cdf and
+the RF increments (the joint law of a transmission and its packet count),
+the channel-inversion power, dBm conversion back from
 Watts, the mean of a truncated pmf, the search for g* checked against
 the report of an exhaustive one, and the frontier sweeps that decided which
-chains the stationary solver certifies before the transitive closure did.
+chains the stationary solver certifies before the transitive closure did;
+and LEAKY, a valid point whose chains once made the LU singular.
 """
 
 import math
@@ -13,8 +15,16 @@ import numpy as np
 
 from ehshare.config import DerivedConstants, SystemParams, derive
 from ehshare.energy_chain import ReducibleChainWarning, optimize_g
-from ehshare.harvest import HarvestPmf, ratio_cap_cdf
+from ehshare.harvest import HarvestPmf, rf_pmf
 from ehshare.simulator import _rf_packets
+
+
+# a valid point (fields but G) whose active pmf is [1 - 1.1e-16] with a tail of 1.1e-16
+LEAKY = dict(beta=54709812.84986468, T=479097983928841.5, tau=434817094450780.2,
+             W=0.08883106531824167, N0=3.2427372550914e-08, e_pkt=0.8686292511064022,
+             P_max=9.91398178656088, lambda_p=0.03666390862279412, lambda_e=0.0,
+             eta=0.9953172990833663, E_max=64, sigma_ppd=2.1078438303352213e+28,
+             sigma_ps=2.0320747889588077e-08, sigma_ssd=2004589216038.6738)
 
 
 def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
@@ -50,6 +60,30 @@ def rf_harvest_samples(params: SystemParams, n, seed, dc=None):
         return np.zeros(n, dtype=np.int64)
     energy = params.eta * params.N0 * params.W * (2.0 ** dc.R_p - 1.0) * h_ps * params.T / h_ppd
     return np.floor(energy / params.e_pkt).astype(np.int64)
+
+
+def ratio_cap_cdf(z, lam_x, lam_y, a):
+    """Pr{X/Y <= z and Y >= a} for independent exponentials, elementwise in z.
+
+    X has rate lam_x, Y has rate lam_y. Increases from 0 at z=0 to
+    exp(-lam_y*a) as z -> inf.
+    """
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("z must be >= 0")
+    return math.exp(-lam_y * a) * (1.0 - (lam_y / (lam_y + lam_x * z)) * np.exp(-a * lam_x * z))
+
+
+def rf_increments(dc: DerivedConstants, n_max) -> np.ndarray:
+    """rf_pmf's bins times exp(-lambda_y * a), the probability the primary
+    transmits: the joint probabilities of {primary transmits, count = n}.
+
+    They telescope to that probability, not to 1.
+    """
+    if dc.rf_degenerate:
+        raise ValueError("RF harvesting yields no packets (eta == 0, alpha * lambda_x "
+                         "overflows or a == inf): RF increments are undefined")
+    return math.exp(-dc.lambda_y * dc.a) * rf_pmf(dc, n_max).probs
 
 
 def f_of_z(z, dc: DerivedConstants):

@@ -18,12 +18,11 @@ from scipy import integrate
 
 from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
                      optimize_g, simulate, validate)
-from ehshare.energy_chain import (ReducibleChainWarning, build_chain, solve_chain,
-                                  stationary, success_probability, su_throughput)
-from ehshare.harvest import (arrival_pmfs, combined_pmf, nature_pmf, ratio_cap_cdf,
-                             rf_increments, rf_pmf)
+from ehshare.energy_chain import (ReducibleChainWarning, build_chain, stationary,
+                                  success_probability, su_throughput)
+from ehshare.harvest import arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
 from ehshare.primary_link import mu_p, pi_idle, pu_throughput
-from oracles import rf_harvest_samples
+from oracles import ratio_cap_cdf, rf_harvest_samples, rf_increments
 
 SLOTS = 10**6
 WARMUP = 10**4
@@ -125,7 +124,8 @@ def test_criterion_05_stationary_solve_quality_and_hand_enumerated_matrix():
                                            eta=eta, lambda_e=lam_e)
                         dc = derive(p)
                         idle, active = arrival_pmfs(p, dc)
-                        chain = solve_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        chain = build_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        stationary(chain)
                         worst_resid = max(worst_resid, float(
                             np.max(np.abs(chain.chi @ chain.omega - chain.chi))))
                         worst_mass = max(worst_mass, abs(float(chain.chi.sum()) - 1.0))
@@ -158,7 +158,8 @@ def test_criterion_06_occupancy_total_variation():
         dc = derive(p)
         pmfs = arrival_pmfs(p, dc)
         report = optimize_g(p, dc, pmfs)
-        chain = solve_chain(pmfs[0], pmfs[1], report.pi_idle, report.g_star, p.E_max)
+        chain = build_chain(pmfs[0], pmfs[1], report.pi_idle, report.g_star, p.E_max)
+        stationary(chain)
         res = simulate(validate(replace(p, G=report.g_star)),
                        SimConfig(n_slots=SLOTS, seed=606, warmup=WARMUP))
         tv = 0.5 * float(np.abs(chain.chi - res.energy_occupancy_hist).sum())
@@ -264,7 +265,8 @@ def test_criterion_12_enumeration_equivalence_and_bit_determinism():
             pi = pi_idle(p, dc)
             best_g, best_v = None, -1.0
             for g in range(1, p.E_max + 1):
-                chain = solve_chain(idle, active, pi, g, p.E_max)
+                chain = build_chain(idle, active, pi, g, p.E_max)
+                stationary(chain)
                 v = pi * success_probability(p, dc, g) * float(chain.chi[g:].sum())
                 if v > best_v:
                     best_g, best_v = g, v

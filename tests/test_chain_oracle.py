@@ -29,18 +29,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ehshare import dbm_to_watts, default_params, derive, energy_chain
-from ehshare.energy_chain import (EnergyChain, ReducibleChainWarning, build_chain, optimize_g,
-                                  optimize_many, stationary, success_probability)
+from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning, build_chain,
+                                  optimize_g, optimize_many, stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from ehshare.primary_link import pi_idle
 from oracles import assert_search_matches, frontier_verdicts
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
-
-
-def _no_occupancy(omega):
-    pytest.fail("a model chain left the LU solve for _occupancy")
 
 
 def _at(p, m):
@@ -132,8 +128,7 @@ def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, 
         chain = build_chain(idle, active, pi, g, e_max)
         assert np.array_equal(chain.omega, reference_omega(idle.probs, active.probs, pi, g, e_max))
         ref_chi, reducible = reference_stationary(chain.omega)
-        with warnings.catch_warnings(record=True) as caught, \
-                mock.patch.object(energy_chain, "_occupancy", _no_occupancy):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ReducibleChainWarning)
             chi = stationary(chain)
         warned = any(issubclass(w.category, ReducibleChainWarning) for w in caught)
@@ -181,14 +176,12 @@ def _assert_matches_reference(report, warned, ref):
 def test_stacked_budget_search_matches_per_budget_reference(lambda_p, eta, lambda_e, e_max):
     # one ReducibleChainWarning per budget the component test calls reducible
     p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
-    with mock.patch.object(energy_chain, "_occupancy", _no_occupancy):
-        _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
+    _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
 
 
-def test_large_battery_without_primary_traffic_takes_the_lu(monkeypatch):
+def test_large_battery_without_primary_traffic_takes_the_lu():
     # lambda_p=0, lambda_e=0.5: most budgets leave the top states unreached;
     # E_max=150 takes the closure's block recursion two levels deep
-    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
     for e_max, unreached in [(100, 76), (150, 126)]:
         p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=e_max, G=1)
         ref = reference_optimize(p)
@@ -216,11 +209,11 @@ def test_closure_matches_csgraph_reachability(n, b):
 
 
 @pytest.mark.parametrize("e_max", [6, 40, 100, 150])
-def test_certification_matches_the_frontier_sweeps(e_max, monkeypatch):
-    # the closure must send to the LU, and warn for, exactly the chains the
-    # frontier sweeps it replaced did. Model chains are all certified, so a
-    # sparse random stack adds chains whose reached states hold several
-    # closed classes.
+def test_certification_matches_the_frontier_sweeps(e_max):
+    # the closure must fail, and solve and warn for, exactly the chains the
+    # frontier sweeps it replaced rejected, and certified and called
+    # reducible. Model chains are all certified, so a sparse random stack
+    # adds chains whose reached states hold several closed classes.
     stacks = []
     for lambda_p, lambda_e in itertools.product((0.0, 0.4, 1.0), (0.0, 0.5, 800.0)):
         p = default_params(lambda_p=lambda_p, lambda_e=lambda_e, E_max=e_max, G=1)
@@ -232,20 +225,18 @@ def test_certification_matches_the_frontier_sweeps(e_max, monkeypatch):
     edges = np.random.default_rng(e_max).random((e_max, n, n)) < 1.5 / n
     edges |= ~edges.any(axis=2, keepdims=True) & np.eye(n, dtype=bool)
     stacks.append(edges / edges.sum(axis=2, keepdims=True))
-    uncertified = []
-    monkeypatch.setattr(energy_chain, "_occupancy",
-                        lambda omega: uncertified.append(omega) or np.zeros(omega.shape[:2]))
+    assert not frontier_verdicts(stacks[-1])[0].all()
     for omega in stacks:
+        certified, reducible = frontier_verdicts(omega)
         # split by verdict, a stack's warning count names its reducible chains
-        reducible = frontier_verdicts(omega)[1]
-        for part, warned in [(omega[reducible], reducible.sum()), (omega[~reducible], 0)]:
-            uncertified.clear()
+        for part in (reducible, ~reducible):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ReducibleChainWarning)
-                energy_chain._solve_stack(part)
-            assert len(caught) == warned
-            certified = frontier_verdicts(part)[0]
-            assert np.array_equal(np.concatenate([part[:0]] + uncertified), part[~certified])
+                failures = energy_chain._solve_stack(omega[part])[1]
+            assert len(caught) == (part & reducible & certified).sum()
+            assert list(failures) == np.flatnonzero(~certified[part]).tolist()
+            assert all(isinstance(f, ChainError) and "closed classes" in str(f)
+                       for f in failures.values())
 
 
 def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
@@ -303,7 +294,6 @@ def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
     inputs = [(p, dc, pmfs, range(1, p.E_max + 1)) for p, dc, pmfs, _ in _slice_inputs(points)]
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
-    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReducibleChainWarning)
         reports = optimize_many(inputs)
@@ -413,7 +403,7 @@ def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
     bad = build_chain(idle, active, pi_idle(p, dc), g, 10).omega
     residuals = energy_chain._residuals
 
-    def missed(omega, chi):  # the faulty chain misses the residual, _occupancy too
+    def missed(omega, chi):  # the faulty chain misses the residual
         r = residuals(omega, chi)
         r[[np.array_equal(w, bad) for w in omega]] = np.inf
         return r
@@ -449,14 +439,13 @@ def test_heavy_ambient_arrivals_make_a_reducible_chain():
     assert np.max(np.abs(chi - reference_stationary(chain.omega)[0])) <= 1e-12
 
 
-def test_heavy_ambient_chains_warn_and_take_the_lu(monkeypatch):
+def test_heavy_ambient_chains_warn_and_take_the_lu():
     # every budget's chain is reducible at lambda_e=800, E_max=6; the states
     # reached from 0 still hold one closed class, so the LU solves them all
     p = default_params(E_max=6, lambda_e=800.0, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
     omega = np.array([build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)])
-    monkeypatch.setattr(energy_chain, "_occupancy", _no_occupancy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReducibleChainWarning)
         chi, failures = energy_chain._solve_stack(omega)
@@ -467,14 +456,17 @@ def test_heavy_ambient_chains_warn_and_take_the_lu(monkeypatch):
 
 
 def test_overfull_pmf_gives_no_negative_complement():
-    over = HarvestPmf(np.array([0.07, 0.9300000000000002]), 0.0, "nature")
+    over = HarvestPmf(np.array([0.07, 0.9300000000000002]), 0.0)
     assert np.cumsum(over.probs)[-1] > 1.0
     chain = build_chain(over, over, 0.5, 1, 3)
     assert np.all(chain.omega >= 0.0)
     assert np.array_equal(chain.omega, reference_omega(over.probs, over.probs, 0.5, 1, 3))
 
 
-def test_reducible_chain_with_two_closed_classes_matches_absorption_mixture():
+def test_two_closed_classes_reached_from_0_raise_a_chain_error():
+    # the component solver would mix the classes {1, 2} and {3, 4} by their
+    # absorption probabilities from 0; stationary names the cause instead,
+    # also with rows that miss 1 by as much as it accepts
     omega = np.array([
         [0.2, 0.1, 0.3, 0.4, 0.0],
         [0.0, 0.5, 0.5, 0.0, 0.0],
@@ -482,15 +474,10 @@ def test_reducible_chain_with_two_closed_classes_matches_absorption_mixture():
         [0.0, 0.0, 0.0, 0.25, 0.75],
         [0.0, 0.0, 0.0, 0.6, 0.4],
     ])
-    ref = reference_stationary(omega)[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        chi = stationary(EnergyChain(omega=omega, g=1))
-        # rows may miss 1 by as much as stationary accepts; repeated squaring
-        # must not compound that into divergence
-        drifted = stationary(EnergyChain(omega=omega * (1.0 + 5e-11), g=1))
-    assert np.max(np.abs(chi - ref)) <= 1e-12
-    assert np.max(np.abs(drifted - ref)) <= 1e-9
+    assert reference_stationary(omega)[1]
+    for scale in (1.0, 1.0 + 5e-11):
+        with pytest.raises(ChainError, match="several closed classes"):
+            stationary(EnergyChain(omega=omega * scale, g=1))
 
 
 @given(lambda_e=st.floats(min_value=0.0, max_value=50.0, exclude_min=True))
@@ -517,7 +504,7 @@ def test_pmfs_cut_at_e_max_match_full_support(lambda_e, eta, p_max_dbm, e_max):
     for cut, whole in sources:
         assert np.array_equal(cut.probs, whole.probs[:e_max])
     # arrival_pmfs as they were before the cut at E_max
-    full = (HarvestPmf(nat.probs, nat.tail_mass, "nature_idle"), combined_pmf(rf, nat, FULL))
+    full = (nat, combined_pmf(rf, nat, FULL))
     capped = arrival_pmfs(p, dc)
     for cut, whole in sources + list(zip(capped, full)):
         assert cut.probs.size == min(e_max, whole.probs.size)

@@ -61,12 +61,16 @@ def test_extreme_finite_values_are_rejected_by_name(field, value):
 
 
 @pytest.mark.parametrize("over", [{"N0": 1e30}, {"P_max": 1e-300}, {"sigma_ppd": 1e-300},
-                                  {"N0": 1e30, "P_max": 1e-300}, {"sigma_ppd": 1e-310}],
-                         ids=["N0", "P_max", "sigma_ppd", "N0-P_max", "sigma_ppd-subnormal"])
+                                  {"N0": 1e30, "P_max": 1e-300}, {"sigma_ppd": 1e-310},
+                                  {"N0": 1e30, "P_max": 1e-300, "sigma_ps": 1e300, "e_pkt": 1e-20}],
+                         ids=["N0", "P_max", "sigma_ppd", "N0-P_max", "sigma_ppd-subnormal",
+                              "a-inf-alpha-underflows"])
 def test_a_primary_that_never_transmits_solves_as_with_eta_0(over):
     # the RF harvest conditions on a transmission of probability 0; the
     # chain gives active slots weight 0, so eta cannot matter. A subnormal
-    # sigma_ppd makes lambda_y = 1 / sigma_ppd infinite.
+    # sigma_ppd makes lambda_y = 1 / sigma_ppd infinite. With a = inf and
+    # lambda_x * alpha = 0, rf_pmf's a * x would be inf * 0 = nan, so derive
+    # flags a = inf as RF-degenerate.
     p = default_params(**over)
     assert mu_p(p, derive(p)) == 0.0
     off = replace(p, eta=0.0)
@@ -119,7 +123,15 @@ def test_derived_constants_at_reference_point():
 def test_zero_efficiency_flags_degenerate_alpha():
     dc = derive(default_params(eta=0.0))
     assert dc.rf_degenerate
-    assert dc.alpha is None
+    assert dc.alpha == math.inf
+
+
+def test_an_ambient_mean_that_overflows_is_rejected_by_name():
+    # lambda_e * T = inf: its Poisson pmf would be NaN
+    p = default_params(lambda_e=1e200, T=1e150, beta=1e150)
+    with pytest.raises(ParameterError) as exc:
+        derive(p)
+    assert exc.value.fields == ["lambda_e", "T"]
 
 
 def test_secondary_rate_always_exceeds_primary_rate():

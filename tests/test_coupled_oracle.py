@@ -32,7 +32,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from ehshare import default_params, derive
-from ehshare.energy_chain import solve_chain, success_probability, su_throughput
+from ehshare.energy_chain import build_chain, stationary, success_probability, su_throughput
 from ehshare.harvest import arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
 
@@ -96,7 +96,8 @@ def test_coupled_battery_marginal_and_mu_s_match_the_chain(lambda_p, eta, lambda
     assume(lambda_p < s and (lambda_e > 0 or eta * lambda_p > 0))
     pi0, r = _coupled(params)
     busy = pi0 @ r @ np.linalg.inv(np.eye(e_max + 1) - r)  # sum of pi_n over n >= 1
-    chain = solve_chain(*arrival_pmfs(params, dc), pi_idle(params, dc), g, e_max)
+    chain = build_chain(*arrival_pmfs(params, dc), pi_idle(params, dc), g, e_max)
+    stationary(chain)
     np.testing.assert_allclose(pi0 + busy, chain.chi, rtol=0, atol=1e-12)
     # idle with probability 1 - lambda_p s at an empty backlog, 1 - s otherwise
     funded = (1 - lambda_p * s) * pi0[g:].sum() + (1 - s) * busy[g:].sum()

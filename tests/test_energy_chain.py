@@ -11,18 +11,18 @@ from ehshare import SimConfig, default_params, derive, energy_chain, simulate, v
 from ehshare.cli_sweep import main
 from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
                                   StationarySolveError, build_chain, mu_e, optimize_g,
-                                  optimize_many, outage_threshold, solve_chain, stationary,
+                                  optimize_many, outage_threshold, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
-from oracles import assert_search_matches
+from oracles import LEAKY, assert_search_matches
 
 P = default_params()
 DC = derive(P)
 
 
-def pmf(*probs, kind="nature"):
-    return HarvestPmf(np.array(probs, dtype=float), 0.0, kind)
+def pmf(*probs):
+    return HarvestPmf(np.array(probs, dtype=float), 0.0)
 
 
 def test_two_state_chain_head_entry_by_hand():
@@ -76,7 +76,7 @@ def test_three_state_matrix_matches_hand_enumeration_exactly():
 def test_rows_always_sum_to_one(pi, g, e_max, raw_idle, raw_active):
     def normalize(raw):
         arr = np.asarray(raw) + 1e-9
-        return HarvestPmf(arr / math.fsum(arr), 0.0, "nature")
+        return HarvestPmf(arr / math.fsum(arr), 0.0)
 
     chain = build_chain(normalize(raw_idle), normalize(raw_active), pi, g, e_max)
     assert np.all(chain.omega >= 0)
@@ -107,14 +107,14 @@ def test_stationary_two_state_birth_death_balance():
     assert np.allclose(chi, [q / (p + q), p / (p + q)], atol=1e-12)
 
 
-def test_power_iteration_fallback_when_direct_solve_misses(monkeypatch):
+def test_a_direct_solve_that_misses_the_residual_raises(monkeypatch):
     p, q = 0.3, 0.2
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(a.shape[:2] + (1,), 0.5))
-    chi = stationary(EnergyChain(omega=np.array([[1 - p, p], [q, 1 - q]]), g=1))
-    assert np.allclose(chi, [q / (p + q), p / (p + q)], atol=1e-12)
+    with pytest.raises(StationarySolveError, match="residual"):
+        stationary(EnergyChain(omega=np.array([[1 - p, p], [q, 1 - q]]), g=1))
 
 
-def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
+def test_only_the_budget_that_misses_the_residual_fails(monkeypatch):
     p = default_params(E_max=6)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
@@ -122,26 +122,18 @@ def test_only_the_budget_that_misses_the_residual_falls_back(monkeypatch):
     assert omega.shape == (6, 7, 7)
     direct, failures = energy_chain._solve_stack(omega)
     assert failures == {}
-    solve, occupancy = np.linalg.solve, energy_chain._occupancy
-    fallbacks = []
+    solve = np.linalg.solve
 
     def miss_budget_3(a, b):
         x = solve(a, b)
         x[2] = 1.0
         return x
 
-    def counted(omega_b):
-        fallbacks.append(omega_b)
-        return occupancy(omega_b)
-
     monkeypatch.setattr(np.linalg, "solve", miss_budget_3)
-    monkeypatch.setattr(energy_chain, "_occupancy", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ReducibleChainWarning)
         chi, failures = energy_chain._solve_stack(omega)
-    assert failures == {}
-    assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], omega[[2]])
-    assert np.max(np.abs(chi[2] - direct[2])) <= 1e-12
+    assert list(failures) == [2] and isinstance(failures[2], StationarySolveError)
     others = [0, 1, 3, 4, 5]
     assert np.array_equal(chi[others], direct[others])
 
@@ -183,7 +175,7 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
     alone = [optimize_g(*x) for x in inputs]
     p, dc, (idle, active), _ = inputs[1]
     bad = [build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)]
-    if fault == "residual":  # every chain of the middle point misses, _occupancy too
+    if fault == "residual":  # every chain of the middle point misses
         residuals = energy_chain._residuals
 
         def missed(omega, chi):
@@ -193,17 +185,19 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
 
         monkeypatch.setattr(energy_chain, "_residuals", missed)
         expected = StationarySolveError
-    elif fault == "nan":  # a NaN pmf passes HarvestPmf's checks
-        inputs[1] = (p, dc, (pmf(np.nan, 1.0), active), range(1, 7))
+    elif fault == "nan":  # a NaN pmf, set past HarvestPmf's checks
+        nan = pmf(0.0, 1.0)
+        object.__setattr__(nan, "probs", np.array([np.nan, 1.0]))
+        inputs[1] = (p, dc, (nan, active), range(1, 7))
         expected = ChainError
     else:  # np.linalg.solve raises for the whole stack when one member is singular
-        solve, singular = np.linalg.solve, []
-        for w in bad:
-            singular.append(w.T - np.eye(7))
+        solve, singular, off = np.linalg.solve, [], ~np.eye(7, dtype=bool)
+        for w in bad:  # the LU matrix off its diagonal: omega^T, then sum(chi) = 1
+            singular.append(w.T.copy())
             singular[-1][-1] = 1.0
 
         def raising(a, b):
-            if any(np.array_equal(m, s) for m in a for s in singular):
+            if any(np.array_equal(m[off], s[off]) for m in a for s in singular):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
@@ -289,22 +283,28 @@ def test_absorbing_empty_queue_is_detected_and_resolved():
     assert np.array_equal(chi, [1.0, 0.0, 0.0, 0.0])
 
 
-def test_reducible_mixture_weights_follow_absorption_probabilities():
+def test_two_absorbing_states_reached_from_0_raise_a_chain_error():
+    # no model chain has several closed classes among the states it reaches
+    # from 0 (tests/test_whole_space.py); a hand-built one gets no vector
     omega = np.array([
         [0.0, 0.3, 0.7],
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
     ])
-    with pytest.warns(ReducibleChainWarning):
-        chi = stationary(EnergyChain(omega=omega, g=1))
-    assert np.allclose(chi, [0.0, 0.3, 0.7], atol=1e-12)
+    chain = EnergyChain(omega=omega, g=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducibleChainWarning)
+        with pytest.raises(ChainError, match="several closed classes"):
+            stationary(chain)
+    assert chain.chi is None
 
 
 def test_stationary_matches_long_run_occupancy():
     p = default_params(lambda_p=0.4, eta=0.6, lambda_e=0.0, E_max=10, G=2)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = solve_chain(idle, active, pi_idle(p, dc), 2, 10)
+    chain = build_chain(idle, active, pi_idle(p, dc), 2, 10)
+    stationary(chain)
     res = simulate(p, SimConfig(n_slots=10**6, seed=99, warmup=10_000))
     assert np.max(np.abs(chain.chi - res.energy_occupancy_hist)) < 0.01
 
@@ -339,7 +339,8 @@ def test_throughput_vanishes_with_the_top_state_mass():
         p = default_params(eta=eta, lambda_p=0.1, lambda_e=0.0)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        chain = solve_chain(idle, active, pi_idle(p, dc), p.E_max, p.E_max)
+        chain = build_chain(idle, active, pi_idle(p, dc), p.E_max, p.E_max)
+        stationary(chain)
         mu_s = su_throughput(chain, p, dc)
         expected = pi_idle(p, dc) * success_probability(p, dc, p.E_max) * chain.chi[-1]
         assert mu_s == pytest.approx(expected, rel=1e-12)
@@ -360,7 +361,8 @@ def test_consumption_rate_identity_and_simulator_agreement():
     p = default_params(lambda_p=0.4, eta=0.6, lambda_e=0.0, E_max=10, G=2)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = solve_chain(idle, active, pi_idle(p, dc), 2, 10)
+    chain = build_chain(idle, active, pi_idle(p, dc), 2, 10)
+    stationary(chain)
     rate = mu_e(chain, p, dc)
     avail = float(chain.chi[2:].sum())
     assert rate == pytest.approx(2 * pi_idle(p, dc) * avail, rel=1e-15)
@@ -373,7 +375,8 @@ def test_availability_mass_nonincreasing_in_budget_at_reference_point():
     pi = pi_idle(P, DC)
     masses = []
     for g in range(1, P.E_max + 1):
-        chain = solve_chain(idle, active, pi, g, P.E_max)
+        chain = build_chain(idle, active, pi, g, P.E_max)
+        stationary(chain)
         masses.append(float(chain.chi[g:].sum()))
     assert all(b <= a + 1e-12 for a, b in zip(masses, masses[1:]))
 
@@ -396,7 +399,8 @@ def test_optimize_equals_exhaustive_reevaluation():
         pi = pi_idle(p, dc)
         best_g, best_v = None, -1.0
         for g in range(1, p.E_max + 1):
-            chain = solve_chain(idle, active, pi, g, p.E_max)
+            chain = build_chain(idle, active, pi, g, p.E_max)
+            stationary(chain)
             v = pi * success_probability(p, dc, g) * float(chain.chi[g:].sum())
             assert report.mu_s_by_g[g] == pytest.approx(v, rel=1e-12)
             if v > best_v:
@@ -425,8 +429,28 @@ def test_stationary_invariants_across_config_sweep():
                     idle, active = arrival_pmfs(p, dc)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", ReducibleChainWarning)
-                        chain = solve_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        chain = build_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        stationary(chain)
                     resid = np.max(np.abs(chain.chi @ chain.omega - chain.chi))
                     assert resid < 1e-10
                     assert abs(chain.chi.sum() - 1.0) <= 1e-12
                     assert np.all(chain.chi >= 0)
+
+
+def test_a_leak_below_one_ulp_of_the_diagonal_keeps_the_lu_nonsingular():
+    # each row below g leaks about 4e-18 to E_max while omega[j, j] rounds to
+    # 1, so a diagonal taken as omega[j, j] - 1 loses the leak and the LU is
+    # singular from g = 3 on; one taken from the off-diagonal mass keeps it
+    p = default_params(**LEAKY)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    omega = build_chain(*pmfs, pi_idle(p, dc), 3, p.E_max).omega
+    off = omega - np.diag(np.diag(omega))
+    assert np.all(np.diag(omega)[:3] == 1.0) and np.all(off[:3].sum(axis=1) > 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
+    assert report.g_star == 1 and 0.0 < report.mu_s_star < 1e-15
+    assert all(0.0 <= mu_s < 1e-15 for mu_s in report.mu_s_by_g.values())
+    assert abs(report.chain.chi.sum() - 1.0) <= 1e-12
+    assert_search_matches(report, p, dc, pmfs)

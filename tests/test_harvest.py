@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ehshare import dbm_to_watts, default_params, derive
-from ehshare.harvest import (HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
-                             ratio_cap_cdf, rf_increments, rf_pmf)
-from oracles import f_of_z, pmf_mean, rf_harvest_samples
+from ehshare.harvest import HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
+from oracles import f_of_z, pmf_mean, ratio_cap_cdf, rf_harvest_samples, rf_increments
 
 P = default_params()
 DC = derive(P)
@@ -75,7 +74,6 @@ def test_rf_pmf_is_normalized_with_small_tail():
     pmf = rf_pmf(DC, FULL)
     assert math.fsum(pmf.probs) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert pmf.tail_mass <= 1e-12
-    assert pmf.kind == "rf_conditional"
 
 
 def test_rf_pmf_against_conditioned_draws():
@@ -109,10 +107,11 @@ def test_rf_pmf_tail_bins_keep_full_relative_precision(p_max_dbm):
 
 def test_rf_pmf_of_a_primary_that_never_transmits_is_a_point_mass():
     dc = derive(default_params(N0=1e30, P_max=1e-300))
-    assert dc.a == math.inf and not dc.rf_degenerate
+    assert dc.a == math.inf and dc.rf_degenerate
     pmf = rf_pmf(dc, FULL)
     assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
-    assert rf_increments(dc, FULL).tolist() == [0.0]
+    with pytest.raises(ValueError, match="a == inf"):
+        rf_increments(dc, FULL)
 
 
 def test_nature_pmf_without_arrivals():
@@ -142,14 +141,14 @@ def test_nature_pmf_truncation_tail():
 
 def test_convolving_with_point_mass_is_identity():
     rf = rf_pmf(DC, FULL)
-    ident = HarvestPmf(np.array([1.0]), 0.0, "nature")
+    ident = HarvestPmf(np.array([1.0]), 0.0)
     out = combined_pmf(rf, ident, FULL)
     assert np.allclose(out.probs, rf.probs, rtol=0, atol=0)
 
 
 def test_convolution_of_point_masses_shifts():
-    one = HarvestPmf(np.array([0.0, 1.0]), 0.0, "rf_conditional")
-    two = HarvestPmf(np.array([0.0, 0.0, 1.0]), 0.0, "nature")
+    one = HarvestPmf(np.array([0.0, 1.0]), 0.0)
+    two = HarvestPmf(np.array([0.0, 0.0, 1.0]), 0.0)
     out = combined_pmf(one, two, FULL)
     assert out.probs.tolist() == [0.0, 0.0, 0.0, 1.0]
 
@@ -159,7 +158,6 @@ def test_combined_mean_is_additive():
     nat = nature_pmf(default_params(lambda_e=0.5), FULL)
     out = combined_pmf(rf, nat, FULL)
     assert pmf_mean(out) == pytest.approx(pmf_mean(rf) + pmf_mean(nat), abs=1e-9)
-    assert out.kind == "combined_active"
 
 
 def test_combined_against_independent_draws():
@@ -183,8 +181,11 @@ def test_rf_mean_drops_as_primary_channel_improves():
 
 
 def test_arrival_pmfs_kinds_and_zero_efficiency_routing():
-    idle, active = arrival_pmfs(P, DC)
-    assert idle.kind == "nature_idle" and active.kind == "combined_active"
+    p = default_params(lambda_e=0.5)
+    idle, active = arrival_pmfs(p, derive(p))
+    nat = nature_pmf(p, p.E_max)  # idle slots harvest ambient packets only
+    assert np.array_equal(idle.probs, nat.probs) and idle.tail_mass == nat.tail_mass
+    assert active.probs.size == p.E_max and active.probs[0] < idle.probs[0]
     p0 = default_params(eta=0.0, lambda_e=0.5)
     idle0, active0 = arrival_pmfs(p0, derive(p0))
     assert np.allclose(active0.probs, idle0.probs)  # RF contributes nothing
@@ -200,13 +201,18 @@ def test_two_column_serialization_round_trip(tmp_path):
     ps = np.array([float(r[1]) for r in rows])
     assert ns == list(range(pmf.probs.size))
     assert np.array_equal(ps, pmf.probs)
+    assert path.read_text().splitlines()[0] == f"# tail_mass={pmf.tail_mass:.17g}"
 
 
 def test_pmf_validation_rejects_bad_mass():
     with pytest.raises(ValueError):
-        HarvestPmf(np.array([0.5, 0.4]), 0.0, "nature")
+        HarvestPmf(np.array([0.5, 0.4]), 0.0)
     with pytest.raises(ValueError):
-        HarvestPmf(np.array([-0.1, 1.1]), 0.0, "nature")
+        HarvestPmf(np.array([-0.1, 1.1]), 0.0)
+    # a NaN compares false both ways, so each check must be one a NaN fails
+    for probs, tail_mass in [([np.nan, 1.0], 0.0), ([1.0, np.nan], 0.0), ([1.0], np.nan)]:
+        with pytest.raises(ValueError):
+            HarvestPmf(np.array(probs), tail_mass)
 
 
 @settings(max_examples=30)
