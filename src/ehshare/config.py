@@ -65,7 +65,8 @@ class DerivedConstants:
     """Constants computed once from a validated SystemParams.
 
     R_p, R_s:  primary / secondary spectral efficiency, bits/s/Hz
-    a:         minimum channel gain for a primary transmission
+    a:         the primary transmits iff h_ppd >= a
+    b:         the SU decodes on spending g packets iff h_ssd >= b / g
     alpha:     energy-packet quantization constant; inf when eta == 0
     lambda_x:  rate of the primary->secondary gain (1/sigma_ps)
     lambda_y:  rate of the primary->destination gain (1/sigma_ppd)
@@ -76,6 +77,7 @@ class DerivedConstants:
     R_p: float
     R_s: float
     a: float
+    b: float
     alpha: float
     lambda_x: float
     lambda_y: float
@@ -168,6 +170,7 @@ def derive(params: SystemParams) -> DerivedConstants:
         R_p=R_p,
         R_s=R_s,
         a=a,
+        b=params.N0 * params.W * (params.T - params.tau) * (2.0 ** R_s - 1.0) / params.e_pkt,
         alpha=alpha,
         lambda_x=lambda_x,
         lambda_y=1.0 / params.sigma_ppd,

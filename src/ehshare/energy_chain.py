@@ -220,15 +220,10 @@ def stationary(chain: EnergyChain) -> np.ndarray:
     return chain.chi
 
 
-def outage_threshold(params: SystemParams, dc: DerivedConstants, g):
-    """Channel gain the secondary link must reach when spending g packets."""
-    return params.N0 * params.W * (params.T - params.tau) * (2.0 ** dc.R_s - 1.0) \
-        / params.e_pkt / g  # g * e_pkt may overflow, and inf / inf is NaN
-
-
 def success_probability(params: SystemParams, dc: DerivedConstants, g):
-    """Probability the secondary packet decodes when g packets fund it."""
-    return math.exp(-outage_threshold(params, dc, g) / params.sigma_ssd)
+    """Probability the secondary packet decodes when g packets fund it,
+    Pr{h_ssd >= b / g} = exp(-b / (g sigma_ssd))."""
+    return math.exp(-dc.b / g / params.sigma_ssd)
 
 
 def _availability(chain: EnergyChain):
@@ -274,7 +269,7 @@ def _bounds(params, dc, kernels):
     packets per slot, no more than the mean m of min(arrivals, E_max) (row 0)."""
     idle, active = kernels
     g = np.arange(1, len(idle))
-    s = np.exp(-outage_threshold(params, dc, 1) / params.sigma_ssd / g)
+    s = np.exp(-dc.b / params.sigma_ssd / g)
     m = (idle[0] + active[0]) @ np.arange(len(idle))
     return s * np.minimum(primary_link.pi_idle(params, dc), m / g)
 

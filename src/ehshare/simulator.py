@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ParameterError, SystemParams, derive, is_int
-from .energy_chain import outage_threshold
 
 _DEFAULT_WARMUP = 10_000
 _CHUNK = 2 ** 16         # most slots drawn and processed at a time
@@ -113,13 +112,13 @@ class SimResult:
     final_energy_level: int
 
 
-def _rf_packets(h_ppd, h_ps, alpha):
-    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise.
-
-    The ratio is clipped at 2**62 so the int cast stays safe for extreme
-    ratio draws.
+def _rf_packets(z_ppd, z_ps, scale):
+    """floor(h_ps / (h_ppd * alpha)) = floor(z_ps / z_ppd / scale) as int64,
+    from standard exponentials z = h / sigma and scale = lambda_x * alpha *
+    sigma_ppd, so no gain is formed to overflow. The ratio is clipped at 2**62
+    so the int cast stays safe.
     """
-    return np.floor(np.minimum(h_ps / (h_ppd * alpha), 2.0 ** 62)).astype(np.int64)
+    return np.floor(np.minimum(z_ps / z_ppd / scale, 2.0 ** 62)).astype(np.int64)
 
 
 def _exact_sum(x) -> int:
@@ -279,8 +278,8 @@ class _Point:
                                   f"Poisson mean the simulator can draw ({_POISSON_MAX:.6g})"])
         # keys of the chunk's shared pu_ok, su_ok and clipped RF packets (RF key: clip_key[:-1])
         self.pu_key = (params.sigma_ppd, self.dc.a)
-        self.su_key = (params.sigma_ssd, outage_threshold(params, self.dc, params.G))
-        self.clip_key = (*self.pu_key, params.sigma_ps, self.dc.alpha, self.dc.rf_degenerate,
+        self.su_key = (params.sigma_ssd, self.dc.b / params.G)
+        self.clip_key = (*self.pu_key, self.dc.lambda_x * self.dc.alpha * params.sigma_ppd,
                          params.E_max)
         self.qp = self.qe = 0  # primary data queue, energy queue
         self.pu_delivered = self.su_delivered = self.pu_queue_sum = 0
@@ -388,7 +387,7 @@ def _run_batch(batch, sim: SimConfig):
 
     streams = np.random.SeedSequence(sim.seed).spawn(5)
     rng_arr, rng_ppd, rng_ps, rng_ssd = (np.random.default_rng(s) for s in streams[:4])
-    rf_used = not all(pt.dc.rf_degenerate for pt in batch)
+    rf_used = any(pt.clip_key[2] < np.inf for pt in batch)
     # one generator per distinct ambient mean, each replaying the same substream
     rng_nat = {pt.lam: np.random.default_rng(streams[4]) for pt in batch if pt.lam > 0}
 
@@ -420,11 +419,11 @@ def _run_batch(batch, sim: SimConfig):
                 np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
         packets, rf = {}, {}  # RF key -> pu_ok slots and their packets; clip key -> prepare's rf
         for key, clip in rf_clip.items():
-            (sigma_ppd, a, sigma_ps, alpha, degenerate), e = key[:-1], key[-1]
+            (sigma_ppd, a, scale), e = key[:-1], key[-1]
             if key[:-1] not in packets:
                 ok = np.flatnonzero(pu_ok[sigma_ppd, a][:m])
-                packets[key[:-1]] = ok, np.zeros(ok.size, np.int64) if degenerate else \
-                    _rf_packets(z_ppd.take(ok) * sigma_ppd, z_ps.take(ok) * sigma_ps, alpha)
+                packets[key[:-1]] = ok, np.zeros(ok.size, np.int64) if scale == np.inf else \
+                    _rf_packets(z_ppd.take(ok), z_ps.take(ok), scale)
             ok, n = packets[key[:-1]]
             clip[:m] = 0
             clip[ok] = np.minimum(n, e)

@@ -16,7 +16,6 @@ import numpy as np
 from ehshare.config import DerivedConstants, SystemParams, derive
 from ehshare.energy_chain import ReducibleChainWarning, optimize_g
 from ehshare.harvest import HarvestPmf, rf_pmf
-from ehshare.simulator import _rf_packets
 
 
 # a valid point (fields but G) whose active pmf is [1 - 1.1e-16] with a tail of 1.1e-16
@@ -25,6 +24,12 @@ LEAKY = dict(beta=54709812.84986468, T=479097983928841.5, tau=434817094450780.2,
              P_max=9.91398178656088, lambda_p=0.03666390862279412, lambda_e=0.0,
              eta=0.9953172990833663, E_max=64, sigma_ppd=2.1078438303352213e+28,
              sigma_ps=2.0320747889588077e-08, sigma_ssd=2004589216038.6738)
+
+
+def rf_packets(h_ppd, h_ps, alpha):
+    """floor(h_ps / (h_ppd * alpha)) as int64, elementwise, from the physical
+    gains; the ratio is clipped at 2**62 so the int cast stays safe."""
+    return np.floor(np.minimum(h_ps / (h_ppd * alpha), 2.0 ** 62)).astype(np.int64)
 
 
 def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
@@ -41,7 +46,7 @@ def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
         raise ValueError("h_ps must be >= 0")
     if dc.rf_degenerate:
         return 0
-    return int(_rf_packets(h_ppd, h_ps, dc.alpha))
+    return int(rf_packets(np.float64(h_ppd), h_ps, dc.alpha))
 
 
 def rf_harvest_samples(params: SystemParams, n, seed, dc=None):

@@ -11,7 +11,7 @@ from ehshare import SimConfig, default_params, derive, energy_chain, simulate, v
 from ehshare.cli_sweep import main
 from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
                                   StationarySolveError, build_chain, mu_e, optimize_g,
-                                  optimize_many, outage_threshold, stationary,
+                                  optimize_many, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.primary_link import mu_p, pi_idle
@@ -315,7 +315,7 @@ def test_success_probability_reference_value_and_oracle():
     assert sp == pytest.approx(0.352, abs=5e-4)
     rng = np.random.default_rng(2026_03)
     h = rng.exponential(P.sigma_ssd, 10**6)
-    emp = np.mean(h >= outage_threshold(P, DC, 1))
+    emp = np.mean(h >= DC.b)
     assert emp == pytest.approx(sp, abs=2e-3)
 
 

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ehshare import ParameterError, SimConfig, SimResult, default_params, derive, simulate
-from ehshare.energy_chain import outage_threshold
 from ehshare import simulator
-from ehshare.simulator import _BLOCK, _CHUNK, _battery_levels, _rf_packets
+from ehshare.simulator import _BLOCK, _CHUNK, _battery_levels
+
+from oracles import rf_packets
 
 
 def _folded_hist(counts: dict, total: int, e_max: int) -> np.ndarray:
@@ -56,8 +57,10 @@ def _run_reference(params, sim):
     if dc.rf_degenerate:
         rf_pkts = [0] * n
     else:
-        rf_pkts = _rf_packets(h_ppd, h_ps, dc.alpha).tolist()
-    su_ok = (h_ssd >= outage_threshold(params, dc, g)).tolist()
+        rf_pkts = rf_packets(h_ppd, h_ps, dc.alpha).tolist()
+    # the SU decodes iff its power g * e_pkt / (T - tau) clears the channel inversion's
+    su_ok = (h_ssd >= params.N0 * params.W * (2.0 ** dc.R_s - 1.0)
+             / (g * params.e_pkt / (params.T - params.tau))).tolist()
 
     qp = 0          # primary data queue
     qe = 0          # energy queue
@@ -337,11 +340,11 @@ def test_rf_packets_are_quantized_once_per_distinct_rf_key_and_chunk(monkeypatch
     # 8 chunks of 128 slots. The first three points share one RF key (the
     # third clips it at another E_max), P_max and sigma_ps give two more, and
     # eta = 0 quantizes nothing: 3 calls per chunk.
-    calls, rf_packets = [], simulator._rf_packets
+    calls, quantize = [], simulator._rf_packets
 
-    def counted(h_ppd, h_ps, alpha):
-        calls.append(h_ppd.size)
-        return rf_packets(h_ppd, h_ps, alpha)
+    def counted(z_ppd, z_ps, scale):
+        calls.append(z_ppd.size)
+        return quantize(z_ppd, z_ps, scale)
 
     monkeypatch.setattr(simulator, "_rf_packets", counted)
     monkeypatch.setattr(simulator, "_POINT_SLOTS", 6 * 128)
