@@ -6,6 +6,7 @@ and CLI flags) and converted on ingest.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 
@@ -166,11 +167,16 @@ def derive(params: SystemParams) -> DerivedConstants:
         raise ParameterError(["beta, T, W, N0, e_pkt, eta, sigma_ps: the packet scale alpha * "
                               "lambda_x = e_pkt / (eta * N0 * W * (2**R_p - 1) * T * sigma_ps) "
                               "is 0 * inf"])
+    factors = (params.N0, params.W, params.T - params.tau, 2.0 ** R_s - 1.0)
+    b = math.prod(factors) / params.e_pkt
+    if b == math.inf:  # a partial product overflows; b itself may not
+        log_b = math.fsum(map(math.log, factors)) - math.log(params.e_pkt)
+        b = math.exp(log_b) if log_b <= math.log(sys.float_info.max) else math.inf
     return DerivedConstants(
         R_p=R_p,
         R_s=R_s,
         a=a,
-        b=params.N0 * params.W * (params.T - params.tau) * (2.0 ** R_s - 1.0) / params.e_pkt,
+        b=b,
         alpha=alpha,
         lambda_x=lambda_x,
         lambda_y=1.0 / params.sigma_ppd,

@@ -324,6 +324,17 @@ def test_success_probability_strictly_increases_with_budget():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def test_an_su_cutoff_whose_partial_product_overflows_stays_finite():
+    # N0 * W * (T - tau) = 1e310 overflows, while b is 1e5 (50-digit value)
+    p = default_params(N0=1e300, W=1, T=1e10, tau=1, beta=1e10, e_pkt=1e305,
+                       sigma_ssd=1e10, lambda_e=1e-9)
+    dc = derive(p)
+    assert dc.b == pytest.approx(100000.00000386294, rel=1e-12)
+    report = optimize_g(p, dc, arrival_pmfs(p, dc), range(1, p.E_max + 1))
+    assert report.mu_s_by_g[1] == pytest.approx(0.99999000005, rel=1e-9)
+    assert simulate(p, SimConfig(n_slots=20_000, seed=3)).su_throughput_hat > 0.999
+
+
 def test_throughput_requires_solved_chain():
     idle, active = arrival_pmfs(P, DC)
     chain = build_chain(idle, active, pi_idle(P, DC), 1, P.E_max)
