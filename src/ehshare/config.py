@@ -153,7 +153,7 @@ def derive(params: SystemParams) -> DerivedConstants:
         raise ParameterError([f"beta, T, tau, W: the secondary rate beta / ((T - tau) * W) = "
                               f"{R_s:g} bits/s/Hz must be below 1024"])
     R_p = params.beta / (params.T * params.W)
-    p_min_num = params.N0 * params.W * (2.0 ** R_p - 1.0)
+    p_min_num = params.N0 * params.W * math.expm1(R_p * math.log(2))  # 2**R_p - 1 cancels
     if not 0.0 < p_min_num < math.inf:
         raise ParameterError([f"beta, T, W, N0: N0 * W * (2**R_p - 1) = {p_min_num:g}, with "
                               f"R_p = beta / (T * W) = {R_p:g}, must be positive and finite"])
@@ -167,7 +167,7 @@ def derive(params: SystemParams) -> DerivedConstants:
         raise ParameterError(["beta, T, W, N0, e_pkt, eta, sigma_ps: the packet scale alpha * "
                               "lambda_x = e_pkt / (eta * N0 * W * (2**R_p - 1) * T * sigma_ps) "
                               "is 0 * inf"])
-    factors = (params.N0, params.W, params.T - params.tau, 2.0 ** R_s - 1.0)
+    factors = (params.N0, params.W, params.T - params.tau, math.expm1(R_s * math.log(2)))
     b = math.prod(factors) / params.e_pkt
     if b == math.inf:  # a partial product overflows; b itself may not
         log_b = math.fsum(map(math.log, factors)) - math.log(params.e_pkt)

@@ -509,14 +509,21 @@ def test_extreme_inputs_exit_2_naming_the_field(argv, field, capsys):
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--beta", "1e30", "beta"),
-    ("--beta", "1e-300", "beta"),
-    ("--t", "1e30", "T"),
     ("--w", "1e-300", "W"),
 ])
 def test_extreme_finite_inputs_exit_2_naming_the_field(flag, value, field, capsys):
     assert main(["analytic", flag, value]) == 2
     err = capsys.readouterr().err
     assert field in err.split("invalid parameters: ", 1)[1].split(":", 1)[0].split(", ")
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "1e-300"), ("--t", "1e30")])
+def test_small_primary_rates_get_a_result(flag, value, tmp_path):
+    # 2**R_p - 1 rounds to 0 at these R_p; N0 * W * R_p * ln 2 does not
+    out = tmp_path / "row.csv"
+    assert main(["analytic", flag, value, "--out", str(out)]) == 0
+    (row,) = read_csv(out)
+    assert row["error"] == "" and row["mu_p"] == "1.0" and 0 <= float(row["mu_s"]) < 1
 
 
 @pytest.mark.parametrize("flags", [["--n0", "1e30"], ["--p-max", "1e-300"],

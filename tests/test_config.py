@@ -49,15 +49,32 @@ def test_every_violation_is_reported():
     assert {"tau", "lambda_p", "eta", "sigma_ps"} <= set(exc.value.fields)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("beta", 1e30), ("beta", 1e-300), ("T", 1e30), ("W", 1e-300),
-])
+@pytest.mark.parametrize("field, value", [("beta", 1e30), ("W", 1e-300)])
 def test_extreme_finite_values_are_rejected_by_name(field, value):
-    # 2**R_s overflows or N0 * W * (2**R_p - 1) vanishes (derive)
+    # 2**R_s overflows (derive)
     p = default_params(**{field: value})
     with pytest.raises(ParameterError) as exc:
         arrival_pmfs(p, derive(p))
     assert field in exc.value.fields
+
+
+def test_a_primary_power_that_underflows_is_rejected_by_name():
+    # N0 * W * (2**R_p - 1) = N0 * W * R_p * ln 2 = 7e-331 vanishes (derive)
+    with pytest.raises(ParameterError) as exc:
+        derive(default_params(beta=1e-300, N0=1e-30))
+    assert {"beta", "N0"} <= set(exc.value.fields)
+
+
+@pytest.mark.parametrize("over, mu", [({"beta": 1e-300}, 1.0), ({"T": 1e30}, 1.0),
+                                      ({"beta": 1e-12, "P_max": 1e-18}, 0.25)],
+                         ids=["beta-1e-300", "T-1e+30", "R_p-1e-15"])
+def test_small_primary_rates_keep_full_precision(over, mu):
+    # 2**R_p - 1 cancels, and rounded to 0 at the first two points; at R_p =
+    # 1e-15, a is ln 2 and mu_p = exp(-a / sigma_ppd) = 1/4
+    p = default_params(**over)
+    dc = derive(p)
+    assert dc.a == pytest.approx(p.N0 * p.W * dc.R_p * math.log(2) / p.P_max, rel=1e-12)
+    assert optimize_g(p, dc, arrival_pmfs(p, dc)).mu_p == pytest.approx(mu, abs=1e-12)
 
 
 @pytest.mark.parametrize("over", [{"N0": 1e30}, {"P_max": 1e-300}, {"sigma_ppd": 1e-300},
