@@ -229,7 +229,7 @@ def success_probability(params: SystemParams, dc: DerivedConstants, g):
 def _availability(chain: EnergyChain):
     if chain.chi is None:
         raise ChainError("chain is not solved; call stationary() first")
-    return float(chain.chi[chain.g:].sum())
+    return min(1.0, float(chain.chi[chain.g:].sum()))  # a sum of chi may round above 1
 
 
 def su_throughput(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
