@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DerivedConstants, SystemParams
+from .config import DerivedConstants, SystemParams, is_int
 from .harvest import HarvestPmf
 from . import primary_link
 
@@ -68,9 +68,10 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
     active kernels, (n, n) each, that their chains are gathered from (_omegas)."""
     if not budgets:
         raise ChainError("budgets: must be nonempty")
-    budgets = [operator.index(g) if hasattr(g, "__index__") else g for g in budgets]
+    budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
+               for g in budgets]
     for g in budgets:
-        if not (isinstance(g, int) and isinstance(e_max, int) and 1 <= g <= e_max):
+        if not (is_int(g) and is_int(e_max) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")

@@ -255,6 +255,18 @@ def test_numpy_integer_budgets_give_the_report_of_python_ints():
     assert build_chain(*pmfs, pi_idle(p, dc), np.int64(2), p.E_max).g == 2
 
 
+def test_bool_budgets_and_capacities_are_rejected_like_any_non_integer():
+    p = default_params(E_max=6)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    for budgets in ([True], [1, False], [np.int64(1), True]):
+        with pytest.raises(ChainError, match="1 <= g <= e_max"):
+            optimize_g(p, dc, pmfs, budgets)
+    for g, e_max in ((True, 10), (1, True)):
+        with pytest.raises(ChainError, match="1 <= g <= e_max"):
+            build_chain(*pmfs, 0.5, g, e_max)
+
+
 def test_no_least_squares_solve_on_the_runtime_path(monkeypatch, tmp_path):
     def banned(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq called")
