@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehshare import (ParameterError, SimConfig, default_params, derive, optimize_g,
                      simulate, validate)
-from ehshare.harvest import arrival_pmfs
+from ehshare.harvest import arrival_pmfs, rf_pmf
 from ehshare.primary_link import mu_p
 from oracles import harvest_draw, rf_harvest_samples
 
@@ -105,6 +106,19 @@ def test_zero_efficiency_rf_histogram_is_point_mass():
     p = default_params(eta=0.0, lambda_p=0.8, lambda_e=0.5)
     res = simulate(p, SimConfig(n_slots=20_000, seed=19, warmup=100))
     assert res.rf_harvest_hist.tolist() == [1.0]
+
+
+def test_rf_histogram_matches_the_pmf_where_the_gain_h_ps_overflows():
+    # h_ps = 1.7e308 * z is inf for z > 1.06: a count formed from the gains
+    # read 0.61 at 0 packets, where the pmf says 0.548
+    p = default_params(e_pkt=1.7e305, eta=1.0, sigma_ps=1.7e308, sigma_ppd=1.0, lambda_p=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = simulate(p, SimConfig(n_slots=200_000, seed=0))
+    pmf = rf_pmf(derive(p), p.E_max)
+    want = np.append(pmf.probs, pmf.tail_mass)
+    assert res.rf_harvest_hist.size == want.size == p.E_max + 1
+    assert np.max(np.abs(res.rf_harvest_hist - want)) < 0.005
 
 
 def test_histograms_are_normalized():
