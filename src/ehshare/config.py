@@ -145,7 +145,9 @@ def derive(params: SystemParams) -> DerivedConstants:
     Finite parameters can still combine into constants that overflow or
     vanish: 2**R_s and lambda_e * T must be finite, N0 * W * (2**R_p - 1)
     positive and finite, and alpha * lambda_x not 0 * inf, else a
-    ParameterError names every field involved.
+    ParameterError names every field involved. 2**R - 1 is expm1(R ln 2),
+    which keeps full precision at small R. b is rebuilt from logarithms
+    where a partial product overflows; it is inf only beyond the doubles.
     """
     tw_s = (params.T - params.tau) * params.W  # no larger than T * W; 0 if it underflows
     R_s = params.beta / tw_s if tw_s > 0 else math.inf

@@ -15,8 +15,7 @@ the next slot):
 2. Draw h_ppd; if the queue is nonempty and h_ppd clears the cutoff, the
    primary transmits at the channel-inverting power and always succeeds.
 3. Otherwise the slot is idle; if the energy queue holds at least G
-   packets, the secondary spends G and delivers iff h_ssd clears the
-   outage threshold.
+   packets, the secondary spends G and delivers iff h_ssd >= b / G.
 4. RF packets (active slots) and Poisson ambient packets are added.
 5. The energy queue saturates at E_max; overflow is dropped.
 
@@ -35,7 +34,7 @@ _BLOCK slots by transfer maps over start levels (composed by a tree when one
 map holds every level, else block by block with levels beyond _MAP_LEVELS
 walked alone), and a replay gives every slot; each Python-level step serves
 every point. A 5-point grid of 1e6 slots takes about 0.2 s in process on
-one CPU. Results must match the per-slot loop this replaces bit for bit
+one pinned CPU (median of 7 runs). Results must match the per-slot loop this replaces bit for bit
 (`_run_reference` in tests/test_sim_oracle.py).
 
 Statistics are collected after a warmup period; energy-conservation

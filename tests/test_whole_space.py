@@ -6,9 +6,8 @@ each positive field log-uniformly from 1e-323 (subnormal) to the largest
 double, the bounded ones (lambda_p, eta and tau / T) with 0, 1 and the
 doubles next to them as well, and E_max up to 100. One draw of beta in three
 is made that way; the others are R_p * T * W with R_p = beta / (T * W)
-log-uniform in 1e-17..1e3, the window where 2**R_p - 1 does not round to 0
-and 2**R_s stays finite, since derive rejects all but a few percent of the
-points otherwise. The analytic engine solves every budget 1..E_max, so every
+log-uniform in 1e-17..1e3, a window where 2**R_s stays finite, since derive
+rejects all but a few percent of the points otherwise. The analytic engine solves every budget 1..E_max, so every
 chain of a point must pass the closure's certification (one closed class
 among the states reached from 0) and the LU's residual; a 2,000-slot run of
 the simulator must conserve energy.
@@ -38,7 +37,7 @@ def _log_uniform(lo, hi):
 POSITIVE = _log_uniform(-323.0, 308.25)  # 1e-323 (subnormal) to 1.8e308
 UNIT = st.one_of(st.sampled_from([0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0]),
                  _log_uniform(-323.0, -1e-16))  # 1e-323 to 1 - 2**-52
-# R_p = beta / (T * W) where 2**R_p - 1 does not round to 0 and 2**R_s stays finite
+# R_p = beta / (T * W) where 2**R_s stays finite
 RATE = _log_uniform(-17.0, 3.0)
 
 
