@@ -34,8 +34,8 @@ _BLOCK slots by transfer maps over start levels (composed by a tree when one
 map holds every level, else block by block with levels beyond _MAP_LEVELS
 walked alone), and a replay gives every slot; each Python-level step serves
 every point. A 5-point grid of 1e6 slots takes about 0.2 s in process on
-one pinned CPU (median of 7 runs). Results must match the per-slot loop this replaces bit for bit
-(`_run_reference` in tests/test_sim_oracle.py).
+one pinned CPU (median of 7 runs). Results must match the per-slot loop
+this replaces bit for bit (`_run_reference` in tests/test_sim_oracle.py).
 
 Statistics are collected after a warmup period; energy-conservation
 counters span the whole run. All randomness flows from one SeedSequence

@@ -46,7 +46,7 @@ def harvest_draw(h_ppd, h_ps, params: SystemParams, dc=None):
         raise ValueError("h_ps must be >= 0")
     if dc.rf_degenerate:
         return 0
-    return int(rf_packets(np.float64(h_ppd), h_ps, dc.alpha))
+    return int(rf_packets(h_ppd, h_ps, dc.alpha))
 
 
 def rf_harvest_samples(params: SystemParams, n, seed, dc=None):

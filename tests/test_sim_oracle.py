@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from ehshare import ParameterError, SimConfig, SimResult, default_params, derive, simulate
 from ehshare import simulator
 from ehshare.simulator import _BLOCK, _CHUNK, _battery_levels
-
 from oracles import rf_packets
 
 
@@ -58,7 +57,8 @@ def _run_reference(params, sim):
         rf_pkts = [0] * n
     else:
         rf_pkts = rf_packets(h_ppd, h_ps, dc.alpha).tolist()
-    # the SU decodes iff its power g * e_pkt / (T - tau) clears the channel inversion's
+    # the SU spends power g * e_pkt / (T - tau); it decodes iff h_ssd times that
+    # power reaches the N0 * W * (2**R_s - 1) its rate needs
     su_ok = (h_ssd >= params.N0 * params.W * (2.0 ** dc.R_s - 1.0)
              / (g * params.e_pkt / (params.T - params.tau))).tolist()
 

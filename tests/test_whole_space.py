@@ -7,10 +7,11 @@ double, the bounded ones (lambda_p, eta and tau / T) with 0, 1 and the
 doubles next to them as well, and E_max up to 100. One draw of beta in three
 is made that way; the others are R_p * T * W with R_p = beta / (T * W)
 log-uniform in 1e-17..1e3, a window where 2**R_s stays finite, since derive
-rejects all but a few percent of the points otherwise. The analytic engine solves every budget 1..E_max, so every
-chain of a point must pass the closure's certification (one closed class
-among the states reached from 0) and the LU's residual; a 2,000-slot run of
-the simulator must conserve energy.
+rejects all but a few percent of the points otherwise. The analytic engine
+solves every budget 1..E_max, so every chain of a point must pass the
+closure's certification (one closed class among the states reached from 0)
+and the LU's residual; a 2,000-slot run of the simulator must conserve
+energy.
 """
 
 import math
@@ -69,7 +70,7 @@ DEFAULTS = asdict(default_params())
 # of the diagonal), lambda_e * T = inf (a NaN Poisson pmf), a = inf with
 # lambda_x * alpha = 0 (inf * 0 in rf_pmf), T * W = 0 (a division by 0),
 # alpha = 0 with lambda_x = inf (0 * inf in rf_pmf) and g * e_pkt = inf (an
-# outage threshold of inf / inf); and one whose availability summed above 1,
+# SU cutoff of inf / inf); and one whose availability summed above 1,
 # giving mu_s = 1 + 2**-52 at g = 44
 @example(fields={**DEFAULTS, **LEAKY})
 @example(fields={**DEFAULTS, "lambda_e": 1e200, "T": 1e150, "beta": 1e150})
