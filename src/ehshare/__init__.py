@@ -4,7 +4,6 @@ seeded slot-level Monte Carlo simulator."""
 
 from .config import (DerivedConstants, ParameterError, SystemParams, dbm_to_watts,
                      default_params, derive, load_params, validate)
-from .primary_link import mu_p, pi_idle, pu_throughput, regime
 from .harvest import HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
 from .energy_chain import (EnergyChain, ReducibleChainWarning, ThroughputReport,
                            build_chain, mu_e, optimize_g, optimize_many, stationary,
@@ -17,7 +16,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DerivedConstants", "ParameterError", "SystemParams", "dbm_to_watts",
     "default_params", "derive", "load_params", "validate",
-    "mu_p", "pi_idle", "pu_throughput", "regime",
     "HarvestPmf", "arrival_pmfs", "combined_pmf", "nature_pmf", "rf_pmf",
     "EnergyChain", "ReducibleChainWarning", "ThroughputReport", "build_chain",
     "mu_e", "optimize_g", "optimize_many", "stationary",

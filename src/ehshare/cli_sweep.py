@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import energy_chain, harvest, primary_link
+from . import energy_chain, harvest
 from .config import (PARAM_FIELDS, ParameterError, SystemParams, coerce_field, dbm_to_watts,
                      default_params, derive, load_params, validate)
 from .simulator import SimConfig, run as run_simulation, run_many as simulate_many
@@ -135,10 +135,10 @@ def _analytic_row(params, report, dc):
     return _row(
         params, METRIC_COLUMNS,
         engine="analytic",
-        mu_p=report.mu_p,
-        pi_idle=report.pi_idle,
-        pu_throughput=report.pu_throughput,
-        regime=primary_link.regime(params, dc),
+        mu_p=dc.mu_p,
+        pi_idle=dc.pi_idle,
+        pu_throughput=dc.pu_throughput,
+        regime="stable" if params.lambda_p < dc.mu_p else "saturated",
         g=report.g_star,
         mu_s=report.mu_s_star,
         mu_e=report.mu_e,
@@ -183,12 +183,12 @@ def _compare_rows(outcome):
     for params, _, result in outcome:
         if isinstance(result, Exception):
             return [_row(params, COMPARE_METRICS, error=str(result))]
-    (_, _, (report, _)), (_, _, (sim_params, result)) = outcome
+    (_, _, (report, dc)), (_, _, (sim_params, result)) = outcome
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
     values = dict(g=report.g_star, tv_occupancy=tv, seed=result.seed, slots=result.n_slots)
     for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
-                       ("pi_idle", report.pi_idle, result.pi_idle_hat),
-                       ("pu_throughput", report.pu_throughput, result.pu_throughput_hat)):
+                       ("pi_idle", dc.pi_idle, result.pi_idle_hat),
+                       ("pu_throughput", dc.pu_throughput, result.pu_throughput_hat)):
         values.update({f"a_{name}": a, f"s_{name}": s, f"d_{name}_abs": abs(a - s),
                        f"d_{name}_rel": abs(a - s) / abs(a) if a != 0 else ""})
     return [_row(sim_params, COMPARE_METRICS, **values)]

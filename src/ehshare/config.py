@@ -1,4 +1,4 @@
-"""Model parameters, unit conversion, and derived constants.
+"""Model parameters, unit conversion, and the derived constants of both links.
 
 Everything downstream works in SI units (Watts, Joules, seconds, Hz).
 dBm values are accepted only at the configuration boundary (config files
@@ -67,6 +67,9 @@ class DerivedConstants:
 
     R_p, R_s:  primary / secondary spectral efficiency, bits/s/Hz
     a:         the primary transmits iff h_ppd >= a
+    mu_p:      primary service probability Pr{h_ppd >= a}
+    pu_throughput: delivered primary packets per slot, min(lambda_p, mu_p)
+    pi_idle:   probability the primary is inactive (empty queue or deep fade)
     b:         the SU decodes on spending g packets iff h_ssd >= b / g
     alpha:     energy-packet quantization constant; inf when eta == 0
     lambda_x:  rate of the primary->secondary gain (1/sigma_ps)
@@ -78,6 +81,9 @@ class DerivedConstants:
     R_p: float
     R_s: float
     a: float
+    mu_p: float
+    pu_throughput: float
+    pi_idle: float
     b: float
     alpha: float
     lambda_x: float
@@ -136,6 +142,10 @@ def validate(params: SystemParams) -> SystemParams:
 def derive(params: SystemParams) -> DerivedConstants:
     """Compute the derived constants used by every other module.
 
+    The primary inverts its channel, silent whenever the power to reach R_p
+    would exceed P_max, i.e. when h_ppd < a. It delivers min(lambda_p / mu_p,
+    1) * mu_p = min(lambda_p, mu_p) packets per slot, 0 if mu_p underflows.
+
     eta == 0 is legal: alpha is inf and flagged so the RF harvest
     distribution degenerates to a point mass at zero packets instead of
     dividing by zero. So does an alpha * lambda_x that overflows (packets
@@ -174,10 +184,15 @@ def derive(params: SystemParams) -> DerivedConstants:
     if b == math.inf:  # a partial product overflows; b itself may not
         log_b = math.fsum(map(math.log, factors)) - math.log(params.e_pkt)
         b = math.exp(log_b) if log_b <= math.log(sys.float_info.max) else math.inf
+    mu_p = math.exp(-a / params.sigma_ppd)
+    pu_throughput = min(params.lambda_p, mu_p)
     return DerivedConstants(
         R_p=R_p,
         R_s=R_s,
         a=a,
+        mu_p=mu_p,
+        pu_throughput=pu_throughput,
+        pi_idle=1.0 - pu_throughput,
         b=b,
         alpha=alpha,
         lambda_x=lambda_x,

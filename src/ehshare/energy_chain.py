@@ -17,7 +17,6 @@ import numpy as np
 
 from .config import DerivedConstants, SystemParams, is_int
 from .harvest import HarvestPmf
-from . import primary_link
 
 _STACK_CELLS = 2 ** 15  # transition-matrix entries solved in one stack
 _TOL = 1e-10  # largest stationary residual max |chi @ omega - chi| accepted
@@ -235,18 +234,18 @@ def _availability(chain: EnergyChain):
 
 def su_throughput(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
     """Secondary packets delivered per slot for the chain's energy budget."""
-    pi = primary_link.pi_idle(params, dc)
-    return pi * success_probability(params, dc, chain.g) * _availability(chain)
+    return dc.pi_idle * success_probability(params, dc, chain.g) * _availability(chain)
 
 
 def mu_e(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
     """Mean energy packets consumed per slot for the chain's budget."""
-    return chain.g * primary_link.pi_idle(params, dc) * _availability(chain)
+    return chain.g * dc.pi_idle * _availability(chain)
 
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """Analytic summary at one operating point.
+    """The secondary's analytic summary at one operating point; the primary's
+    mu_p, pu_throughput and pi_idle are on the point's DerivedConstants.
 
     mu_s_by_g maps every evaluated energy budget to its secondary
     throughput, in budget order: the budgets given, or those the search for
@@ -254,9 +253,6 @@ class ThroughputReport:
     solved chain built with g_star and mu_e its consumption rate.
     """
 
-    pi_idle: float
-    mu_p: float
-    pu_throughput: float
     mu_e: float
     mu_s_by_g: dict[int, float]
     g_star: int
@@ -272,7 +268,7 @@ def _bounds(params, dc, kernels):
     g = np.arange(1, len(idle))
     s = np.exp(-dc.b / params.sigma_ssd / g)
     m = (idle[0] + active[0]) @ np.arange(len(idle))
-    return s * np.minimum(primary_link.pi_idle(params, dc), m / g)
+    return s * np.minimum(dc.pi_idle, m / g)
 
 
 def optimize_many(points) -> list:
@@ -296,7 +292,7 @@ def optimize_many(points) -> list:
                 continue
             order = range(1, e_max + 1) if budgets is None else list(budgets)
             try:
-                order, *kernel = _kernels(*pmfs, primary_link.pi_idle(params, dc), order, e_max)
+                order, *kernel = _kernels(*pmfs, dc.pi_idle, order, e_max)
             except Exception as exc:
                 out[i] = exc
                 continue
@@ -329,9 +325,6 @@ def optimize_many(points) -> list:
         if out[i] is None:
             mu_s_by_g, best, order = found[i]
             out[i] = ThroughputReport(
-                pi_idle=primary_link.pi_idle(params, dc),
-                mu_p=primary_link.mu_p(params, dc),
-                pu_throughput=primary_link.pu_throughput(params, dc),
                 mu_e=mu_e(best, params, dc),
                 mu_s_by_g={g: mu_s_by_g[g] for g in order if g in mu_s_by_g},
                 g_star=best.g,

@@ -21,7 +21,6 @@ from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
 from ehshare.energy_chain import (ReducibleChainWarning, build_chain, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
-from ehshare.primary_link import mu_p, pi_idle, pu_throughput
 from oracles import ratio_cap_cdf, rf_harvest_samples, rf_increments
 
 SLOTS = 10**6
@@ -75,8 +74,8 @@ def test_criterion_02_rf_increments_telescope():
 
 def test_criterion_03_primary_service_rate_analytic_and_simulated():
     p = default_params()
-    analytic_ok = mu_p(p, derive(p)) == pytest.approx(math.exp(-0.2), rel=1e-15) \
-        and abs(mu_p(p, derive(p)) - 0.818731) < 1e-6
+    analytic_ok = derive(p).mu_p == pytest.approx(math.exp(-0.2), rel=1e-15) \
+        and abs(derive(p).mu_p - 0.818731) < 1e-6
     saturated = default_params(lambda_p=1.0)
     start = time.perf_counter()
     res = simulate(saturated, SimConfig(n_slots=SLOTS, seed=308, warmup=WARMUP))
@@ -124,7 +123,7 @@ def test_criterion_05_stationary_solve_quality_and_hand_enumerated_matrix():
                                            eta=eta, lambda_e=lam_e)
                         dc = derive(p)
                         idle, active = arrival_pmfs(p, dc)
-                        chain = build_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        chain = build_chain(idle, active, dc.pi_idle, g, e_max)
                         stationary(chain)
                         worst_resid = max(worst_resid, float(
                             np.max(np.abs(chain.chi @ chain.omega - chain.chi))))
@@ -134,7 +133,7 @@ def test_criterion_05_stationary_solve_quality_and_hand_enumerated_matrix():
     p = default_params(lambda_e=0.5, eta=0.6, lambda_p=0.4, E_max=2, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    pi = pi_idle(p, dc)
+    pi = dc.pi_idle
     pb = 1.0 - pi
     pp0, pp1 = idle.probs[0], idle.probs[1]
     pa0, pa1 = active.probs[0], active.probs[1]
@@ -158,7 +157,7 @@ def test_criterion_06_occupancy_total_variation():
         dc = derive(p)
         pmfs = arrival_pmfs(p, dc)
         report = optimize_g(p, dc, pmfs)
-        chain = build_chain(pmfs[0], pmfs[1], report.pi_idle, report.g_star, p.E_max)
+        chain = build_chain(pmfs[0], pmfs[1], dc.pi_idle, report.g_star, p.E_max)
         stationary(chain)
         res = simulate(validate(replace(p, G=report.g_star)),
                        SimConfig(n_slots=SLOTS, seed=606, warmup=WARMUP))
@@ -187,7 +186,7 @@ def test_criterion_07_end_to_end_secondary_throughput():
 
 
 def test_criterion_08_throughput_rises_peaks_and_saturates():
-    p_mu = mu_p(default_params(), derive(default_params()))
+    p_mu = derive(default_params()).mu_p
     values = [_mu_s_star(default_params(lambda_p=lp, eta=0.6, lambda_e=0.0, E_max=10))
               for lp in LAMBDA_P_GRID]
     i_star = int(np.argmax(values))
@@ -210,9 +209,9 @@ def test_criterion_09_channel_quality_sweep_shapes():
         p = default_params(sigma_ppd=sigma, eta=0.6, lambda_p=0.4, lambda_e=0.0,
                            E_max=10, P_max=dbm_to_watts(1.76))
         dc = derive(p)
-        pu_vals.append(pu_throughput(p, dc))
+        pu_vals.append(dc.pu_throughput)
         su_vals.append(_mu_s_star(p))
-        if mu_p(p, dc) > p.lambda_p:
+        if dc.mu_p > p.lambda_p:
             assert pu_vals[-1] == p.lambda_p
     pu_monotone = all(b >= a for a, b in zip(pu_vals, pu_vals[1:]))
     diffs = np.diff(su_vals)
@@ -262,7 +261,7 @@ def test_criterion_12_enumeration_equivalence_and_bit_determinism():
             dc = derive(p)
             idle, active = arrival_pmfs(p, dc)
             report = optimize_g(p, dc, (idle, active))
-            pi = pi_idle(p, dc)
+            pi = dc.pi_idle
             best_g, best_v = None, -1.0
             for g in range(1, p.E_max + 1):
                 chain = build_chain(idle, active, pi, g, p.E_max)

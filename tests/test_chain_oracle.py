@@ -33,7 +33,6 @@ from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning
                                   optimize_g, optimize_many, stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
-from ehshare.primary_link import pi_idle
 from oracles import assert_search_matches, frontier_verdicts
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
@@ -123,7 +122,7 @@ def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, 
     p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    pi = pi_idle(p, dc)
+    pi = dc.pi_idle
     for g in range(1, e_max + 1):
         chain = build_chain(idle, active, pi, g, e_max)
         assert np.array_equal(chain.omega, reference_omega(idle.probs, active.probs, pi, g, e_max))
@@ -141,7 +140,7 @@ def reference_optimize(p):
     component solver, one budget at a time."""
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    pi = pi_idle(p, dc)
+    pi = dc.pi_idle
     mu_s_by_g, reducible = {}, []
     for g in range(1, p.E_max + 1):
         chi, red = reference_stationary(reference_omega(idle.probs, active.probs, pi, g, p.E_max))
@@ -219,7 +218,7 @@ def test_certification_matches_the_frontier_sweeps(e_max):
         p = default_params(lambda_p=lambda_p, lambda_e=lambda_e, E_max=e_max, G=1)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        stacks.append(np.array([build_chain(idle, active, pi_idle(p, dc), g, e_max).omega
+        stacks.append(np.array([build_chain(idle, active, dc.pi_idle, g, e_max).omega
                                 for g in range(1, e_max + 1)]))
     n = e_max + 1
     edges = np.random.default_rng(e_max).random((e_max, n, n)) < 1.5 / n
@@ -305,7 +304,7 @@ def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
 
 
 def _bounds_of(p, dc, pmfs):
-    _, *kernels = energy_chain._kernels(*pmfs, pi_idle(p, dc), [1], p.E_max)
+    _, *kernels = energy_chain._kernels(*pmfs, dc.pi_idle, [1], p.E_max)
     return energy_chain._bounds(p, dc, kernels)
 
 
@@ -380,7 +379,7 @@ def test_a_bound_rounded_below_a_tie_prunes_nothing(monkeypatch):
     # as rounding could leave them, must not prune the smaller budgets.
     p = default_params(lambda_e=800.0, sigma_ssd=1e30, E_max=6, G=1)
     dc = derive(p)
-    pmfs, pi = arrival_pmfs(p, dc), pi_idle(p, dc)
+    pmfs, pi = arrival_pmfs(p, dc), dc.pi_idle
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ReducibleChainWarning)
         assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
@@ -400,7 +399,7 @@ def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
     pruned = sorted(set(range(1, 11)) - set(alone[1].mu_s_by_g))
     assert pruned and alone[1].g_star in alone[1].mu_s_by_g
     g = pruned[-1] if budget == "pruned" else alone[1].g_star
-    bad = build_chain(idle, active, pi_idle(p, dc), g, 10).omega
+    bad = build_chain(idle, active, dc.pi_idle, g, 10).omega
     residuals = energy_chain._residuals
 
     def missed(omega, chi):  # the faulty chain misses the residual
@@ -429,7 +428,7 @@ def test_heavy_ambient_arrivals_make_a_reducible_chain():
     p = default_params(lambda_e=800.0, E_max=6, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = build_chain(idle, active, pi_idle(p, dc), 1, 6)
+    chain = build_chain(idle, active, dc.pi_idle, 1, 6)
     assert np.all(chain.omega[6, :6] == 0.0)
     assert reference_stationary(chain.omega)[1]
     with warnings.catch_warnings(record=True) as caught:
@@ -445,7 +444,7 @@ def test_heavy_ambient_chains_warn_and_take_the_lu():
     p = default_params(E_max=6, lambda_e=800.0, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    omega = np.array([build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)])
+    omega = np.array([build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ReducibleChainWarning)
         chi, failures = energy_chain._solve_stack(omega)
@@ -512,7 +511,7 @@ def test_pmfs_cut_at_e_max_match_full_support(lambda_e, eta, p_max_dbm, e_max):
         assert np.max(np.abs(cut.probs - whole.probs[:e_max])) <= 1e-15
         beyond = math.fsum(whole.probs[e_max:]) + whole.tail_mass
         assert abs(cut.tail_mass - beyond) <= 1e-12
-    pi = pi_idle(p, dc)
+    pi = dc.pi_idle
     for g in sorted({1, (e_max + 1) // 2, e_max}):
         cut_chain, whole_chain = build_chain(*capped, pi, g, e_max), build_chain(*full, pi, g, e_max)
         assert np.max(np.abs(cut_chain.omega - whole_chain.omega)) <= 1e-15

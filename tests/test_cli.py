@@ -16,7 +16,6 @@ from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
 from ehshare.config import default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
 from ehshare.harvest import arrival_pmfs
-from ehshare.primary_link import pi_idle
 from ehshare.simulator import SimConfig, run as simulate
 
 
@@ -69,7 +68,7 @@ def test_analytic_fixed_budget_reports_that_budget_only(tmp_path):
     p = default_params(G=3)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = build_chain(idle, active, pi_idle(p, dc), 3, p.E_max)
+    chain = build_chain(idle, active, dc.pi_idle, 3, p.E_max)
     stationary(chain)
     assert row["g"] == "3"
     assert [c for c in row if c.startswith("mu_s_g")] == ["mu_s_g3"]

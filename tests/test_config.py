@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehshare import (ParameterError, SystemParams, arrival_pmfs, dbm_to_watts, default_params,
-                     derive, load_params, mu_p, optimize_g, validate)
+                     derive, load_params, optimize_g, validate)
 from ehshare.config import parse_config_file
 from oracles import watts_to_dbm
 
@@ -74,7 +74,8 @@ def test_small_primary_rates_keep_full_precision(over, mu):
     p = default_params(**over)
     dc = derive(p)
     assert dc.a == pytest.approx(p.N0 * p.W * dc.R_p * math.log(2) / p.P_max, rel=1e-12)
-    assert optimize_g(p, dc, arrival_pmfs(p, dc)).mu_p == pytest.approx(mu, abs=1e-12)
+    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    assert dc.mu_p == pytest.approx(mu, abs=1e-12) and 0.0 <= report.mu_s_star <= dc.pi_idle
 
 
 @pytest.mark.parametrize("over", [{"N0": 1e30}, {"P_max": 1e-300}, {"sigma_ppd": 1e-300},
@@ -89,7 +90,7 @@ def test_a_primary_that_never_transmits_solves_as_with_eta_0(over):
     # lambda_x * alpha = 0, rf_pmf's a * x would be inf * 0 = nan, so derive
     # flags a = inf as RF-degenerate.
     p = default_params(**over)
-    assert mu_p(p, derive(p)) == 0.0
+    assert derive(p).mu_p == 0.0
     off = replace(p, eta=0.0)
     for budgets in (None, range(1, p.E_max + 1)):
         on_r, off_r = (optimize_g(q, derive(q), arrival_pmfs(q, derive(q)), budgets)

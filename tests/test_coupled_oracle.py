@@ -34,7 +34,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ehshare import default_params, derive
 from ehshare.energy_chain import build_chain, stationary, success_probability, su_throughput
 from ehshare.harvest import arrival_pmfs
-from ehshare.primary_link import mu_p, pi_idle
 
 
 def _kernel(pmf, base, e_max):
@@ -67,7 +66,7 @@ def _coupled(params):
     """(pi_0, R) of the QBD, with pi_0 (I - R)^-1 summing to 1."""
     dc = derive(params)
     idle, active = arrival_pmfs(params, dc)
-    e_max, g, lam, s = params.E_max, params.G, params.lambda_p, mu_p(params, dc)
+    e_max, g, lam, s = params.E_max, params.G, params.lambda_p, dc.mu_p
     levels = np.arange(e_max + 1)
     i_k = _kernel(idle, np.where(levels >= g, levels - g, levels), e_max)
     a_k = _kernel(active, levels, e_max)
@@ -92,11 +91,11 @@ def _coupled(params):
 def test_coupled_battery_marginal_and_mu_s_match_the_chain(lambda_p, eta, lambda_e, e_max, g):
     params = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=g)
     dc = derive(params)
-    s = mu_p(params, dc)
+    s = dc.mu_p
     assume(lambda_p < s and (lambda_e > 0 or eta * lambda_p > 0))
     pi0, r = _coupled(params)
     busy = pi0 @ r @ np.linalg.inv(np.eye(e_max + 1) - r)  # sum of pi_n over n >= 1
-    chain = build_chain(*arrival_pmfs(params, dc), pi_idle(params, dc), g, e_max)
+    chain = build_chain(*arrival_pmfs(params, dc), dc.pi_idle, g, e_max)
     stationary(chain)
     np.testing.assert_allclose(pi0 + busy, chain.chi, rtol=0, atol=1e-12)
     # idle with probability 1 - lambda_p s at an empty backlog, 1 - s otherwise

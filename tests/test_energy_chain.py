@@ -14,7 +14,6 @@ from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning
                                   optimize_many, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
-from ehshare.primary_link import mu_p, pi_idle
 from oracles import LEAKY, assert_search_matches
 
 P = default_params()
@@ -50,7 +49,7 @@ def test_three_state_matrix_matches_hand_enumeration_exactly():
     p = default_params(lambda_e=0.5, eta=0.6, lambda_p=0.4, E_max=2, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    pi = pi_idle(p, dc)
+    pi = dc.pi_idle
     pb = 1.0 - pi
     pp0, pp1 = idle.probs[0], idle.probs[1]
     pa0, pa1 = active.probs[0], active.probs[1]
@@ -118,7 +117,7 @@ def test_only_the_budget_that_misses_the_residual_fails(monkeypatch):
     p = default_params(E_max=6)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    omega = np.array([build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)])
+    omega = np.array([build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)])
     assert omega.shape == (6, 7, 7)
     direct, failures = energy_chain._solve_stack(omega)
     assert failures == {}
@@ -174,7 +173,7 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
                     budgets=[range(1, 7)] * 3)
     alone = [optimize_g(*x) for x in inputs]
     p, dc, (idle, active), _ = inputs[1]
-    bad = [build_chain(idle, active, pi_idle(p, dc), g, 6).omega for g in range(1, 7)]
+    bad = [build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)]
     if fault == "residual":  # every chain of the middle point misses
         residuals = energy_chain._residuals
 
@@ -252,7 +251,7 @@ def test_numpy_integer_budgets_give_the_report_of_python_ints():
         report = optimize_g(p, dc, pmfs, budgets)
         assert report == want and np.array_equal(report.chain.omega, want.chain.omega)
         assert type(report.g_star) is int and all(type(g) is int for g in report.mu_s_by_g)
-    assert build_chain(*pmfs, pi_idle(p, dc), np.int64(2), p.E_max).g == 2
+    assert build_chain(*pmfs, dc.pi_idle, np.int64(2), p.E_max).g == 2
 
 
 def test_bool_budgets_and_capacities_are_rejected_like_any_non_integer():
@@ -315,7 +314,7 @@ def test_stationary_matches_long_run_occupancy():
     p = default_params(lambda_p=0.4, eta=0.6, lambda_e=0.0, E_max=10, G=2)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = build_chain(idle, active, pi_idle(p, dc), 2, 10)
+    chain = build_chain(idle, active, dc.pi_idle, 2, 10)
     stationary(chain)
     res = simulate(p, SimConfig(n_slots=10**6, seed=99, warmup=10_000))
     assert np.max(np.abs(chain.chi - res.energy_occupancy_hist)) < 0.01
@@ -349,7 +348,7 @@ def test_an_su_cutoff_whose_partial_product_overflows_stays_finite():
 
 def test_throughput_requires_solved_chain():
     idle, active = arrival_pmfs(P, DC)
-    chain = build_chain(idle, active, pi_idle(P, DC), 1, P.E_max)
+    chain = build_chain(idle, active, DC.pi_idle, 1, P.E_max)
     with pytest.raises(ChainError):
         su_throughput(chain, P, DC)
 
@@ -362,10 +361,10 @@ def test_throughput_vanishes_with_the_top_state_mass():
         p = default_params(eta=eta, lambda_p=0.1, lambda_e=0.0)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        chain = build_chain(idle, active, pi_idle(p, dc), p.E_max, p.E_max)
+        chain = build_chain(idle, active, dc.pi_idle, p.E_max, p.E_max)
         stationary(chain)
         mu_s = su_throughput(chain, p, dc)
-        expected = pi_idle(p, dc) * success_probability(p, dc, p.E_max) * chain.chi[-1]
+        expected = dc.pi_idle * success_probability(p, dc, p.E_max) * chain.chi[-1]
         assert mu_s == pytest.approx(expected, rel=1e-12)
         tops.append(mu_s)
     assert tops[0] > tops[1] > tops[2]
@@ -376,26 +375,26 @@ def test_saturated_primary_scales_by_service_complement():
     p = default_params(lambda_p=1.0)
     dc = derive(p)
     report = optimize_g(p, dc, arrival_pmfs(p, dc))
-    assert report.pi_idle == pytest.approx(1.0 - mu_p(p, dc), rel=1e-15)
-    assert report.mu_s_star <= report.pi_idle
+    assert dc.pi_idle == pytest.approx(1.0 - dc.mu_p, rel=1e-15)
+    assert report.mu_s_star <= dc.pi_idle
 
 
 def test_consumption_rate_identity_and_simulator_agreement():
     p = default_params(lambda_p=0.4, eta=0.6, lambda_e=0.0, E_max=10, G=2)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
-    chain = build_chain(idle, active, pi_idle(p, dc), 2, 10)
+    chain = build_chain(idle, active, dc.pi_idle, 2, 10)
     stationary(chain)
     rate = mu_e(chain, p, dc)
     avail = float(chain.chi[2:].sum())
-    assert rate == pytest.approx(2 * pi_idle(p, dc) * avail, rel=1e-15)
+    assert rate == pytest.approx(2 * dc.pi_idle * avail, rel=1e-15)
     res = simulate(p, SimConfig(n_slots=10**6, seed=17, warmup=10_000))
     assert res.energy_consumed_per_slot == pytest.approx(rate, rel=0.02)
 
 
 def test_availability_mass_nonincreasing_in_budget_at_reference_point():
     idle, active = arrival_pmfs(P, DC)
-    pi = pi_idle(P, DC)
+    pi = DC.pi_idle
     masses = []
     for g in range(1, P.E_max + 1):
         chain = build_chain(idle, active, pi, g, P.E_max)
@@ -419,7 +418,7 @@ def test_optimize_equals_exhaustive_reevaluation():
         idle, active = arrival_pmfs(p, dc)
         report = optimize_g(p, dc, (idle, active), range(1, p.E_max + 1))
         assert_search_matches(report, p, dc, (idle, active))
-        pi = pi_idle(p, dc)
+        pi = dc.pi_idle
         best_g, best_v = None, -1.0
         for g in range(1, p.E_max + 1):
             chain = build_chain(idle, active, pi, g, p.E_max)
@@ -452,7 +451,7 @@ def test_stationary_invariants_across_config_sweep():
                     idle, active = arrival_pmfs(p, dc)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", ReducibleChainWarning)
-                        chain = build_chain(idle, active, pi_idle(p, dc), g, e_max)
+                        chain = build_chain(idle, active, dc.pi_idle, g, e_max)
                         stationary(chain)
                     resid = np.max(np.abs(chain.chi @ chain.omega - chain.chi))
                     assert resid < 1e-10
@@ -467,7 +466,7 @@ def test_a_leak_below_one_ulp_of_the_diagonal_keeps_the_lu_nonsingular():
     p = default_params(**LEAKY)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    omega = build_chain(*pmfs, pi_idle(p, dc), 3, p.E_max).omega
+    omega = build_chain(*pmfs, dc.pi_idle, 3, p.E_max).omega
     off = omega - np.diag(np.diag(omega))
     assert np.all(np.diag(omega)[:3] == 1.0) and np.all(off[:3].sum(axis=1) > 0.0)
     with warnings.catch_warnings():

@@ -1,3 +1,7 @@
+"""The primary link's closed forms, read from derive: mu_p, pu_throughput
+and pi_idle, and the CLI's regime column built from mu_p."""
+
+import json
 import math
 
 import numpy as np
@@ -5,11 +9,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ehshare import default_params, derive
-from ehshare.primary_link import mu_p, pi_idle, pu_throughput, regime
+from ehshare.cli_sweep import main
 from oracles import min_power
 
 P = default_params()
 DC = derive(P)
+
+
+def _regime(capsys, lambda_p):
+    """The regime column of `analytic` at the reference point and lambda_p."""
+    assert main(["analytic", "--lambda-p", repr(lambda_p), "--format", "json",
+                 "--outputs", "regime"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    return row["regime"]
 
 
 def test_min_power_at_cutoff_equals_cap():
@@ -30,63 +42,61 @@ def test_min_power_rejects_nonpositive_gain():
 
 
 def test_mu_p_reference_value():
-    assert mu_p(P, DC) == pytest.approx(math.exp(-0.2), rel=1e-15)
-    assert mu_p(P, DC) == pytest.approx(0.818731, abs=1e-6)
+    assert DC.mu_p == pytest.approx(math.exp(-0.2), rel=1e-15)
+    assert DC.mu_p == pytest.approx(0.818731, abs=1e-6)
 
 
 def test_mu_p_monte_carlo_oracle():
     # fraction of fades admitting a transmission, 1e6 draws
     rng = np.random.default_rng(2026_01)
     h = rng.exponential(P.sigma_ppd, 10**6)
-    assert np.mean(h >= DC.a) == pytest.approx(mu_p(P, DC), abs=2e-3)
+    assert np.mean(h >= DC.a) == pytest.approx(DC.mu_p, abs=2e-3)
 
 
 def test_mu_p_limits():
-    assert mu_p(*_pd(P_max=1e12)) == pytest.approx(1.0, abs=1e-12)
-    assert mu_p(*_pd(sigma_ppd=1e-4)) == pytest.approx(0.0, abs=1e-12)
+    assert _dc(P_max=1e12).mu_p == pytest.approx(1.0, abs=1e-12)
+    assert _dc(sigma_ppd=1e-4).mu_p == pytest.approx(0.0, abs=1e-12)
 
 
-def _pd(**over):
-    p = default_params(**over)
-    return p, derive(p)
+def _dc(**over):
+    return derive(default_params(**over))
 
 
 def test_pi_idle_empty_queue():
-    assert pi_idle(*_pd(lambda_p=0.0)) == 1.0
+    assert _dc(lambda_p=0.0).pi_idle == 1.0
 
 
-def test_pi_idle_saturated_regime():
+def test_pi_idle_saturated_regime(capsys):
     for lam in (0.82, 0.9, 1.0):
-        p, dc = _pd(lambda_p=lam)
-        assert pi_idle(p, dc) == pytest.approx(1.0 - mu_p(p, dc), rel=1e-15)
-        assert regime(p, dc) == "saturated"
+        dc = _dc(lambda_p=lam)
+        assert dc.pi_idle == pytest.approx(1.0 - dc.mu_p, rel=1e-15)
+        assert _regime(capsys, lam) == "saturated"
 
 
-def test_pi_idle_stable_reference_point():
-    p, dc = _pd(lambda_p=0.4)
-    assert pi_idle(p, dc) == pytest.approx(0.6, rel=1e-15)
-    assert regime(p, dc) == "stable"
+def test_pi_idle_stable_reference_point(capsys):
+    assert _dc(lambda_p=0.4).pi_idle == pytest.approx(0.6, rel=1e-15)
+    assert _regime(capsys, 0.4) == "stable"
 
 
 def test_pi_idle_slot_simulator_oracle():
     from ehshare import SimConfig, simulate
-    p, dc = _pd(lambda_p=0.4)
+    p = default_params(lambda_p=0.4)
     res = simulate(p, SimConfig(n_slots=300_000, seed=31, warmup=10_000))
     assert res.pi_idle_hat == pytest.approx(0.6, abs=0.01)
 
 
 def test_pu_throughput_examples():
-    assert pu_throughput(*_pd(lambda_p=0.4)) == pytest.approx(0.4, rel=1e-15)
-    p, dc = _pd(lambda_p=1.0)
-    assert pu_throughput(p, dc) == mu_p(p, dc)
-    assert pu_throughput(*_pd(lambda_p=0.3, sigma_ppd=1e-4)) == pytest.approx(0.0, abs=1e-12)
+    assert _dc(lambda_p=0.4).pu_throughput == pytest.approx(0.4, rel=1e-15)
+    dc = _dc(lambda_p=1.0)
+    assert dc.pu_throughput == dc.mu_p
+    assert _dc(lambda_p=0.3, sigma_ppd=1e-4).pu_throughput == pytest.approx(0.0, abs=1e-12)
 
 
-def test_equality_at_boundary_counts_as_saturated():
-    p = default_params()
-    dc = derive(p)
-    p_eq = default_params(lambda_p=mu_p(p, dc))
-    assert regime(p_eq, derive(p_eq)) == "saturated"
+def test_equality_at_boundary_counts_as_saturated(capsys):
+    # lambda_p == mu_p is saturated; the double below it is stable
+    assert _dc(lambda_p=DC.mu_p).mu_p == DC.mu_p
+    assert _regime(capsys, DC.mu_p) == "saturated"
+    assert _regime(capsys, math.nextafter(DC.mu_p, 0.0)) == "stable"
 
 
 @given(
@@ -95,28 +105,41 @@ def test_equality_at_boundary_counts_as_saturated():
     p_max=st.floats(min_value=1e-4, max_value=10.0),
 )
 def test_idle_and_throughput_are_exact_complements(lam, sigma, p_max):
-    p, dc = _pd(lambda_p=lam, sigma_ppd=sigma, P_max=p_max)
-    assert pi_idle(p, dc) + pu_throughput(p, dc) == 1.0
+    dc = _dc(lambda_p=lam, sigma_ppd=sigma, P_max=p_max)
+    assert dc.pi_idle + dc.pu_throughput == 1.0
 
 
 @given(sigma=st.floats(min_value=0.05, max_value=5.0))
 def test_pu_throughput_nondecreasing_in_channel_quality(sigma):
-    lo = pu_throughput(*_pd(lambda_p=0.9, sigma_ppd=sigma))
-    hi = pu_throughput(*_pd(lambda_p=0.9, sigma_ppd=sigma * 1.5))
+    lo = _dc(lambda_p=0.9, sigma_ppd=sigma).pu_throughput
+    hi = _dc(lambda_p=0.9, sigma_ppd=sigma * 1.5).pu_throughput
     assert hi >= lo
 
 
 @given(p_max=st.floats(min_value=1e-4, max_value=1.0))
 def test_pu_throughput_nondecreasing_in_power_cap(p_max):
-    lo = pu_throughput(*_pd(lambda_p=0.9, P_max=p_max))
-    hi = pu_throughput(*_pd(lambda_p=0.9, P_max=p_max * 2.0))
+    lo = _dc(lambda_p=0.9, P_max=p_max).pu_throughput
+    hi = _dc(lambda_p=0.9, P_max=p_max * 2.0).pu_throughput
     assert hi >= lo
 
 
 def test_throughput_piecewise_in_arrival_rate():
     # linear below the service rate, flat at mu_p above it
-    p, dc = _pd()
-    m = mu_p(p, dc)
+    m = DC.mu_p
     for lam in np.linspace(0.0, 1.0, 41):
-        thr = pu_throughput(*_pd(lambda_p=float(lam)))
+        thr = _dc(lambda_p=float(lam)).pu_throughput
         assert thr == pytest.approx(min(float(lam), m), rel=1e-15, abs=0)
+
+
+@given(
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    sigma=st.floats(min_value=1e-310, max_value=1e300),
+    p_max=st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_fields_equal_the_closed_forms_bit_for_bit(lam, sigma, p_max):
+    # the oracle: the expressions derive's fields replaced, evaluated afresh
+    p = default_params(lambda_p=lam, sigma_ppd=sigma, P_max=p_max)
+    dc = derive(p)
+    mu = math.exp(-dc.a / p.sigma_ppd)
+    assert (dc.mu_p, dc.pu_throughput, dc.pi_idle) == (mu, min(p.lambda_p, mu),
+                                                       1.0 - min(p.lambda_p, mu))

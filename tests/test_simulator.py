@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from ehshare import (ParameterError, SimConfig, default_params, derive, optimize_g,
                      simulate, validate)
 from ehshare.harvest import arrival_pmfs, rf_pmf
-from ehshare.primary_link import mu_p
 from oracles import harvest_draw, rf_harvest_samples
 
 P = default_params()
@@ -70,7 +69,7 @@ def test_no_energy_sources_means_no_secondary_throughput():
 def test_saturated_primary_estimates_service_rate():
     p = default_params(lambda_p=1.0)
     res = simulate(p, SimConfig(n_slots=200_000, seed=7, warmup=10_000))
-    assert res.pu_throughput_hat == pytest.approx(mu_p(p, DC), abs=5e-3)
+    assert res.pu_throughput_hat == pytest.approx(DC.mu_p, abs=5e-3)
 
 
 def test_idle_fraction_and_primary_throughput_are_complements():
