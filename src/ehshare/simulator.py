@@ -114,10 +114,11 @@ class SimResult:
 def _rf_packets(z_ppd, z_ps, scale):
     """floor(h_ps / (h_ppd * alpha)) = floor(z_ps / z_ppd / scale) as int64,
     from standard exponentials z = h / sigma and scale = lambda_x * alpha *
-    sigma_ppd, so no gain is formed to overflow. The ratio is clipped at 2**62
-    so the int cast stays safe.
+    sigma_ppd, so no gain is formed to overflow. The ratio, inf if scale
+    underflows to 0, is the count, clipped at 2**62 for a safe int cast.
     """
-    return np.floor(np.minimum(z_ps / z_ppd / scale, 2.0 ** 62)).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.floor(np.minimum(z_ps / z_ppd / scale, 2.0 ** 62)).astype(np.int64)
 
 
 def _exact_sum(x) -> int:
@@ -415,7 +416,8 @@ def _run_batch(batch, sim: SimConfig):
         # the channel stage: each array once per distinct key
         for z, arrays in ((z_ppd, pu_ok), (z_ssd, su_ok)):
             for (sigma, cut), ok in arrays.items():  # h >= cut, h the gain z * sigma
-                np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
+                with np.errstate(over="ignore"):  # an inf gain clears any finite cut
+                    np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
         packets, rf = {}, {}  # RF key -> pu_ok slots and their packets; clip key -> prepare's rf
         for key, clip in rf_clip.items():
             (sigma_ppd, a, scale), e = key[:-1], key[-1]

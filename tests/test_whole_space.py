@@ -11,7 +11,7 @@ rejects all but a few percent of the points otherwise. The analytic engine
 solves every budget 1..E_max, so every chain of a point must pass the
 closure's certification (one closed class among the states reached from 0)
 and the LU's residual; a 2,000-slot run of the simulator must conserve
-energy.
+energy without a RuntimeWarning.
 """
 
 import math
@@ -71,7 +71,9 @@ DEFAULTS = asdict(default_params())
 # lambda_x * alpha = 0 (inf * 0 in rf_pmf), T * W = 0 (a division by 0),
 # alpha = 0 with lambda_x = inf (0 * inf in rf_pmf) and g * e_pkt = inf (an
 # SU cutoff of inf / inf); and one whose availability summed above 1,
-# giving mu_s = 1 + 2**-52 at g = 44
+# giving mu_s = 1 + 2**-52 at g = 44. The last two once made the simulator
+# warn: alpha underflows, so the RF scale is 0 (a division by 0), and
+# sigma_ssd * z overflows to an SU gain of inf.
 @example(fields={**DEFAULTS, **LEAKY})
 @example(fields={**DEFAULTS, "lambda_e": 1e200, "T": 1e150, "beta": 1e150})
 @example(fields={**DEFAULTS, "N0": 1e30, "P_max": 1e-300, "sigma_ps": 1e300, "e_pkt": 1e-20})
@@ -83,6 +85,9 @@ DEFAULTS = asdict(default_params())
 @example(fields={**DEFAULTS, "T": 100.0, "W": 1.0, "N0": 1.0, "e_pkt": 1.0, "P_max": 1.0,
                  "sigma_ppd": 1.0, "sigma_ps": 1.0, "sigma_ssd": 1e15, "beta": 1.0,
                  "tau": 4.94e-322, "lambda_p": 0.0, "eta": 0.0, "lambda_e": 1.0, "E_max": 83})
+@example(fields={**DEFAULTS, "e_pkt": 5e-324, "T": 1e10, "tau": 1.0, "beta": 1e10, "W": 1.0,
+                 "N0": 1e-3})
+@example(fields={**DEFAULTS, "sigma_ssd": 1e308})
 def test_every_valid_point_gets_a_result_or_a_named_parameter_error(fields):
     try:
         p = validate(SystemParams(**fields))
@@ -90,10 +95,13 @@ def test_every_valid_point_gets_a_result_or_a_named_parameter_error(fields):
     except ParameterError as exc:
         assert exc.fields and set(exc.fields) <= set(PARAM_FIELDS)
         return
+    assert 0.0 <= dc.pi_idle <= 1.0 and dc.pi_idle + dc.pu_throughput == 1.0
     # doubles this extreme overflow and underflow on the way to finite results
     with warnings.catch_warnings(), np.errstate(over="ignore", under="ignore", divide="ignore"):
         warnings.simplefilter("ignore", ReducibleChainWarning)
         report = optimize_g(p, dc, arrival_pmfs(p, dc), range(1, p.E_max + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             res = simulate(p, SimConfig(n_slots=2_000, seed=0, warmup=200))
         except ParameterError as exc:  # lambda_e * T beyond numpy's Poisson limit
