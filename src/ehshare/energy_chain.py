@@ -150,25 +150,24 @@ def _solve_stack(omega):
     row-stochastic (NaN entries included) or if the states it reaches from 0
     hold several closed classes, which no model chain's do (checked over the
     whole parameter space by tests/test_whole_space.py). Else all of them
-    reach 0, or all the top one, t, and the balance equations over them,
-    with t's replaced by sum(chi) = 1 and identity rows for the others, have
-    one solution; _closure reads this off in O(n^3), like the LU. Each
-    diagonal entry of omega - I is minus its row's off-diagonal mass
-    (Grassmann, Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1
-    ulp away. The chains share one batched LU solve, or are solved one by one
-    if a singular member makes it raise; a solve that misses _TOL fails with
-    a StationarySolveError. Each reducible chain solved gets a
-    ReducibleChainWarning.
+    reach the top one, t, as any that reaches 0 does (0 reaches t); the
+    balance equations over them, with t's replaced by sum(chi) = 1 and
+    identity rows for the others, have one solution. _closure reads this off
+    in O(n^3), like the LU. Each diagonal entry of omega - I is minus its
+    row's off-diagonal mass (Grassmann, Taksar & Heyman 1985): omega[j, j] - 1
+    rounds a leak below 1 ulp away. The chains share one batched LU solve, or
+    are solved one by one if a singular member makes it raise; a solve that
+    misses _TOL fails with a StationarySolveError. Each reducible chain solved
+    (some state cannot reach another) gets a ReducibleChainWarning.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
     for b in np.flatnonzero(~ok).tolist():
         failures[b] = ChainError("omega must be row-stochastic")
     closed = _closure(omega > 0.0) > 0.0
-    reached, to_0 = closed[:, 0], closed[:, :, 0]
+    reached = closed[:, 0]
     top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
-    to_top = closed[np.arange(len(top)), :, top]
-    certified = np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1)
+    certified = np.all(closed[np.arange(len(top)), :, top] | ~reached, axis=1)
     for b in np.flatnonzero(ok & ~certified).tolist():
         ok[b], failures[b] = False, ChainError(
             "the states reached from 0 hold several closed classes")
@@ -192,7 +191,7 @@ def _solve_stack(omega):
         x, solved = x[ok[solved]], solved[ok[solved]]
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
-    for _ in np.flatnonzero(ok & ~(reached.all(axis=1) & to_0.all(axis=1))):
+    for _ in np.flatnonzero(ok & ~closed.all(axis=(1, 2))):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
                       "an empty queue", ReducibleChainWarning, stacklevel=3)
     residual = _residuals(omega, chi)
