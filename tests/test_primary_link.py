@@ -94,7 +94,6 @@ def test_pu_throughput_examples():
 
 def test_equality_at_boundary_counts_as_saturated(capsys):
     # lambda_p == mu_p is saturated; the double below it is stable
-    assert _dc(lambda_p=DC.mu_p).mu_p == DC.mu_p
     assert _regime(capsys, DC.mu_p) == "saturated"
     assert _regime(capsys, math.nextafter(DC.mu_p, 0.0)) == "stable"
 
