@@ -63,11 +63,15 @@ class SweepSpec:
         return self
 
 
-def _analytic_point(params: SystemParams, g_policy):
-    """The point's optimize_g arguments: (params, dc, pmfs, budgets)."""
+def _analytic_point(params: SystemParams, g_policy, memo):
+    """The point's optimize_g arguments: (params, dc, pmfs, budgets). memo maps each
+    harvest._pmf_key of the slice to its pmfs, built at the first point with it."""
     dc = derive(params)
     budgets = None if g_policy == "optimize" else (params.G,)
-    return params, dc, harvest.arrival_pmfs(params, dc), budgets
+    key = harvest._pmf_key(params, dc)
+    if key not in memo:
+        memo[key] = harvest.arrival_pmfs(params, dc)
+    return params, dc, memo[key], budgets
 
 
 def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
@@ -84,7 +88,7 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
     """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name = spec.swept_param
-    outcomes, valid = [], []  # valid: (outcome, params, analytic input or its failure)
+    outcomes, valid, memo = [], [], {}  # valid: (outcome, params, analytic input or failure)
     for value in values:
         try:
             params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
@@ -93,7 +97,7 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
                              for engine in engines])
             continue
         try:
-            analytic = _analytic_point(params, spec.g_policy) if "analytic" in engines else None
+            analytic = _analytic_point(params, spec.g_policy, memo) if "analytic" in engines else None
         except Exception as exc:
             analytic = exc
         outcomes.append([])

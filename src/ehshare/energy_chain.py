@@ -62,9 +62,10 @@ def _arrival_rows(probs, e_max):
     return rows
 
 
-def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
+def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=None):
     """Check every input, then return the budgets as ints and the idle and
-    active kernels, (n, n) each, that their chains are gathered from (_omegas)."""
+    active kernels, (n, n) each, that their chains are gathered from (_omegas),
+    scaling the pmfs' _arrival_rows, which rows, if given, holds by their ids."""
     if not budgets:
         raise ChainError("budgets: must be nonempty")
     budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
@@ -74,8 +75,11 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-    return (budgets, pi_idle * _arrival_rows(p_idle_arrivals.probs, e_max),
-            (1.0 - pi_idle) * _arrival_rows(p_active_arrivals.probs, e_max))
+    rows = {} if rows is None else rows
+    key = (id(p_idle_arrivals), id(p_active_arrivals))
+    if key not in rows:
+        rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
+    return budgets, pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
 
 
 def _omegas(kernels, point, g):
@@ -282,16 +286,17 @@ def optimize_many(points) -> list:
     gathered, point by point in budget order, into stacks of at most
     _STACK_CELLS matrix entries, each one _solve_stack call. A chain that
     fails fails only its own point; the others get the values they get alone.
+    Points with one E_max and the same pmf objects share their _arrival_rows.
     """
     out, found = [None] * len(points), {}
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
-        chains, searched, kernels = [], [], []
+        chains, searched, kernels, rows = [], [], [], {}
         for i, (params, dc, pmfs, budgets) in enumerate(points):
             if params.E_max != e_max:
                 continue
             order = range(1, e_max + 1) if budgets is None else list(budgets)
             try:
-                order, *kernel = _kernels(*pmfs, dc.pi_idle, order, e_max)
+                order, *kernel = _kernels(*pmfs, dc.pi_idle, order, e_max, rows)
             except Exception as exc:
                 out[i] = exc
                 continue

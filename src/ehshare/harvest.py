@@ -15,7 +15,8 @@ Pr{count >= n} < TAIL_EPS; the combined pmf is cut at n_max. tail_mass is
 the probability beyond the support, reported explicitly so that consumers
 can fold it wherever their semantics require. The capped energy queue
 folds it into its top state and reads no pmf bin at or beyond its
-capacity, so arrival_pmfs caps every pmf at E_max.
+capacity, so arrival_pmfs caps every pmf at E_max. Neither lambda_p nor G
+enters these laws, so the points of a slice with one _pmf_key share them.
 """
 
 import math
@@ -129,3 +130,9 @@ def arrival_pmfs(params: SystemParams, dc: DerivedConstants) -> tuple[HarvestPmf
     """
     nat = nature_pmf(params, params.E_max)
     return nat, combined_pmf(rf_pmf(dc, params.E_max), nat, params.E_max)
+
+
+def _pmf_key(params: SystemParams, dc: DerivedConstants) -> tuple:
+    """What arrival_pmfs reads, so equal keys give equal pmfs: not lambda_p, not G."""
+    return (params.lambda_e * params.T, params.E_max, dc.a, dc.alpha, dc.lambda_x,
+            dc.lambda_y, dc.rf_degenerate)

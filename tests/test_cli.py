@@ -6,16 +6,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ehshare
-from ehshare import cli_sweep, energy_chain
+from ehshare import cli_sweep, energy_chain, harvest
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
 from ehshare.config import default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
-from ehshare.harvest import arrival_pmfs
+from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.simulator import SimConfig, run as simulate
 
 
@@ -577,3 +578,74 @@ def test_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert read_csv(tmp_path / "a.csv")[0]["error"] == ""
+
+
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("preset, keys", [("fig2", 4), ("fig3", 30), ("fig4", 3), ("fig5", 4)])
+def test_a_slice_builds_each_distinct_pmf_pair_and_kernel_once(preset, keys, monkeypatch,
+                                                                capsys):
+    # fig2, fig4 and fig5 sweep lambda_p, so each of their grids is one key;
+    # fig3 sweeps sigma_ppd, which the RF pmf reads, so each point is its own
+    pmf_calls = _count_calls(monkeypatch, harvest, "arrival_pmfs")
+    row_calls = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
+    assert main(["preset", preset]) == 0
+    assert (len(pmf_calls), len(row_calls)) == (keys, 2 * keys)
+
+
+def test_no_pmf_or_kernel_memo_outlives_its_slice(monkeypatch, capsys):
+    pmf_calls = _count_calls(monkeypatch, harvest, "arrival_pmfs")
+    row_calls = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
+    assert main(["preset", "fig2"]) == 0
+    assert main(["preset", "fig2"]) == 0
+    assert (len(pmf_calls), len(row_calls)) == (8, 16)
+    assert capsys.readouterr().out.count("\n") == 2 * (1 + 84)
+    # nor does one outlive its optimize_many call, though its pmfs live on
+    p = default_params()
+    points = [(p, derive(p), arrival_pmfs(p, derive(p)), None)]
+    energy_chain.optimize_many(points)
+    energy_chain.optimize_many(points)
+    assert len(row_calls) == 16 + 4
+
+
+def test_a_key_whose_pmfs_fail_is_tried_again_at_each_point(monkeypatch):
+    calls = []
+
+    def fail(params, dc):
+        calls.append(params.lambda_p)
+        raise ValueError(f"no pmfs at lambda_p={params.lambda_p}")
+
+    monkeypatch.setattr(harvest, "arrival_pmfs", fail)
+    rows = sweep(SweepSpec("lambda_p", (0.2, 0.4, 0.6), default_params()))
+    assert calls == [0.2, 0.4, 0.6]
+    assert [r["error"] for r in rows] == [f"no pmfs at lambda_p={lp}" for lp in calls]
+
+
+def test_a_slice_sharing_pmf_objects_matches_each_point_solved_alone():
+    # a lambda_p grid on one pmf pair, stable and saturated (mu_p = 0.82),
+    # searched and at a fixed budget, the same pair read at a second E_max
+    # through its first 6 bins, and a point with a pmf pair of its own
+    base = default_params(lambda_e=0.5, eta=0.4)
+    pmfs = arrival_pmfs(base, derive(base))
+    points = [(p, derive(p), pmfs, budgets) for p, budgets in [
+        (replace(base, lambda_p=0.0), None), (replace(base, lambda_p=0.3), None),
+        (replace(base, lambda_p=0.9), None), (replace(base, lambda_p=1.0), None),
+        (replace(base, lambda_p=0.5, G=3), (3,)), (replace(base, lambda_p=0.5), (1, 4, 7)),
+        (replace(base, lambda_p=0.2, E_max=6), None), (replace(base, lambda_p=0.7, E_max=6), None),
+    ]]
+    other = default_params(lambda_e=1.0, lambda_p=0.3)
+    points.insert(2, (other, derive(other), arrival_pmfs(other, derive(other)), None))
+    for (params, dc, shared, budgets), report in zip(points, energy_chain.optimize_many(points)):
+        own = tuple(HarvestPmf(pmf.probs.copy(), pmf.tail_mass) for pmf in shared)
+        alone = energy_chain.optimize_g(params, dc, own, budgets)
+        assert (report.g_star, report.mu_s_star, report.mu_e) \
+            == (alone.g_star, alone.mu_s_star, alone.mu_e)
+        assert list(report.mu_s_by_g.items()) == list(alone.mu_s_by_g.items())
+        assert np.array_equal(report.chain.omega, alone.chain.omega)
+        assert np.array_equal(report.chain.chi, alone.chain.chi)
+

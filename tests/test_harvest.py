@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from ehshare import dbm_to_watts, default_params, derive
-from ehshare.harvest import HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
+from ehshare import dbm_to_watts, default_params, derive, validate
+from ehshare.config import PARAM_FIELDS
+from ehshare.harvest import (HarvestPmf, _pmf_key, arrival_pmfs, combined_pmf, nature_pmf,
+                             rf_pmf)
 from oracles import f_of_z, pmf_mean, ratio_cap_cdf, rf_harvest_samples, rf_increments
 
 P = default_params()
@@ -224,3 +227,49 @@ def test_arrival_pmfs_always_normalized(lam_e, eta, sigma_ppd):
     for pmf in arrival_pmfs(p, derive(p)):
         assert np.all(pmf.probs >= 0)
         assert math.fsum(pmf.probs) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def _pmf_bits(p):
+    """The bytes of each arrival pmf of p, with its tail mass."""
+    return [(pmf.probs.tobytes(), pmf.tail_mass) for pmf in arrival_pmfs(p, derive(p))]
+
+
+# two valid values for each field, away from every base point below
+_MOVES = {
+    "beta": (500.0, 2000.0), "T": (0.5, 2.0), "tau": (0.05, 0.5), "W": (500.0, 2000.0),
+    "N0": (1e-7, 1e-5), "e_pkt": (1e-4, 1e-2), "P_max": (dbm_to_watts(0.0), dbm_to_watts(30.0)),
+    "lambda_p": (0.0, 0.9), "lambda_e": (0.0, 2.0), "eta": (0.0, 1.0), "E_max": (2, 30),
+    "G": (2, 6), "sigma_ppd": (0.2, 2.0), "sigma_ps": (0.3, 3.0), "sigma_ssd": (0.2, 5.0),
+}
+_UNREAD = {"tau", "lambda_p", "G", "sigma_ssd"}  # fields no harvest law depends on
+
+
+@pytest.mark.parametrize("base", [
+    default_params(), default_params(lambda_e=0.5), default_params(eta=0.0),
+    default_params(P_max=dbm_to_watts(50.0)),
+], ids=["defaults", "ambient", "eta_0", "50_dbm"])
+def test_pmf_key_changes_wherever_the_pmfs_do(base):
+    # a slice shares one pmf pair among the points with one key, so a field
+    # that moves the pmfs but not the key would hand a point another's pmfs
+    assert set(_MOVES) == set(PARAM_FIELDS)
+    key, bits, moved = _pmf_key(base, derive(base)), _pmf_bits(base), set()
+    for name, values in _MOVES.items():
+        for value in values:
+            p = validate(replace(base, **{name: value}))
+            if _pmf_bits(p) != bits:
+                moved.add(name)
+                assert _pmf_key(p, derive(p)) != key, (name, value)
+    # with eta = 0 and no ambient harvest, only those two can move the pmfs
+    assert moved == ({"lambda_e", "eta"} if base.eta == 0 else set(PARAM_FIELDS) - _UNREAD)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam_e=st.sampled_from([0.0, 0.5, 3.0]), eta=st.floats(min_value=0.0, max_value=1.0),
+       p_max_dbm=st.floats(min_value=-10.0, max_value=50.0),
+       e_max=st.integers(min_value=1, max_value=40),
+       lambda_p=st.floats(min_value=0.0, max_value=1.0), g=st.integers(min_value=1, max_value=40))
+def test_lambda_p_and_g_never_change_the_pmfs(lam_e, eta, p_max_dbm, e_max, lambda_p, g):
+    base = default_params(lambda_e=lam_e, eta=eta, P_max=dbm_to_watts(p_max_dbm), E_max=e_max)
+    p = validate(replace(base, lambda_p=lambda_p, G=min(g, e_max)))
+    assert _pmf_key(p, derive(p)) == _pmf_key(base, derive(base))
+    assert _pmf_bits(p) == _pmf_bits(base)
