@@ -7,6 +7,7 @@ are deterministic for a fixed sweep spec and seed.
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -284,6 +285,15 @@ def preset_specs(name, engines="analytic", sim=None) -> list[SweepSpec]:
 # ---------------------------------------------------------------------------
 # output plumbing
 
+@contextlib.contextmanager
+def _file_errors(field):
+    """Raise the block's OSError, a file it cannot read or write, as a ParameterError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError([f"{field}: {exc}"]) from None
+
+
 def _check_outputs(columns, outputs):
     """columns, once every name in outputs is one of them."""
     unknown = [c for c in outputs if c not in columns]
@@ -316,7 +326,7 @@ def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
+        with _file_errors("out"), open(out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -365,7 +375,8 @@ def _add_outputs_flag(group):
 def params_from_args(args) -> SystemParams:
     """The config file and the parameter flags given, flags winning."""
     given = {key: getattr(args, key) for key in PARAM_FIELDS + ["p_max_dbm"]}
-    return load_params(args.config, {k: v for k, v in given.items() if v is not None})
+    with _file_errors("config"):
+        return load_params(args.config, {k: v for k, v in given.items() if v is not None})
 
 
 def _sim_config(args) -> SimConfig:
@@ -387,15 +398,16 @@ def cmd_analytic(args):
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
     if args.dump_pmfs:
-        os.makedirs(args.dump_pmfs, exist_ok=True)
-        idle, active = pmfs
-        idle.write_text(os.path.join(args.dump_pmfs, "idle_arrivals.txt"))
-        active.write_text(os.path.join(args.dump_pmfs, "active_arrivals.txt"))
-        harvest.rf_pmf(dc, params.E_max).write_text(os.path.join(args.dump_pmfs, "rf_conditional.txt"))
+        with _file_errors("dump_pmfs"):
+            os.makedirs(args.dump_pmfs, exist_ok=True)
+            for name, pmf in zip(("idle_arrivals", "active_arrivals", "rf_conditional"),
+                                 (*pmfs, harvest.rf_pmf(dc, params.E_max))):
+                pmf.write_text(os.path.join(args.dump_pmfs, f"{name}.txt"))
     if args.dump_chain:
-        os.makedirs(args.dump_chain, exist_ok=True)
-        np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
-        np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chain.chi, fmt="%.17g")
+        with _file_errors("dump_chain"):
+            os.makedirs(args.dump_chain, exist_ok=True)
+            np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
+            np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chain.chi, fmt="%.17g")
     write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 

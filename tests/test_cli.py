@@ -649,3 +649,25 @@ def test_a_slice_sharing_pmf_objects_matches_each_point_solved_alone():
         assert np.array_equal(report.chain.omega, alone.chain.omega)
         assert np.array_equal(report.chain.chi, alone.chain.chi)
 
+
+@pytest.mark.parametrize("argv, field", [
+    (["analytic", "--config", "{missing}/point.cfg"], "config"),
+    (["analytic", "--config", "{dir}"], "config"),
+    (["analytic", "--out", "{missing}/x.csv"], "out"),
+    (["sweep", "--param", "lambda_p", "--values", "0.2,0.4", "--out", "{dir}"], "out"),
+    (["analytic", "--dump-pmfs", "{file}"], "dump_pmfs"),
+    (["analytic", "--dump-chain", "{file}/chain"], "dump_chain"),
+])
+def test_file_errors_exit_2_naming_the_field(argv, field, tmp_path):
+    # a path that cannot be read or written is bad input like any other:
+    # one `error:` line and exit 2, not a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    paths = dict(missing=tmp_path / "missing", dir=tmp_path, file=tmp_path / "file")
+    src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "ehshare.cli_sweep"]
+                          + [arg.format(**paths) for arg in argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid parameters: {field}: ")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
