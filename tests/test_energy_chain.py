@@ -254,6 +254,19 @@ def test_numpy_integer_budgets_give_the_report_of_python_ints():
     assert build_chain(*pmfs, dc.pi_idle, np.int64(2), p.E_max).g == 2
 
 
+def test_ties_break_toward_the_budget_given_first():
+    # sigma_ssd = 1e-300: no secondary packet decodes, so every mu_s is 0
+    p = default_params(sigma_ssd=1e-300, E_max=6)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    for budgets, g_star, keys in (([5, 3, 1], 5, [5, 3, 1]), ([2, 2, 1], 2, [2, 1]),
+                                  (None, 1, list(range(1, 7)))):
+        report = optimize_g(p, dc, pmfs, budgets)
+        assert set(report.mu_s_by_g.values()) == {0.0}
+        assert (report.g_star, list(report.mu_s_by_g)) == (g_star, keys)
+        assert report.chain.g == g_star
+
+
 def test_bool_budgets_and_capacities_are_rejected_like_any_non_integer():
     p = default_params(E_max=6)
     dc = derive(p)
