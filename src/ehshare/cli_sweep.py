@@ -76,57 +76,49 @@ def _analytic_point(params: SystemParams, g_policy, memo):
 
 
 def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
-    """The rows of a slice of grid points: one list, to_rows(outcome), per point.
+    """The rows of a slice of grid points: one list, to_rows(*record), per point.
 
-    An outcome lists (params, engine, result) per engine; result is (report,
-    dc), (params it ran at, SimResult), or the engine's exception. The
-    analytic engine solves every point of the slice together, then one
-    lockstep simulator run goes at each analytic g_star (else at G);
-    without sim_after_failure an analytic failure skips the point's
-    simulation. An error that ends the shared solve or the lockstep run is
-    that engine's result at each of its points. An invalid point fails
-    every engine, with params as given.
+    A point's record is [params, analytic, simulated]. Each engine's slot
+    holds its result, (report, dc) or the SimResult, the exception that
+    failed it, or None if the engine did not run. The analytic engine solves
+    every point of the slice together, then one lockstep simulator run goes
+    at each analytic g_star (else at G); without sim_after_failure an
+    analytic failure skips the point's simulation. An error that ends the
+    shared solve or the lockstep run is that engine's result at each of its
+    points. An invalid point fails every engine, with params as given.
     """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
-    name = spec.swept_param
-    outcomes, valid, memo = [], [], {}  # valid: (outcome, params, analytic input or failure)
+    name, records, memo = spec.swept_param, [], {}
     for value in values:
         try:
             params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
         except Exception as exc:
-            outcomes.append([(replace(spec.fixed, **{name: value}), engine, exc)
-                             for engine in engines])
+            records.append([replace(spec.fixed, **{name: value})]
+                           + [exc if e in engines else None for e in ("analytic", "simulate")])
             continue
         try:
             analytic = _analytic_point(params, spec.g_policy, memo) if "analytic" in engines else None
         except Exception as exc:
             analytic = exc
-        outcomes.append([])
-        valid.append((outcomes[-1], params, analytic))
-    inputs = [x for *_, x in valid if isinstance(x, tuple)]
+        records.append([params, analytic, None])
+    solve = [r for r in records if isinstance(r[1], tuple)]  # r[1]: optimize_g's arguments
     try:
-        reports = iter(energy_chain.optimize_many(inputs))
+        reports = energy_chain.optimize_many([r[1] for r in solve])
     except Exception as exc:
-        reports = iter([exc] * len(inputs))
-    sim_points = []
-    for outcome, params, result in valid:
-        if isinstance(result, tuple):
-            report = next(reports)
-            result = report if isinstance(report, Exception) else (report, result[1])
-        if result is not None:
-            outcome.append((params, "analytic", result))
-        if "simulate" in engines and (sim_after_failure or not isinstance(result, Exception)):
-            g_used = result[0].g_star if isinstance(result, tuple) else params.G
-            sim_points.append((outcome, params, replace(params, G=g_used)))
-    if sim_points:
+        reports = [exc] * len(solve)
+    for r, report in zip(solve, reports):
+        r[1] = report if isinstance(report, Exception) else (report, r[1][1])
+    run = [r for r in records if "simulate" in engines and r[2] is None
+           and (sim_after_failure or not isinstance(r[1], Exception))]
+    if run:
         try:
-            results = simulate_many([sim_params for _, _, sim_params in sim_points], spec.sim)
+            results = simulate_many([replace(params, G=a[0].g_star if isinstance(a, tuple)
+                                             else params.G) for params, a, _ in run], spec.sim)
         except Exception as exc:
-            results = [exc] * len(sim_points)
-        for (outcome, params, sim_params), result in zip(sim_points, results):
-            outcome.append((params, "simulate",
-                            result if isinstance(result, Exception) else (sim_params, result)))
-    return [to_rows(outcome) for outcome in outcomes]
+            results = [exc] * len(run)
+        for r, result in zip(run, results):
+            r[2] = result
+    return [to_rows(*r) for r in records]
 
 
 def _row(params, metrics, **values):
@@ -155,6 +147,7 @@ def _simulate_row(params, result):
     return _row(
         params, METRIC_COLUMNS,
         engine="simulate",
+        G=result.g,
         pi_idle=result.pi_idle_hat,
         pu_throughput=result.pu_throughput_hat,
         g=result.g,
@@ -166,16 +159,19 @@ def _simulate_row(params, result):
     )
 
 
-def _sweep_row(params, engine, result):
-    if isinstance(result, Exception):
-        return _row(params, METRIC_COLUMNS, engine=engine, error=str(result))
-    return _analytic_row(params, *result) if engine == "analytic" else _simulate_row(*result)
+def _sweep_rows(params, analytic, simulated):
+    """A point's rows, one per engine that ran: its metrics, or its error."""
+    return [_row(params, METRIC_COLUMNS, engine=engine, error=str(result))
+            if isinstance(result, Exception) else _simulate_row(params, result)
+            if engine == "simulate" else _analytic_row(params, *result)
+            for engine, result in (("analytic", analytic), ("simulate", simulated))
+            if result is not None]
 
 
 def _eval_sweep_point(task):
     """A slice of grid points -> per point, one row per engine (pickled to workers)."""
     spec, values = task
-    return _evaluate(spec, values, lambda outcome: [_sweep_row(*entry) for entry in outcome])
+    return _evaluate(spec, values, _sweep_rows)
 
 
 def _compare_point(task):
@@ -184,11 +180,11 @@ def _compare_point(task):
     return _evaluate(spec, values, _compare_rows, sim_after_failure=False)
 
 
-def _compare_rows(outcome):
-    for params, _, result in outcome:
-        if isinstance(result, Exception):
-            return [_row(params, COMPARE_METRICS, error=str(result))]
-    (_, _, (report, dc)), (_, _, (sim_params, result)) = outcome
+def _compare_rows(params, analytic, result):
+    for failure in (analytic, result):
+        if isinstance(failure, Exception):
+            return [_row(params, COMPARE_METRICS, error=str(failure))]
+    report, dc = analytic
     tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
     values = dict(g=report.g_star, tv_occupancy=tv, seed=result.seed, slots=result.n_slots)
     for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
@@ -196,7 +192,7 @@ def _compare_rows(outcome):
                        ("pu_throughput", dc.pu_throughput, result.pu_throughput_hat)):
         values.update({f"a_{name}": a, f"s_{name}": s, f"d_{name}_abs": abs(a - s),
                        f"d_{name}_rel": abs(a - s) / abs(a) if a != 0 else ""})
-    return [_row(sim_params, COMPARE_METRICS, **values)]
+    return [_row(params, COMPARE_METRICS, G=result.g, **values)]
 
 
 def _run_grid(point_fn, specs, jobs):

@@ -287,10 +287,13 @@ def optimize_many(points) -> list:
     _STACK_CELLS matrix entries, each one _solve_stack call. A chain that
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
+    After the last round g_star is picked, the first maximizer in budget
+    order, and its chain gathered once more from the point's kernels.
     """
-    out, found = [None] * len(points), {}
+    out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
-        chains, searched, kernels, rows = [], [], [], {}
+        # found[k]: kernels[k]'s point i, budgets, _bounds if searched, mu_s and chi by g
+        found, kernels, chains, rows = [], [], [], {}
         for i, (params, dc, pmfs, budgets) in enumerate(points):
             if params.E_max != e_max:
                 continue
@@ -300,41 +303,34 @@ def optimize_many(points) -> list:
             except Exception as exc:
                 out[i] = exc
                 continue
+            bound = None if budgets is not None else _bounds(params, dc, kernel)
+            chains += [(len(kernels), g) for g in
+                       (order if bound is None else [int(np.argmax(bound)) + 1])]
+            found.append((i, order, bound, {}, {}))
             kernels.append(kernel)
-            k, found[i] = len(kernels) - 1, [{}, None, order]
-            if budgets is None:
-                searched.append((k, i, _bounds(params, dc, kernels[-1])))
-                order = [int(np.argmax(searched[-1][2])) + 1]
-            chains += [(k, i, g) for g in order]
         kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
         while chains:
             for s in range(0, len(chains), per_stack):
-                k, point, g = zip(*chains[s:s + per_stack])
+                k, g = zip(*chains[s:s + per_stack])
                 omega = _omegas(kernels, k, g)
                 chi, failures = _solve_stack(omega)
-                for b, (i, g_b) in enumerate(zip(point, g)):
+                for b, (i, _, _, mu, chis) in enumerate(found[k_b] for k_b in k):
                     if out[i] is None and b in failures:
                         out[i] = failures[b]
-                    if out[i] is not None:
-                        continue
-                    (params, dc, *_), (mu_s_by_g, best, order) = points[i], found[i]
-                    mu_s_by_g[g_b] = su_throughput(EnergyChain(omega[b], g_b, chi[b]), params, dc)
-                    if best is None or (mu_s_by_g[g_b], -order.index(g_b)) > (
-                            mu_s_by_g[best.g], -order.index(best.g)):
-                        found[i][1] = EnergyChain(omega[b].copy(), g_b, chi[b].copy())
-            chains, searched = [(k, i, g) for k, i, bound in searched if out[i] is None
-                                for g in range(1, e_max + 1) if g not in found[i][0] and
-                                not bound[g - 1] < max(found[i][0].values()) * (1 - 1e-9)], []
-    for i, (params, dc, *_) in enumerate(points):
-        if out[i] is None:
-            mu_s_by_g, best, order = found[i]
-            out[i] = ThroughputReport(
-                mu_e=mu_e(best, params, dc),
-                mu_s_by_g={g: mu_s_by_g[g] for g in order if g in mu_s_by_g},
-                g_star=best.g,
-                mu_s_star=mu_s_by_g[best.g],
-                chain=best,
-            )
+                    if out[i] is None:
+                        params, dc, *_ = points[i]
+                        mu[g[b]] = su_throughput(EnergyChain(omega[b], g[b], chi[b]), params, dc)
+                        chis[g[b]] = chi[b]
+            chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
+                      if bound is not None and out[i] is None for g in range(1, e_max + 1)
+                      if g not in mu and not bound[g - 1] < max(mu.values()) * (1 - 1e-9)]
+        for k, (i, order, _, mu, chis) in enumerate(found):
+            if out[i] is None:
+                (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
+                g_star = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
+                chain = EnergyChain(_omegas(kernels, [k], [g_star])[0], g_star, chis[g_star])
+                out[i] = ThroughputReport(mu_e(chain, params, dc), mu_s_by_g, g_star,
+                                          mu_s_by_g[g_star], chain)
     return out
 
 
