@@ -68,15 +68,16 @@ def rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
     """
     if dc.rf_degenerate:
         return HarvestPmf(np.array([1.0]), 0.0)
-    # T(n) for n = 1..n_max; it falls with n, so the support ends one bin
-    # past the last tail >= TAIL_EPS
-    x = dc.lambda_x * dc.alpha * np.arange(1, n_max + 1)
-    tails = np.exp(-dc.a * x) / (1.0 + x / dc.lambda_y)
-    n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
-    # bin n is T(n) (1 - T(n+1) / T(n)) = T(n) (1 - e^-c + e^-c x(1) / (lambda_y
-    # + x(n+1))) with c = a x(1): two nonnegative terms, so no bin cancels
-    c = dc.a * x[0]
-    drop = -math.expm1(-c) + math.exp(-c) * x[0] / (dc.lambda_y + x[:n])
+    with np.errstate(over="ignore"):  # an x(n) or c that overflows is the intended inf
+        # T(n) for n = 1..n_max; it falls with n, so the support ends one bin
+        # past the last tail >= TAIL_EPS
+        x = dc.lambda_x * dc.alpha * np.arange(1, n_max + 1)
+        tails = np.exp(-dc.a * x) / (1.0 + x / dc.lambda_y)
+        n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
+        # bin n is T(n) (1 - T(n+1) / T(n)) = T(n) (1 - e^-c + e^-c x(1) / (lambda_y
+        # + x(n+1))) with c = a x(1): two nonnegative terms, so no bin cancels
+        c = dc.a * x[0]
+        drop = -math.expm1(-c) + math.exp(-c) * x[0] / (dc.lambda_y + x[:n])
     return HarvestPmf(np.concatenate(([1.0], tails[:n - 1])) * drop, float(tails[n - 1]))
 
 

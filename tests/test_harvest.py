@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,14 @@ def test_rf_pmf_of_a_primary_that_never_transmits_is_a_point_mass():
     assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
     with pytest.raises(ValueError, match="a == inf"):
         rf_increments(dc, FULL)
+
+
+def test_rf_pmf_at_a_scale_near_the_double_limit_is_a_point_mass_without_warning():
+    # alpha * lambda_x = 1e308: x(n) overflows to inf from n = 2, the tails' intended 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pmf = rf_pmf(derive(default_params(eta=1e-308)), 10)
+    assert pmf.probs.tolist() == [1.0] and pmf.tail_mass == 0.0
 
 
 def test_nature_pmf_without_arrivals():
