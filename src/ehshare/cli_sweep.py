@@ -283,10 +283,10 @@ def preset_specs(name, engines="analytic", sim=None) -> list[SweepSpec]:
 
 @contextlib.contextmanager
 def _file_errors(field):
-    """Raise the block's OSError, a file it cannot read or write, as a ParameterError."""
+    """Raise a file the block cannot read (not UTF-8 either) or write as a ParameterError."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError([f"{field}: {exc}"]) from None
 
 

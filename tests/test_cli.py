@@ -14,7 +14,7 @@ import pytest
 import ehshare
 from ehshare import cli_sweep, energy_chain, harvest
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
-from ehshare.config import default_params, derive
+from ehshare.config import ParameterError, default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.simulator import SimConfig, run as simulate
@@ -255,6 +255,25 @@ def test_bad_grid_exits_nonzero(capsys):
         assert "jobs" in capsys.readouterr().err
     assert main(["preset", "fig3", "--jobs", "-1"]) == 2
     assert "jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, field", [
+    (["sweep", "--param", "lambda_p", "--values", "0.3,0.1,0.2"], "grid"),
+    (["sweep", "--param", "lambda_p", "--grid", "0.1:0.5:0"], "grid"),
+    (["sweep", "--param", "lambda_p", "--grid", "0.5:0.1:0.1"], "grid"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact").check(), "engines"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best").check(), "g_policy"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate").check(), "sim"),
+    (lambda: cli_sweep.write_rows([], ["mu_s"], fmt="xml"), "format"),
+])
+def test_bad_grid_spec_and_format_name_the_field(case, field, capsys):
+    if callable(case):
+        with pytest.raises(ParameterError) as exc:
+            case()
+        assert exc.value.fields == [field]
+    else:
+        assert main(case) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid parameters: {field}: ")
 
 
 def test_bad_seed_exits_nonzero(capsys):
@@ -657,12 +676,15 @@ def test_a_slice_sharing_pmf_objects_matches_each_point_solved_alone():
     (["sweep", "--param", "lambda_p", "--values", "0.2,0.4", "--out", "{dir}"], "out"),
     (["analytic", "--dump-pmfs", "{file}"], "dump_pmfs"),
     (["analytic", "--dump-chain", "{file}/chain"], "dump_chain"),
+    (["analytic", "--config", "{latin1}"], "config"),
 ])
 def test_file_errors_exit_2_naming_the_field(argv, field, tmp_path):
     # a path that cannot be read or written is bad input like any other:
     # one `error:` line and exit 2, not a traceback and exit 1
     (tmp_path / "file").write_text("")
-    paths = dict(missing=tmp_path / "missing", dir=tmp_path, file=tmp_path / "file")
+    (tmp_path / "latin1.cfg").write_bytes(b"lambda_p = 0.4\n\xff\xfe = 1\n")  # not UTF-8
+    paths = dict(missing=tmp_path / "missing", dir=tmp_path, file=tmp_path / "file",
+                 latin1=tmp_path / "latin1.cfg")
     src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-m", "ehshare.cli_sweep"]
