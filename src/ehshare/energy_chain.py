@@ -287,8 +287,8 @@ def optimize_many(points) -> list:
     _STACK_CELLS matrix entries, each one _solve_stack call. A chain that
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
-    After the last round g_star is picked, the first maximizer in budget
-    order, and its chain gathered once more from the point's kernels.
+    After round 2 each point's g_star is picked once, the first maximizer in
+    budget order, and the chains at g_star are gathered again in one _omegas.
     """
     out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
@@ -309,7 +309,11 @@ def optimize_many(points) -> list:
             found.append((i, order, bound, {}, {}))
             kernels.append(kernel)
         kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
-        while chains:
+        for round_2 in (False, True):  # round 2 solves the budgets a search's bounds keep
+            if round_2:
+                chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
+                          if bound is not None and out[i] is None for g in range(1, e_max + 1)
+                          if g not in mu and not bound[g - 1] < max(mu.values()) * (1 - 1e-9)]
             for s in range(0, len(chains), per_stack):
                 k, g = zip(*chains[s:s + per_stack])
                 omega = _omegas(kernels, k, g)
@@ -321,16 +325,13 @@ def optimize_many(points) -> list:
                         params, dc, *_ = points[i]
                         mu[g[b]] = su_throughput(EnergyChain(omega[b], g[b], chi[b]), params, dc)
                         chis[g[b]] = chi[b]
-            chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
-                      if bound is not None and out[i] is None for g in range(1, e_max + 1)
-                      if g not in mu and not bound[g - 1] < max(mu.values()) * (1 - 1e-9)]
-        for k, (i, order, _, mu, chis) in enumerate(found):
-            if out[i] is None:
-                (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
-                g_star = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
-                chain = EnergyChain(_omegas(kernels, [k], [g_star])[0], g_star, chis[g_star])
-                out[i] = ThroughputReport(mu_e(chain, params, dc), mu_s_by_g, g_star,
-                                          mu_s_by_g[g_star], chain)
+        done = [(k, i, {g: mu[g] for g in order if g in mu}, chis)
+                for k, (i, order, _, mu, chis) in enumerate(found) if out[i] is None]
+        g_star = [max(mu_s_by_g, key=mu_s_by_g.__getitem__) for _, _, mu_s_by_g, _ in done]
+        omegas = _omegas(kernels, [k for k, *_ in done], g_star) if done else ()
+        for (_, i, mu_s_by_g, chis), g, omega in zip(done, g_star, omegas):
+            (params, dc, *_), chain = points[i], EnergyChain(omega, g, chis[g])
+            out[i] = ThroughputReport(mu_e(chain, params, dc), mu_s_by_g, g, mu_s_by_g[g], chain)
     return out
 
 
