@@ -110,6 +110,13 @@ def test_analytic_dump_artifacts(tmp_path):
     assert chi.shape == (11,)
     assert np.max(np.abs(omega.sum(axis=1) - 1.0)) < 1e-12
     assert abs(chi.sum() - 1.0) < 1e-10
+    # bit for bit: the chain built at the report's g_star, and the report's chi
+    params = default_params()
+    dc = derive(params)
+    pmfs = arrival_pmfs(params, dc)
+    report = energy_chain.optimize_g(params, dc, pmfs, range(1, params.E_max + 1))
+    assert np.array_equal(omega, build_chain(*pmfs, dc.pi_idle, report.g_star, params.E_max).omega)
+    assert np.array_equal(chi, report.chain.chi)
 
 
 def test_simulate_row_and_determinism(tmp_path):
