@@ -185,7 +185,7 @@ def _compare_rows(params, analytic, result):
         if isinstance(failure, Exception):
             return [_row(params, COMPARE_METRICS, error=str(failure))]
     report, dc = analytic
-    tv = 0.5 * float(np.abs(report.chain.chi - result.energy_occupancy_hist).sum())
+    tv = 0.5 * float(np.abs(report.chi - result.energy_occupancy_hist).sum())
     values = dict(g=report.g_star, tv_occupancy=tv, seed=result.seed, slots=result.n_slots)
     for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
                        ("pi_idle", dc.pi_idle, result.pi_idle_hat),
@@ -402,8 +402,9 @@ def cmd_analytic(args):
     if args.dump_chain:
         with _file_errors("dump_chain"):
             os.makedirs(args.dump_chain, exist_ok=True)
-            np.savetxt(os.path.join(args.dump_chain, "omega.txt"), report.chain.omega, fmt="%.17g")
-            np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chain.chi, fmt="%.17g")
+            omega = energy_chain.build_chain(*pmfs, dc.pi_idle, report.g_star, params.E_max).omega
+            np.savetxt(os.path.join(args.dump_chain, "omega.txt"), omega, fmt="%.17g")
+            np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chi, fmt="%.17g")
     write_rows([row], columns, args.out, args.format, args.outputs)
     return 0
 

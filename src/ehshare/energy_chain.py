@@ -63,8 +63,8 @@ def _arrival_rows(probs, e_max):
 
 
 def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=None):
-    """Check every input, then return the budgets as ints and the idle and
-    active kernels, (n, n) each, that their chains are gathered from (_omegas),
+    """Check every input; return the budgets as ints, each once, and the idle
+    and active kernels (n, n) that their chains are gathered from (_omegas),
     scaling the pmfs' _arrival_rows, which rows, if given, holds by their ids."""
     if not budgets:
         raise ChainError("budgets: must be nonempty")
@@ -79,7 +79,7 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=N
     key = (id(p_idle_arrivals), id(p_active_arrivals))
     if key not in rows:
         rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
-    return budgets, pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
+    return list(dict.fromkeys(budgets)), pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
 
 
 def _omegas(kernels, point, g):
@@ -252,15 +252,15 @@ class ThroughputReport:
 
     mu_s_by_g maps every evaluated energy budget to its secondary
     throughput, in budget order: the budgets given, or those the search for
-    g* solved. g_star is the first maximizer in budget order, chain the
-    solved chain built with g_star and mu_e its consumption rate.
+    g* solved. g_star is the first maximizer in budget order, chi its chain's
+    stationary vector (build_chain rebuilds omega) and mu_e its consumption rate.
     """
 
     mu_e: float
     mu_s_by_g: dict[int, float]
     g_star: int
     mu_s_star: float
-    chain: EnergyChain = field(repr=False, compare=False)
+    chi: np.ndarray = field(repr=False, compare=False)
 
 
 def _bounds(params, dc, kernels):
@@ -288,7 +288,7 @@ def optimize_many(points) -> list:
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
     After round 2 each point's g_star is picked once, the first maximizer in
-    budget order, and the chains at g_star are gathered again in one _omegas.
+    budget order, and its report keeps the chi solved at g_star.
     """
     out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
@@ -325,13 +325,12 @@ def optimize_many(points) -> list:
                         params, dc, *_ = points[i]
                         mu[g[b]] = su_throughput(EnergyChain(omega[b], g[b], chi[b]), params, dc)
                         chis[g[b]] = chi[b]
-        done = [(k, i, {g: mu[g] for g in order if g in mu}, chis)
-                for k, (i, order, _, mu, chis) in enumerate(found) if out[i] is None]
-        g_star = [max(mu_s_by_g, key=mu_s_by_g.__getitem__) for _, _, mu_s_by_g, _ in done]
-        omegas = _omegas(kernels, [k for k, *_ in done], g_star) if done else ()
-        for (_, i, mu_s_by_g, chis), g, omega in zip(done, g_star, omegas):
-            (params, dc, *_), chain = points[i], EnergyChain(omega, g, chis[g])
-            out[i] = ThroughputReport(mu_e(chain, params, dc), mu_s_by_g, g, mu_s_by_g[g], chain)
+        for i, order, _, mu, chis in found:
+            if out[i] is None:
+                (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
+                g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
+                rate = mu_e(EnergyChain(None, g, chis[g]), params, dc)
+                out[i] = ThroughputReport(rate, mu_s_by_g, g, mu_s_by_g[g], chis[g])
     return out
 
 
@@ -340,7 +339,7 @@ def optimize_g(params: SystemParams, dc: DerivedConstants,
     """Evaluate the given energy budgets, or search 1..E_max for g* if None.
 
     The one-point case of optimize_many; it raises the point's failure. Each
-    budget's chain is solved as in stationary (_solve_stack); the search
+    distinct budget's chain is solved once, as in stationary; the search
     solves only the budgets that energy balance cannot rule out, so
     ReducibleChainWarning fires for those alone. Ties break toward the budget
     given first, or the smallest when searching.

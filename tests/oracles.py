@@ -126,7 +126,7 @@ def assert_search_matches(exhaustive, params, dc, pmfs):
         searched = optimize_g(params, dc, pmfs)
     assert (searched.g_star, searched.mu_s_star, searched.mu_e) \
         == (exhaustive.g_star, exhaustive.mu_s_star, exhaustive.mu_e)
-    assert np.array_equal(searched.chain.chi, exhaustive.chain.chi)
+    assert np.array_equal(searched.chi, exhaustive.chi)
     assert searched.mu_s_by_g.items() <= exhaustive.mu_s_by_g.items()
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehshare import (ParameterError, SystemParams, arrival_pmfs, dbm_to_watts, default_params,
-                     derive, load_params, optimize_g, validate)
+from ehshare import (ParameterError, SystemParams, arrival_pmfs, build_chain, dbm_to_watts,
+                     default_params, derive, load_params, optimize_g, validate)
 from ehshare.config import parse_config_file
 from oracles import watts_to_dbm
 
@@ -96,7 +96,10 @@ def test_a_primary_that_never_transmits_solves_as_with_eta_0(over):
         on_r, off_r = (optimize_g(q, derive(q), arrival_pmfs(q, derive(q)), budgets)
                        for q in (p, off))
         assert on_r.mu_s_by_g == off_r.mu_s_by_g and on_r.g_star == off_r.g_star
-        assert np.array_equal(on_r.chain.omega, off_r.chain.omega)
+        assert np.array_equal(on_r.chi, off_r.chi)
+        on_o, off_o = (build_chain(*arrival_pmfs(q, derive(q)), derive(q).pi_idle, on_r.g_star,
+                                   q.E_max).omega for q in (p, off))
+        assert np.array_equal(on_o, off_o)
 
 
 @pytest.mark.parametrize("over", [{"sigma_ps": 1e-310}, {"eta": 1e-300, "beta": 1e-10}])

@@ -110,7 +110,7 @@ def test_every_valid_point_gets_a_result_or_a_named_parameter_error(fields):
     assert list(report.mu_s_by_g) == list(range(1, p.E_max + 1))
     # NaN fails
     assert all(0.0 <= mu_s <= 1.0 for mu_s in report.mu_s_by_g.values())
-    assert abs(math.fsum(report.chain.chi) - 1.0) <= 1e-12
+    assert abs(math.fsum(report.chi) - 1.0) <= 1e-12
     if res is not None:
         assert 0.0 <= res.su_throughput_hat <= 1.0 and 0.0 <= res.pi_idle_hat <= 1.0
         assert res.total_consumed + res.total_dropped + res.final_energy_level \
