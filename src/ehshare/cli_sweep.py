@@ -348,7 +348,7 @@ def _add_sim_flags(parser):
     grp = parser.add_argument_group("simulation")
     grp.add_argument("--seed", type=int, default=12345)
     grp.add_argument("--slots", type=int, default=1_000_000)
-    grp.add_argument("--warmup", type=int, default=10_000)
+    grp.add_argument("--warmup", type=int, default=SimConfig.warmup)
 
 
 def _add_jobs_flag(parser):

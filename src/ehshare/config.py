@@ -7,7 +7,7 @@ and CLI flags) and converted on ingest.
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -23,9 +23,15 @@ class ParameterError(ValueError):
         super().__init__("invalid parameters: " + "; ".join(self.violations))
 
 
+def dbm_to_watts(p_dbm):
+    """Convert a power in dBm to Watts."""
+    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+
+
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical and traffic parameters of one operating point.
+    """Physical and traffic parameters of one operating point; the defaults
+    are the reference operating point used by the bundled experiment presets.
 
     beta:      data packet length, bits
     T:         slot duration, seconds
@@ -44,21 +50,21 @@ class SystemParams:
     sigma_ssd: mean gain of the secondary -> secondary-destination link
     """
 
-    beta: float
-    T: float
-    tau: float
-    W: float
-    N0: float
-    e_pkt: float
-    P_max: float
-    lambda_p: float
-    lambda_e: float
-    eta: float
-    E_max: int
-    G: int
-    sigma_ppd: float
-    sigma_ps: float
-    sigma_ssd: float
+    beta: float = 1000.0
+    T: float = 1.0
+    tau: float = 0.1
+    W: float = 1000.0
+    N0: float = 1e-6
+    e_pkt: float = 1e-3
+    P_max: float = dbm_to_watts(10.0)
+    lambda_p: float = 0.4
+    lambda_e: float = 0.0
+    eta: float = 0.6
+    E_max: int = 10
+    G: int = 1
+    sigma_ppd: float = 0.5
+    sigma_ps: float = 1.0
+    sigma_ssd: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +95,6 @@ class DerivedConstants:
     lambda_x: float
     lambda_y: float
     rf_degenerate: bool
-
-
-def dbm_to_watts(p_dbm):
-    """Convert a power in dBm to Watts."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
 def is_int(x) -> bool:
@@ -201,33 +202,13 @@ def derive(params: SystemParams) -> DerivedConstants:
     )
 
 
-# Reference operating point used by the bundled experiment presets.
-_DEFAULTS = dict(
-    beta=1000.0,
-    T=1.0,
-    tau=0.1,
-    W=1000.0,
-    N0=1e-6,
-    e_pkt=1e-3,
-    P_max=dbm_to_watts(10.0),
-    lambda_p=0.4,
-    lambda_e=0.0,
-    eta=0.6,
-    E_max=10,
-    G=1,
-    sigma_ppd=0.5,
-    sigma_ps=1.0,
-    sigma_ssd=1.0,
-)
-
-
 def default_params(**overrides) -> SystemParams:
     """Validated SystemParams at the reference operating point, with overrides."""
-    return validate(replace(SystemParams(**_DEFAULTS), **overrides))
+    return validate(SystemParams(**overrides))
 
 
 PARAM_FIELDS = [f.name for f in fields(SystemParams)]
-_INT_FIELDS = {"E_max", "G"}
+_INT_FIELDS = {f.name for f in fields(SystemParams) if f.type is int}
 
 
 def coerce_field(key, value):
@@ -285,7 +266,7 @@ def load_params(path=None, overrides=None) -> SystemParams:
 
     overrides maps keys, named as in a config file, to values.
     """
-    merged = dict(_DEFAULTS)
+    merged = {}
     if path is not None:
         merged.update(parse_config_file(path))
     if overrides:

@@ -50,7 +50,6 @@ import numpy as np
 
 from .config import ParameterError, SystemParams, derive, is_int
 
-_DEFAULT_WARMUP = 10_000
 _CHUNK = 2 ** 16         # most slots drawn and processed at a time
 _POINT_SLOTS = 2 ** 17   # most point-slots of a batch processed at a time
 _BLOCK = 32              # slots per battery transfer map
@@ -65,7 +64,7 @@ class SimConfig:
 
     n_slots: int
     seed: int
-    warmup: int = _DEFAULT_WARMUP
+    warmup: int = 10_000
 
     def __post_init__(self):
         v = [f"{name}: must be an integer (got {getattr(self, name)!r})"
