@@ -444,7 +444,10 @@ def _grid_from_args(args):
     start, stop, step = parts
     if step == 0:
         raise ParameterError(["grid: step must be nonzero"])
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not all(map(math.isfinite, (start, stop, step, steps))):
+        raise ParameterError(["grid: START, STOP, STEP and (STOP - START) / STEP must be finite"])
+    count = int(math.floor(steps + 1e-9)) + 1
     if count < 1:
         raise ParameterError(["grid: empty range"])
     return tuple(round(start + i * step, 12) for i in range(count))

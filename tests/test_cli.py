@@ -268,6 +268,8 @@ def test_bad_grid_exits_nonzero(capsys):
     (["sweep", "--param", "lambda_p", "--values", "0.3,0.1,0.2"], "grid"),
     (["sweep", "--param", "lambda_p", "--grid", "0.1:0.5:0"], "grid"),
     (["sweep", "--param", "lambda_p", "--grid", "0.5:0.1:0.1"], "grid"),
+    *[(["sweep", "--param", "lambda_p", f"--grid={grid}"], "grid") for grid in (
+        "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e308:1e-308", "0:1:inf")],
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact").check(), "engines"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best").check(), "g_policy"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate").check(), "sim"),
