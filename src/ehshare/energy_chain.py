@@ -63,13 +63,14 @@ def _arrival_rows(probs, e_max):
 
 
 def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=None):
-    """Check every input; return the budgets as ints, each once, and the idle
-    and active kernels (n, n) that their chains are gathered from (_omegas),
+    """Check every input; return the budgets as ints, each once (1..e_max if None),
+    and the idle and active kernels (n, n) their chains are gathered from (_omegas),
     scaling the pmfs' _arrival_rows, which rows, if given, holds by their ids."""
+    searched = budgets is None  # 1..e_max: checking budget 1 checks e_max
+    budgets = [1] if searched else [operator.index(g) if hasattr(g, "__index__")
+                                    and not isinstance(g, bool) else g for g in budgets]
     if not budgets:
         raise ChainError("budgets: must be nonempty")
-    budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
-               for g in budgets]
     for g in budgets:
         if not (is_int(g) and is_int(e_max) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
@@ -79,7 +80,8 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=N
     key = (id(p_idle_arrivals), id(p_active_arrivals))
     if key not in rows:
         rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
-    return list(dict.fromkeys(budgets)), pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
+    order = range(1, e_max + 1) if searched else list(dict.fromkeys(budgets))
+    return order, pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
 
 
 def _omegas(kernels, point, g):
@@ -297,9 +299,8 @@ def optimize_many(points) -> list:
         for i, (params, dc, pmfs, budgets) in enumerate(points):
             if params.E_max != e_max:
                 continue
-            order = range(1, e_max + 1) if budgets is None else list(budgets)
             try:
-                order, *kernel = _kernels(*pmfs, dc.pi_idle, order, e_max, rows)
+                order, *kernel = _kernels(*pmfs, dc.pi_idle, budgets, e_max, rows)
             except Exception as exc:
                 out[i] = exc
                 continue
@@ -312,19 +313,21 @@ def optimize_many(points) -> list:
         for round_2 in (False, True):  # round 2 solves the budgets a search's bounds keep
             if round_2:
                 chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
-                          if bound is not None and out[i] is None for g in range(1, e_max + 1)
-                          if g not in mu and not bound[g - 1] < max(mu.values()) * (1 - 1e-9)]
+                          if bound is not None and out[i] is None for g in
+                          (np.flatnonzero(~(bound < max(mu.values()) * (1 - 1e-9))) + 1).tolist()
+                          if g not in mu]
             for s in range(0, len(chains), per_stack):
-                k, g = zip(*chains[s:s + per_stack])
-                omega = _omegas(kernels, k, g)
-                chi, failures = _solve_stack(omega)
-                for b, (i, _, _, mu, chis) in enumerate(found[k_b] for k_b in k):
+                stack = chains[s:s + per_stack]
+                chi, failures = _solve_stack(_omegas(kernels, *zip(*stack)))
+                for b, (k, g) in enumerate(stack):
+                    i, _, _, mu, chis = found[k]
                     if out[i] is None and b in failures:
                         out[i] = failures[b]
-                    if out[i] is None:
+                    if out[i] is None:  # su_throughput's operations, with no EnergyChain
                         params, dc, *_ = points[i]
-                        mu[g[b]] = su_throughput(EnergyChain(omega[b], g[b], chi[b]), params, dc)
-                        chis[g[b]] = chi[b]
+                        mu[g] = (dc.pi_idle * success_probability(params, dc, g)
+                                 * min(1.0, float(chi[b, g:].sum())))
+                        chis[g] = chi[b]
         for i, order, _, mu, chis in found:
             if out[i] is None:
                 (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
