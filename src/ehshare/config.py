@@ -24,8 +24,11 @@ class ParameterError(ValueError):
 
 
 def dbm_to_watts(p_dbm):
-    """Convert a power in dBm to Watts."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """Convert a power in dBm to Watts; inf where the power overflows."""
+    try:
+        return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -535,6 +535,19 @@ def test_extreme_inputs_exit_2_naming_the_field(argv, field, capsys):
     assert f"invalid parameters: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["1e308", "4000"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_p_max_dbm_whose_power_overflows_exits_2_naming_p_max(source, value, tmp_path,
+                                                                capsys):
+    # 10 ** ((dBm - 30) / 10) overflows above about 3,112 dBm: P_max is inf, not a traceback
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"p_max_dbm = {value}\n")
+    argv = ["--p-max-dbm", value] if source == "flag" else ["--config", str(cfg)]
+    assert main(["analytic", *argv]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: invalid parameters: P_max: must be finite (got inf)"
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--beta", "1e30", "beta"),
     ("--w", "1e-300", "W"),
