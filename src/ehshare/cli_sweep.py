@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -19,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy_chain, harvest
-from .config import (PARAM_FIELDS, ParameterError, SystemParams, coerce_field, dbm_to_watts,
-                     default_params, derive, load_params, validate)
-from .simulator import SimConfig, run as run_simulation, run_many as simulate_many
+from .config import (PARAM_FIELDS, ParameterError, SimConfig, SystemParams, coerce_field,
+                     dbm_to_watts, default_params, derive, load_params, validate)
 
 METRIC_COLUMNS = ["engine", "mu_p", "pi_idle", "pu_throughput", "regime", "g",
                   "mu_s", "mu_e", "success_prob", "seed", "slots", "warmup", "error"]
@@ -111,9 +109,10 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
     run = [r for r in records if "simulate" in engines and r[2] is None
            and (sim_after_failure or not isinstance(r[1], Exception))]
     if run:
+        from .simulator import run_many  # an analytic run never loads the simulator
         try:
-            results = simulate_many([replace(params, G=a[0].g_star if isinstance(a, tuple)
-                                             else params.G) for params, a, _ in run], spec.sim)
+            results = run_many([replace(params, G=a[0].g_star if isinstance(a, tuple)
+                                        else params.G) for params, a, _ in run], spec.sim)
         except Exception as exc:
             results = [exc] * len(run)
         for r, result in zip(run, results):
@@ -316,6 +315,7 @@ def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
             writer.writerow(row)
         text = buf.getvalue()
     elif fmt == "json":
+        import json
         text = json.dumps(rows, indent=2, default=_jsonable) + "\n"
     else:
         raise ParameterError([f"format: unknown format {fmt!r}"])
@@ -355,17 +355,14 @@ def _add_jobs_flag(parser):
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
 
 
-def _add_out_flags(parser):
+def _add_out_flags(parser, outputs=True):
     grp = parser.add_argument_group("output")
     grp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     grp.add_argument("--format", choices=("csv", "json"), default="csv")
-    return grp
-
-
-def _add_outputs_flag(group):
-    group.add_argument("--outputs", metavar="COLS", default=(),
-                       type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
-                       help="comma-separated metric columns to keep (CSV)")
+    if outputs:
+        grp.add_argument("--outputs", metavar="COLS", default=(),
+                         type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
+                         help="comma-separated metric columns to keep (CSV)")
 
 
 def params_from_args(args) -> SystemParams:
@@ -413,7 +410,8 @@ def cmd_simulate(args):
     params = params_from_args(args)
     columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + ["pu_queue_mean"]
                              + [f"occ_{j}" for j in range(params.E_max + 1)], args.outputs)
-    result = run_simulation(params, _sim_config(args))
+    from .simulator import run
+    result = run(params, _sim_config(args))
     row = _simulate_row(params, result)
     row["pu_queue_mean"] = result.pu_queue_mean
     for j, frac in enumerate(result.energy_occupancy_hist):
@@ -473,7 +471,8 @@ def cmd_preset(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand, with its help; only command's, or each if None, with its arguments."""
     parser = argparse.ArgumentParser(
         prog="ehshare",
         description="Exact throughput analysis and slot simulation for spectrum "
@@ -481,52 +480,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     engine_choices = ("analytic", "simulate", "both")
 
-    p = sub.add_parser("analytic", help="closed-form report at one operating point")
-    _add_param_flags(p)
-    _add_outputs_flag(_add_out_flags(p))
-    p.add_argument("--fixed-g", action="store_true",
-                   help="evaluate at the configured G instead of optimizing")
-    p.add_argument("--dump-pmfs", metavar="DIR", help="write the E_max-capped pmfs as two-column text")
-    p.add_argument("--dump-chain", metavar="DIR", help="write omega and chi as text matrices")
-    p.set_defaults(func=cmd_analytic)
+    def built(name, help_text):
+        p = sub.add_parser(name, help=help_text)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("simulate", help="Monte Carlo run at one operating point")
-    _add_param_flags(p)
-    _add_sim_flags(p)
-    _add_outputs_flag(_add_out_flags(p))
-    p.set_defaults(func=cmd_simulate)
+    if p := built("analytic", "closed-form report at one operating point"):
+        _add_param_flags(p)
+        _add_out_flags(p)
+        p.add_argument("--fixed-g", action="store_true",
+                       help="evaluate at the configured G instead of optimizing")
+        p.add_argument("--dump-pmfs", metavar="DIR",
+                       help="write the E_max-capped pmfs as two-column text")
+        p.add_argument("--dump-chain", metavar="DIR", help="write omega and chi as text matrices")
+        p.set_defaults(func=cmd_analytic)
 
-    grid_commands = {}
-    for name, help_text in (("sweep", "sweep one parameter over a grid"),
-                            ("compare", "analytic vs simulated deltas over a grid")):
-        p = grid_commands[name] = sub.add_parser(name, help=help_text)
+    if p := built("simulate", "Monte Carlo run at one operating point"):
         _add_param_flags(p)
         _add_sim_flags(p)
-        _add_jobs_flag(p)
-        _add_outputs_flag(_add_out_flags(p))
-        p.add_argument("--param", required=True, help="SystemParams field to sweep")
-        grid = p.add_mutually_exclusive_group(required=True)
-        grid.add_argument("--grid", help="START:STOP:STEP (inclusive)")
-        grid.add_argument("--values", help="comma-separated grid values")
-        p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
-        p.set_defaults(func=cmd_grid)
-    grid_commands["sweep"].add_argument("--engine", choices=engine_choices, default="analytic")
-    grid_commands["sweep"].set_defaults(run=sweep, metrics=METRIC_COLUMNS)
-    grid_commands["compare"].set_defaults(run=compare, metrics=COMPARE_METRICS, engine="both")
+        _add_out_flags(p)
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("preset", help="run a bundled figure-style experiment "
-                                      "(operating points are hard-coded)")
-    p.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5"))
-    _add_sim_flags(p)
-    _add_jobs_flag(p)
-    _add_out_flags(p)
-    p.add_argument("--engine", choices=engine_choices, default="analytic")
-    p.set_defaults(func=cmd_preset)
+    for name, help_text, run, metrics, engine in (
+            ("sweep", "sweep one parameter over a grid", sweep, METRIC_COLUMNS, "analytic"),
+            ("compare", "analytic vs simulated deltas over a grid", compare, COMPARE_METRICS, "both")):
+        if p := built(name, help_text):
+            _add_param_flags(p)
+            _add_sim_flags(p)
+            _add_jobs_flag(p)
+            _add_out_flags(p)
+            p.add_argument("--param", required=True, help="SystemParams field to sweep")
+            grid = p.add_mutually_exclusive_group(required=True)
+            grid.add_argument("--grid", help="START:STOP:STEP (inclusive)")
+            grid.add_argument("--values", help="comma-separated grid values")
+            p.add_argument("--g-policy", choices=("optimize", "fixed"), default="optimize")
+            if name == "sweep":  # compare has no --engine: it always runs both
+                p.add_argument("--engine", choices=engine_choices)
+            p.set_defaults(func=cmd_grid, run=run, metrics=metrics, engine=engine)
+
+    if p := built("preset", "run a bundled figure-style experiment "
+                            "(operating points are hard-coded)"):
+        p.add_argument("name", choices=("fig2", "fig3", "fig4", "fig5"))
+        _add_sim_flags(p)
+        _add_jobs_flag(p)
+        _add_out_flags(p, outputs=False)
+        p.add_argument("--engine", choices=engine_choices, default="analytic")
+        p.set_defaults(func=cmd_preset)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -105,6 +105,26 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+@dataclass(frozen=True)
+class SimConfig:
+    """The simulator's slot count, RNG seed, and slots discarded before statistics."""
+
+    n_slots: int
+    seed: int
+    warmup: int = 10_000
+
+    def __post_init__(self):
+        v = [f"{name}: must be an integer (got {getattr(self, name)!r})"
+             for name in ("n_slots", "warmup") if not is_int(getattr(self, name))]
+        if not v and not self.n_slots > self.warmup >= 0:
+            v.append(f"slots/warmup: need n_slots > warmup >= 0 (got n_slots={self.n_slots}, "
+                     f"warmup={self.warmup})")
+        if not (is_int(self.seed) and self.seed >= 0):
+            v.append(f"seed: must be an integer >= 0 (got {self.seed!r})")
+        if v:
+            raise ParameterError(v)
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return `params` unchanged if every invariant holds; every float field
     must be finite.

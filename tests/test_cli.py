@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import ehshare
-from ehshare import cli_sweep, energy_chain, harvest
+from ehshare import cli_sweep, energy_chain, harvest, simulator
 from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
-from ehshare.config import ParameterError, default_params, derive
+from ehshare.config import PARAM_FIELDS, ParameterError, default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.simulator import SimConfig, run as simulate
@@ -233,7 +233,7 @@ def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys, monke
     grid, sim = ["--param", "lambda_p", "--values", "0.2"], ["--slots", "2000", "--warmup", "10"]
     with monkeypatch.context() as patched:
         for module, name in ((energy_chain, "optimize_many"), (energy_chain, "optimize_g"),
-                             (cli_sweep, "simulate_many"), (cli_sweep, "run_simulation")):
+                             (simulator, "run_many"), (simulator, "run")):
             patched.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
         for argv in (["sweep", *grid, "--outputs", "mu_S"],
                      ["compare", *grid, *sim, "--outputs", "engine"],
@@ -334,8 +334,8 @@ def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
 
     calls = []
     monkeypatch.setattr(cli_sweep, "_analytic_point", fail)
-    monkeypatch.setattr(cli_sweep, "run_simulation", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli_sweep, "simulate_many", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(simulator, "run", lambda *a: calls.append(a))
+    monkeypatch.setattr(simulator, "run_many", lambda *a: calls.append(a) or [])
     spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
                      sim=SimConfig(n_slots=1000, seed=1, warmup=10))
     rows = compare(spec)
@@ -495,7 +495,7 @@ def test_a_failed_lockstep_run_errors_each_of_its_points_and_the_sweep_goes_on(m
     def fail(points, sim):
         raise MemoryError("batch too large")
 
-    monkeypatch.setattr(cli_sweep, "simulate_many", fail)
+    monkeypatch.setattr(simulator, "run_many", fail)
     spec = SweepSpec("lambda_p", (0.2, 0.4, 0.6), default_params(), engines="both",
                      sim=SimConfig(n_slots=1000, seed=1, warmup=10))
     rows = sweep(spec)
@@ -619,6 +619,55 @@ def test_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert read_csv(tmp_path / "a.csv")[0]["error"] == ""
+
+
+def test_analytic_runs_import_neither_the_simulator_nor_json(tmp_path):
+    # both load on first use: an analytic command needs neither
+    src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
+    out = str(tmp_path / "out.csv")
+    code = ("import sys, ehshare; from ehshare.cli_sweep import main\n"
+            "for argv in (['preset', 'fig3'], ['analytic'],\n"
+            "             ['sweep', '--param', 'lambda_p', '--values', '0.2,0.6']):\n"
+            f"    assert main(argv + ['--out', {out!r}]) == 0, argv\n"
+            "loaded = {'ehshare.simulator', 'json'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "from ehshare import simulate, SimResult, run_many\n"
+            "assert simulate is sys.modules['ehshare.simulator'].run is ehshare.simulator.run\n"
+            "assert SimResult.__module__ == 'ehshare.simulator' and run_many.__name__ == 'run_many'")
+    env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+_EVERY_PARAM_FLAG = ["--config", "p.cfg", "--p-max-dbm", "10"] + [
+    arg for name in PARAM_FIELDS for arg in ("--" + name.lower().replace("_", "-"), "1")]
+_SIM_FLAGS = ["--seed", "3", "--slots", "5000", "--warmup", "100"]
+_OUT_FLAGS = ["--out", "rows.json", "--format", "json"]
+_GRID_FLAGS = ["--jobs", "2", "--outputs", "g,mu_s", "--param", "lambda_p", "--g-policy", "fixed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", *_EVERY_PARAM_FLAG, *_OUT_FLAGS, "--outputs", "mu_s", "--fixed-g",
+     "--dump-pmfs", "pmfs", "--dump-chain", "chain"],
+    ["simulate", *_EVERY_PARAM_FLAG, *_SIM_FLAGS, *_OUT_FLAGS, "--outputs", "mu_s"],
+    ["sweep", *_EVERY_PARAM_FLAG, *_SIM_FLAGS, *_OUT_FLAGS, *_GRID_FLAGS, "--grid", "0:1:0.5",
+     "--engine", "both"],
+    ["compare", *_EVERY_PARAM_FLAG, *_SIM_FLAGS, *_OUT_FLAGS, *_GRID_FLAGS, "--values", "0.2"],
+    ["preset", "fig4", *_SIM_FLAGS, "--jobs", "2", *_OUT_FLAGS, "--engine", "simulate"],
+], ids=lambda argv: argv[0])
+def test_a_parser_built_for_one_command_parses_and_helps_as_the_full_one(argv, capsys):
+    one, full = cli_sweep.build_parser(argv[0]), cli_sweep.build_parser()
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    assert one.format_help() == full.format_help()
+    assert _help_text(one, [argv[0], "--help"], capsys) \
+        == _help_text(full, [argv[0], "--help"], capsys)
 
 
 def _count_calls(monkeypatch, module, name):
