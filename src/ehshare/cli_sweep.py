@@ -448,6 +448,8 @@ def _grid_from_args(args):
     count = int(math.floor(steps + 1e-9)) + 1
     if count < 1:
         raise ParameterError(["grid: empty range"])
+    if count > 100_000:  # checked before a value is built
+        raise ParameterError([f"grid: {count} points exceed the limit of 100000"])
     return tuple(round(start + i * step, 12) for i in range(count))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DerivedConstants, SystemParams, is_int
+from .config import DerivedConstants, ParameterError, SystemParams, is_int
 from .harvest import HarvestPmf
 
 _STACK_CELLS = 2 ** 15  # transition-matrix entries solved in one stack
@@ -290,51 +290,61 @@ def optimize_many(points) -> list:
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
     After round 2 each point's g_star is picked once, the first maximizer in
-    budget order, and its report keeps the chi solved at g_star.
+    budget order, and its report keeps the chi solved at g_star. A MemoryError
+    while its E_max's chains are built or solved fails a point naming E_max.
     """
     out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
-        # found[k]: kernels[k]'s point i, budgets, _bounds if searched, mu_s and chi by g
-        found, kernels, chains, rows = [], [], [], {}
-        for i, (params, dc, pmfs, budgets) in enumerate(points):
-            if params.E_max != e_max:
-                continue
-            try:
-                order, *kernel = _kernels(*pmfs, dc.pi_idle, budgets, e_max, rows)
-            except Exception as exc:
-                out[i] = exc
-                continue
-            bound = None if budgets is not None else _bounds(params, dc, kernel)
-            chains += [(len(kernels), g) for g in
-                       (order if bound is None else [int(np.argmax(bound)) + 1])]
-            found.append((i, order, bound, {}, {}))
-            kernels.append(kernel)
-        kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
-        for round_2 in (False, True):  # round 2 solves the budgets a search's bounds keep
-            if round_2:
-                chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
-                          if bound is not None and out[i] is None for g in
-                          (np.flatnonzero(~(bound < max(mu.values()) * (1 - 1e-9))) + 1).tolist()
-                          if g not in mu]
-            for s in range(0, len(chains), per_stack):
-                stack = chains[s:s + per_stack]
-                chi, failures = _solve_stack(_omegas(kernels, *zip(*stack)))
-                for b, (k, g) in enumerate(stack):
-                    i, _, _, mu, chis = found[k]
-                    if out[i] is None and b in failures:
-                        out[i] = failures[b]
-                    if out[i] is None:  # su_throughput's operations, with no EnergyChain
-                        params, dc, *_ = points[i]
-                        mu[g] = (dc.pi_idle * success_probability(params, dc, g)
-                                 * min(1.0, float(chi[b, g:].sum())))
-                        chis[g] = chi[b]
-        for i, order, _, mu, chis in found:
-            if out[i] is None:
-                (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
-                g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
-                rate = mu_e(EnergyChain(None, g, chis[g]), params, dc)
-                out[i] = ThroughputReport(rate, mu_s_by_g, g, mu_s_by_g[g], chis[g])
-    return out
+        try:
+            _optimize_e_max(points, e_max, out)
+        except MemoryError as exc:  # fails each point of e_max without an entry
+            out = [exc if r is None and p.E_max == e_max else r for (p, *_), r in zip(points, out)]
+    return [ParameterError([f"E_max: {p.E_max} is too large for the analytic engine's memory"])
+            if isinstance(r, MemoryError) else r for (p, *_), r in zip(points, out)]
+
+
+def _optimize_e_max(points, e_max, out):
+    """optimize_many for the points of one E_max, setting their entries of out."""
+    # found[k]: kernels[k]'s point i, budgets, _bounds if searched, mu_s and chi by g
+    found, kernels, chains, rows = [], [], [], {}
+    for i, (params, dc, pmfs, budgets) in enumerate(points):
+        if params.E_max != e_max:
+            continue
+        try:
+            order, *kernel = _kernels(*pmfs, dc.pi_idle, budgets, e_max, rows)
+        except Exception as exc:
+            out[i] = exc
+            continue
+        bound = None if budgets is not None else _bounds(params, dc, kernel)
+        chains += [(len(kernels), g) for g in
+                   (order if bound is None else [int(np.argmax(bound)) + 1])]
+        found.append((i, order, bound, {}, {}))
+        kernels.append(kernel)
+    kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
+    for round_2 in (False, True):  # round 2 solves the budgets a search's bounds keep
+        if round_2:
+            chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
+                      if bound is not None and out[i] is None for g in
+                      (np.flatnonzero(~(bound < max(mu.values()) * (1 - 1e-9))) + 1).tolist()
+                      if g not in mu]
+        for s in range(0, len(chains), per_stack):
+            stack = chains[s:s + per_stack]
+            chi, failures = _solve_stack(_omegas(kernels, *zip(*stack)))
+            for b, (k, g) in enumerate(stack):
+                i, _, _, mu, chis = found[k]
+                if out[i] is None and b in failures:
+                    out[i] = failures[b]
+                if out[i] is None:  # su_throughput's operations, with no EnergyChain
+                    params, dc, *_ = points[i]
+                    mu[g] = (dc.pi_idle * success_probability(params, dc, g)
+                             * min(1.0, float(chi[b, g:].sum())))
+                    chis[g] = chi[b]
+    for i, order, _, mu, chis in found:
+        if out[i] is None:
+            (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
+            g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
+            rate = mu_e(EnergyChain(None, g, chis[g]), params, dc)
+            out[i] = ThroughputReport(rate, mu_s_by_g, g, mu_s_by_g[g], chis[g])
 
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,

@@ -19,23 +19,24 @@ the next slot):
 4. RF packets (active slots) and Poisson ambient packets are added.
 5. The energy queue saturates at E_max; overflow is dropped.
 
-run_many simulates a batch of points (a slice of a sweep grid) in lockstep,
-and run is its one-point case. The points share one seed (common random
-numbers), so a chunk of at most _CHUNK slots and _POINT_SLOTS point-slots
-draws its uniforms and three standard exponentials once, into buffers the
-batch reuses. A channel stage computes each array that depends only on the
-draws once per distinct key of the derived values it needs: pu_ok, su_ok, RF
-packets over the pu_ok slots, their clip at E_max, and Poisson counts (a
-scaled exponential is bit for bit Generator.exponential(sigma)). Each point
-runs Lindley's recursion for its primary backlog and builds its arrivals and
-spend thresholds from its dense mask of active slots. The battery, e' =
-min(E_max, e - G*[idle and e >= G] + add), is chained through blocks of
-_BLOCK slots by transfer maps over start levels (composed by a tree when one
-map holds every level, else block by block with levels beyond _MAP_LEVELS
-walked alone), and a replay gives every slot; each Python-level step serves
-every point. A 5-point grid of 1e6 slots takes about 0.13 s in process on
-one pinned CPU (median of 7 runs). Results must match the per-slot loop
-this replaces bit for bit (`_run_reference` in tests/test_sim_oracle.py).
+run_many simulates a batch of points (a slice of a sweep grid) in lockstep, and
+run is its one-point case. The points share one seed (common random numbers),
+so a chunk of at most _CHUNK slots and _POINT_SLOTS point-slots draws its
+uniforms and standard exponentials once. A channel stage computes each array
+that depends only on the draws once per distinct key of the derived values it
+needs: pu_ok, su_ok, RF packets (0 off pu_ok), their clip at E_max, and Poisson
+counts (a scaled exponential is bit for bit Generator.exponential(sigma)). Each
+point runs Lindley's recursion for its primary backlog and builds its arrivals
+and spend thresholds from its dense mask of active slots. The battery, e' =
+min(E_max, e - G*[idle and e >= G] + add), is chained through blocks of _BLOCK
+slots by transfer maps over start levels (composed by a tree when one map holds
+every level, else block by block with levels beyond _MAP_LEVELS walked alone),
+and a replay gives every slot; each Python-level step serves every point, so
+chunks should be long. Only the channel arrays and the points' rows outlive a
+stage: the draws are freed before the battery stage, which takes their memory.
+A 5-point grid of 1e6 slots takes about 0.11 s in process on one pinned CPU
+(median of 11 runs). Results must match the per-slot loop this replaces bit for
+bit (`_run_reference` in tests/test_sim_oracle.py).
 
 Statistics are collected after a warmup period; energy-conservation
 counters span the whole run. All randomness flows from one SeedSequence
@@ -51,7 +52,7 @@ import numpy as np
 from .config import ParameterError, SimConfig, SystemParams, derive
 
 _CHUNK = 2 ** 16         # most slots drawn and processed at a time
-_POINT_SLOTS = 2 ** 17   # most point-slots of a batch processed at a time
+_POINT_SLOTS = 2 ** 18   # most point-slots of a batch processed at a time
 _BLOCK = 32              # slots per battery transfer map
 _MAP_LEVELS = 48         # most start levels per transfer map
 # The largest mean numpy's Generator.poisson accepts.
@@ -91,13 +92,14 @@ class SimResult:
 
 
 def _rf_packets(z_ppd, z_ps, scale):
-    """floor(h_ps / (h_ppd * alpha)) = floor(z_ps / z_ppd / scale) as int64,
+    """floor(h_ps / (h_ppd * alpha)) = floor(z_ps / z_ppd / scale) as float64,
     from standard exponentials z = h / sigma and scale = lambda_x * alpha *
     sigma_ppd, so no gain is formed to overflow. The ratio, inf if scale
-    underflows to 0, is the count, clipped at 2**62 for a safe int cast.
+    underflows to 0, is the count, clipped at 2**62, which int64 holds exactly.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        return np.floor(np.minimum(z_ps / z_ppd / scale, 2.0 ** 62)).astype(np.int64)
+        n = np.divide(z_ps, z_ppd)  # one array, then each step in place
+        return np.floor(np.minimum(np.divide(n, scale, out=n), 2.0 ** 62, out=n), out=n)
 
 
 def _exact_sum(x) -> int:
@@ -173,7 +175,7 @@ def _battery_levels(e0, spend_at, add, g, e_max):
     """
     (n_pts, m), dtype = add.shape, add.dtype
     n_blocks = -(-m // _BLOCK)
-    g_col, cap_col = (np.array(x, dtype)[:, None] for x in (g, e_max))
+    g_full, cap_full = (np.array(x, dtype)[:, None].repeat(n_blocks, axis=1) for x in (g, e_max))
 
     def blocked(x, fill):  # (_BLOCK, points, blocks): row k holds slot k of every block
         x = np.pad(x, ((0, 0), (0, n_blocks * _BLOCK - m)), constant_values=fill)
@@ -190,9 +192,9 @@ def _battery_levels(e0, spend_at, add, g, e_max):
             if record is not None:
                 record[k] = e
             np.greater_equal(e, spend_at[k], out=mask)
-            np.subtract(e, np.multiply(mask, g_col, out=spent), out=e)
+            np.subtract(e, np.multiply(mask, g_full, out=spent), out=e)
             np.add(e, add[k], out=e)
-            np.minimum(e, cap_col, out=e)
+            np.minimum(e, cap_full, out=e)
 
     def walk_block(p, b, e):
         """Point p's level after block b from e, one slot at a time."""
@@ -207,13 +209,13 @@ def _battery_levels(e0, spend_at, add, g, e_max):
 
     def replay(starts):
         """Every slot's level, as (points, slots), from each block's start level."""
-        levels = np.empty((_BLOCK, n_pts, n_blocks), dtype)
-        step_block(np.array(starts, dtype), levels)
-        return levels.transpose(1, 2, 0).reshape(n_pts, -1)[:, :m]
+        levels = np.empty((n_pts, n_blocks, _BLOCK), dtype)
+        step_block(np.array(starts, dtype), levels.transpose(2, 0, 1))
+        return levels.reshape(n_pts, -1)[:, :m]
 
     if max(e_max) < _MAP_LEVELS:  # one map holds every level of every battery
         start = np.arange(max(e_max) + 1, dtype=dtype)[:, None, None]
-        maps = np.minimum(start, cap_col).repeat(n_blocks, axis=2)  # maps[j]: from level j
+        maps = np.minimum(start, cap_full)  # maps[j]: from level j
         step_block(maps)
         starts, ends = _chain(maps.transpose(1, 2, 0), e0)
         return replay(starts), ends
@@ -237,7 +239,7 @@ def _battery_levels(e0, spend_at, add, g, e_max):
                 e = min(e + gained_p[b], e_max[p])
             elif e - lo_p[b] < width:
                 if maps is None:
-                    maps = np.minimum(lo + np.arange(width)[:, None, None], cap_col).astype(dtype)
+                    maps = np.minimum(lo + np.arange(width)[:, None, None], cap_full).astype(dtype)
                     step_block(maps)
                 e = maps.item(e - lo_p[b], p, b)
             else:
@@ -370,20 +372,13 @@ def _run_batch(batch, sim: SimConfig):
     # one generator per distinct ambient mean, each replaying the same substream
     rng_nat = {pt.lam: np.random.default_rng(streams[4]) for pt in batch if pt.lam > 0}
 
-    # buffers every chunk reuses: the draws and a scaled gain, each channel
-    # array once per distinct key ({key: buffer}), and the points' rows
-    draws = np.empty((5, chunk))
+    # buffers every chunk reuses: each channel array once per distinct key
+    # ({key: buffer}) and the points' rows
     pu_ok, su_ok, rf_clip = ({getattr(pt, key): np.empty(chunk, t) for pt in batch} for key, t in
                              (("pu_key", bool), ("su_key", bool), ("clip_key", dtype)))
     spend_at, add = np.empty((2, len(batch), chunk), dtype)
 
-    for start in range(0, sim.n_slots, chunk):
-        m = min(chunk, sim.n_slots - start)
-        post = min(max(sim.warmup - start, 0), m)  # the chunk's first post-warmup slot
-        u, z_ppd, z_ssd, z_ps, h = draws[:, :m]
-        rng_arr.random(out=u)
-        for rng, z in zip((rng_ppd, rng_ssd, rng_ps)[:2 + rf_used], (z_ppd, z_ssd, z_ps)):
-            rng.standard_exponential(out=z)
+    def run_chunk(m, post):  # m slots, post the first after warmup; each array dies with the call
         ambient = {}  # (mean, E_max) -> clipped counts, E_max less them, histogram, total
         for lam, rng in rng_nat.items():
             counts = rng.poisson(lam, m)
@@ -391,27 +386,35 @@ def _run_batch(batch, sim: SimConfig):
                 clipped = np.minimum(counts, e).astype(dtype)
                 ambient[lam, e] = clipped, np.subtract(dtype.type(e), clipped), \
                     np.bincount(clipped[post:], minlength=e + 1), _exact_sum(counts)
+            del counts
 
-        # the channel stage: each array once per distinct key
-        for z, arrays in ((z_ppd, pu_ok), (z_ssd, su_ok)):
+        # the channel stage: each array once per distinct key. Each stream fills
+        # z in turn, so it ends as z_ppd; h holds a scaled gain, then z_ps.
+        z, h = np.empty((2, m))
+        for rng, arrays in ((rng_ssd, su_ok), (rng_ppd, pu_ok)):
+            rng.standard_exponential(out=z)
             for (sigma, cut), ok in arrays.items():  # h >= cut, h the gain z * sigma
                 with np.errstate(over="ignore"):  # an inf gain clears any finite cut
                     np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
-        packets, rf = {}, {}  # RF key -> pu_ok slots and their packets; clip key -> prepare's rf
+        if rf_used:
+            rng_ps.standard_exponential(out=h)
+        packets, rf = {}, {}  # RF key -> its packets, 0 off pu_ok; clip key -> prepare's rf
         for key, clip in rf_clip.items():
             (sigma_ppd, a, scale), e = key[:-1], key[-1]
             if key[:-1] not in packets:
-                ok = np.flatnonzero(pu_ok[sigma_ppd, a][:m])
-                packets[key[:-1]] = ok, np.zeros(ok.size, np.int64) if scale == np.inf else \
-                    _rf_packets(z_ppd.take(ok), z_ps.take(ok), scale)
-            ok, n = packets[key[:-1]]
-            clip[:m] = 0
-            clip[ok] = np.minimum(n, e)
-            rf[key] = clip[:m], ok[n > e], n[n > e] - e
+                n = np.zeros(m) if scale == np.inf else _rf_packets(z, h, scale)
+                packets[key[:-1]] = np.multiply(n, pu_ok[sigma_ppd, a][:m], out=n)
+            n = packets[key[:-1]]
+            over = np.flatnonzero(n > e)
+            rf[key] = np.minimum(n, e, out=clip[:m], casting="unsafe"), over, \
+                n[over].astype(np.int64) - e
+        del z, h, packets, n
 
+        u = rng_arr.random(m)
         for j, pt in enumerate(batch):
             pt.prepare(u, post, pu_ok[pt.pu_key][:m], rf[pt.clip_key], ambient,
                        spend_at[j, :m], add[j, :m])
+        del u  # the battery stage's arrays can take the draws' memory
         levels, ends = _battery_levels([pt.qe for pt in batch], spend_at[:, :m], add[:, :m],
                                        [pt.params.G for pt in batch], e_max)
         for j, pt in enumerate(batch):
@@ -421,6 +424,10 @@ def _run_batch(batch, sim: SimConfig):
             pt.spends += int(np.count_nonzero(spend))
             pt.spends_post += int(np.count_nonzero(spend[post:]))
             pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[pt.su_key][post:m]))
+
+    for start in range(0, sim.n_slots, chunk):
+        m = min(chunk, sim.n_slots - start)
+        run_chunk(m, min(max(sim.warmup - start, 0), m))
 
 
 def run(params: SystemParams, sim: SimConfig) -> SimResult:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import importlib.util
@@ -283,6 +284,41 @@ def test_bad_grid_spec_and_format_name_the_field(case, field, capsys):
     else:
         assert main(case) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid parameters: {field}: ")
+
+
+def test_grid_of_more_than_100000_points_exits_2_before_a_value_is_built(capsys):
+    assert main(["sweep", "--param", "lambda_p", "--grid", "0:1:1e-12"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid parameters: grid: ")
+    grid = cli_sweep._grid_from_args
+    assert len(grid(argparse.Namespace(values=None, grid="0:99999:1"))) == 100_000
+    with pytest.raises(ParameterError, match="grid: 100001 points"):
+        grid(argparse.Namespace(values=None, grid="0:100000:1"))
+
+
+def test_analytic_memory_error_names_e_max(monkeypatch, capsys):
+    # a MemoryError while one E_max's chains are solved, or their kernels
+    # built, fails that E_max's points alone
+    def solve_stack(omega):  # chains of more than 40 states do not fit
+        if omega.shape[1] > 40:
+            raise MemoryError
+        return real_solve(omega)
+
+    def kernels(*args):
+        raise MemoryError
+
+    real_solve = energy_chain._solve_stack
+    monkeypatch.setattr(energy_chain, "_solve_stack", solve_stack)
+    assert main(["analytic", "--e-max", "40"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid parameters: E_max: 40 ")
+    errors = [r["error"] for r in sweep(SweepSpec("E_max", (10, 40, 60), default_params()))]
+    assert errors[0] == "" and all(e.startswith("invalid parameters: E_max: ") for e in errors[1:])
+    monkeypatch.setattr(energy_chain, "_kernels", kernels)
+    p = default_params()
+    with pytest.raises(ParameterError) as exc:
+        energy_chain.optimize_g(p, derive(p), arrival_pmfs(p, derive(p)))
+    assert exc.value.fields == ["E_max"]
 
 
 def test_bad_seed_exits_nonzero(capsys):

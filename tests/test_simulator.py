@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehshare import (ParameterError, SimConfig, default_params, derive, optimize_g,
                      simulate, validate)
+from ehshare import simulator
 from ehshare.harvest import arrival_pmfs, rf_pmf
 from oracles import harvest_draw, rf_harvest_samples
 
@@ -170,3 +172,21 @@ def test_secondary_throughput_tracks_analytic_value():
 def test_primary_backlog_stays_bounded_in_stable_regime():
     res = simulate(P, SimConfig(n_slots=100_000, seed=41, warmup=5_000))
     assert res.pu_queue_mean < 5.0
+
+
+@pytest.mark.parametrize("n_points, bound_mb", [(1, 6.034), (3, 4.281), (5, 2.786), (8, 2.106)])
+def test_lockstep_batch_working_set_stays_within_its_bound(n_points, bound_mb):
+    # tracemalloc's peak over one run_many call. The bounds are the peaks of
+    # chunks that held five draw rows through the battery stage at 2**17
+    # point-slots (numpy 2.4), so a change that makes each slot hold more
+    # bytes fails here before peak RSS shows it.
+    params = [default_params(lambda_e=0.5, lambda_p=round(0.1 * (k + 1), 1))
+              for k in range(n_points)]
+    simulator.run_many(params, SimConfig(n_slots=2_000, seed=1, warmup=100))  # first-call work
+    tracemalloc.start()
+    try:
+        simulator.run_many(params, SimConfig(n_slots=200_000, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2 ** 20
