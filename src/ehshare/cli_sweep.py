@@ -45,7 +45,7 @@ class SweepSpec:
     sim: SimConfig | None = None
     g_policy: str = "optimize"
 
-    def check(self):
+    def __post_init__(self):
         if self.swept_param not in PARAM_FIELDS:
             raise ParameterError([f"swept_param: {self.swept_param!r} is not a parameter field"])
         if len(self.grid) == 0:
@@ -59,18 +59,6 @@ class SweepSpec:
             raise ParameterError([f"g_policy: unknown policy {self.g_policy!r}"])
         if self.engines in ("simulate", "both") and self.sim is None:
             raise ParameterError(["sim: simulate engine requires a SimConfig"])
-        return self
-
-
-def _analytic_point(params: SystemParams, g_policy, memo):
-    """The point's optimize_g arguments: (params, dc, pmfs, budgets). memo maps each
-    harvest._pmf_key of the slice to its pmfs, built at the first point with it."""
-    dc = derive(params)
-    budgets = None if g_policy == "optimize" else (params.G,)
-    key = harvest._pmf_key(params, dc)
-    if key not in memo:
-        memo[key] = harvest.arrival_pmfs(params, dc)
-    return params, dc, memo[key], budgets
 
 
 def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
@@ -94,12 +82,18 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
             records.append([replace(spec.fixed, **{name: value})]
                            + [exc if e in engines else None for e in ("analytic", "simulate")])
             continue
-        try:
-            analytic = _analytic_point(params, spec.g_policy, memo) if "analytic" in engines else None
-        except Exception as exc:
-            analytic = exc
-        records.append([params, analytic, None])
-    solve = [r for r in records if isinstance(r[1], tuple)]  # r[1]: optimize_g's arguments
+        records.append([params, None, None])
+        if "analytic" in engines:  # optimize_g's arguments; memo maps each _pmf_key to its pmfs
+            try:
+                dc = derive(params)
+                key = harvest._pmf_key(params, dc)
+                if key not in memo:
+                    memo[key] = harvest.arrival_pmfs(params, dc)
+                records[-1][1] = (params, dc, memo[key],
+                                  None if spec.g_policy == "optimize" else (params.G,))
+            except Exception as exc:
+                records[-1][1] = exc
+    solve = [r for r in records if isinstance(r[1], tuple)]
     try:
         reports = energy_chain.optimize_many([r[1] for r in solve])
     except Exception as exc:
@@ -205,7 +199,6 @@ def _run_grid(point_fn, specs, jobs):
     """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
-    specs = [spec.check() for spec in specs]
     tasks = [(spec, spec.grid[i::k])
              for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
     if jobs > 1:

@@ -154,6 +154,9 @@ def validate(params: SystemParams) -> SystemParams:
     e_max_ok = is_int(params.E_max) and params.E_max >= 1
     if not e_max_ok:
         v.append(f"E_max: must be an integer >= 1 (got {params.E_max!r})")
+    elif params.E_max > 10**6:  # every engine allocates O(E_max) before it can fail; 10**6 levels
+        # simulate in 1 s, and the analytic engine's MemoryError names E_max well below them
+        v.append(f"E_max: must be at most 1000000 (got {params.E_max})")
     if not (is_int(params.G) and 1 <= params.G) or (e_max_ok and params.G > params.E_max):
         v.append(f"G: must be an integer in 1..E_max (got G={params.G}, E_max={params.E_max})")
     for name in ("sigma_ppd", "sigma_ps", "sigma_ssd"):

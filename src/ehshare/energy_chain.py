@@ -6,6 +6,19 @@ packets the secondary spends G (whether or not its packet decodes), then
 the slot's harvested packets are added and the queue saturates at E_max.
 The top state therefore absorbs all overflow mass, which also folds the
 truncated pmf tails back in.
+
+The states reached from 0 hold one closed class. Let t be the largest: each of
+them reaches t, so t is in every closed class among them. Only which counts have
+mass matters, so pmf bins that underflow to 0 (Poisson bins far from a mean
+lambda_e * T > 745) change nothing. If a slot that occurs has a count raising
+every level (a positive one on an active slot, one above g on an idle slot),
+repeating it climbs to E_max = t. Else levels stay below 2g, an active slot keeps
+its level and an idle one maps j to min(j mod g + a, E_max): levels of one
+residue mod g share idle successors, and residues walk by the counts mod g
+through their coset, to that of a predecessor of t or, after an overflow to
+E_max, to E_max - s (s the largest idle count), from which s overflows again.
+tests/test_chain_oracle.py checks every support up to E_max = 4. So _solve_stack's
+certification guards only an omega no model builds, as one passed to stationary.
 """
 
 import math
@@ -154,8 +167,8 @@ def _solve_stack(omega):
     vector to the exception that says why; every other chain gets the vector
     it gets when solved alone. A chain fails with a ChainError if it is not
     row-stochastic (NaN entries included) or if the states it reaches from 0
-    hold several closed classes, which no model chain's do (checked over the
-    whole parameter space by tests/test_whole_space.py). Else all of them
+    hold several closed classes, which no model chain's do (the module
+    docstring says why). Else all of them
     reach the top one, t, as any that reaches 0 does (0 reaches t); the
     balance equations over them, with t's replaced by sum(chi) = 1 and
     identity rows for the others, have one solution. _closure reads this off
@@ -280,13 +293,15 @@ def optimize_many(points) -> list:
     """optimize_g for every point (params, dc, pmfs, budgets) of a slice at once.
 
     Returns one entry per point, in order: its ThroughputReport, or the
-    exception that failed it while the other points still get theirs.
-    Budgets None searches 1..E_max: round 1 solves the budget of largest
-    _bounds, and round 2 each other one whose bound is not below the round-1
-    mu_s, less a 1e-9 margin so that rounding prunes no tie. In each round
-    the chains of every (point, budget) pair with the same E_max are
-    gathered, point by point in budget order, into stacks of at most
-    _STACK_CELLS matrix entries, each one _solve_stack call. A chain that
+    exception that failed it while the other points still get theirs. A
+    budget's bound on its mu_s is _bounds if budgets is None (a search of
+    1..E_max), else inf; a search's first largest bound is raised to inf.
+    Round 1 solves each budget of bound inf, round 2 each other one whose
+    bound is not below the best round-1 mu_s, less a 1e-9 margin so that
+    rounding prunes no tie. In each round the chains of every (point, budget)
+    pair with the same E_max are gathered, point by point in budget order,
+    into stacks of at most _STACK_CELLS matrix entries, each one _solve_stack
+    call, and su_throughput and mu_e score each chain solved. A chain that
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
     After round 2 each point's g_star is picked once, the first maximizer in
@@ -305,8 +320,8 @@ def optimize_many(points) -> list:
 
 def _optimize_e_max(points, e_max, out):
     """optimize_many for the points of one E_max, setting their entries of out."""
-    # found[k]: kernels[k]'s point i, budgets, _bounds if searched, mu_s and chi by g
-    found, kernels, chains, rows = [], [], [], {}
+    # found[k]: kernels[k]'s point i, budgets, their bounds, mu_s and (mu_e, chi) by g
+    found, kernels, rows = [], [], {}
     for i, (params, dc, pmfs, budgets) in enumerate(points):
         if params.E_max != e_max:
             continue
@@ -315,36 +330,32 @@ def _optimize_e_max(points, e_max, out):
         except Exception as exc:
             out[i] = exc
             continue
-        bound = None if budgets is not None else _bounds(params, dc, kernel)
-        chains += [(len(kernels), g) for g in
-                   (order if bound is None else [int(np.argmax(bound)) + 1])]
-        found.append((i, order, bound, {}, {}))
+        bound = _bounds(params, dc, kernel) if budgets is None else np.full(len(order), np.inf)
+        bound[np.argmax(bound)] = np.inf  # round 1 solves the budgets of bound inf
+        found.append((i, np.array(order), bound, {}, {}))
         kernels.append(kernel)
     kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
-    for round_2 in (False, True):  # round 2 solves the budgets a search's bounds keep
-        if round_2:
-            chains = [(k, g) for k, (i, _, bound, mu, _) in enumerate(found)
-                      if bound is not None and out[i] is None for g in
-                      (np.flatnonzero(~(bound < max(mu.values()) * (1 - 1e-9))) + 1).tolist()
-                      if g not in mu]
+    for _ in range(2):  # the floor: inf in round 1, then the best mu_s less a 1e-9 margin
+        chains = [(k, g) for k, (i, order, bound, mu, _) in enumerate(found) if out[i] is None
+                  for g in order[~(bound < max(mu.values(), default=np.inf) * (1 - 1e-9))]
+                  .tolist() if g not in mu]
         for s in range(0, len(chains), per_stack):
             stack = chains[s:s + per_stack]
-            chi, failures = _solve_stack(_omegas(kernels, *zip(*stack)))
+            omega = _omegas(kernels, *zip(*stack))
+            chi, failures = _solve_stack(omega)
             for b, (k, g) in enumerate(stack):
-                i, _, _, mu, chis = found[k]
+                i, _, _, mu, solved = found[k]
                 if out[i] is None and b in failures:
                     out[i] = failures[b]
-                if out[i] is None:  # su_throughput's operations, with no EnergyChain
-                    params, dc, *_ = points[i]
-                    mu[g] = (dc.pi_idle * success_probability(params, dc, g)
-                             * min(1.0, float(chi[b, g:].sum())))
-                    chis[g] = chi[b]
-    for i, order, _, mu, chis in found:
+                if out[i] is None:
+                    chain, (params, dc, *_) = EnergyChain(omega[b], g, chi[b]), points[i]
+                    mu[g] = su_throughput(chain, params, dc)
+                    solved[g] = mu_e(chain, params, dc), chi[b]
+    for i, order, _, mu, solved in found:
         if out[i] is None:
-            (params, dc, *_), mu_s_by_g = points[i], {g: mu[g] for g in order if g in mu}
+            mu_s_by_g = {g: mu[g] for g in order.tolist() if g in mu}
             g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
-            rate = mu_e(EnergyChain(None, g, chis[g]), params, dc)
-            out[i] = ThroughputReport(rate, mu_s_by_g, g, mu_s_by_g[g], chis[g])
+            out[i] = ThroughputReport(solved[g][0], mu_s_by_g, g, mu_s_by_g[g], solved[g][1])
 
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,

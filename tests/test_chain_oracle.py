@@ -435,6 +435,26 @@ def test_heavy_ambient_arrivals_make_a_reducible_chain():
     assert np.max(np.abs(chi - reference_stationary(chain.omega)[0])) <= 1e-12
 
 
+@pytest.mark.parametrize("e_max", [1, 2, 3, 4])
+def test_every_support_of_arrival_counts_gives_one_closed_class(e_max):
+    # energy_chain's argument for one closed class uses only which counts have
+    # mass, so every pair of idle and active supports (count e_max standing
+    # for the tail), at every budget and every mix of slot types, is certified
+    supports = [s for r in range(1, e_max + 2)
+                for s in itertools.combinations(range(e_max + 1), r)]
+    laws = []
+    for support in supports:
+        probs = np.zeros(e_max + 1)
+        probs[list(support)] = 1.0 / len(support)
+        laws.append(HarvestPmf(probs[:e_max], probs[e_max]))
+    omega = np.array([build_chain(idle, active, pi_idle, g, e_max).omega
+                      for pi_idle in (0.0, 0.5, 1.0) for g in range(1, e_max + 1)
+                      for idle in laws for active in laws])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleChainWarning)
+        assert energy_chain._solve_stack(omega)[1] == {}
+
+
 def test_heavy_ambient_chains_warn_and_take_the_lu():
     # every budget's chain is reducible at lambda_e=800, E_max=6; the states
     # reached from 0 still hold one closed class, so the LU solves them all

@@ -1,20 +1,24 @@
 import argparse
+import contextlib
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ehshare
 from ehshare import cli_sweep, energy_chain, harvest, simulator
-from ehshare.cli_sweep import (SweepSpec, compare, main, preset_specs, sweep)
+from ehshare.cli_sweep import SweepSpec, build_parser, compare, main, preset_specs, sweep
 from ehshare.config import PARAM_FIELDS, ParameterError, default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
 from ehshare.harvest import HarvestPmf, arrival_pmfs
@@ -271,9 +275,9 @@ def test_bad_grid_exits_nonzero(capsys):
     (["sweep", "--param", "lambda_p", "--grid", "0.5:0.1:0.1"], "grid"),
     *[(["sweep", "--param", "lambda_p", f"--grid={grid}"], "grid") for grid in (
         "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e308:1e-308", "0:1:inf")],
-    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact").check(), "engines"),
-    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best").check(), "g_policy"),
-    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate").check(), "sim"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact"), "engines"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best"), "g_policy"),
+    (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate"), "sim"),
     (lambda: cli_sweep.write_rows([], ["mu_s"], fmt="xml"), "format"),
 ])
 def test_bad_grid_spec_and_format_name_the_field(case, field, capsys):
@@ -319,6 +323,48 @@ def test_analytic_memory_error_names_e_max(monkeypatch, capsys):
     with pytest.raises(ParameterError) as exc:
         energy_chain.optimize_g(p, derive(p), arrival_pmfs(p, derive(p)))
     assert exc.value.fields == ["E_max"]
+
+
+def _no_engine(*args):
+    raise AssertionError("an engine ran")
+
+
+@pytest.mark.parametrize("e_max", ["1e20", "1e308"])
+def test_e_max_above_the_ceiling_exits_2_before_an_engine_runs(e_max, monkeypatch, capsys,
+                                                                tmp_path):
+    # such an E_max used to build E_max column names, an E_max-bin RF pmf or
+    # E_max histogram names before any check ran; validate now refuses it first
+    for module, name in ((harvest, "arrival_pmfs"), (harvest, "rf_pmf"),
+                         (simulator, "run"), (simulator, "run_many")):
+        monkeypatch.setattr(module, name, _no_engine)
+    sim = ["--slots", "1000", "--warmup", "10"]
+    for argv in (["analytic"], ["analytic", "--fixed-g"], ["simulate", *sim]):
+        assert main(argv + ["--e-max", e_max]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: invalid parameters: E_max: must be at most 1000000 (got ")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--param", "E_max", "--values", e_max, "--engine", "both", *sim,
+                 "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert [r["engine"] for r in rows] == ["analytic", "simulate"]
+    assert all(r["error"].startswith("invalid parameters: E_max: must be at most 1000000")
+               for r in rows)
+
+
+def test_the_largest_e_max_allowed_gets_a_result_or_exit_2(monkeypatch, capsys):
+    # 10**6 passes validate; the chain's MemoryError, stubbed so that nothing
+    # allocates, then names E_max, as at any E_max too large for memory
+    def kernels(*args):
+        raise MemoryError
+
+    point_mass = HarvestPmf(np.array([1.0]), 0.0)
+    monkeypatch.setattr(harvest, "arrival_pmfs", lambda p, dc: (point_mass, point_mass))
+    monkeypatch.setattr(energy_chain, "_kernels", kernels)
+    message = "invalid parameters: E_max: 1000000 is too large for the analytic engine's memory"
+    assert main(["analytic", "--fixed-g", "--e-max", "1000000"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [r["error"] for r in sweep(SweepSpec("E_max", (10**6,), default_params()))] == [message]
 
 
 def test_bad_seed_exits_nonzero(capsys):
@@ -369,7 +415,7 @@ def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
         raise ValueError("analytic engine failed")
 
     calls = []
-    monkeypatch.setattr(cli_sweep, "_analytic_point", fail)
+    monkeypatch.setattr(harvest, "arrival_pmfs", fail)
     monkeypatch.setattr(simulator, "run", lambda *a: calls.append(a))
     monkeypatch.setattr(simulator, "run_many", lambda *a: calls.append(a) or [])
     spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
@@ -799,3 +845,77 @@ def test_file_errors_exit_2_naming_the_field(argv, field, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error: invalid parameters: {field}: ")
     assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
+# values a flag may be given; {d} is a directory of fixture files
+_HOSTILE = ["nan", "inf", "-inf", "-0", "1e308", "5e-324", "", "abc"]
+_VALUES = {
+    "config": ["{d}/missing.cfg", "{d}", "{d}/latin1.cfg", "{d}/twice.cfg", "{d}/ok.cfg"],
+    "out": ["{d}/out.txt", "{d}/missing/out.txt", "{d}", ""],
+    "dump_pmfs": ["{d}/dump", "{d}/file", "{d}/file/sub", ""],
+    "format": ["csv", "json", "xml", ""],
+    "outputs": ["mu_s", "mu_s,mu_s", "g,mu_s_g1", "occ_0", "a_mu_s", "nope", ""],
+    "param": ["lambda_p", "E_max", "G", "P_max", "nope", ""],
+    "values": ["0.2,0.4", "1,2", "0.1,0.1", "0.4,0.2", "1e308", "0.2,nan", "", ","],
+    "grid": ["0:1:0.5", "1:3:1", "0:1:nan", "0:1:1e-12", "0:1e308:1e-308", "1:0:1", "0:1"],
+    "g_policy": ["optimize", "fixed", "best"],
+    "engine": ["analytic", "simulate", "both", "exact"],
+    "slots": ["1000", "3000"],  # hostile counts are drawn for warmup and seed
+    "warmup": ["0", "10", "5000", "-1", "1e308", "nan"],
+    "seed": ["0", "7", "-1", "1e308", "-0", ""],
+    "jobs": ["1", "2", "0", "-1", "nan", ""],  # at most 2 worker processes
+    "E_max": ["1", "6", "12"],
+    "G": ["1", "2", "7"],
+}
+_VALUES["dump_chain"] = _VALUES["dump_pmfs"]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "file").write_text("")
+    (d / "latin1.cfg").write_bytes(b"lambda_p = 0.4\n\xff\xfe = 1\n")  # not UTF-8
+    (d / "twice.cfg").write_text("lambda_p = 0.4\nLAMBDA_P = 0.5\n")
+    (d / "ok.cfg").write_text("lambda_e = 0.5\nE_max = 6\n")
+    return d
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then flags of its parser (repeats allowed) with small or hostile values."""
+    command = draw(st.sampled_from(["analytic", "simulate", "sweep", "compare", "preset"]))
+    (sub,) = [a for a in build_parser(command)._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    argv = [command]
+    if command == "preset":
+        argv.append(draw(st.sampled_from(["fig2", "fig3", "fig4", "fig5", "fig9", ""])))
+    if command != "analytic":  # short runs, unless a drawn flag overrides them
+        argv += ["--slots", "2000", "--warmup", "100"]
+    if command in ("sweep", "compare"):
+        argv += ["--param", "lambda_p"]
+    flags = [a for a in sub.choices[command]._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    for action in draw(st.lists(st.sampled_from(flags), max_size=6)):
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            values = _VALUES.get(action.dest, ["0.5", "1", "10"] + _HOSTILE)
+            argv.append(draw(st.sampled_from(values)))
+    if command in ("sweep", "compare") and not {"--grid", "--values"} & set(argv):
+        argv += ["--values", "0.2,0.4"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_every_argv_exits_0_or_2_with_one_error_line(argv, argv_files):
+    argv = [arg.format(d=argv_files) for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", energy_chain.ReducibleChainWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 2 and sum("error:" in line for line in lines) == 1), (argv, lines)

@@ -42,6 +42,16 @@ def test_bools_are_rejected_where_integers_are_required():
     assert exc.value.fields == ["G"]
 
 
+def test_e_max_above_a_million_levels_is_rejected_by_name():
+    # every engine sizes an array by E_max before it can fail, so a huge one
+    # is refused up front; 10**6 itself stays valid
+    assert validate(SystemParams(E_max=10**6, G=10**6)).E_max == 10**6
+    for e_max in (10**6 + 1, 10**20, int(1e308), 10**400):
+        with pytest.raises(ParameterError) as exc:
+            validate(SystemParams(E_max=e_max))
+        assert exc.value.fields == ["E_max"]
+
+
 def test_every_violation_is_reported():
     bad = replace(default_params(), tau=2.0, lambda_p=1.5, eta=-0.1, sigma_ps=0.0)
     with pytest.raises(ParameterError) as exc:
