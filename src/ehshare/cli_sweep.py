@@ -50,7 +50,10 @@ class SweepSpec:
             raise ParameterError([f"swept_param: {self.swept_param!r} is not a parameter field"])
         if len(self.grid) == 0:
             raise ParameterError(["grid: must be nonempty"])
-        diffs = np.diff(np.asarray(self.grid, dtype=float))
+        try:
+            diffs = np.diff(np.asarray(self.grid, dtype=float))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError([f"grid: {exc}"]) from None
         if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ParameterError(["grid: must be strictly monotone"])
         if self.engines not in ("analytic", "simulate", "both"):
@@ -191,14 +194,15 @@ def _compare_rows(params, analytic, result):
 def _run_grid(point_fn, specs, jobs):
     """point_fn over every grid point of every spec, in order; the rows flattened.
 
-    Each grid is dealt into k = min(jobs, points) strided slices, grid[i::k],
-    so that workers share a grid whose points grow costlier along it; at
-    jobs=1 the slice is the whole grid. point_fn gives a row list per point
-    of its slice, and jobs > 1 evaluates the slices in one pool of worker
-    processes.
+    Each grid is dealt into k = min(jobs, CPUs, points) strided slices,
+    grid[i::k], so that workers share a grid whose points grow costlier
+    along it; with one job or one CPU the slice is the whole grid. point_fn
+    gives a row list per point of its slice; if min(jobs, CPUs) > 1, one
+    pool of that many worker processes at most evaluates the slices.
     """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
+    jobs = min(jobs, os.cpu_count() or 1)  # a worker per CPU at most: all fork on first submit
     tasks = [(spec, spec.grid[i::k])
              for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
     if jobs > 1:

@@ -23,6 +23,8 @@ certification guards only an omega no model builds, as one passed to stationary.
 
 import math
 import operator
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -155,6 +157,14 @@ def _closure(edges):
     return closed
 
 
+def _caller_level():
+    """The stacklevel, from its caller, of the first frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame and os.path.dirname(frame.f_code.co_filename) == os.path.dirname(__file__):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _residuals(omega, chi):
     """max |chi @ omega - chi| per chain of a stack."""
     return np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
@@ -212,7 +222,7 @@ def _solve_stack(omega):
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
     for _ in np.flatnonzero(ok & ~closed.all(axis=(1, 2))):
         warnings.warn("energy chain is reducible; returning the occupancy reached from "
-                      "an empty queue", ReducibleChainWarning, stacklevel=3)
+                      "an empty queue", ReducibleChainWarning, stacklevel=_caller_level())
     residual = _residuals(omega, chi)
     for b in solved[~(residual[solved] < _TOL)].tolist():
         failures[b] = StationarySolveError(

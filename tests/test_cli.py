@@ -275,6 +275,8 @@ def test_bad_grid_exits_nonzero(capsys):
     (["sweep", "--param", "lambda_p", "--grid", "0.5:0.1:0.1"], "grid"),
     *[(["sweep", "--param", "lambda_p", f"--grid={grid}"], "grid") for grid in (
         "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e308:1e-308", "0:1:inf")],
+    (lambda: SweepSpec("lambda_p", (5, 10**400), default_params()), "grid"),
+    (lambda: SweepSpec("lambda_p", ("x",), default_params()), "grid"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact"), "engines"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best"), "g_policy"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate"), "sim"),
@@ -543,6 +545,34 @@ def test_sweep_api_with_worker_pool_matches_serial():
     serial = sweep(spec, jobs=1)
     pooled = sweep(spec, jobs=2)
     assert serial == pooled
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # every worker forks on the first submit, so --jobs 10000 must not ask
+    # for 10000; the stub pool maps in this process and starts none
+    import concurrent.futures
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    spec = SweepSpec("lambda_p", tuple(round(0.05 * i, 2) for i in range(20)), default_params())
+    serial = sweep(spec, jobs=1)
+    for cpus, workers in ((3, [3]), (1, []), (None, []), (64, [20])):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        pools.clear()
+        assert sweep(spec, jobs=10_000) == serial
+        assert pools == workers, cpus
 
 
 def test_compare_and_preset_with_worker_pool_match_serial():

@@ -313,6 +313,23 @@ def test_absorbing_empty_queue_is_detected_and_resolved():
     assert np.array_equal(chi, [1.0, 0.0, 0.0, 0.0])
 
 
+def test_reducible_chain_warning_names_the_caller():
+    # no traffic and no ambient energy: every budget's chain drains to 0.
+    # Each warning points at the line here that called into the package,
+    # not at a frame inside it
+    p = default_params(lambda_e=0, eta=0.4, E_max=6, lambda_p=0)
+    dc = derive(p)
+    pmfs = arrival_pmfs(p, dc)
+    for call in (lambda: stationary(build_chain(*pmfs, dc.pi_idle, 2, p.E_max)),
+                 lambda: optimize_g(p, dc, pmfs),
+                 lambda: optimize_many([(p, dc, pmfs, None)])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ReducibleChainWarning)
+            call()
+        assert caught and all(w.category is ReducibleChainWarning for w in caught)
+        assert {w.filename for w in caught} == {__file__}
+
+
 def test_two_absorbing_states_reached_from_0_raise_a_chain_error():
     # no model chain has several closed classes among the states it reaches
     # from 0 (tests/test_whole_space.py); a hand-built one gets no vector
