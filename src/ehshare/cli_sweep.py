@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -48,13 +49,15 @@ class SweepSpec:
     def __post_init__(self):
         if self.swept_param not in PARAM_FIELDS:
             raise ParameterError([f"swept_param: {self.swept_param!r} is not a parameter field"])
-        if len(self.grid) == 0:
-            raise ParameterError(["grid: must be nonempty"])
         try:
-            diffs = np.diff(np.asarray(self.grid, dtype=float))
+            grid = np.asarray(self.grid, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError([f"grid: {exc}"]) from None
-        if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        if grid.ndim != 1 or grid.size == 0:
+            raise ParameterError([f"grid: must be a nonempty 1-D sequence of numbers "
+                                  f"(got shape {grid.shape})"])
+        diffs = np.diff(grid)
+        if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ParameterError(["grid: must be strictly monotone"])
         if self.engines not in ("analytic", "simulate", "both"):
             raise ParameterError([f"engines: unknown engine {self.engines!r}"])
@@ -379,11 +382,14 @@ def _sim_config(args) -> SimConfig:
 def cmd_analytic(args):
     params = params_from_args(args)
     budgets = [params.G] if args.fixed_g else range(1, params.E_max + 1)
-    columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in budgets],
-                             args.outputs)
+    # mu_s_g{g} names are parsed, not listed, since E_max may be 10**6
+    named = [c for c in args.outputs
+             if (g := re.fullmatch(r"mu_s_g([1-9][0-9]*)", c)) and int(g[1]) in budgets]
+    _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + named, args.outputs)
     dc = derive(params)
     pmfs = harvest.arrival_pmfs(params, dc)
     report = energy_chain.optimize_g(params, dc, pmfs, budgets)
+    columns = PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in budgets]
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value

@@ -26,23 +26,24 @@ uniforms and standard exponentials once. A channel stage computes each array
 that depends only on the draws once per distinct key of the derived values it
 needs: pu_ok, su_ok, RF packets (0 off pu_ok), their clip at E_max, and Poisson
 counts (a scaled exponential is bit for bit Generator.exponential(sigma)). Each
-point runs Lindley's recursion for its primary backlog and builds its arrivals
-and spend thresholds from its dense mask of active slots. The battery, e' =
-min(E_max, e - G*[idle and e >= G] + add), is chained through blocks of _BLOCK
-slots by transfer maps over start levels (composed by a tree when one map holds
-every level, else block by block with levels beyond _MAP_LEVELS walked alone),
-and a replay gives every slot; each Python-level step serves every point, so
-chunks should be long. Only the channel arrays and the points' rows outlive a
-stage: the draws are freed before the battery stage, which takes their memory.
-A 5-point grid of 1e6 slots takes about 0.11 s in process on one pinned CPU
-(median of 11 runs). Results must match the per-slot loop this replaces bit for
-bit (`_run_reference` in tests/test_sim_oracle.py).
+is laid out block-major once: row k of (_BLOCK, blocks) holds slot k of every
+block, and inert pad slots (no arrival, success or packet) fill the last block.
+There each point runs Lindley's recursion for its primary backlog (int8 running
+sums and minima down a block's rows, then across blocks) and builds its arrivals
+and spends. The battery, e' = min(E_max, e - G*[idle and e >= G] + add), is
+chained through the blocks by transfer maps over start levels (composed by a
+tree when one map holds every level, else block by block with levels beyond
+_MAP_LEVELS walked alone), and a replay gives every slot. Each Python-level step
+serves every point, so chunks should be long; the draws are freed before the
+battery stage, which takes their memory. A 5-point grid of 1e6 slots takes about
+0.14 s in process on one pinned CPU of a 2-vCPU Xeon. Results must match the
+per-slot loop this replaces bit for bit (tests/test_sim_oracle.py).
 
-Statistics are collected after a warmup period; energy-conservation
-counters span the whole run. All randomness flows from one SeedSequence
-split into per-purpose substreams (arrivals, h_ppd, h_ps, h_ssd, ambient),
-and drawing a substream in chunks yields the same numbers as drawing it at
-once, so a point's result depends on neither the chunk size nor its batch.
+Statistics, less the pad slots, are collected after a warmup period, where the
+chunks split; energy-conservation counters span the whole run. All randomness
+flows from one SeedSequence split into per-purpose substreams (arrivals, h_ppd,
+h_ps, h_ssd, ambient), and drawing a substream in chunks yields the same numbers
+as drawing it at once: a point's result depends on neither chunk size nor batch.
 """
 
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ _CHUNK = 2 ** 16         # most slots drawn and processed at a time
 _POINT_SLOTS = 2 ** 18   # most point-slots of a batch processed at a time
 _BLOCK = 32              # slots per battery transfer map
 _MAP_LEVELS = 48         # most start levels per transfer map
+_COUNT_LEVELS = 16       # fewest levels whose histogram np.bincount counts
 # The largest mean numpy's Generator.poisson accepts.
 _POISSON_MAX = float(np.iinfo(np.int64).max) - 10 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -111,6 +113,15 @@ def _exact_sum(x) -> int:
     return sum(x.tolist())
 
 
+def _level_counts(x, n):
+    """Counts of the values 0..n-1 in x, an unsigned array of values below n,
+    as int64: one comparison per level when n < _COUNT_LEVELS, else bincount."""
+    if n >= _COUNT_LEVELS:
+        return np.bincount(x.ravel(), minlength=n)
+    counts = [np.count_nonzero(x == x.dtype.type(v)) for v in range(1, n)]  # no cast
+    return np.array([x.size - sum(counts)] + counts, np.int64)
+
+
 def _folded_hist(counts, total) -> np.ndarray:
     """counts / total, cut after the last nonzero bin; [1.0] if total is 0."""
     if total == 0:
@@ -118,100 +129,91 @@ def _folded_hist(counts, total) -> np.ndarray:
     return counts[:np.flatnonzero(counts)[-1] + 1] / total
 
 
-def _closed_forms(spend_at, add, g, e_max):
+def _closed_forms(spend, add, g, e_max):
     """(lo, hi, net, cap, gained), int64 (points, blocks) arrays over the
-    blocks of (_BLOCK, points, blocks) slots; g and e_max hold one int per
+    blocks of (points, _BLOCK, blocks) slots; g and e_max hold one int per
     point. A level below lo stays below g up to the block's last idle slot,
     so it ends at min(e_max, level + gained). A level of at least hi = g *
     (idle slots) spends at every idle slot, so it ends at min(level + net,
     cap): net is the block's net change and cap = e_max + net - (peak of
     the running net change), where a path saturating there ends."""
     g, e_max = (np.array(x, np.int64)[:, None] for x in (g, e_max))
-    idle = spend_at == g
-    gained_before = np.cumsum(add, axis=0, dtype=np.int64) - add
-    walk = np.cumsum(add - g * idle, axis=0)
-    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=0), 0),
-            np.minimum(g * idle.sum(axis=0), e_max + 1),
-            walk[-1],
-            e_max + walk[-1] - walk.max(axis=0),
-            gained_before[-1] + add[-1])
+    idle = spend > 0
+    gained_before = np.cumsum(add, axis=1, dtype=np.int64) - add
+    walk = np.cumsum(add.astype(np.int64) - spend, axis=1)
+    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=1), 0),
+            np.minimum(g * idle.sum(axis=1), e_max + 1),
+            walk[:, -1],
+            e_max + walk[:, -1] - walk.max(axis=1),
+            gained_before[:, -1] + add[:, -1])
 
 
 def _chain(maps, e0):
     """Each block's start level, as a (points, blocks) array, and the level
     after the last, as a list of ints, when point p's maps[p, b, j] (its level
     after block b from level j) are chained from e0[p]. A tree composes the
-    maps, padded with identities to a power of two, pairwise up to one per
-    point, then pushes each start level down it (Blelloch's up/down-sweep)."""
-    n_pts, n_blocks, width = maps.shape
-    tree = [np.empty((n_pts, 1 << (n_blocks - 1).bit_length(), width), maps.dtype)]
-    tree[0][:, :n_blocks] = maps
-    tree[0][:, n_blocks:] = np.arange(width)
-    while tree[-1].shape[1] > 1:  # node i's map: child 2i's, then child 2i + 1's
+    maps pairwise, an odd last one passing up alone, up to one per point, then
+    pushes each start level down it (Blelloch's up/down-sweep)."""
+    n_pts, _, width = maps.shape
+    rows = np.arange(n_pts)[:, None]
+
+    def offsets(n, first):  # flat offsets of nodes first, first + 2, ... paired in a level of n
+        return (rows * n + np.arange(first, n // 2 * 2, 2)) * width
+
+    tree = [np.ascontiguousarray(maps)]
+    while (n := tree[-1].shape[1]) > 1:  # node i's map: child 2i's, then child 2i + 1's
         t = tree[-1]
-        odd = np.arange(1, n_pts * t.shape[1], 2).reshape(n_pts, -1, 1) * width
-        tree.append(t.take(t[:, ::2] + odd))
+        up = t.take(t[:, :n // 2 * 2:2] + offsets(n, 1)[..., None])
+        tree.append(np.concatenate((up, t[:, -1:]), axis=1) if n % 2 else up)
     starts = np.array(e0, np.intp)[:, None]
-    ends = tree[-1].take(starts + np.arange(n_pts)[:, None] * width)
+    ends = tree[-1].take(starts + rows * width)
     for t in reversed(tree[:-1]):  # child 2i starts where node i does, 2i + 1 after 2i
-        even = np.arange(0, n_pts * t.shape[1], 2).reshape(n_pts, -1) * width
-        starts = np.stack((starts, t.take(starts + even)), axis=2).reshape(n_pts, -1)
-    return starts[:, :n_blocks], ends.ravel().tolist()
+        n = t.shape[1]
+        s = starts[:, :n // 2]
+        down = np.stack((s, t.take(s + offsets(n, 0))), axis=2).reshape(n_pts, -1)
+        starts = np.concatenate((down, starts[:, -1:]), axis=1) if n % 2 else down
+    return starts, ends.ravel().tolist()
 
 
-def _battery_levels(e0, spend_at, add, g, e_max):
-    """Battery levels of a batch of points at the start of every slot, as a
-    (points, slots) array, and after the last one, as a list of ints.
+def _battery_levels(e0, spend, add, g, e_max):
+    """Battery levels of a batch of points at the start of every slot, and
+    after the last one, as a list of ints.
 
-    spend_at and add are (points, slots), of an unsigned dtype that holds
-    2 * max(e_max); e0, g and e_max hold one int per point. Point p's slot t
-    spends g[p] when the level is at least spend_at[p, t] (g[p] when idle,
-    e_max[p] + 1, which no level reaches, when active), then adds add[p, t]
-    <= e_max[p] and saturates at e_max[p].
+    spend, add and the levels are (points, _BLOCK, blocks) arrays (row k of a
+    point: slot k of each of its blocks) of an unsigned dtype that holds 2 *
+    max(e_max); e0, g and e_max hold one int per point. Point p's slot spends
+    its spend (g[p] when idle, 0 when active or a pad slot) if the level
+    reaches it, then adds its add <= e_max[p] and saturates at e_max[p].
 
-    Blocks of _BLOCK slots are stepped as transfer maps, which _chain composes
-    when one map holds every level (max(e_max) < _MAP_LEVELS); else they are
-    chained block by block, and every block's map is stepped in one pass.
+    Blocks are stepped as transfer maps, which _chain composes when one map
+    holds every level (max(e_max) < _MAP_LEVELS); else they are chained block
+    by block, and every block's map is stepped in one pass.
     """
-    (n_pts, m), dtype = add.shape, add.dtype
-    n_blocks = -(-m // _BLOCK)
-    g_full, cap_full = (np.array(x, dtype)[:, None].repeat(n_blocks, axis=1) for x in (g, e_max))
-
-    def blocked(x, fill):  # (_BLOCK, points, blocks): row k holds slot k of every block
-        x = np.pad(x, ((0, 0), (0, n_blocks * _BLOCK - m)), constant_values=fill)
-        return np.ascontiguousarray(x.reshape(n_pts, n_blocks, _BLOCK).transpose(2, 0, 1))
-
-    # padding slots neither spend (no level reaches the dtype's top) nor add
-    spend_at, add = blocked(spend_at, np.iinfo(dtype).max), blocked(add, 0)
+    (n_pts, _, n_blocks), dtype = add.shape, add.dtype
+    cap_full = np.array(e_max, dtype)[:, None].repeat(n_blocks, axis=1)
 
     def step_block(e, record=None):
-        """Steps e, (..., points, blocks), through its blocks; record[k] <- slot k."""
-        mask = np.empty(e.shape, bool)
+        """Steps e, (..., points, blocks), through its blocks; record[:, k] <- slot k."""
         spent = np.empty(e.shape, dtype)
         for k in range(_BLOCK):
             if record is not None:
-                record[k] = e
-            np.greater_equal(e, spend_at[k], out=mask)
-            np.subtract(e, np.multiply(mask, g_full, out=spent), out=e)
-            np.add(e, add[k], out=e)
+                record[:, k] = e
+            # e - spend wraps around above every level when e < spend
+            np.minimum(e, np.subtract(e, spend[:, k], out=spent), out=e)
+            np.add(e, add[:, k], out=e)
             np.minimum(e, cap_full, out=e)
 
     def walk_block(p, b, e):
         """Point p's level after block b from e, one slot at a time."""
-        spend, top = g[p], e_max[p]
-        for s, a in zip(spend_at[:, p, b].tolist(), add[:, p, b].tolist()):
-            if e >= s:
-                e -= spend
-            e += a
-            if e > top:
-                e = top
+        for s, a in zip(spend[p, :, b].tolist(), add[p, :, b].tolist()):
+            e = min(e - (s if e >= s else 0) + a, e_max[p])
         return e
 
     def replay(starts):
-        """Every slot's level, as (points, slots), from each block's start level."""
-        levels = np.empty((n_pts, n_blocks, _BLOCK), dtype)
-        step_block(np.array(starts, dtype), levels.transpose(2, 0, 1))
-        return levels.reshape(n_pts, -1)[:, :m]
+        """Every slot's level from each block's start level."""
+        levels = np.empty(add.shape, dtype)
+        step_block(np.array(starts, dtype), levels)
+        return levels
 
     if max(e_max) < _MAP_LEVELS:  # one map holds every level of every battery
         start = np.arange(max(e_max) + 1, dtype=dtype)[:, None, None]
@@ -222,7 +224,7 @@ def _battery_levels(e0, spend_at, add, g, e_max):
 
     # Transfer maps cover the start levels lo..lo+width-1 of each block;
     # levels above are walked alone.
-    lo, hi, *rest = _closed_forms(spend_at, add, g, e_max)
+    lo, hi, *rest = _closed_forms(spend, add, g, e_max)
     width = min(max(0, int((hi - lo).max())), _MAP_LEVELS)
     forms = list(zip(*(x.tolist() for x in (lo, hi, *rest))))
 
@@ -268,46 +270,54 @@ class _Point:
         self.occupancy, self.rf_counts, self.nat_counts = (
             np.zeros(params.E_max + 1, np.int64) for _ in range(3))
 
-    def prepare(self, u, post, pu_ok, rf, ambient, spend_at, add):
-        """Play the primary queue and the energy arrivals over one chunk of shared
-        draws and channel arrays, and fill the point's rows of spend_at and add."""
-        p, e_max, m = self.params, self.params.E_max, u.size
+    def prepare(self, u, m, counted, pu_ok, rf, ambient, spend, add):
+        """Play the primary queue and energy arrivals over a chunk of m slots of
+        shared draws and channel arrays, (_BLOCK, blocks) each, and fill the point's
+        spend and add; pad slots add nothing (the caller zeroes their spend)."""
+        p, e_max = self.params, self.params.E_max
         arrival = u < p.lambda_p
 
-        # primary queue by Lindley's recursion: q = c - (running minimum of c)
-        # for c = -qp followed by the running net arrivals, then q[0] = qp, so
-        # q[t] is the backlog before slot t and q[m] the one after the chunk.
-        # |c| <= m, the chunk's length, so a backlog beyond m stays positive
-        # through the chunk: it is carried as lift, and int32 is exact.
-        base = min(self.qp, m)
-        lift = self.qp - base
-        q = np.empty(m + 1, np.int32)
-        q[0] = -base
-        np.cumsum(arrival.view(np.int8) - pu_ok.view(np.int8), dtype=np.int32, out=q[1:])
-        q -= np.minimum.accumulate(q)
-        q[0] = base
-        busy = pu_ok & ((q[:-1] > 0) | arrival)
-        n_post = int(np.count_nonzero(busy[post:]))  # active slots after warmup
-        self.pu_queue_sum += int(q[post:-1].sum(dtype=np.int64)) + lift * (m - post)
-        self.qp = int(q[-1]) + lift
-        self.pu_delivered += n_post
+        # primary queue by Lindley's recursion, block by block: the backlog
+        # before slot k of a block is q[k] - min(low[k], floor - first), for
+        # q[k] the block's net arrivals before slot k and low[k] their running
+        # minimum (int8: |q| <= _BLOCK), first the net arrivals before the
+        # block and floor the running minimum of -qp and the net arrivals
+        # before it. Row _BLOCK holds each block's total and minimum.
+        step = arrival.view(np.int8) - pu_ok.view(np.int8)
+        q, low = np.zeros((2, _BLOCK + 1, u.shape[1]), np.int8)
+        for k in range(_BLOCK):
+            np.minimum(low[k], np.add(q[k], step[k], out=q[k + 1]), out=low[k + 1])
+        first = np.cumsum(q[-1], dtype=np.int64) - q[-1]
+        floor = np.minimum.accumulate(np.concatenate(([-self.qp], first + low[-1])))
+        self.qp = int(first[-1] + q[-1, -1] - floor[-1])
+        gap = floor[:-1] - first  # <= 0; below -_BLOCK, the block's backlog stays positive
+        cut = np.maximum(gap, -_BLOCK)
+        backlog = np.subtract(q[:-1], np.minimum(low[:-1], cut.astype(np.int8)), out=q[:-1])
+        busy = ((backlog > 0) | arrival) & pu_ok
+        if counted:
+            n_busy = int(np.count_nonzero(busy))
+            self.pu_delivered += n_busy
+            self.pu_queue_sum += (int(backlog.sum(dtype=np.int64)) + _BLOCK * int((cut - gap).sum())
+                                  - (u.size - m) * self.qp)
 
         # energy arrivals: RF packets in active slots (rf: the clipped packets of
         # every pu_ok slot, the slots over E_max and their excess), ambient in all
         rf_row, over, excess = rf
         np.multiply(rf_row, busy, out=add)
-        self.harvested += int(add.sum(dtype=np.int64)) + _exact_sum(excess[busy[over]])
-        self.rf_counts += np.bincount(add[post:], minlength=e_max + 1)
-        self.rf_counts[0] -= m - post - n_post  # idle slots after warmup
+        self.harvested += int(add.sum(dtype=np.int64)) + _exact_sum(excess[busy.ravel()[over]])
+        if counted:
+            self.rf_counts += _level_counts(add, e_max + 1)
+            self.rf_counts[0] -= u.size - n_busy  # idle and pad slots
         if self.lam > 0:  # add <- min(add, E_max - ambient) + ambient
             clipped, room, counts, total = ambient[self.lam, e_max]
             np.add(np.minimum(add, room, out=add), clipped, out=add)
-            self.nat_counts += counts
+            if counted:
+                self.nat_counts += counts
+                self.nat_counts[0] -= u.size - m
             self.harvested += total
-        else:
-            self.nat_counts[0] += m - post
-        dt = add.dtype.type
-        np.add(np.multiply(busy, dt(e_max + 1 - p.G), out=spend_at), dt(p.G), out=spend_at)
+        elif counted:
+            self.nat_counts[0] += m
+        np.multiply((~busy).view(np.uint8), add.dtype.type(p.G), out=spend)
 
     def result(self, sim: SimConfig) -> SimResult:
         g, n_eff = self.params.G, sim.n_slots - sim.warmup
@@ -371,63 +381,78 @@ def _run_batch(batch, sim: SimConfig):
     rf_used = any(pt.clip_key[2] < np.inf for pt in batch)
     # one generator per distinct ambient mean, each replaying the same substream
     rng_nat = {pt.lam: np.random.default_rng(streams[4]) for pt in batch if pt.lam > 0}
+    rows = np.empty((2, len(batch), chunk), dtype)  # the points' spend and add
 
-    # buffers every chunk reuses: each channel array once per distinct key
-    # ({key: buffer}) and the points' rows
-    pu_ok, su_ok, rf_clip = ({getattr(pt, key): np.empty(chunk, t) for pt in batch} for key, t in
-                             (("pu_key", bool), ("su_key", bool), ("clip_key", dtype)))
-    spend_at, add = np.empty((2, len(batch), chunk), dtype)
+    def run_chunk(m, counted):  # m slots, all after warmup if counted; each array dies with the call
+        n_blocks = -(-m // _BLOCK)
+        tail = m - (n_blocks - 1) * _BLOCK  # slots in the last block; the rest are pad slots
 
-    def run_chunk(m, post):  # m slots, post the first after warmup; each array dies with the call
+        def blocks(x, fill):  # m slots as (_BLOCK, n_blocks), row k slot k of each block
+            out = np.empty((_BLOCK, n_blocks), x.dtype)
+            out[:, :-1] = x[:m - tail].reshape(-1, _BLOCK).T
+            out[:tail, -1], out[tail:, -1] = x[m - tail:], fill
+            return out
+
+        def clipped(x, top):  # min(x, top) in the level dtype, in blocks
+            return blocks(np.minimum(x, top, out=np.empty(m, dtype), casting="unsafe"), 0)
+
         ambient = {}  # (mean, E_max) -> clipped counts, E_max less them, histogram, total
         for lam, rng in rng_nat.items():
             counts = rng.poisson(lam, m)
             for e in {pt.params.E_max for pt in batch if pt.lam == lam}:
-                clipped = np.minimum(counts, e).astype(dtype)
-                ambient[lam, e] = clipped, np.subtract(dtype.type(e), clipped), \
-                    np.bincount(clipped[post:], minlength=e + 1), _exact_sum(counts)
+                clip = clipped(counts, e)  # its histogram counts the pad slots at 0
+                ambient[lam, e] = clip, np.subtract(dtype.type(e), clip), \
+                    _level_counts(clip, e + 1) if counted else None, _exact_sum(counts)
             del counts
 
         # the channel stage: each array once per distinct key. Each stream fills
         # z in turn, so it ends as z_ppd; h holds a scaled gain, then z_ps.
         z, h = np.empty((2, m))
-        for rng, arrays in ((rng_ssd, su_ok), (rng_ppd, pu_ok)):
+        pu_ok, su_ok = {}, {}  # key -> mask, slot-ordered (pu_ok) and in blocks
+        for rng, arrays, key in ((rng_ssd, su_ok, "su_key"), (rng_ppd, pu_ok, "pu_key")):
             rng.standard_exponential(out=z)
-            for (sigma, cut), ok in arrays.items():  # h >= cut, h the gain z * sigma
+            for sigma, cut in {getattr(pt, key) for pt in batch}:  # h >= cut, h the gain z * sigma
                 with np.errstate(over="ignore"):  # an inf gain clears any finite cut
-                    np.greater_equal(np.multiply(z, sigma, out=h), cut, out=ok[:m])
+                    arrays[sigma, cut] = np.multiply(z, sigma, out=h) >= cut
+        su_ok = {key: blocks(ok, False) for key, ok in su_ok.items()}
         if rf_used:
             rng_ps.standard_exponential(out=h)
         packets, rf = {}, {}  # RF key -> its packets, 0 off pu_ok; clip key -> prepare's rf
-        for key, clip in rf_clip.items():
+        for key in {pt.clip_key for pt in batch}:
             (sigma_ppd, a, scale), e = key[:-1], key[-1]
             if key[:-1] not in packets:
                 n = np.zeros(m) if scale == np.inf else _rf_packets(z, h, scale)
-                packets[key[:-1]] = np.multiply(n, pu_ok[sigma_ppd, a][:m], out=n)
+                packets[key[:-1]] = np.multiply(n, pu_ok[sigma_ppd, a], out=n)
             n = packets[key[:-1]]
             over = np.flatnonzero(n > e)
-            rf[key] = np.minimum(n, e, out=clip[:m], casting="unsafe"), over, \
+            rf[key] = clipped(n, e), over % _BLOCK * n_blocks + over // _BLOCK, \
                 n[over].astype(np.int64) - e
         del z, h, packets, n
+        pu_ok = {key: blocks(ok, False) for key, ok in pu_ok.items()}
 
-        u = rng_arr.random(m)
+        u = blocks(rng_arr.random(m), 1.0)  # a pad slot draws no arrival: lambda_p <= 1
+        spend, add = rows[:, :, :n_blocks * _BLOCK].reshape(2, len(batch), _BLOCK, n_blocks)
         for j, pt in enumerate(batch):
-            pt.prepare(u, post, pu_ok[pt.pu_key][:m], rf[pt.clip_key], ambient,
-                       spend_at[j, :m], add[j, :m])
+            pt.prepare(u, m, counted, pu_ok[pt.pu_key], rf[pt.clip_key], ambient,
+                       spend[j], add[j])
         del u  # the battery stage's arrays can take the draws' memory
-        levels, ends = _battery_levels([pt.qe for pt in batch], spend_at[:, :m], add[:, :m],
+        spend[:, tail:, -1] = 0  # pad slots never spend
+        levels, ends = _battery_levels([pt.qe for pt in batch], spend, add,
                                        [pt.params.G for pt in batch], e_max)
         for j, pt in enumerate(batch):
             pt.qe = ends[j]
-            spend = levels[j] >= spend_at[j, :m]
-            pt.occupancy += np.bincount(levels[j, post:], minlength=pt.params.E_max + 1)
-            pt.spends += int(np.count_nonzero(spend))
-            pt.spends_post += int(np.count_nonzero(spend[post:]))
-            pt.su_delivered += int(np.count_nonzero(spend[post:] & su_ok[pt.su_key][post:m]))
+            spent = np.subtract(levels[j], spend[j]) < levels[j]  # as in step_block
+            n_spend = int(np.count_nonzero(spent))
+            pt.spends += n_spend
+            if counted:  # the pad slots hold the level after the last slot
+                pt.occupancy += _level_counts(levels[j], pt.params.E_max + 1)
+                pt.occupancy[pt.qe] -= levels[j].size - m
+                pt.spends_post += n_spend
+                pt.su_delivered += int(np.count_nonzero(spent & su_ok[pt.su_key]))
 
-    for start in range(0, sim.n_slots, chunk):
-        m = min(chunk, sim.n_slots - start)
-        run_chunk(m, min(max(sim.warmup - start, 0), m))
+    for first, last, counted in ((0, sim.warmup, False), (sim.warmup, sim.n_slots, True)):
+        for start in range(first, last, chunk):
+            run_chunk(min(chunk, last - start), counted)
 
 
 def run(params: SystemParams, sim: SimConfig) -> SimResult:

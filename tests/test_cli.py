@@ -255,6 +255,21 @@ def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys, monke
         assert col in read_csv(out)[0], argv
 
 
+def test_analytic_parses_budget_columns_against_1_to_e_max(capsys, monkeypatch):
+    # at E_max = 10**6 a bad mu_s_g{g} name exits 2 before any engine runs,
+    # and mu_s_g{E_max} passes the check and reaches the first engine step
+    def reached(*args, **kwargs):
+        raise ParameterError(["E_max: engine reached"])
+
+    monkeypatch.setattr(harvest, "arrival_pmfs", reached)
+    argv = ["analytic", "--e-max", "1000000", "--outputs"]
+    for name in ("mu_s_g0", "mu_s_g1000001", "mu_s_g01", "mu_s_g+1", "mu_s_g"):
+        assert main(argv + [name]) == 2, name
+        assert f"outputs: unknown column(s) {name}" in capsys.readouterr().err, name
+    assert main(argv + ["mu_s,mu_s_g1000000"]) == 2
+    assert "E_max: engine reached" in capsys.readouterr().err
+
+
 def test_bad_grid_exits_nonzero(capsys):
     assert main(["sweep", "--param", "lambda_p", "--grid", "0.1:0.5"]) == 2
     assert main(["sweep", "--param", "nope", "--values", "0.1"]) == 2
@@ -277,6 +292,8 @@ def test_bad_grid_exits_nonzero(capsys):
         "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e308:1e-308", "0:1:inf")],
     (lambda: SweepSpec("lambda_p", (5, 10**400), default_params()), "grid"),
     (lambda: SweepSpec("lambda_p", ("x",), default_params()), "grid"),
+    (lambda: SweepSpec("lambda_p", 5, default_params()), "grid"),            # not a sequence
+    (lambda: SweepSpec("lambda_p", ((0.1, 0.2),), default_params()), "grid"),  # not 1-D
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="exact"), "engines"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), g_policy="best"), "g_policy"),
     (lambda: SweepSpec("lambda_p", (0.1,), default_params(), engines="simulate"), "sim"),

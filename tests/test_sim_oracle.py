@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ehshare import ParameterError, SimConfig, SimResult, default_params, derive, simulate
 from ehshare import simulator
@@ -196,13 +196,48 @@ def test_matches_loop_with_a_backlog_beyond_the_chunk_length(monkeypatch):
     assert results[0].pu_queue_mean > 8 * _BLOCK
 
 
-def _slot_recursion(e, spend_at, add, g, e_max):
-    """One point's level at the start of every slot, and after the last."""
+def test_a_backlog_draining_through_a_whole_block_keeps_every_slot_busy():
+    # 40 departures in a row with no arrival: a block's running net arrivals
+    # reach -31 before its last slot, the bottom of the int8 block scan, and
+    # the backlog is still positive there. The per-slot draws cannot reach
+    # this, so the point's chunk step is called directly.
+    pt = simulator._Point(default_params(lambda_p=0.5, lambda_e=0.0))
+    pt.qp = 40
+    shape = (_BLOCK, 2)  # 64 slots in block-major order
+    rf = np.zeros(shape, np.uint8), np.array([], np.intp), np.array([], np.int64)
+    spend, add = np.empty((2, *shape), np.uint8)
+    pt.prepare(np.ones(shape), 2 * _BLOCK, True, np.ones(shape, bool), rf, {}, spend, add)
+    assert (pt.qp, pt.pu_delivered, pt.pu_queue_sum) == (0, 40, sum(range(41)))
+    assert (spend.T.ravel() == [0] * 40 + [default_params().G] * 24).all()
+
+
+def _levels_in_slot_order(e0, spend, add, g, e_max):
+    """_battery_levels on (points, slots) rows: they are laid out as
+    (points, _BLOCK, blocks), pad slots that neither spend nor add filling
+    the last block, and the levels are read back in slot order. A pad slot
+    must hold the level after the last slot."""
+    n_pts, n = add.shape
+    n_blocks = -(-n // _BLOCK)
+
+    def blocks(x, fill):
+        x = np.pad(x, ((0, 0), (0, n_blocks * _BLOCK - n)), constant_values=fill)
+        return np.ascontiguousarray(x.reshape(n_pts, n_blocks, _BLOCK).transpose(0, 2, 1))
+
+    levels, ends = _battery_levels(e0, blocks(spend, 0), blocks(add, 0), g, e_max)
+    assert levels.shape == (n_pts, _BLOCK, n_blocks)
+    levels = levels.transpose(0, 2, 1).reshape(n_pts, -1)
+    assert (levels[:, n:] == np.array(ends)[:, None]).all()
+    return levels[:, :n], ends
+
+
+def _slot_recursion(e, spend, add, e_max):
+    """One point's level at the start of every slot, and after the last: a
+    slot spends its spend (g when idle, 0 when active) if the level reaches it."""
     levels = []
-    for s, a in zip(spend_at.tolist(), add.tolist()):
+    for s, a in zip(spend.tolist(), add.tolist()):
         levels.append(e)
-        if e >= s:
-            e -= g
+        if s > 0 and e >= s:
+            e -= s
         e = min(e + a, e_max)
     return levels, e
 
@@ -222,13 +257,13 @@ def test_battery_levels_match_slot_recursion(seed, n, e_max, g_frac, idle_p, add
     # up to 40 blocks span six levels of the small batteries' chaining tree
     g = 1 + round(g_frac * (e_max - 1))
     rng = np.random.default_rng(seed)
-    spend_at = np.where(rng.random(n) < idle_p, g, e_max + 1)
+    spend = np.where(rng.random(n) < idle_p, g, 0)
     add = np.minimum(rng.poisson(add_mean, n), e_max)
     e0 = round(e0_frac * e_max)
-    want, e = _slot_recursion(e0, spend_at, add, g, e_max)
+    want, e = _slot_recursion(e0, spend, add, e_max)
     dtype = np.min_scalar_type(2 * e_max)
-    levels, (end,) = _battery_levels([e0], spend_at[None].astype(dtype),
-                                     add[None].astype(dtype), [g], [e_max])
+    levels, (end,) = _levels_in_slot_order([e0], spend[None].astype(dtype),
+                                           add[None].astype(dtype), [g], [e_max])
     assert levels[0].tolist() == want
     assert type(end) is int and end == e
 
@@ -237,22 +272,22 @@ def test_battery_levels_match_slot_recursion(seed, n, e_max, g_frac, idle_p, add
 def test_battery_tree_chains_mixed_batteries_at_uneven_block_counts(n_blocks):
     # every battery fits one transfer map (E_max < _MAP_LEVELS), so the
     # blocks are chained by the tree; block counts that are not powers of
-    # two pad it with identity maps, and a partial last block pads a block
+    # two pass an odd node up alone, and a partial last block is padded
     rng = np.random.default_rng(n_blocks)
     n = n_blocks * _BLOCK - (n_blocks > 1) * 3
     cases = [(g, e_max, e0) for g, e_max in [(1, 1), (2, 5), (13, 47)] for e0 in (0, e_max)]
     assert max(e_max for _, e_max, _ in cases) < simulator._MAP_LEVELS
-    spend_at = np.empty((len(cases), n), np.uint8)
+    spend = np.empty((len(cases), n), np.uint8)
     add = np.empty((len(cases), n), np.uint8)
     want_levels, want_ends = [], []
     for j, (g, e_max, e0) in enumerate(cases):
-        spend_at[j] = np.where(rng.random(n) < 0.6, g, e_max + 1)
+        spend[j] = np.where(rng.random(n) < 0.6, g, 0)
         add[j] = np.minimum(rng.poisson(0.3 * g + 0.2, n), e_max)
-        want, end = _slot_recursion(e0, spend_at[j], add[j], g, e_max)
+        want, end = _slot_recursion(e0, spend[j], add[j], e_max)
         want_levels.append(want)
         want_ends.append(end)
-    levels, ends = _battery_levels([c[2] for c in cases], spend_at, add,
-                                   [c[0] for c in cases], [c[1] for c in cases])
+    levels, ends = _levels_in_slot_order([c[2] for c in cases], spend, add,
+                                         [c[0] for c in cases], [c[1] for c in cases])
     assert levels.tolist() == want_levels
     assert ends == want_ends and all(type(e) is int for e in ends)
 
@@ -336,10 +371,40 @@ def test_lockstep_batch_across_chunks_with_small_point_slot_budget(monkeypatch):
         assert_same_result(got, _run_reference(p, sim))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    points=st.lists(st.tuples(
+        st.sampled_from([0.1, 0.5, 0.95, 1.0]),        # lambda_p
+        st.sampled_from([0.0, 0.5, 3.0]),              # lambda_e
+        # E_max on both sides of the 16-level count cutoff and of _MAP_LEVELS
+        st.sampled_from([1, 14, 15, 16, 47, 48, 300]),
+        st.floats(min_value=0.0, max_value=1.0),       # G as a fraction of E_max
+    ), min_size=1, max_size=4),
+    n_slots=st.integers(min_value=1, max_value=2_000).filter(lambda n: n % _BLOCK),
+    warmup=st.integers(min_value=0, max_value=1_999).filter(lambda n: n % _BLOCK),
+    point_blocks=st.sampled_from([1, 3, 10]),
+)
+def test_lockstep_batch_matches_the_loop_at_any_chunk_and_warmup_length(
+        seed, points, n_slots, warmup, point_blocks):
+    # chunks of a few blocks, slot and warmup counts off the block grid: the
+    # last block of a chunk is padded, and warmup splits the chunk schedule
+    assume(warmup < n_slots)
+    params = [default_params(lambda_p=lp, lambda_e=le, E_max=e, G=1 + round(gf * (e - 1)))
+              for lp, le, e, gf in points]
+    sim = SimConfig(n_slots=n_slots, seed=seed, warmup=warmup)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_POINT_SLOTS", point_blocks * _BLOCK)
+        results = simulator.run_many(params, sim)
+    for p, got in zip(params, results):
+        assert_same_result(got, _run_reference(p, sim))
+
+
 def test_rf_packets_are_quantized_once_per_distinct_rf_key_and_chunk(monkeypatch):
-    # 8 chunks of 128 slots. The first three points share one RF key (the
-    # third clips it at another E_max), P_max and sigma_ps give two more, and
-    # eta = 0 quantizes nothing: 3 calls per chunk.
+    # A 100-slot warmup chunk, then 8 chunks of at most 128 slots. The first
+    # three points share one RF key (the third clips it at another E_max),
+    # P_max and sigma_ps give two more, and eta = 0 quantizes nothing: 3
+    # calls per chunk.
     calls, quantize = [], simulator._rf_packets
 
     def counted(z_ppd, z_ps, scale):
@@ -353,26 +418,28 @@ def test_rf_packets_are_quantized_once_per_distinct_rf_key_and_chunk(monkeypatch
               default_params(sigma_ps=0.5), default_params(eta=0.0, lambda_e=0.5)]
     sim = SimConfig(n_slots=1_000, seed=8, warmup=100)
     results = simulator.run_many(params, sim)
-    assert len(calls) == 3 * 8
+    assert len(calls) == 3 * 9
     for p, got in zip(params, results):
         assert_same_result(got, _run_reference(p, sim))
 
 
 def test_a_batch_runs_in_groups_of_one_level_dtype_and_one_map_side(monkeypatch):
     # a large battery neither widens small batteries' levels nor makes them
-    # take the closed forms (E_max >= _MAP_LEVELS)
+    # take the closed forms (E_max >= _MAP_LEVELS); each group runs a warmup
+    # chunk and a counted one
     seen, battery_levels = [], simulator._battery_levels
 
-    def recorded(e0, spend_at, add, g, e_max):
+    def recorded(e0, spend, add, g, e_max):
         seen.append((str(add.dtype), tuple(e_max)))
-        return battery_levels(e0, spend_at, add, g, e_max)
+        return battery_levels(e0, spend, add, g, e_max)
 
     monkeypatch.setattr(simulator, "_battery_levels", recorded)
     params = [default_params(lambda_e=0.5, E_max=e, G=min(e, 3)) for e in (10, 200, 47, 48, 1)]
     sim = SimConfig(n_slots=2_000, seed=5, warmup=10)
     for p, got in zip(params, simulator.run_many(params, sim)):
         assert_same_result(got, _run_reference(p, sim))
-    assert sorted(seen) == [("uint16", (200,)), ("uint8", (10, 47, 1)), ("uint8", (48,))]
+    assert sorted(seen) == 2 * [("uint16", (200,))] + 2 * [("uint8", (10, 47, 1))] \
+        + 2 * [("uint8", (48,))]
 
 
 def test_failing_point_leaves_the_rest_of_the_batch_running():
@@ -398,17 +465,18 @@ def test_battery_walks_levels_above_the_map_bit_for_bit(monkeypatch):
     n = 5 * _BLOCK + 17
     cases = [(1, 60, 0.5, 3.0), (7, 300, 0.4, 30.0), (3, 5, 0.9, 0.5), (50, 90, 0.2, 20.0)]
     dtype = np.min_scalar_type(2 * max(e for _, e, _, _ in cases))
-    spend_at = np.empty((len(cases), n), dtype)
+    spend = np.empty((len(cases), n), dtype)
     add = np.empty((len(cases), n), dtype)
     e0, want_levels, want_ends = [], [], []
     for j, (g, e_max, idle_p, add_mean) in enumerate(cases):
-        spend_at[j] = np.where(rng.random(n) < idle_p, g, e_max + 1)
+        spend[j] = np.where(rng.random(n) < idle_p, g, 0)
         add[j] = np.minimum(rng.poisson(add_mean, n), e_max)
         e0.append(int(rng.integers(0, e_max + 1)))
-        want, end = _slot_recursion(e0[-1], spend_at[j], add[j], g, e_max)
+        want, end = _slot_recursion(e0[-1], spend[j], add[j], e_max)
         want_levels.append(want)
         want_ends.append(end)
-    levels, ends = _battery_levels(e0, spend_at, add, [c[0] for c in cases], [c[1] for c in cases])
+    levels, ends = _levels_in_slot_order(e0, spend, add, [c[0] for c in cases],
+                                         [c[1] for c in cases])
     assert levels.tolist() == want_levels
     assert ends == want_ends and all(type(e) is int for e in ends)
 
