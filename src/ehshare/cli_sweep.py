@@ -297,6 +297,12 @@ def _check_outputs(columns, outputs):
     return columns
 
 
+def _indexed(outputs, prefix, indices):
+    """prefix{i} names in outputs, i in indices: parsed, as E_max may be 10**6 (7 digits)."""
+    return [c for c in outputs if (i := re.fullmatch(prefix + "(0|[1-9][0-9]{0,6})", c))
+            and int(i[1]) in indices]
+
+
 def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
     """Write rows as CSV (stable column set) or JSON (full values).
 
@@ -382,14 +388,11 @@ def _sim_config(args) -> SimConfig:
 def cmd_analytic(args):
     params = params_from_args(args)
     budgets = [params.G] if args.fixed_g else range(1, params.E_max + 1)
-    # mu_s_g{g} names are parsed, not listed, since E_max may be 10**6
-    named = [c for c in args.outputs
-             if (g := re.fullmatch(r"mu_s_g([1-9][0-9]*)", c)) and int(g[1]) in budgets]
-    _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + named, args.outputs)
+    _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + _indexed(args.outputs, "mu_s_g", budgets),
+                   args.outputs)
     dc = derive(params)
     pmfs = harvest.arrival_pmfs(params, dc)
     report = energy_chain.optimize_g(params, dc, pmfs, budgets)
-    columns = PARAM_FIELDS + METRIC_COLUMNS + [f"mu_s_g{g}" for g in budgets]
     row = _analytic_row(params, report, dc)
     for g, value in sorted(report.mu_s_by_g.items()):
         row[f"mu_s_g{g}"] = value
@@ -405,14 +408,14 @@ def cmd_analytic(args):
             omega = energy_chain.build_chain(*pmfs, dc.pi_idle, report.g_star, params.E_max).omega
             np.savetxt(os.path.join(args.dump_chain, "omega.txt"), omega, fmt="%.17g")
             np.savetxt(os.path.join(args.dump_chain, "chi.txt"), report.chi, fmt="%.17g")
-    write_rows([row], columns, args.out, args.format, args.outputs)
+    write_rows([row], list(row), args.out, args.format, args.outputs)  # header: mu_s_g{g} last
     return 0
 
 
 def cmd_simulate(args):
     params = params_from_args(args)
-    columns = _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + ["pu_queue_mean"]
-                             + [f"occ_{j}" for j in range(params.E_max + 1)], args.outputs)
+    _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + ["pu_queue_mean"]
+                   + _indexed(args.outputs, "occ_", range(params.E_max + 1)), args.outputs)
     from .simulator import run
     result = run(params, _sim_config(args))
     row = _simulate_row(params, result)
@@ -423,7 +426,7 @@ def cmd_simulate(args):
         row.update({name: getattr(result, name) for name in (
             "rf_harvest_hist", "nature_harvest_hist", "total_harvested", "total_consumed",
             "total_dropped", "final_energy_level")})
-    write_rows([row], columns, args.out, args.format, args.outputs)
+    write_rows([row], list(row), args.out, args.format, args.outputs)  # header: occ_j last
     return 0
 
 

@@ -23,8 +23,6 @@ certification guards only an omega no model builds, as one passed to stationary.
 
 import math
 import operator
-import os
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -46,8 +44,8 @@ class StationarySolveError(RuntimeError):
 
 
 class ReducibleChainWarning(UserWarning):
-    """The chain is reducible; the returned vector is the long-run occupancy
-    starting from an empty queue."""
+    """stationary's chain is reducible: it returns the long-run occupancy from
+    an empty queue. optimize_g notes such budgets in ThroughputReport.reducible."""
 
 
 @dataclass
@@ -157,14 +155,6 @@ def _closure(edges):
     return closed
 
 
-def _caller_level():
-    """The stacklevel, from its caller, of the first frame outside this package."""
-    frame, level = sys._getframe(1), 1
-    while frame and os.path.dirname(frame.f_code.co_filename) == os.path.dirname(__file__):
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def _residuals(omega, chi):
     """max |chi @ omega - chi| per chain of a stack."""
     return np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
@@ -173,21 +163,20 @@ def _residuals(omega, chi):
 def _solve_stack(omega):
     """stationary for each chain of a stack omega (B, n, n), failing chain by chain.
 
-    Returns chi (B, n) and a dict mapping each chain that got no stationary
-    vector to the exception that says why; every other chain gets the vector
-    it gets when solved alone. A chain fails with a ChainError if it is not
-    row-stochastic (NaN entries included) or if the states it reaches from 0
-    hold several closed classes, which no model chain's do (the module
-    docstring says why). Else all of them
-    reach the top one, t, as any that reaches 0 does (0 reaches t); the
-    balance equations over them, with t's replaced by sum(chi) = 1 and
-    identity rows for the others, have one solution. _closure reads this off
-    in O(n^3), like the LU. Each diagonal entry of omega - I is minus its
-    row's off-diagonal mass (Grassmann, Taksar & Heyman 1985): omega[j, j] - 1
-    rounds a leak below 1 ulp away. The chains share one batched LU solve, or
-    are solved one by one if a singular member makes it raise; a solve that
-    misses _TOL fails with a StationarySolveError. Each reducible chain solved
-    (some state cannot reach another) gets a ReducibleChainWarning.
+    Returns chi (B, n), a dict mapping each chain that got no stationary vector
+    to the exception that says why, and the mask (B,) of the chains solved that
+    are reducible (some state cannot reach another); it warns for none. Each
+    chain not failed gets the vector it gets when solved alone. A chain fails
+    with a ChainError if it is not row-stochastic (NaN entries included) or if
+    the states it reaches from 0 hold several closed classes, which no model
+    chain's do (the module docstring says why). Else all of them reach the top
+    one, t, as any that reaches 0 does (0 reaches t); the balance equations over
+    them, with t's replaced by sum(chi) = 1 and identity rows for the others,
+    have one solution. _closure reads this off in O(n^3), like the LU. Each
+    diagonal entry of omega - I is minus its row's off-diagonal mass (Grassmann,
+    Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1 ulp away. The
+    chains share one batched LU solve, or are solved one by one if a singular
+    member makes it raise; a chain missing _TOL fails with a StationarySolveError.
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
@@ -220,14 +209,11 @@ def _solve_stack(omega):
         x, solved = x[ok[solved]], solved[ok[solved]]
     direct = np.clip(x[..., 0], 0.0, None)
     chi[solved] = direct / direct.sum(axis=1, keepdims=True)
-    for _ in np.flatnonzero(ok & ~closed.all(axis=(1, 2))):
-        warnings.warn("energy chain is reducible; returning the occupancy reached from "
-                      "an empty queue", ReducibleChainWarning, stacklevel=_caller_level())
     residual = _residuals(omega, chi)
     for b in solved[~(residual[solved] < _TOL)].tolist():
         failures[b] = StationarySolveError(
             f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
-    return chi, failures
+    return chi, failures, ok & ~closed.all(axis=(1, 2))
 
 
 def stationary(chain: EnergyChain) -> np.ndarray:
@@ -235,13 +221,17 @@ def stationary(chain: EnergyChain) -> np.ndarray:
 
     The result is the long-run occupancy from the empty queue (the
     simulator's initial condition); for an irreducible chain that is the
-    unique stationary vector. It is _solve_stack's for a stack of one chain,
-    whose ChainError or StationarySolveError it raises.
+    unique stationary vector. It is _solve_stack's for a stack of one chain.
+    If that chain is reducible and solved, it warns (the library's only
+    ReducibleChainWarning), then raises the chain's failure, if any.
     """
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or not omega.shape[0] == omega.shape[1] > 0:
         raise ChainError(f"omega must be a nonempty square matrix (got shape {omega.shape})")
-    chi, failures = _solve_stack(omega[None])
+    chi, failures, reducible = _solve_stack(omega[None])
+    if reducible[0]:
+        warnings.warn("energy chain is reducible; returning the occupancy reached from "
+                      "an empty queue", ReducibleChainWarning, stacklevel=2)
     if failures:
         raise failures[0]
     chain.chi = chi[0]
@@ -278,7 +268,8 @@ class ThroughputReport:
     mu_s_by_g maps every evaluated energy budget to its secondary
     throughput, in budget order: the budgets given, or those the search for
     g* solved. g_star is the first maximizer in budget order, chi its chain's
-    stationary vector (build_chain rebuilds omega) and mu_e its consumption rate.
+    stationary vector (build_chain rebuilds omega), mu_e its consumption rate
+    and reducible the budgets of mu_s_by_g whose chains are reducible.
     """
 
     mu_e: float
@@ -286,6 +277,7 @@ class ThroughputReport:
     g_star: int
     mu_s_star: float
     chi: np.ndarray = field(repr=False, compare=False)
+    reducible: frozenset = field(compare=False)
 
 
 def _bounds(params, dc, kernels):
@@ -315,8 +307,9 @@ def optimize_many(points) -> list:
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
     After round 2 each point's g_star is picked once, the first maximizer in
-    budget order, and its report keeps the chi solved at g_star. A MemoryError
-    while its E_max's chains are built or solved fails a point naming E_max.
+    budget order; its report keeps the chi solved at g_star, and its reducible
+    budgets in place of a ReducibleChainWarning. A MemoryError while its
+    E_max's chains are built or solved fails a point naming E_max.
     """
     out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
@@ -330,7 +323,7 @@ def optimize_many(points) -> list:
 
 def _optimize_e_max(points, e_max, out):
     """optimize_many for the points of one E_max, setting their entries of out."""
-    # found[k]: kernels[k]'s point i, budgets, their bounds, mu_s and (mu_e, chi) by g
+    # found[k]: kernels[k]'s point i, budgets, their bounds, mu_s, (mu_e, chi, reducible) by g
     found, kernels, rows = [], [], {}
     for i, (params, dc, pmfs, budgets) in enumerate(points):
         if params.E_max != e_max:
@@ -352,7 +345,7 @@ def _optimize_e_max(points, e_max, out):
         for s in range(0, len(chains), per_stack):
             stack = chains[s:s + per_stack]
             omega = _omegas(kernels, *zip(*stack))
-            chi, failures = _solve_stack(omega)
+            chi, failures, reducible = _solve_stack(omega)
             for b, (k, g) in enumerate(stack):
                 i, _, _, mu, solved = found[k]
                 if out[i] is None and b in failures:
@@ -360,12 +353,13 @@ def _optimize_e_max(points, e_max, out):
                 if out[i] is None:
                     chain, (params, dc, *_) = EnergyChain(omega[b], g, chi[b]), points[i]
                     mu[g] = su_throughput(chain, params, dc)
-                    solved[g] = mu_e(chain, params, dc), chi[b]
+                    solved[g] = mu_e(chain, params, dc), chi[b], reducible[b]
     for i, order, _, mu, solved in found:
         if out[i] is None:
             mu_s_by_g = {g: mu[g] for g in order.tolist() if g in mu}
             g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
-            out[i] = ThroughputReport(solved[g][0], mu_s_by_g, g, mu_s_by_g[g], solved[g][1])
+            out[i] = ThroughputReport(solved[g][0], mu_s_by_g, g, mu_s_by_g[g], solved[g][1],
+                                      frozenset(h for h in mu_s_by_g if solved[h][2]))
 
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,
@@ -373,10 +367,10 @@ def optimize_g(params: SystemParams, dc: DerivedConstants,
     """Evaluate the given energy budgets, or search 1..E_max for g* if None.
 
     The one-point case of optimize_many; it raises the point's failure. Each
-    distinct budget's chain is solved once, as in stationary; the search
-    solves only the budgets that energy balance cannot rule out, so
-    ReducibleChainWarning fires for those alone. Ties break toward the budget
-    given first, or the smallest when searching.
+    distinct budget's chain is solved once, as in stationary, but a reducible
+    one is noted in report.reducible, with no warning; the search solves only
+    the budgets that energy balance cannot rule out. Ties break toward the
+    budget given first, or the smallest when searching.
     """
     (report,) = optimize_many([(params, dc, pmfs, budgets)])
     if isinstance(report, Exception):

@@ -9,12 +9,11 @@ and LEAKY, a valid point whose chains once made the LU singular.
 """
 
 import math
-import warnings
 
 import numpy as np
 
 from ehshare.config import DerivedConstants, SystemParams, derive
-from ehshare.energy_chain import ReducibleChainWarning, optimize_g
+from ehshare.energy_chain import optimize_g
 from ehshare.harvest import HarvestPmf, rf_pmf
 
 
@@ -120,14 +119,13 @@ def pmf_mean(pmf: HarvestPmf) -> float:
 def assert_search_matches(exhaustive, params, dc, pmfs):
     """optimize_g's search for g* (budgets None) picks exhaustive's g_star,
     mu_s_star, mu_e and stationary vector bit for bit, and every budget it
-    solves has the exhaustive value."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        searched = optimize_g(params, dc, pmfs)
+    solves has the exhaustive value and reducibility."""
+    searched = optimize_g(params, dc, pmfs)
     assert (searched.g_star, searched.mu_s_star, searched.mu_e) \
         == (exhaustive.g_star, exhaustive.mu_s_star, exhaustive.mu_e)
     assert np.array_equal(searched.chi, exhaustive.chi)
     assert searched.mu_s_by_g.items() <= exhaustive.mu_s_by_g.items()
+    assert searched.reducible == exhaustive.reducible & searched.mu_s_by_g.keys()
 
 
 def frontier_reached(edges, start):

@@ -37,9 +37,7 @@ def _report(number, description, ok, detail=""):
 
 def _mu_s_star(params):
     dc = derive(params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        return optimize_g(params, dc, arrival_pmfs(params, dc)).mu_s_star
+    return optimize_g(params, dc, arrival_pmfs(params, dc)).mu_s_star
 
 
 def test_criterion_01_closed_form_cdf_matches_quadrature():

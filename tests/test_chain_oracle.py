@@ -150,32 +150,30 @@ def reference_optimize(p):
     return mu_s_by_g, g_star, reducible
 
 
-def _optimize_counting_warnings(p):
-    """Every budget's report and its warning count; the search for g* must match it."""
+def _optimize_every_budget(p):
+    """Every budget's report; the search for g* must match it."""
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ReducibleChainWarning)
-        report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
+    report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
     assert_search_matches(report, p, dc, pmfs)
-    return report, sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
+    return report
 
 
-def _assert_matches_reference(report, warned, ref):
+def _assert_matches_reference(report, ref):
     mu_s_by_g, g_star, reducible = ref
     assert list(report.mu_s_by_g) == list(mu_s_by_g)
     assert max(abs(report.mu_s_by_g[g] - v) for g, v in mu_s_by_g.items()) <= 1e-12
     assert report.g_star == g_star
-    assert warned == len(reducible)
+    assert report.reducible == set(reducible)
 
 
 @settings(max_examples=60, deadline=None)
 @given(lambda_p=st.sampled_from([0.0, 0.4, 1.0]), eta=st.sampled_from([0.0, 0.6]),
        lambda_e=st.sampled_from([0.0, 0.5, 800.0]), e_max=st.sampled_from([1, 6, 40]))
 def test_stacked_budget_search_matches_per_budget_reference(lambda_p, eta, lambda_e, e_max):
-    # one ReducibleChainWarning per budget the component test calls reducible
+    # report.reducible holds the budgets the component test calls reducible
     p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max, G=1)
-    _assert_matches_reference(*_optimize_counting_warnings(p), reference_optimize(p))
+    _assert_matches_reference(_optimize_every_budget(p), reference_optimize(p))
 
 
 def test_large_battery_without_primary_traffic_takes_the_lu():
@@ -185,7 +183,7 @@ def test_large_battery_without_primary_traffic_takes_the_lu():
         p = default_params(lambda_p=0.0, lambda_e=0.5, E_max=e_max, G=1)
         ref = reference_optimize(p)
         assert len(ref[2]) == unreached
-        _assert_matches_reference(*_optimize_counting_warnings(p), ref)
+        _assert_matches_reference(_optimize_every_budget(p), ref)
 
 
 @pytest.mark.parametrize("b", [1, 3])
@@ -209,8 +207,8 @@ def test_closure_matches_csgraph_reachability(n, b):
 
 @pytest.mark.parametrize("e_max", [6, 40, 100, 150])
 def test_certification_matches_the_frontier_sweeps(e_max):
-    # the closure must fail, and solve and warn for, exactly the chains the
-    # frontier sweeps it replaced rejected, and certified and called
+    # the closure must fail, and solve and call reducible, exactly the chains
+    # the frontier sweeps it replaced rejected, and certified and called
     # reducible. Model chains are all certified, so a sparse random stack
     # adds chains whose reached states hold several closed classes.
     stacks = []
@@ -227,12 +225,12 @@ def test_certification_matches_the_frontier_sweeps(e_max):
     assert not frontier_verdicts(stacks[-1])[0].all()
     for omega in stacks:
         certified, reducible = frontier_verdicts(omega)
-        # split by verdict, a stack's warning count names its reducible chains
+        # split by verdict, so that each chain is solved in a stack of other verdicts
         for part in (reducible, ~reducible):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ReducibleChainWarning)
-                failures = energy_chain._solve_stack(omega[part])[1]
-            assert len(caught) == (part & reducible & certified).sum()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ReducibleChainWarning)
+                _, failures, solved_reducible = energy_chain._solve_stack(omega[part])
+            assert np.array_equal(solved_reducible, (reducible & certified)[part])
             assert list(failures) == np.flatnonzero(~certified[part]).tolist()
             assert all(isinstance(f, ChainError) and "closed classes" in str(f)
                        for f in failures.values())
@@ -246,11 +244,11 @@ def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
     assert 0 < len(ref[2]) < p.E_max
     cells = (p.E_max + 1) ** 2
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", p.E_max * cells)
-    whole, whole_warned = _optimize_counting_warnings(p)
+    whole = _optimize_every_budget(p)
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 3 * cells + 5)
-    split, split_warned = _optimize_counting_warnings(p)  # 13 stacks of 3 and one of 1
-    _assert_matches_reference(split, split_warned, ref)
-    assert split.mu_s_by_g == whole.mu_s_by_g and split_warned == whole_warned
+    split = _optimize_every_budget(p)  # 13 stacks of 3 and one of 1
+    _assert_matches_reference(split, ref)
+    assert split.mu_s_by_g == whole.mu_s_by_g and split.reducible == whole.reducible
     assert np.array_equal(split.chi, whole.chi)
 
 
@@ -275,29 +273,27 @@ def _slice_inputs(points):
 def test_slice_stacks_match_each_point_solved_alone(points, cells):
     # small cell budgets split stacks unevenly across points and budgets
     inputs = _slice_inputs(points)
-    with mock.patch.object(energy_chain, "_STACK_CELLS", cells), warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
+    with mock.patch.object(energy_chain, "_STACK_CELLS", cells):
         reports = optimize_many(inputs)
         alone = [optimize_g(*x) for x in inputs]
     for report, ref in zip(reports, alone):
-        assert report.mu_s_by_g == ref.mu_s_by_g
+        assert report.mu_s_by_g == ref.mu_s_by_g and report.reducible == ref.reducible
         assert report.g_star == ref.g_star and report.mu_e == ref.mu_e
         assert np.array_equal(report.chi, ref.chi)
 
 
-def test_one_warning_per_reducible_budget_across_a_slice(monkeypatch):
+def test_reducible_budgets_across_a_slice_match_the_reference(monkeypatch):
     points = [(6, 800.0, 0.4, 0.6, None), (40, 0.5, 0.0, 0.6, None), (10, 0.0, 0.4, 0.6, None),
               (40, 800.0, 1.0, 0.0, None), (1, 0.5, 0.0, 0.0, None), (6, 0.5, 0.0, 0.6, None)]
     inputs = [(p, dc, pmfs, range(1, p.E_max + 1)) for p, dc, pmfs, _ in _slice_inputs(points)]
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ReducibleChainWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducibleChainWarning)
         reports = optimize_many(inputs)
-    warned = sum(issubclass(w.category, ReducibleChainWarning) for w in caught)
-    assert warned == sum(len(ref[2]) for ref in refs) > 0
+    assert sum(len(ref[2]) for ref in refs) > 0
     for report, ref, (p, dc, pmfs, _) in zip(reports, refs, inputs):
-        _assert_matches_reference(report, len(ref[2]), ref)
+        _assert_matches_reference(report, ref)
         assert_search_matches(report, p, dc, pmfs)
 
 
@@ -317,9 +313,7 @@ def test_energy_balance_bounds_every_budget(lambda_p, eta, lambda_e, p_max_dbm, 
                        P_max=dbm_to_watts(p_max_dbm), E_max=e_max, G=1)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
+    report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
     bound = _bounds_of(p, dc, pmfs)
     assert all(report.mu_s_by_g[g] <= bound[g - 1] * (1 + 1e-12) for g in report.mu_s_by_g)
 
@@ -338,14 +332,13 @@ def test_pruned_search_equals_the_exhaustive_one(points):
                            sigma_ppd=sigma_ppd, G=1)
         dc = derive(p)
         inputs.append((p, dc, arrival_pmfs(p, dc)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        searched = optimize_many([x + (None,) for x in inputs])
-        full = optimize_many([x + (range(1, x[0].E_max + 1),) for x in inputs])
+    searched = optimize_many([x + (None,) for x in inputs])
+    full = optimize_many([x + (range(1, x[0].E_max + 1),) for x in inputs])
     for s, f in zip(searched, full):
         assert (s.g_star, s.mu_s_star, s.mu_e) == (f.g_star, f.mu_s_star, f.mu_e)
         assert np.array_equal(s.chi, f.chi)
         assert s.mu_s_by_g.items() <= f.mu_s_by_g.items()
+        assert s.reducible == f.reducible & s.mu_s_by_g.keys()
         assert list(s.mu_s_by_g) == sorted(s.mu_s_by_g)
 
 
@@ -359,14 +352,12 @@ def test_bounds_of_zero_keep_every_budget_and_the_smallest_wins(monkeypatch):
     stacks, solve_stack = [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: stacks.append(len(omega)) or solve_stack(omega))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        report = optimize_g(p, dc, pmfs)
-        assert list(report.mu_s_by_g) == list(range(1, 11)) and stacks == [1, 9]
-        assert report.g_star == 1 and report.mu_s_star == 0.0
-        # round 1 solving the largest budget must not let it win the tie
-        monkeypatch.setattr(energy_chain, "_bounds", lambda p, dc, k: np.arange(1.0, 11.0))
-        report = optimize_g(p, dc, pmfs)
+    report = optimize_g(p, dc, pmfs)
+    assert list(report.mu_s_by_g) == list(range(1, 11)) and stacks == [1, 9]
+    assert report.g_star == 1 and report.mu_s_star == 0.0
+    # round 1 solving the largest budget must not let it win the tie
+    monkeypatch.setattr(energy_chain, "_bounds", lambda p, dc, k: np.arange(1.0, 11.0))
+    report = optimize_g(p, dc, pmfs)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 11))
 
 
@@ -377,12 +368,10 @@ def test_a_bound_rounded_below_a_tie_prunes_nothing(monkeypatch):
     p = default_params(lambda_e=800.0, sigma_ssd=1e30, E_max=6, G=1)
     dc = derive(p)
     pmfs, pi = arrival_pmfs(p, dc), dc.pi_idle
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
-        monkeypatch.setattr(energy_chain, "_bounds",
-                            lambda p, dc, k: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
-        report = optimize_g(p, dc, pmfs)
+    assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
+    monkeypatch.setattr(energy_chain, "_bounds",
+                        lambda p, dc, k: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
+    report = optimize_g(p, dc, pmfs)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 7))
 
 
@@ -450,25 +439,24 @@ def test_every_support_of_arrival_counts_gives_one_closed_class(e_max):
     omega = np.array([build_chain(idle, active, pi_idle, g, e_max).omega
                       for pi_idle in (0.0, 0.5, 1.0) for g in range(1, e_max + 1)
                       for idle in laws for active in laws])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        assert energy_chain._solve_stack(omega)[1] == {}
+    assert energy_chain._solve_stack(omega)[1] == {}
 
 
-def test_heavy_ambient_chains_warn_and_take_the_lu():
+def test_heavy_ambient_chains_are_reducible_and_take_the_lu():
     # every budget's chain is reducible at lambda_e=800, E_max=6; the states
     # reached from 0 still hold one closed class, so the LU solves them all
     p = default_params(E_max=6, lambda_e=800.0, G=1)
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
     omega = np.array([build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ReducibleChainWarning)
-        chi, failures = energy_chain._solve_stack(omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducibleChainWarning)
+        chi, failures, reducible = energy_chain._solve_stack(omega)
     assert failures == {}
-    assert sum(issubclass(w.category, ReducibleChainWarning) for w in caught) == 6
-    for chi_g, omega_g in zip(chi, omega):
-        assert np.max(np.abs(chi_g - reference_stationary(omega_g)[0])) <= 1e-12
+    for chi_g, omega_g, reducible_g in zip(chi, omega, reducible):
+        ref_chi, ref_reducible = reference_stationary(omega_g)
+        assert reducible_g and ref_reducible
+        assert np.max(np.abs(chi_g - ref_chi)) <= 1e-12
 
 
 def test_overfull_pmf_gives_no_negative_complement():

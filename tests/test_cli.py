@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,11 +262,29 @@ def test_analytic_parses_budget_columns_against_1_to_e_max(capsys, monkeypatch):
 
     monkeypatch.setattr(harvest, "arrival_pmfs", reached)
     argv = ["analytic", "--e-max", "1000000", "--outputs"]
-    for name in ("mu_s_g0", "mu_s_g1000001", "mu_s_g01", "mu_s_g+1", "mu_s_g"):
+    # 5,000 digits: past the digits int() reads from a string
+    for name in ("mu_s_g0", "mu_s_g1000001", "mu_s_g01", "mu_s_g+1", "mu_s_g",
+                 "mu_s_g" + "1" * 5000):
         assert main(argv + [name]) == 2, name
         assert f"outputs: unknown column(s) {name}" in capsys.readouterr().err, name
     assert main(argv + ["mu_s,mu_s_g1000000"]) == 2
     assert "E_max: engine reached" in capsys.readouterr().err
+
+
+def test_simulate_parses_occupancy_columns_against_0_to_e_max(capsys, monkeypatch):
+    # as for analytic's mu_s_g{g}: at E_max = 10**6 a bad occ_{j} name exits 2
+    # before the simulator runs, and occ_0 and occ_{E_max} reach it
+    def reached(*args, **kwargs):
+        raise ParameterError(["E_max: simulator reached"])
+
+    monkeypatch.setattr(simulator, "run", reached)
+    argv = ["simulate", "--e-max", "1000000", "--outputs"]
+    for name in ("occ_1000001", "occ_01", "occ_-1", "occ_", "occ_+1", "occ_" + "1" * 5000):
+        assert main(argv + [name]) == 2, name
+        assert f"outputs: unknown column(s) {name}" in capsys.readouterr().err, name
+    for name in ("occ_0", "occ_1000000", "pu_queue_mean,occ_0"):
+        assert main(argv + [name]) == 2, name
+        assert "E_max: simulator reached" in capsys.readouterr().err, name
 
 
 def test_bad_grid_exits_nonzero(capsys):
@@ -750,6 +767,18 @@ def test_runs_without_scipy(tmp_path):
     assert read_csv(tmp_path / "a.csv")[0]["error"] == ""
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+def test_a_valid_cli_run_writes_nothing_to_stderr(jobs):
+    # fig2 solves reducible chains; their reports note them, so no warning
+    # reaches stderr, from this process or from a pool's workers
+    src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "ehshare.cli_sweep", "preset", "fig2"] + jobs,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 85
+    assert proc.stderr == ""
+
+
 def test_analytic_runs_import_neither_the_simulator_nor_json(tmp_path):
     # both load on first use: an analytic command needs neither
     src_dir = os.path.dirname(os.path.dirname(ehshare.__file__))
@@ -957,9 +986,7 @@ def _argvs(draw):
 def test_every_argv_exits_0_or_2_with_one_error_line(argv, argv_files):
     argv = [arg.format(d=argv_files) for arg in argv]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", energy_chain.ReducibleChainWarning)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors

@@ -119,8 +119,8 @@ def test_only_the_budget_that_misses_the_residual_fails(monkeypatch):
     idle, active = arrival_pmfs(p, dc)
     omega = np.array([build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)])
     assert omega.shape == (6, 7, 7)
-    direct, failures = energy_chain._solve_stack(omega)
-    assert failures == {}
+    direct, failures, reducible = energy_chain._solve_stack(omega)
+    assert failures == {} and not reducible.any()
     solve = np.linalg.solve
 
     def miss_budget_3(a, b):
@@ -129,9 +129,8 @@ def test_only_the_budget_that_misses_the_residual_fails(monkeypatch):
         return x
 
     monkeypatch.setattr(np.linalg, "solve", miss_budget_3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducibleChainWarning)
-        chi, failures = energy_chain._solve_stack(omega)
+    chi, failures, reducible = energy_chain._solve_stack(omega)
+    assert not reducible.any()
     assert list(failures) == [2] and isinstance(failures[2], StationarySolveError)
     others = [0, 1, 3, 4, 5]
     assert np.array_equal(chi[others], direct[others])
@@ -315,19 +314,24 @@ def test_absorbing_empty_queue_is_detected_and_resolved():
 
 def test_reducible_chain_warning_names_the_caller():
     # no traffic and no ambient energy: every budget's chain drains to 0.
-    # Each warning points at the line here that called into the package,
-    # not at a frame inside it
+    # stationary's one warning points at the line here that called it, not at
+    # a frame inside the package; optimize_g and optimize_many do not warn but
+    # name the reducible budgets in their reports
     p = default_params(lambda_e=0, eta=0.4, E_max=6, lambda_p=0)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    for call in (lambda: stationary(build_chain(*pmfs, dc.pi_idle, 2, p.E_max)),
-                 lambda: optimize_g(p, dc, pmfs),
-                 lambda: optimize_many([(p, dc, pmfs, None)])):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stationary(build_chain(*pmfs, dc.pi_idle, 2, p.E_max))
+    assert [w.category for w in caught] == [ReducibleChainWarning]
+    assert caught[0].filename == __file__
+    for call in (lambda: optimize_g(p, dc, pmfs),
+                 lambda: optimize_many([(p, dc, pmfs, None)])[0]):
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ReducibleChainWarning)
-            call()
-        assert caught and all(w.category is ReducibleChainWarning for w in caught)
-        assert {w.filename for w in caught} == {__file__}
+            warnings.simplefilter("always")
+            report = call()
+        assert caught == [] and report.reducible
+        assert report.reducible <= report.mu_s_by_g.keys()
 
 
 def test_two_absorbing_states_reached_from_0_raise_a_chain_error():
@@ -505,9 +509,7 @@ def test_a_leak_below_one_ulp_of_the_diagonal_keeps_the_lu_nonsingular():
     omega = build_chain(*pmfs, dc.pi_idle, 3, p.E_max).omega
     off = omega - np.diag(np.diag(omega))
     assert np.all(np.diag(omega)[:3] == 1.0) and np.all(off[:3].sum(axis=1) > 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
+    report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
     assert report.g_star == 1 and 0.0 < report.mu_s_star < 1e-15
     assert all(0.0 <= mu_s < 1e-15 for mu_s in report.mu_s_by_g.values())
     assert abs(report.chi.sum() - 1.0) <= 1e-12
