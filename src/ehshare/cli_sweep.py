@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import energy_chain, harvest
-from .config import (PARAM_FIELDS, ParameterError, SimConfig, SystemParams, coerce_field,
-                     dbm_to_watts, default_params, derive, load_params, validate)
+from .config import (FIELD_OF_LOWER, PARAM_FIELDS, ParameterError, SimConfig, SystemParams,
+                     coerce_field, dbm_to_watts, default_params, derive, load_params)
 
 METRIC_COLUMNS = ["engine", "mu_p", "pi_idle", "pu_throughput", "regime", "g",
                   "mu_s", "mu_e", "success_prob", "seed", "slots", "warmup", "error"]
@@ -77,15 +77,16 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
     at each analytic g_star (else at G); without sim_after_failure an
     analytic failure skips the point's simulation. An error that ends the
     shared solve or the lockstep run is that engine's result at each of its
-    points. An invalid point fails every engine, with params as given.
+    points. An invalid point fails every engine; a Namespace holds its values.
     """
     engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
     name, records, memo = spec.swept_param, [], {}
     for value in values:
-        try:
-            params = validate(replace(spec.fixed, **{name: coerce_field(name, value)}))
+        try:  # an error row holds value coerced to its field's type, unless coercion raised
+            value = coerce_field(name, value)
+            params = replace(spec.fixed, **{name: value})  # SystemParams validates itself
         except Exception as exc:
-            records.append([replace(spec.fixed, **{name: value})]
+            records.append([argparse.Namespace(**{**vars(spec.fixed), name: value})]
                            + [exc if e in engines else None for e in ("analytic", "simulate")])
             continue
         records.append([params, None, None])
@@ -464,7 +465,8 @@ def cmd_grid(args):
     columns = _check_outputs(PARAM_FIELDS + args.metrics, args.outputs)
     fixed = params_from_args(args)
     sim = _sim_config(args) if args.engine in ("simulate", "both") else None
-    spec = SweepSpec(args.param, _grid_from_args(args), fixed, engines=args.engine, sim=sim,
+    param = FIELD_OF_LOWER.get(args.param.lower(), args.param)  # in any case, as flags are
+    spec = SweepSpec(param, _grid_from_args(args), fixed, engines=args.engine, sim=sim,
                      g_policy=args.g_policy)
     rows = args.run(spec, jobs=args.jobs)
     write_rows(rows, columns, args.out, args.format, args.outputs)
@@ -516,7 +518,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
             _add_sim_flags(p)
             _add_jobs_flag(p)
             _add_out_flags(p)
-            p.add_argument("--param", required=True, help="SystemParams field to sweep")
+            p.add_argument("--param", required=True, help="SystemParams field to sweep (any case)")
             grid = p.add_mutually_exclusive_group(required=True)
             grid.add_argument("--grid", help="START:STOP:STEP (inclusive)")
             grid.add_argument("--values", help="comma-separated grid values")

@@ -33,8 +33,8 @@ def dbm_to_watts(p_dbm):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical and traffic parameters of one operating point; the defaults
-    are the reference operating point used by the bundled experiment presets.
+    """Physical and traffic parameters of one operating point, validated on construction
+    (replace included); the defaults are the bundled presets' reference point.
 
     beta:      data packet length, bits
     T:         slot duration, seconds
@@ -68,6 +68,9 @@ class SystemParams:
     sigma_ppd: float = 0.5
     sigma_ps: float = 1.0
     sigma_ssd: float = 1.0
+
+    def __post_init__(self):
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class SimConfig:
 
 def validate(params: SystemParams) -> SystemParams:
     """Return `params` unchanged if every invariant holds; every float field
-    must be finite.
+    must be finite. SystemParams.__post_init__ runs it on every construction.
 
     Raises ParameterError naming every violated field, not just the first.
     """
@@ -228,13 +231,10 @@ def derive(params: SystemParams) -> DerivedConstants:
     )
 
 
-def default_params(**overrides) -> SystemParams:
-    """Validated SystemParams at the reference operating point, with overrides."""
-    return validate(SystemParams(**overrides))
-
-
+default_params = SystemParams  # the reference operating point with overrides, validated
 PARAM_FIELDS = [f.name for f in fields(SystemParams)]
 _INT_FIELDS = {f.name for f in fields(SystemParams) if f.type is int}
+FIELD_OF_LOWER = {name.lower(): name for name in PARAM_FIELDS}  # a field named in any case
 
 
 def coerce_field(key, value):
@@ -259,7 +259,7 @@ def _ingest(out, key, value, where):
     """
     dbm = key.lower().endswith("_dbm")
     base = key[:-4] if dbm else key
-    name = next((f for f in PARAM_FIELDS if f.lower() == base.lower()), None)
+    name = FIELD_OF_LOWER.get(base.lower())
     if name is None or (dbm and name != "P_max"):
         raise ParameterError([f"{where}: unknown parameter {key!r}"])
     value = coerce_field(name, value)
@@ -288,7 +288,7 @@ def parse_config_file(path) -> dict:
 
 
 def load_params(path=None, overrides=None) -> SystemParams:
-    """Build validated SystemParams from defaults <- config file <- overrides.
+    """Build SystemParams, validated, from defaults <- config file <- overrides.
 
     overrides maps keys, named as in a config file, to values.
     """
@@ -300,4 +300,4 @@ def load_params(path=None, overrides=None) -> SystemParams:
         for key, value in overrides.items():
             _ingest(given, key, value, key)
         merged.update(given)
-    return validate(SystemParams(**merged))
+    return SystemParams(**merged)

@@ -17,7 +17,7 @@ import pytest
 from scipy import integrate
 
 from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
-                     optimize_g, simulate, validate)
+                     optimize_g, simulate)
 from ehshare.energy_chain import (ReducibleChainWarning, build_chain, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
@@ -157,7 +157,7 @@ def test_criterion_06_occupancy_total_variation():
         report = optimize_g(p, dc, pmfs)
         chain = build_chain(pmfs[0], pmfs[1], dc.pi_idle, report.g_star, p.E_max)
         stationary(chain)
-        res = simulate(validate(replace(p, G=report.g_star)),
+        res = simulate(replace(p, G=report.g_star),
                        SimConfig(n_slots=SLOTS, seed=606, warmup=WARMUP))
         tv = 0.5 * float(np.abs(chain.chi - res.energy_occupancy_hist).sum())
         worst = max(worst, tv)
@@ -173,7 +173,7 @@ def test_criterion_07_end_to_end_secondary_throughput():
             p = default_params(lambda_p=lam_p, lambda_e=lam_e)
             dc = derive(p)
             report = optimize_g(p, dc, arrival_pmfs(p, dc))
-            res = simulate(validate(replace(p, G=report.g_star)),
+            res = simulate(replace(p, G=report.g_star),
                            SimConfig(n_slots=SLOTS, seed=707, warmup=WARMUP))
             gap = abs(report.mu_s_star - res.su_throughput_hat)
             budget = max(0.05 * report.mu_s_star, 0.01)

@@ -224,6 +224,32 @@ def test_sweep_integer_parameter(tmp_path):
     assert [int(r["E_max"]) for r in read_csv(out)] == [2, 4, 6]
 
 
+@pytest.mark.parametrize("param, values, flags, given", [
+    ("E_max", "5,3", ["--g", "4"], "3"),  # G = 4 > E_max = 3
+    ("G", "1,2", ["--e-max", "1"], "2"),
+    ("G", "0.5,1", [], "0.5"),            # not an integer: the value as given
+])
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_an_error_row_writes_the_swept_value_as_its_field_type(command, param, values, flags,
+                                                                given, tmp_path):
+    out = tmp_path / "rows.csv"
+    assert main([command, "--param", param, "--values", values, *flags, "--slots", "2000",
+                 "--warmup", "100", "--out", str(out)]) == 0
+    (row,) = [r for r in read_csv(out) if r["error"]]
+    assert param in row["error"] and row[param] == given
+
+
+@pytest.mark.parametrize("given, field, values", [
+    ("e_max", "E_max", "4,6"), ("P_MAX", "P_max", "0.5,1"), ("lambda_P", "lambda_p", "0.2,0.4")])
+def test_param_names_a_field_in_any_case(given, field, values, tmp_path):
+    # as config keys and parameter flags do
+    outs = [tmp_path / "given.csv", tmp_path / "field.csv"]
+    for name, out in zip((given, field), outs):
+        assert main(["sweep", "--param", name, "--values", values, "--out", str(out)]) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+    assert [r["error"] for r in read_csv(outs[0])] == ["", ""]
+
+
 def test_sweep_outputs_filter(tmp_path):
     out = tmp_path / "narrow.csv"
     assert main(["sweep", "--param", "lambda_p", "--values", "0.4",
@@ -307,6 +333,8 @@ def test_bad_grid_exits_nonzero(capsys):
     (["sweep", "--param", "lambda_p", "--grid", "0.5:0.1:0.1"], "grid"),
     *[(["sweep", "--param", "lambda_p", f"--grid={grid}"], "grid") for grid in (
         "0:1:nan", "nan:1:0.1", "0:inf:1", "-inf:0:1", "0:1e308:1e-308", "0:1:inf")],
+    (["sweep", "--param", "p_max_dbm", "--values", "10"], "swept_param"),  # a key, not a field
+    (lambda: SweepSpec("e_max", (5,), default_params()), "swept_param"),  # --param's case is not
     (lambda: SweepSpec("lambda_p", (5, 10**400), default_params()), "grid"),
     (lambda: SweepSpec("lambda_p", ("x",), default_params()), "grid"),
     (lambda: SweepSpec("lambda_p", 5, default_params()), "grid"),            # not a sequence

@@ -45,18 +45,49 @@ def test_bools_are_rejected_where_integers_are_required():
 def test_e_max_above_a_million_levels_is_rejected_by_name():
     # every engine sizes an array by E_max before it can fail, so a huge one
     # is refused up front; 10**6 itself stays valid
-    assert validate(SystemParams(E_max=10**6, G=10**6)).E_max == 10**6
+    assert SystemParams(E_max=10**6, G=10**6).E_max == 10**6
     for e_max in (10**6 + 1, 10**20, int(1e308), 10**400):
         with pytest.raises(ParameterError) as exc:
-            validate(SystemParams(E_max=e_max))
+            SystemParams(E_max=e_max)
         assert exc.value.fields == ["E_max"]
 
 
 def test_every_violation_is_reported():
-    bad = replace(default_params(), tau=2.0, lambda_p=1.5, eta=-0.1, sigma_ps=0.0)
     with pytest.raises(ParameterError) as exc:
-        validate(bad)
+        replace(default_params(), tau=2.0, lambda_p=1.5, eta=-0.1, sigma_ps=0.0)
     assert {"tau", "lambda_p", "eta", "sigma_ps"} <= set(exc.value.fields)
+
+
+_VIOLATIONS = [
+    *[(name, bad) for name in ("beta", "W", "N0", "e_pkt", "P_max", "sigma_ppd", "sigma_ps",
+                               "sigma_ssd") for bad in (0.0, -1.0, math.inf, math.nan)],
+    *[("tau", bad) for bad in (0.0, -0.1, 1.0, 2.0, math.nan)],  # 0 < tau < T = 1
+    ("T", math.inf),
+    *[("lambda_p", bad) for bad in (-0.1, 1.5, 2.0, math.nan)],
+    *[("lambda_e", bad) for bad in (-1, -1e-300, math.inf, math.nan)],
+    *[("eta", bad) for bad in (-0.1, 1.5, math.nan)],
+    *[("E_max", bad) for bad in (0, -3, 2.5, 10.0, True, 10**6 + 1)],
+    *[("G", bad) for bad in (0, 11, 1.0, True)],  # E_max defaults to 10
+]
+
+
+@pytest.mark.parametrize("field, bad", _VIOLATIONS, ids=[f"{f}={b!r}" for f, b in _VIOLATIONS])
+def test_no_invalid_operating_point_can_be_built(field, bad):
+    # construction validates, so no engine is handed an invalid point: the
+    # engines give mu_s > 1 at sigma_ssd = -1 and internal errors at E_max = 0,
+    # G = 0 and lambda_e = -1
+    for build in (lambda: SystemParams(**{field: bad}),
+                  lambda: replace(default_params(), **{field: bad})):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.fields == [field]
+
+
+def test_a_slot_no_longer_than_tau_is_rejected_as_tau():
+    for build in (lambda: SystemParams(T=0.05), lambda: replace(default_params(), T=0.1)):
+        with pytest.raises(ParameterError) as exc:
+            build()
+        assert exc.value.fields == ["tau"]
 
 
 @pytest.mark.parametrize("field, value", [("beta", 1e30), ("W", 1e-300)])

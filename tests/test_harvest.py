@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from ehshare import dbm_to_watts, default_params, derive, validate
+from ehshare import dbm_to_watts, default_params, derive
 from ehshare.config import PARAM_FIELDS
 from ehshare.harvest import (HarvestPmf, _pmf_key, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
@@ -264,7 +264,7 @@ def test_pmf_key_changes_wherever_the_pmfs_do(base):
     key, bits, moved = _pmf_key(base, derive(base)), _pmf_bits(base), set()
     for name, values in _MOVES.items():
         for value in values:
-            p = validate(replace(base, **{name: value}))
+            p = replace(base, **{name: value})
             if _pmf_bits(p) != bits:
                 moved.add(name)
                 assert _pmf_key(p, derive(p)) != key, (name, value)
@@ -279,6 +279,6 @@ def test_pmf_key_changes_wherever_the_pmfs_do(base):
        lambda_p=st.floats(min_value=0.0, max_value=1.0), g=st.integers(min_value=1, max_value=40))
 def test_lambda_p_and_g_never_change_the_pmfs(lam_e, eta, p_max_dbm, e_max, lambda_p, g):
     base = default_params(lambda_e=lam_e, eta=eta, P_max=dbm_to_watts(p_max_dbm), E_max=e_max)
-    p = validate(replace(base, lambda_p=lambda_p, G=min(g, e_max)))
+    p = replace(base, lambda_p=lambda_p, G=min(g, e_max))
     assert _pmf_key(p, derive(p)) == _pmf_key(base, derive(base))
     assert _pmf_bits(p) == _pmf_bits(base)

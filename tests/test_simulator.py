@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import (ParameterError, SimConfig, default_params, derive, optimize_g,
-                     simulate, validate)
+from ehshare import ParameterError, SimConfig, default_params, derive, optimize_g, simulate
 from ehshare import simulator
 from ehshare.harvest import arrival_pmfs, rf_pmf
 from oracles import harvest_draw, rf_harvest_samples
@@ -163,7 +162,7 @@ def test_secondary_throughput_tracks_analytic_value():
     p = default_params(lambda_p=0.4, lambda_e=0.0, eta=0.6, E_max=10)
     dc = derive(p)
     report = optimize_g(p, dc, arrival_pmfs(p, dc))
-    p_star = validate(replace(p, G=report.g_star))
+    p_star = replace(p, G=report.g_star)
     res = simulate(p_star, SimConfig(n_slots=200_000, seed=37, warmup=10_000))
     assert abs(res.su_throughput_hat - report.mu_s_star) \
         <= max(0.05 * report.mu_s_star, 0.01)

@@ -89,11 +89,12 @@ DEFAULTS = asdict(default_params())
 @example(fields={**DEFAULTS, "sigma_ssd": 1e308})
 def test_every_valid_point_gets_a_result_or_a_named_parameter_error(fields):
     try:
-        p = validate(SystemParams(**fields))
+        p = SystemParams(**fields)
         dc = derive(p)
     except ParameterError as exc:
         assert exc.fields and set(exc.fields) <= set(PARAM_FIELDS)
         return
+    assert validate(p) is p  # construction validated p
     assert 0.0 <= dc.pi_idle <= 1.0 and dc.pi_idle + dc.pu_throughput == 1.0
     # doubles this extreme overflow and underflow on the way to finite results
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
