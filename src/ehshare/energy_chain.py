@@ -23,7 +23,6 @@ certification guards only an omega no model builds, as one passed to stationary.
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,18 +43,20 @@ class StationarySolveError(RuntimeError):
 
 
 class ReducibleChainWarning(UserWarning):
-    """stationary's chain is reducible: it returns the long-run occupancy from
-    an empty queue. optimize_g notes such budgets in ThroughputReport.reducible."""
+    """Raised by nothing: stationary records a reducible chain in
+    EnergyChain.reducible, optimize_g in ThroughputReport.reducible."""
 
 
 @dataclass
 class EnergyChain:
     """Transition matrix omega (row-stochastic, (E_max+1)^2), the energy
-    budget g it was built with, and the stationary vector chi once solved."""
+    budget g it was built with, and once solved the stationary vector chi and
+    whether the chain is reducible (some state cannot reach another)."""
 
     omega: np.ndarray
     g: int
     chi: np.ndarray | None = None
+    reducible: bool | None = None
 
 
 def _arrival_rows(probs, e_max):
@@ -76,25 +77,28 @@ def _arrival_rows(probs, e_max):
 
 
 def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=None):
-    """Check every input; return the budgets as ints, each once (1..e_max if None),
-    and the idle and active kernels (n, n) their chains are gathered from (_omegas),
-    scaling the pmfs' _arrival_rows, which rows, if given, holds by their ids."""
-    searched = budgets is None  # 1..e_max: checking budget 1 checks e_max
-    budgets = [1] if searched else [operator.index(g) if hasattr(g, "__index__")
-                                    and not isinstance(g, bool) else g for g in budgets]
-    if not budgets:
-        raise ChainError("budgets: must be nonempty")
-    for g in budgets:
-        if not (is_int(g) and is_int(e_max) and 1 <= g <= e_max):
-            raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
+    """Check e_max and pi_idle, then scale the pmfs' _arrival_rows (memoized in rows
+    by id) into the idle and active kernels (n, n) _omegas gathers from, then check
+    the budgets; return them as ints, each once (1..e_max if None), and the kernels."""
+    if not (is_int(e_max) and e_max >= 1):
+        raise ChainError(f"need integers 1 <= g <= e_max (got e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
     rows = {} if rows is None else rows
     key = (id(p_idle_arrivals), id(p_active_arrivals))
-    if key not in rows:
+    if key not in rows:  # before the budgets: a huge E_max fails here, not in their check
         rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
-    order = range(1, e_max + 1) if searched else list(dict.fromkeys(budgets))
-    return order, pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
+    kernels = pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
+    if budgets is None:
+        return range(1, e_max + 1), *kernels
+    budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
+               for g in budgets]
+    if not budgets:
+        raise ChainError("budgets: must be nonempty")
+    for g in budgets:
+        if not (is_int(g) and 1 <= g <= e_max):
+            raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
+    return list(dict.fromkeys(budgets)), *kernels
 
 
 def _omegas(kernels, point, g):
@@ -163,15 +167,14 @@ def _residuals(omega, chi):
 def _solve_stack(omega):
     """stationary for each chain of a stack omega (B, n, n), failing chain by chain.
 
-    Returns chi (B, n), a dict mapping each chain that got no stationary vector
-    to the exception that says why, and the mask (B,) of the chains solved that
-    are reducible (some state cannot reach another); it warns for none. Each
-    chain not failed gets the vector it gets when solved alone. A chain fails
-    with a ChainError if it is not row-stochastic (NaN entries included) or if
-    the states it reaches from 0 hold several closed classes, which no model
-    chain's do (the module docstring says why). Else all of them reach the top
-    one, t, as any that reaches 0 does (0 reaches t); the balance equations over
-    them, with t's replaced by sum(chi) = 1 and identity rows for the others,
+    Returns chi (B, n), a dict mapping each chain that got no stationary vector to
+    the exception that says why, and the mask (B,) of the chains solved that are
+    reducible. Each chain not failed gets the vector it gets when solved alone. A
+    chain fails with a ChainError if it is not row-stochastic (NaN entries
+    included) or if the states it reaches from 0 hold several closed classes, which
+    no model chain's do (the module docstring says why). Else all of them reach the
+    top one, t, as any that reaches 0 does (0 reaches t); the balance equations
+    over them, with t's replaced by sum(chi) = 1 and identity rows for the others,
     have one solution. _closure reads this off in O(n^3), like the LU. Each
     diagonal entry of omega - I is minus its row's off-diagonal mass (Grassmann,
     Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1 ulp away. The
@@ -221,20 +224,16 @@ def stationary(chain: EnergyChain) -> np.ndarray:
 
     The result is the long-run occupancy from the empty queue (the
     simulator's initial condition); for an irreducible chain that is the
-    unique stationary vector. It is _solve_stack's for a stack of one chain.
-    If that chain is reducible and solved, it warns (the library's only
-    ReducibleChainWarning), then raises the chain's failure, if any.
+    unique stationary vector. It and chain.reducible come from _solve_stack on a
+    stack of one chain; if that chain fails, stationary raises and sets neither.
     """
     omega = np.asarray(chain.omega, dtype=float)
     if omega.ndim != 2 or not omega.shape[0] == omega.shape[1] > 0:
         raise ChainError(f"omega must be a nonempty square matrix (got shape {omega.shape})")
     chi, failures, reducible = _solve_stack(omega[None])
-    if reducible[0]:
-        warnings.warn("energy chain is reducible; returning the occupancy reached from "
-                      "an empty queue", ReducibleChainWarning, stacklevel=2)
     if failures:
         raise failures[0]
-    chain.chi = chi[0]
+    chain.chi, chain.reducible = chi[0], bool(reducible[0])
     return chain.chi
 
 
@@ -307,9 +306,9 @@ def optimize_many(points) -> list:
     fails fails only its own point; the others get the values they get alone.
     Points with one E_max and the same pmf objects share their _arrival_rows.
     After round 2 each point's g_star is picked once, the first maximizer in
-    budget order; its report keeps the chi solved at g_star, and its reducible
-    budgets in place of a ReducibleChainWarning. A MemoryError while its
-    E_max's chains are built or solved fails a point naming E_max.
+    budget order; its report keeps the chi solved at g_star and its reducible
+    budgets. A MemoryError while its E_max's chains are built or solved fails
+    a point naming E_max.
     """
     out = [None] * len(points)
     for e_max in dict.fromkeys(params.E_max for params, *_ in points):
@@ -367,10 +366,10 @@ def optimize_g(params: SystemParams, dc: DerivedConstants,
     """Evaluate the given energy budgets, or search 1..E_max for g* if None.
 
     The one-point case of optimize_many; it raises the point's failure. Each
-    distinct budget's chain is solved once, as in stationary, but a reducible
-    one is noted in report.reducible, with no warning; the search solves only
-    the budgets that energy balance cannot rule out. Ties break toward the
-    budget given first, or the smallest when searching.
+    distinct budget's chain is solved once, as in stationary, and a reducible
+    one is noted in report.reducible; the search solves only the budgets that
+    energy balance cannot rule out. Ties break toward the budget given first,
+    or the smallest when searching.
     """
     (report,) = optimize_many([(params, dc, pmfs, budgets)])
     if isinstance(report, Exception):

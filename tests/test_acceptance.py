@@ -9,7 +9,6 @@ slots inside the energy chain).
 
 import math
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +17,9 @@ from scipy import integrate
 
 from ehshare import (SimConfig, default_params, dbm_to_watts, derive,
                      optimize_g, simulate)
-from ehshare.energy_chain import (ReducibleChainWarning, build_chain, stationary,
-                                  success_probability, su_throughput)
+from ehshare.energy_chain import build_chain, stationary, success_probability, su_throughput
 from ehshare.harvest import arrival_pmfs, combined_pmf, nature_pmf, rf_pmf
-from oracles import ratio_cap_cdf, rf_harvest_samples, rf_increments
+from oracles import frontier_verdicts, ratio_cap_cdf, rf_harvest_samples, rf_increments
 
 SLOTS = 10**6
 WARMUP = 10**4
@@ -110,23 +108,24 @@ def test_criterion_04_harvest_pmfs_match_conditioned_histograms():
 def test_criterion_05_stationary_solve_quality_and_hand_enumerated_matrix():
     worst_resid = 0.0
     worst_mass = 0.0
-    count = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        for e_max in (2, 6, 10):
-            for g in sorted({1, 2, e_max}):
-                for lam_p in (0.0, 0.4, 1.0):
-                    for eta, lam_e in ((0.6, 0.0), (0.0, 1.0), (0.3, 0.5)):
-                        p = default_params(E_max=e_max, G=g, lambda_p=lam_p,
-                                           eta=eta, lambda_e=lam_e)
-                        dc = derive(p)
-                        idle, active = arrival_pmfs(p, dc)
-                        chain = build_chain(idle, active, dc.pi_idle, g, e_max)
-                        stationary(chain)
-                        worst_resid = max(worst_resid, float(
-                            np.max(np.abs(chain.chi @ chain.omega - chain.chi))))
-                        worst_mass = max(worst_mass, abs(float(chain.chi.sum()) - 1.0))
-                        count += 1
+    count = reducible = 0
+    flags_ok = True
+    for e_max in (2, 6, 10):
+        for g in sorted({1, 2, e_max}):
+            for lam_p in (0.0, 0.4, 1.0):
+                for eta, lam_e in ((0.6, 0.0), (0.0, 1.0), (0.3, 0.5)):
+                    p = default_params(E_max=e_max, G=g, lambda_p=lam_p,
+                                       eta=eta, lambda_e=lam_e)
+                    dc = derive(p)
+                    idle, active = arrival_pmfs(p, dc)
+                    chain = build_chain(idle, active, dc.pi_idle, g, e_max)
+                    stationary(chain)
+                    worst_resid = max(worst_resid, float(
+                        np.max(np.abs(chain.chi @ chain.omega - chain.chi))))
+                    worst_mass = max(worst_mass, abs(float(chain.chi.sum()) - 1.0))
+                    flags_ok &= chain.reducible is bool(frontier_verdicts(chain.omega[None])[1][0])
+                    reducible += chain.reducible
+                    count += 1
 
     p = default_params(lambda_e=0.5, eta=0.6, lambda_p=0.4, E_max=2, G=1)
     dc = derive(p)
@@ -144,8 +143,9 @@ def test_criterion_05_stationary_solve_quality_and_hand_enumerated_matrix():
     ])
     hand_ok = np.array_equal(build_chain(idle, active, pi, 1, 2).omega, hand)
     _report(5, "stationary residual/mass bounds over the sweep; 3-state matrix by hand",
-            worst_resid < 1e-10 and worst_mass <= 1e-12 and hand_ok,
-            f"{count} chains, resid {worst_resid:.1e}, mass {worst_mass:.1e}, hand {hand_ok}")
+            worst_resid < 1e-10 and worst_mass <= 1e-12 and hand_ok and flags_ok,
+            f"{count} chains ({reducible} reducible, flags {flags_ok}), resid {worst_resid:.1e}, "
+            f"mass {worst_mass:.1e}, hand {hand_ok}")
 
 
 def test_criterion_06_occupancy_total_variation():
@@ -251,23 +251,24 @@ def test_criterion_11_capacity_and_ambient_rate_monotonicity():
 
 def test_criterion_12_enumeration_equivalence_and_bit_determinism():
     enum_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducibleChainWarning)
-        for over in ({}, {"lambda_p": 0.7, "lambda_e": 0.5}, {"E_max": 6, "eta": 0.3},
-                     {"lambda_p": 1.0}, {"E_max": 4, "lambda_e": 1.0, "eta": 0.0}):
-            p = default_params(**over)
-            dc = derive(p)
-            idle, active = arrival_pmfs(p, dc)
-            report = optimize_g(p, dc, (idle, active))
-            pi = dc.pi_idle
-            best_g, best_v = None, -1.0
-            for g in range(1, p.E_max + 1):
-                chain = build_chain(idle, active, pi, g, p.E_max)
-                stationary(chain)
-                v = pi * success_probability(p, dc, g) * float(chain.chi[g:].sum())
-                if v > best_v:
-                    best_g, best_v = g, v
-            enum_ok &= report.g_star == best_g and report.mu_s_star == best_v
+    for over in ({}, {"lambda_p": 0.7, "lambda_e": 0.5}, {"E_max": 6, "eta": 0.3},
+                 {"lambda_p": 1.0}, {"E_max": 4, "lambda_e": 1.0, "eta": 0.0}):
+        p = default_params(**over)
+        dc = derive(p)
+        idle, active = arrival_pmfs(p, dc)
+        report = optimize_g(p, dc, (idle, active))
+        pi = dc.pi_idle
+        best_g, best_v = None, -1.0
+        for g in range(1, p.E_max + 1):
+            chain = build_chain(idle, active, pi, g, p.E_max)
+            stationary(chain)
+            v = pi * success_probability(p, dc, g) * float(chain.chi[g:].sum())
+            if v > best_v:
+                best_g, best_v = g, v
+            # the search solves (and flags) only the budgets it cannot prune
+            if g in report.mu_s_by_g:
+                enum_ok &= chain.reducible is (g in report.reducible)
+        enum_ok &= report.g_star == best_g and report.mu_s_star == best_v
 
     p = default_params(lambda_e=0.5)
     cfg = SimConfig(n_slots=200_000, seed=1212, warmup=5_000)

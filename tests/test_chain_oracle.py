@@ -18,7 +18,6 @@ budget.
 
 import itertools
 import math
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,8 +28,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ehshare import dbm_to_watts, default_params, derive, energy_chain
-from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning, build_chain,
-                                  optimize_g, optimize_many, stationary, success_probability)
+from ehshare.energy_chain import (ChainError, EnergyChain, build_chain, optimize_g, optimize_many,
+                                  stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
 from oracles import assert_search_matches, frontier_verdicts
@@ -127,11 +126,8 @@ def test_chain_matches_loop_build_and_component_solver(lambda_p, eta, lambda_e, 
         chain = build_chain(idle, active, pi, g, e_max)
         assert np.array_equal(chain.omega, reference_omega(idle.probs, active.probs, pi, g, e_max))
         ref_chi, reducible = reference_stationary(chain.omega)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ReducibleChainWarning)
-            chi = stationary(chain)
-        warned = any(issubclass(w.category, ReducibleChainWarning) for w in caught)
-        assert warned == reducible
+        chi = stationary(chain)
+        assert chain.reducible is reducible
         assert np.max(np.abs(chi - ref_chi)) <= 1e-12
 
 
@@ -227,9 +223,7 @@ def test_certification_matches_the_frontier_sweeps(e_max):
         certified, reducible = frontier_verdicts(omega)
         # split by verdict, so that each chain is solved in a stack of other verdicts
         for part in (reducible, ~reducible):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ReducibleChainWarning)
-                _, failures, solved_reducible = energy_chain._solve_stack(omega[part])
+            _, failures, solved_reducible = energy_chain._solve_stack(omega[part])
             assert np.array_equal(solved_reducible, (reducible & certified)[part])
             assert list(failures) == np.flatnonzero(~certified[part]).tolist()
             assert all(isinstance(f, ChainError) and "closed classes" in str(f)
@@ -288,9 +282,7 @@ def test_reducible_budgets_across_a_slice_match_the_reference(monkeypatch):
     inputs = [(p, dc, pmfs, range(1, p.E_max + 1)) for p, dc, pmfs, _ in _slice_inputs(points)]
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducibleChainWarning)
-        reports = optimize_many(inputs)
+    reports = optimize_many(inputs)
     assert sum(len(ref[2]) for ref in refs) > 0
     for report, ref, (p, dc, pmfs, _) in zip(reports, refs, inputs):
         _assert_matches_reference(report, ref)
@@ -417,10 +409,8 @@ def test_heavy_ambient_arrivals_make_a_reducible_chain():
     chain = build_chain(idle, active, dc.pi_idle, 1, 6)
     assert np.all(chain.omega[6, :6] == 0.0)
     assert reference_stationary(chain.omega)[1]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ReducibleChainWarning)
-        chi = stationary(chain)
-    assert any(issubclass(w.category, ReducibleChainWarning) for w in caught)
+    chi = stationary(chain)
+    assert chain.reducible is True
     assert np.max(np.abs(chi - reference_stationary(chain.omega)[0])) <= 1e-12
 
 
@@ -449,9 +439,7 @@ def test_heavy_ambient_chains_are_reducible_and_take_the_lu():
     dc = derive(p)
     idle, active = arrival_pmfs(p, dc)
     omega = np.array([build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducibleChainWarning)
-        chi, failures, reducible = energy_chain._solve_stack(omega)
+    chi, failures, reducible = energy_chain._solve_stack(omega)
     assert failures == {}
     for chi_g, omega_g, reducible_g in zip(chi, omega, reducible):
         ref_chi, ref_reducible = reference_stationary(omega_g)
@@ -520,6 +508,5 @@ def test_pmfs_cut_at_e_max_match_full_support(lambda_e, eta, p_max_dbm, e_max):
     for g in sorted({1, (e_max + 1) // 2, e_max}):
         cut_chain, whole_chain = build_chain(*capped, pi, g, e_max), build_chain(*full, pi, g, e_max)
         assert np.max(np.abs(cut_chain.omega - whole_chain.omega)) <= 1e-15
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ReducibleChainWarning)
-            assert np.max(np.abs(stationary(cut_chain) - stationary(whole_chain))) <= 1e-12
+        assert np.max(np.abs(stationary(cut_chain) - stationary(whole_chain))) <= 1e-12
+        assert cut_chain.reducible is whole_chain.reducible

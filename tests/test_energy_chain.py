@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ehshare import SimConfig, default_params, derive, energy_chain, simulate, validate
+from ehshare import (ParameterError, SimConfig, default_params, derive, energy_chain, simulate,
+                     validate)
 from ehshare.cli_sweep import main
-from ehshare.energy_chain import (ChainError, EnergyChain, ReducibleChainWarning,
-                                  StationarySolveError, build_chain, mu_e, optimize_g,
-                                  optimize_many, stationary,
+from ehshare.energy_chain import (ChainError, EnergyChain, StationarySolveError, build_chain,
+                                  mu_e, optimize_g, optimize_many, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
-from oracles import LEAKY, assert_search_matches
+from oracles import LEAKY, assert_search_matches, frontier_verdicts
 
 P = default_params()
 DC = derive(P)
@@ -241,6 +241,24 @@ def test_optimize_rejects_empty_and_bad_budgets_before_solving(monkeypatch):
             optimize_g(p, dc, pmfs, budgets=[1, 2, 3, 4, 5, 6, bad])
 
 
+def test_an_e_max_too_large_for_memory_fails_before_its_budgets_are_read(monkeypatch):
+    # the arrival kernels are built before the budgets are checked, so that
+    # analytic at E_max 10**6 fails naming E_max without a pass over 10**6 budgets
+    class Unread:
+        def __iter__(self):
+            pytest.fail("budgets read")
+
+    def no_memory(probs, e_max):
+        raise MemoryError
+
+    monkeypatch.setattr(energy_chain, "_arrival_rows", no_memory)
+    p = default_params()
+    dc = derive(p)
+    with pytest.raises(ParameterError) as exc:
+        optimize_g(p, dc, arrival_pmfs(p, dc), Unread())
+    assert exc.value.fields == ["E_max"]
+
+
 def test_numpy_integer_budgets_give_the_report_of_python_ints():
     p = default_params(E_max=6)
     dc = derive(p)
@@ -307,24 +325,24 @@ def test_absorbing_empty_queue_is_detected_and_resolved():
     # no ambient arrivals, no conversion: the queue drains to 0 and stays
     still = pmf(1.0)
     chain = build_chain(still, still, 0.55, g=1, e_max=3)
-    with pytest.warns(ReducibleChainWarning):
-        chi = stationary(chain)
+    assert chain.reducible is None
+    chi = stationary(chain)
+    assert chain.reducible is True and chi is chain.chi
     assert np.array_equal(chi, [1.0, 0.0, 0.0, 0.0])
 
 
-def test_reducible_chain_warning_names_the_caller():
+def test_reducible_chains_are_reported_as_data_without_a_warning():
     # no traffic and no ambient energy: every budget's chain drains to 0.
-    # stationary's one warning points at the line here that called it, not at
-    # a frame inside the package; optimize_g and optimize_many do not warn but
-    # name the reducible budgets in their reports
+    # stationary sets chain.reducible, and optimize_g and optimize_many name
+    # the reducible budgets in their reports; none of them warns
     p = default_params(lambda_e=0, eta=0.4, E_max=6, lambda_p=0)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stationary(build_chain(*pmfs, dc.pi_idle, 2, p.E_max))
-    assert [w.category for w in caught] == [ReducibleChainWarning]
-    assert caught[0].filename == __file__
+        chain = build_chain(*pmfs, dc.pi_idle, 2, p.E_max)
+        stationary(chain)
+    assert caught == [] and chain.reducible is True
     for call in (lambda: optimize_g(p, dc, pmfs),
                  lambda: optimize_many([(p, dc, pmfs, None)])[0]):
         with warnings.catch_warnings(record=True) as caught:
@@ -343,11 +361,9 @@ def test_two_absorbing_states_reached_from_0_raise_a_chain_error():
         [0.0, 0.0, 1.0],
     ])
     chain = EnergyChain(omega=omega, g=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducibleChainWarning)
-        with pytest.raises(ChainError, match="several closed classes"):
-            stationary(chain)
-    assert chain.chi is None
+    with pytest.raises(ChainError, match="several closed classes"):
+        stationary(chain)
+    assert chain.chi is None and chain.reducible is None
 
 
 def test_stationary_matches_long_run_occupancy():
@@ -489,10 +505,9 @@ def test_stationary_invariants_across_config_sweep():
                                        eta=eta, lambda_e=lam_e)
                     dc = derive(p)
                     idle, active = arrival_pmfs(p, dc)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", ReducibleChainWarning)
-                        chain = build_chain(idle, active, dc.pi_idle, g, e_max)
-                        stationary(chain)
+                    chain = build_chain(idle, active, dc.pi_idle, g, e_max)
+                    stationary(chain)
+                    assert chain.reducible is bool(frontier_verdicts(chain.omega[None])[1][0])
                     resid = np.max(np.abs(chain.chi @ chain.omega - chain.chi))
                     assert resid < 1e-10
                     assert abs(chain.chi.sum() - 1.0) <= 1e-12
