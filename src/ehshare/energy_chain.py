@@ -19,8 +19,13 @@ through their coset, to that of a predecessor of t or, after an overflow to
 E_max, to E_max - s (s the largest idle count), from which s overflows again.
 tests/test_chain_oracle.py checks every support up to E_max = 4. So _solve_stack's
 certification guards only an omega no model builds, as one passed to stationary.
+
+A chain is fixed by its pmf pair, pi_idle and g. optimize_many searches g* for a
+slice of points at once, its bounds and mu_s held as (point, budget) arrays, and
+solves each distinct chain that its points ask for once per round.
 """
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -76,21 +81,19 @@ def _arrival_rows(probs, e_max):
     return rows
 
 
-def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=None):
-    """Check e_max and pi_idle, then scale the pmfs' _arrival_rows (memoized in rows
-    by id) into the idle and active kernels (n, n) _omegas gathers from, then check
-    the budgets; return them as ints, each once (1..e_max if None), and the kernels."""
+def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows):
+    """Check e_max and pi_idle, memoize the pmfs' pair of _arrival_rows in rows by
+    (pmf ids, e_max), then check the budgets; return them as ints, each once
+    (1..e_max if None), and the pmfs' key in rows."""
     if not (is_int(e_max) and e_max >= 1):
         raise ChainError(f"need integers 1 <= g <= e_max (got e_max={e_max})")
     if not 0.0 <= pi_idle <= 1.0:
         raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-    rows = {} if rows is None else rows
-    key = (id(p_idle_arrivals), id(p_active_arrivals))
+    key = (id(p_idle_arrivals), id(p_active_arrivals), e_max)
     if key not in rows:  # before the budgets: a huge E_max fails here, not in their check
         rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
-    kernels = pi_idle * rows[key][0], (1.0 - pi_idle) * rows[key][1]
     if budgets is None:
-        return range(1, e_max + 1), *kernels
+        return range(1, e_max + 1), key
     budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
                for g in budgets]
     if not budgets:
@@ -98,15 +101,24 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows=N
     for g in budgets:
         if not (is_int(g) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
-    return list(dict.fromkeys(budgets)), *kernels
+    return list(dict.fromkeys(budgets)), key
+
+
+def _scaled(rows, pi_idle):
+    """The idle and active kernels (K, 2, n, n) _omegas gathers from: the
+    _arrival_rows pairs rows (K of them) scaled by (pi_idle, 1 - pi_idle)."""
+    kernels, pi_idle = np.array(rows), np.array(pi_idle)[:, None, None]
+    kernels[:, 0] *= pi_idle
+    kernels[:, 1] *= 1.0 - pi_idle
+    return kernels
 
 
 def _omegas(kernels, point, g):
     """Transition matrices (len(g), n, n) of the chains (point[b], g[b]), from
-    the points' kernels (points, 2, n, n): row j of budget g is row j - g of
-    the idle kernel (row j if j < g) plus row j of the active one. A point's
-    chains are adjacent, so its active kernel is added in place to each run:
-    a gathered (B, n, n) copy of it would be a fresh mapping to fault in."""
+    the kernels (K, 2, n, n): row j of budget g is row j - g of the idle kernel
+    (row j if j < g) plus row j of the active one. A kernel's chains come in
+    runs, so its active kernel is added in place to each run: a gathered
+    (B, n, n) copy of it would be a fresh mapping to fault in."""
     stay, point, g = np.arange(kernels.shape[2]), np.asarray(point), np.asarray(g)[:, None]
     omega = kernels[point[:, None], 0, np.where(stay >= g, stay - g, stay)]
     starts = [0] + (np.flatnonzero(point[1:] != point[:-1]) + 1).tolist()
@@ -126,8 +138,9 @@ def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
     complementary sums, which hold each pmf's tail_mass, so every row
     totals 1 by construction.
     """
-    (g,), *kernels = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max)
-    return EnergyChain(omega=_omegas(np.array([kernels]), [0], [g])[0], g=g)
+    rows = {}
+    (g,), key = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max, rows)
+    return EnergyChain(omega=_omegas(_scaled([rows[key]], [pi_idle]), [0], [g])[0], g=g)
 
 
 def _closure(edges):
@@ -180,6 +193,7 @@ def _solve_stack(omega):
     Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1 ulp away. The
     chains share one batched LU solve, or are solved one by one if a singular
     member makes it raise; a chain missing _TOL fails with a StationarySolveError.
+    optimize_many sends each distinct chain of a round here once (_solve_chains).
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
@@ -243,20 +257,20 @@ def success_probability(params: SystemParams, dc: DerivedConstants, g):
     return math.exp(-dc.b / g / params.sigma_ssd)
 
 
-def _availability(chain: EnergyChain):
-    if chain.chi is None:
+def _availability(chi, g):
+    if chi is None:
         raise ChainError("chain is not solved; call stationary() first")
-    return min(1.0, float(chain.chi[chain.g:].sum()))  # a sum of chi may round above 1
+    return min(1.0, float(np.add.reduce(chi[g:])))  # chi[g:].sum(); it may round above 1
 
 
 def su_throughput(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
     """Secondary packets delivered per slot for the chain's energy budget."""
-    return dc.pi_idle * success_probability(params, dc, chain.g) * _availability(chain)
+    return dc.pi_idle * success_probability(params, dc, chain.g) * _availability(chain.chi, chain.g)
 
 
 def mu_e(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
     """Mean energy packets consumed per slot for the chain's budget."""
-    return chain.g * dc.pi_idle * _availability(chain)
+    return chain.g * dc.pi_idle * _availability(chain.chi, chain.g)
 
 
 @dataclass(frozen=True)
@@ -279,15 +293,27 @@ class ThroughputReport:
     reducible: frozenset = field(compare=False)
 
 
-def _bounds(params, dc, kernels):
-    """Upper bounds s(g) min(pi_idle, m / g) on mu_s(g), g = 1..E_max, from a
-    point's kernels: in steady state the battery spends g pi_idle P(E >= g)
-    packets per slot, no more than the mean m of min(arrivals, E_max) (row 0)."""
-    idle, active = kernels
-    g = np.arange(1, len(idle))
-    s = np.exp(-dc.b / params.sigma_ssd / g)
-    m = (idle[0] + active[0]) @ np.arange(len(idle))
-    return s * np.minimum(dc.pi_idle, m / g)
+def _bounds(c, pi_idle, m, g):
+    """Upper bounds s(g) min(pi_idle, m / g) on mu_s(g), s(g) = exp(c / g), at budgets
+    g (points, budgets), from each point's c = -b / sigma_ssd, pi_idle and mean m of
+    min(arrivals, E_max) (points, 1): in steady state the battery spends
+    g pi_idle P(E >= g) packets per slot, no more than m."""
+    return np.exp(c / g) * np.minimum(pi_idle, m / g)
+
+
+def _solve_chains(kernels, cells, solved, errors):
+    """Solve each distinct chain (kernel, g) of the cells once, in the order first
+    asked, in stacks of at most _STACK_CELLS matrix entries. Append each one's
+    (chi, _availability, reducible) to solved, put its failure in errors under
+    its index there, and return each cell's index."""
+    chains = {c: len(solved) + b for b, c in enumerate(dict.fromkeys(cells))}
+    per_stack, stacked = max(1, _STACK_CELLS // kernels.shape[2] ** 2), list(chains)
+    for s in range(0, len(stacked), per_stack):
+        kernel, g = zip(*stacked[s:s + per_stack])
+        chi, failures, red = _solve_stack(_omegas(kernels, kernel, g))
+        errors.update((len(solved) + b, exc) for b, exc in failures.items())
+        solved += zip(chi, [_availability(chi[b], h) for b, h in enumerate(g)], red)
+    return [chains[c] for c in cells]
 
 
 def optimize_many(points) -> list:
@@ -297,68 +323,89 @@ def optimize_many(points) -> list:
     exception that failed it while the other points still get theirs. A
     budget's bound on its mu_s is _bounds if budgets is None (a search of
     1..E_max), else inf; a search's first largest bound is raised to inf.
-    Round 1 solves each budget of bound inf, round 2 each other one whose
-    bound is not below the best round-1 mu_s, less a 1e-9 margin so that
-    rounding prunes no tie. In each round the chains of every (point, budget)
-    pair with the same E_max are gathered, point by point in budget order,
-    into stacks of at most _STACK_CELLS matrix entries, each one _solve_stack
-    call, and su_throughput and mu_e score each chain solved. A chain that
-    fails fails only its own point; the others get the values they get alone.
-    Points with one E_max and the same pmf objects share their _arrival_rows.
-    After round 2 each point's g_star is picked once, the first maximizer in
-    budget order; its report keeps the chi solved at g_star and its reducible
-    budgets. A MemoryError while its E_max's chains are built or solved fails
-    a point naming E_max.
+    Round 1 solves each budget of bound inf, round 2 each other one whose bound
+    is not below the best round-1 mu_s, less a 1e-9 margin so that rounding
+    prunes no tie. The kernels of an E_max are stacked once, one per distinct
+    pmf pair and pi_idle, and _search holds the slice's budgets, bounds and mu_s
+    as (point, budget) arrays. In each round _solve_chains solves each distinct
+    chain of an E_max once; a failure, or a MemoryError (named as E_max), fails
+    each point that asks for one of its chains, and the others get the values
+    they get alone. A budget scores su_throughput's mu_s, in its order of
+    operations; g_star is the first maximizer in budget order.
     """
-    out = [None] * len(points)
-    for e_max in dict.fromkeys(params.E_max for params, *_ in points):
+    out, rows, groups = [None] * len(points), {}, {}
+    for i, (params, dc, pmfs, budgets) in enumerate(points):
         try:
-            _optimize_e_max(points, e_max, out)
-        except MemoryError as exc:  # fails each point of e_max without an entry
-            out = [exc if r is None and p.E_max == e_max else r for (p, *_), r in zip(points, out)]
+            order, key = _kernels(*pmfs, dc.pi_idle, budgets, params.E_max, rows)
+        except Exception as exc:
+            out[i] = exc
+        else:
+            groups.setdefault(params.E_max, []).append((i, list(order), (key, dc.pi_idle)))
+    live, spans = [], []  # per point searched, (i, budgets, kernel, c, pi_idle, m, search)
+    for e_max, group in groups.items():
+        # kernel[(pmf key, pi_idle)]: its index in the E_max's kernels
+        kernel = {key: k for k, key in enumerate(dict.fromkeys(key for *_, key in group))}
+        try:
+            kernels = _scaled([rows[key] for key, _ in kernel], [pi for _, pi in kernel])
+        except MemoryError as exc:
+            for i, *_ in group:
+                out[i] = exc
+            continue
+        levels = np.arange(e_max + 1.0)  # a float dot gives the int dot's sum, in less time
+        m = [row @ levels for row in kernels[:, 0, 0] + kernels[:, 1, 0]]
+        spans.append((len(live), len(live) + len(group), kernels))
+        for i, order, key in group:
+            (params, dc, _, budgets), k = points[i], kernel[key]
+            live.append((i, order, k, -dc.b / params.sigma_ssd, dc.pi_idle, m[k], budgets is None))
+    if live:
+        _search(points, live, spans, out)
     return [ParameterError([f"E_max: {p.E_max} is too large for the analytic engine's memory"])
             if isinstance(r, MemoryError) else r for (p, *_), r in zip(points, out)]
 
 
-def _optimize_e_max(points, e_max, out):
-    """optimize_many for the points of one E_max, setting their entries of out."""
-    # found[k]: kernels[k]'s point i, budgets, their bounds, mu_s, (mu_e, chi, reducible) by g
-    found, kernels, rows = [], [], {}
-    for i, (params, dc, pmfs, budgets) in enumerate(points):
-        if params.E_max != e_max:
-            continue
-        try:
-            order, *kernel = _kernels(*pmfs, dc.pi_idle, budgets, e_max, rows)
-        except Exception as exc:
-            out[i] = exc
-            continue
-        bound = _bounds(params, dc, kernel) if budgets is None else np.full(len(order), np.inf)
-        bound[np.argmax(bound)] = np.inf  # round 1 solves the budgets of bound inf
-        found.append((i, np.array(order), bound, {}, {}))
-        kernels.append(kernel)
-    kernels, per_stack = np.array(kernels), max(1, _STACK_CELLS // (e_max + 1) ** 2)
+def _search(points, live, spans, out):
+    """optimize_many's two rounds over its rows live, given the span (lo, hi,
+    kernels) of the rows of each E_max; sets out[i] for each row's point i."""
+    width = max(len(row[1]) for row in live)
+    budget = np.array([row[1] + [0] * (width - len(row[1])) for row in live])  # 0 pads a row
+    c, pi, m, search = np.array([row[3:] for row in live]).T[:, :, None]
+    bound = np.where(search > 0, _bounds(c, pi, m, np.maximum(budget, 1)), np.inf)
+    bound[budget == 0] = -np.inf
+    bound[np.arange(len(live)), bound.argmax(axis=1)] = np.inf  # round 1 solves these
+    todo, mu, cell = budget > 0, np.full(budget.shape, -np.inf), np.zeros_like(budget)
+    solved, errors, floor = [], {}, np.inf  # per chain (chi, availability, reducible); failures
     for _ in range(2):  # the floor: inf in round 1, then the best mu_s less a 1e-9 margin
-        chains = [(k, g) for k, (i, order, bound, mu, _) in enumerate(found) if out[i] is None
-                  for g in order[~(bound < max(mu.values(), default=np.inf) * (1 - 1e-9))]
-                  .tolist() if g not in mu]
-        for s in range(0, len(chains), per_stack):
-            stack = chains[s:s + per_stack]
-            omega = _omegas(kernels, *zip(*stack))
-            chi, failures, reducible = _solve_stack(omega)
-            for b, (k, g) in enumerate(stack):
-                i, _, _, mu, solved = found[k]
-                if out[i] is None and b in failures:
-                    out[i] = failures[b]
-                if out[i] is None:
-                    chain, (params, dc, *_) = EnergyChain(omega[b], g, chi[b]), points[i]
-                    mu[g] = su_throughput(chain, params, dc)
-                    solved[g] = mu_e(chain, params, dc), chi[b], reducible[b]
-    for i, order, _, mu, solved in found:
+        ask = todo & ~(bound < floor)
+        if not ask.any():
+            break
+        todo &= ~ask
+        p, j = np.nonzero(ask)
+        at, gs, ids = p.tolist(), budget[p, j].tolist(), []  # the cells asked, row by row
+        for lo, hi, kernels in spans:
+            a, b = bisect.bisect_left(at, lo), bisect.bisect_left(at, hi)
+            cells = [(live[r][2], g) for r, g in zip(at[a:b], gs[a:b])]
+            try:
+                ids += _solve_chains(kernels, cells, solved, errors)
+            except MemoryError as exc:  # fails each chain the E_max asks for
+                errors[len(solved)] = exc
+                ids += [len(solved)] * len(cells)
+                solved.append((None, 0.0, False))
+        for r, k in zip(at, ids) if errors else ():
+            if k in errors and out[live[r][0]] is None:  # the row's first failing budget
+                out[live[r][0]], todo[r] = errors[k], False
+        cell[p, j] = ids  # mu_s as su_throughput computes it; a failed row's goes unread
+        mu[p, j] = [dc.pi_idle * success_probability(params, dc, g) * solved[k][1]
+                    for (params, dc, _, _), g, k in zip((points[live[r][0]] for r in at), gs, ids)]
+        floor = mu.max(axis=1, keepdims=True) * (1 - 1e-9)
+    star = mu.argmax(axis=1).tolist()  # the first maximizer in budget order; -inf: not solved
+    for (i, *_), row_g, row_mu, row_k, b in zip(live, budget.tolist(), mu.tolist(), cell.tolist(),
+                                                star):
         if out[i] is None:
-            mu_s_by_g = {g: mu[g] for g in order.tolist() if g in mu}
-            g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
-            out[i] = ThroughputReport(solved[g][0], mu_s_by_g, g, mu_s_by_g[g], solved[g][1],
-                                      frozenset(h for h in mu_s_by_g if solved[h][2]))
+            found = [(h, x, n) for h, x, n in zip(row_g, row_mu, row_k) if x >= 0.0]
+            mu_s, g, k = {h: x for h, x, _ in found}, row_g[b], row_k[b]
+            reducible = frozenset(h for h, _, n in found if solved[n][2])
+            out[i] = ThroughputReport(g * points[i][1].pi_idle * solved[k][1], mu_s, g, mu_s[g],
+                                      solved[k][0], reducible)
 
 
 def optimize_g(params: SystemParams, dc: DerivedConstants,

@@ -3,9 +3,11 @@ oracles: scalar and physical-energy harvest draws, the capped ratio cdf and
 the RF increments (the joint law of a transmission and its packet count),
 the channel-inversion power, dBm conversion back from
 Watts, the mean of a truncated pmf, the search for g* checked against
-the report of an exhaustive one, and the frontier sweeps that decided which
-chains the stationary solver certifies before the transitive closure did;
-and LEAKY, a valid point whose chains once made the LU singular.
+the report of an exhaustive one, the search for g* one point and one chain
+at a time (the scorer optimize_many had before it searched a slice in
+arrays), and the frontier sweeps that decided which chains the stationary
+solver certifies before the transitive closure did; and LEAKY, a valid
+point whose chains once made the LU singular.
 """
 
 import math
@@ -13,7 +15,8 @@ import math
 import numpy as np
 
 from ehshare.config import DerivedConstants, SystemParams, derive
-from ehshare.energy_chain import optimize_g
+from ehshare.energy_chain import (ThroughputReport, build_chain, mu_e, optimize_g, stationary,
+                                  su_throughput)
 from ehshare.harvest import HarvestPmf, rf_pmf
 
 
@@ -126,6 +129,39 @@ def assert_search_matches(exhaustive, params, dc, pmfs):
     assert np.array_equal(searched.chi, exhaustive.chi)
     assert searched.mu_s_by_g.items() <= exhaustive.mu_s_by_g.items()
     assert searched.reducible == exhaustive.reducible & searched.mu_s_by_g.keys()
+
+
+def reference_search(params, dc, pmfs, budgets=None):
+    """optimize_g's report, or the exception of the first chain that fails, from
+    the search one chain at a time: the energy-balance bounds (from row 0 of a
+    chain, the mean m of a slot's arrivals capped at E_max), round 1 at each bound
+    of inf and round 2 at each bound not below the best round-1 mu_s less 1e-9,
+    each budget's chain built by build_chain, solved by stationary and scored by
+    EnergyChain, su_throughput and mu_e."""
+    e_max = params.E_max
+    if budgets is None:
+        order = list(range(1, e_max + 1))
+        m = build_chain(*pmfs, dc.pi_idle, 1, e_max).omega[0] @ np.arange(e_max + 1)
+        g = np.arange(1, e_max + 1)
+        bound = np.exp(-dc.b / params.sigma_ssd / g) * np.minimum(dc.pi_idle, m / g)
+    else:
+        order = list(dict.fromkeys(budgets))
+        bound = np.full(len(order), np.inf)
+    bound[np.argmax(bound)] = np.inf
+    chains, mu, floor = {}, {}, np.inf
+    for _ in range(2):
+        for g in [g for g, b in zip(order, bound) if g not in mu and not b < floor]:
+            chains[g] = build_chain(*pmfs, dc.pi_idle, g, e_max)
+            try:
+                stationary(chains[g])
+            except Exception as exc:
+                return exc
+            mu[g] = su_throughput(chains[g], params, dc)
+        floor = max(mu.values()) * (1 - 1e-9)
+    mu_s_by_g = {g: mu[g] for g in order if g in mu}
+    g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
+    return ThroughputReport(mu_e(chains[g], params, dc), mu_s_by_g, g, mu_s_by_g[g], chains[g].chi,
+                            frozenset(h for h in mu_s_by_g if chains[h].reducible))
 
 
 def frontier_reached(edges, start):

@@ -18,11 +18,12 @@ budget.
 
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
@@ -32,7 +33,7 @@ from ehshare.energy_chain import (ChainError, EnergyChain, build_chain, optimize
                                   stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
-from oracles import assert_search_matches, frontier_verdicts
+from oracles import assert_search_matches, frontier_verdicts, reference_search
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
@@ -290,8 +291,9 @@ def test_reducible_budgets_across_a_slice_match_the_reference(monkeypatch):
 
 
 def _bounds_of(p, dc, pmfs):
-    _, *kernels = energy_chain._kernels(*pmfs, dc.pi_idle, [1], p.E_max)
-    return energy_chain._bounds(p, dc, kernels)
+    # m, the mean of a slot's arrivals capped at E_max, from row 0 of any budget's chain
+    m = build_chain(*pmfs, dc.pi_idle, 1, p.E_max).omega[0] @ np.arange(p.E_max + 1)
+    return energy_chain._bounds(-dc.b / p.sigma_ssd, dc.pi_idle, m, np.arange(1, p.E_max + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +350,7 @@ def test_bounds_of_zero_keep_every_budget_and_the_smallest_wins(monkeypatch):
     assert list(report.mu_s_by_g) == list(range(1, 11)) and stacks == [1, 9]
     assert report.g_star == 1 and report.mu_s_star == 0.0
     # round 1 solving the largest budget must not let it win the tie
-    monkeypatch.setattr(energy_chain, "_bounds", lambda p, dc, k: np.arange(1.0, 11.0))
+    monkeypatch.setattr(energy_chain, "_bounds", lambda *args: np.arange(1.0, 11.0))
     report = optimize_g(p, dc, pmfs)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 11))
 
@@ -362,7 +364,7 @@ def test_a_bound_rounded_below_a_tie_prunes_nothing(monkeypatch):
     pmfs, pi = arrival_pmfs(p, dc), dc.pi_idle
     assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
     monkeypatch.setattr(energy_chain, "_bounds",
-                        lambda p, dc, k: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
+                        lambda *args: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
     report = optimize_g(p, dc, pmfs)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 7))
 
@@ -398,6 +400,92 @@ def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
     # every budget solved: the fault fails the point either way
     with pytest.raises(energy_chain.StationarySolveError):
         optimize_g(p, dc, (idle, active), range(1, 11))
+
+
+def _faulty_residuals(bad):
+    """_residuals, but every chain of a stack equal to the matrix bad misses."""
+    residuals = energy_chain._residuals
+
+    def missed(omega, chi):
+        r = residuals(omega, chi)
+        r[[bad is not None and np.array_equal(w, bad) for w in omega]] = np.inf
+        return r
+
+    return missed
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases=st.lists(st.tuples(st.sampled_from([1, 6, 10]), st.sampled_from([0.0, 0.5]),
+                                st.sampled_from([0.0, 0.6])), min_size=1, max_size=3),
+       points=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+                                 st.one_of(st.none(), st.lists(st.integers(1, 10), min_size=1,
+                                                               max_size=4))),
+                       min_size=1, max_size=8),
+       fault=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(1, 10))),
+       cells=st.sampled_from([60, 300, 2 ** 15]))
+@example(bases=[(6, 0.0, 0.6), (10, 0.5, 0.6)],  # all-zero ties, saturated twins, repeats
+         points=[(0, 0.0, None), (1, 0.9, None), (1, 1.0, [3, 1, 3]), (1, 1.0, None),
+                 (1, 0.3, [2, 2]), (0, 0.0, [4, 2])],
+         fault=(1, 2), cells=300)
+def test_the_slice_search_equals_the_per_chain_scorer(bases, points, fault, cells):
+    # points share a base's pmf objects, as a CLI slice's do: lambda_p 0.9 and 1.0
+    # are saturated (mu_p = 0.82), so a base's such points are twins with equal
+    # chains, and lambda_p = lambda_e = 0 ties every budget at mu_s = 0. A fault
+    # fails one point's chain at one budget, in every point that shares it.
+    base_pmfs = []
+    for e_max, lambda_e, eta in bases:
+        p = default_params(E_max=e_max, lambda_e=lambda_e, eta=eta)
+        base_pmfs.append((p, arrival_pmfs(p, derive(p))))
+    inputs = []
+    for b, lambda_p, budgets in points:
+        base, pmfs = base_pmfs[b % len(base_pmfs)]
+        p = replace(base, lambda_p=lambda_p)
+        inputs.append((p, derive(p), pmfs, budgets and [min(g, p.E_max) for g in budgets]))
+    bad = None
+    if fault is not None:
+        p, dc, pmfs, _ = inputs[fault[0] % len(inputs)]
+        bad = build_chain(*pmfs, dc.pi_idle, min(fault[1], p.E_max), p.E_max).omega
+    with mock.patch.object(energy_chain, "_STACK_CELLS", cells), \
+            mock.patch.object(energy_chain, "_residuals", _faulty_residuals(bad)):
+        reports = optimize_many(inputs)
+        refs = [reference_search(*x) for x in inputs]
+    for report, ref in zip(reports, refs):
+        if isinstance(ref, Exception):
+            assert type(report) is type(ref) and str(report) == str(ref)
+            continue
+        assert list(report.mu_s_by_g.items()) == list(ref.mu_s_by_g.items())
+        assert report == ref  # mu_e, mu_s_by_g, g_star and mu_s_star, with ==
+        assert np.array_equal(report.chi, ref.chi) and report.reducible == ref.reducible
+
+
+def test_twins_share_each_chain_and_its_failure(monkeypatch):
+    # lambda_p 0.9, 0.95 and 1.0 saturate mu_p = 0.82, so these points, on one
+    # pmf pair, have one pi_idle and equal chains: each is solved once, also when
+    # stacks of two chains split a twin's chains from the others'
+    base = default_params(lambda_e=0.5, eta=0.6, E_max=10)
+    pmfs = arrival_pmfs(base, derive(base))
+    points = [(p, derive(p), pmfs, None) for p in
+              (replace(base, lambda_p=lambda_p) for lambda_p in (0.9, 0.3, 0.95, 1.0))]
+    assert points[0][1].pi_idle == points[2][1].pi_idle == points[3][1].pi_idle
+    chains, solve_stack = [], energy_chain._solve_stack
+    monkeypatch.setattr(energy_chain, "_solve_stack",
+                        lambda omega: chains.extend(omega) or solve_stack(omega))
+    alone = [optimize_g(*x) for x in points[:2]]
+    solved_alone, chains[:] = len(chains), []
+    for cells in (2 ** 15, 2 * 11 ** 2):
+        monkeypatch.setattr(energy_chain, "_STACK_CELLS", cells)
+        reports = optimize_many(points)
+        assert len(chains) == solved_alone == len({w.tobytes() for w in chains})
+        chains.clear()
+        for report, ref in zip(reports, [alone[0], alone[1], alone[0], alone[0]]):
+            assert report == ref and report.reducible == ref.reducible
+            assert np.array_equal(report.chi, ref.chi)
+    # a shared chain that fails fails every twin with its one exception
+    bad = build_chain(*pmfs, points[0][1].pi_idle, alone[0].g_star, 10).omega
+    monkeypatch.setattr(energy_chain, "_residuals", _faulty_residuals(bad))
+    out = optimize_many(points)
+    assert isinstance(out[0], energy_chain.StationarySolveError)
+    assert out[2] is out[0] and out[3] is out[0] and out[1] == alone[1]
 
 
 def test_heavy_ambient_arrivals_make_a_reducible_chain():

@@ -874,6 +874,30 @@ def test_a_slice_builds_each_distinct_pmf_pair_and_kernel_once(preset, keys, mon
     assert (len(pmf_calls), len(row_calls)) == (keys, 2 * keys)
 
 
+@pytest.mark.parametrize("preset, chains", [("fig2", 176), ("fig3", 30), ("fig4", 118),
+                                            ("fig5", 140)])
+def test_a_slice_solves_each_distinct_chain_once(preset, chains, monkeypatch, capsys):
+    # 641 chains in all before optimize_many keyed them by (pmf pair, pi_idle, g):
+    # saturated points of a lambda_p grid share their chains. Each swept spec is
+    # its own slice, so 17 of these 464 repeat a chain of another slice: with
+    # lambda_p = lambda_e = 0 nothing is harvested at any eta.
+    omegas, per_call, solve_stack = [], [], energy_chain._solve_stack
+    monkeypatch.setattr(energy_chain, "_solve_stack",
+                        lambda omega: omegas.extend(omega) or solve_stack(omega))
+    optimize_many = energy_chain.optimize_many
+
+    def counted(points):
+        first = len(omegas)
+        reports = optimize_many(points)
+        per_call.append(omegas[first:])
+        return reports
+
+    monkeypatch.setattr(energy_chain, "optimize_many", counted)
+    assert main(["preset", preset]) == 0
+    assert len(omegas) == chains
+    assert all(len(sent) == len({w.tobytes() for w in sent}) for sent in per_call)
+
+
 def test_no_pmf_or_kernel_memo_outlives_its_slice(monkeypatch, capsys):
     pmf_calls = _count_calls(monkeypatch, harvest, "arrival_pmfs")
     row_calls = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
