@@ -11,6 +11,7 @@ import contextlib
 import csv
 import io
 import math
+import operator
 import os
 import re
 import sys
@@ -67,24 +68,29 @@ class SweepSpec:
             raise ParameterError(["sim: simulate engine requires a SimConfig"])
 
 
-def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
-    """The rows of a slice of grid points: one list, to_rows(*record), per point.
+def _evaluate(pairs, to_rows, sim_after_failure=True):
+    """The rows of a slice of (spec, value) pairs: one list, to_rows(*record), per pair.
 
-    A point's record is [params, analytic, simulated]. Each engine's slot
+    A pair's record is [params, analytic, simulated]. Each engine's slot
     holds its result, (report, dc) or the SimResult, the exception that
-    failed it, or None if the engine did not run. The analytic engine solves
-    every point of the slice together, then one lockstep simulator run goes
-    at each analytic g_star (else at G); without sim_after_failure an
-    analytic failure skips the point's simulation. An error that ends the
-    shared solve or the lockstep run is that engine's result at each of its
-    points. An invalid point fails every engine; a Namespace holds its values.
+    failed it, or None if the engine did not run. The specs of a slice share
+    engines and sim; each pair reads its swept_param, fixed and g_policy from
+    its own. The analytic engine solves every point of the slice in one
+    optimize_many call, then one lockstep run_many call simulates at each
+    analytic g_star (else at G); without sim_after_failure an analytic failure
+    skips the point's simulation. An error that ends the shared solve or the
+    lockstep run is that engine's result at each of its points. An invalid
+    point fails every engine; a Namespace holds its values.
     """
-    engines = ("analytic", "simulate") if spec.engines == "both" else (spec.engines,)
-    name, records, memo = spec.swept_param, [], {}
-    for value in values:
+    first = pairs[0][0]
+    assert all((s.engines, s.sim) == (first.engines, first.sim) for s, _ in pairs)
+    engines = ("analytic", "simulate") if first.engines == "both" else (first.engines,)
+    records, memo = [], {}
+    for spec, value in pairs:
+        name = spec.swept_param
         try:  # an error row holds value coerced to its field's type, unless coercion raised
             value = coerce_field(name, value)
-            params = replace(spec.fixed, **{name: value})  # SystemParams validates itself
+            params = SystemParams(**{**vars(spec.fixed), name: value})  # it validates itself
         except Exception as exc:
             records.append([argparse.Namespace(**{**vars(spec.fixed), name: value})]
                            + [exc if e in engines else None for e in ("analytic", "simulate")])
@@ -113,7 +119,7 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
         from .simulator import run_many  # an analytic run never loads the simulator
         try:
             results = run_many([replace(params, G=a[0].g_star if isinstance(a, tuple)
-                                        else params.G) for params, a, _ in run], spec.sim)
+                                        else params.G) for params, a, _ in run], first.sim)
         except Exception as exc:
             results = [exc] * len(run)
         for r, result in zip(run, results):
@@ -122,10 +128,9 @@ def _evaluate(spec: SweepSpec, values, to_rows, sim_after_failure=True):
 
 
 def _row(params, metrics, **values):
-    """Parameter columns, then the metric columns: the given values, else empty."""
-    row = dict.fromkeys(PARAM_FIELDS + metrics, "")
-    row.update({name: getattr(params, name) for name in PARAM_FIELDS}, **values)
-    return row
+    """Parameter columns (vars holds them in field order), then the metric columns:
+    the given values, else empty."""
+    return {**vars(params), **dict.fromkeys(metrics, ""), **values}
 
 
 def _analytic_row(params, report, dc):
@@ -168,16 +173,14 @@ def _sweep_rows(params, analytic, simulated):
             if result is not None]
 
 
-def _eval_sweep_point(task):
-    """A slice of grid points -> per point, one row per engine (pickled to workers)."""
-    spec, values = task
-    return _evaluate(spec, values, _sweep_rows)
+def _eval_sweep_point(pairs):
+    """A slice of (spec, value) pairs -> per pair, one row per engine (pickled to workers)."""
+    return _evaluate(pairs, _sweep_rows)
 
 
-def _compare_point(task):
-    """A slice of grid points -> per point, its one compare row, like _eval_sweep_point."""
-    spec, values = task
-    return _evaluate(spec, values, _compare_rows, sim_after_failure=False)
+def _compare_point(pairs):
+    """A slice of (spec, value) pairs -> per pair, its one compare row, like _eval_sweep_point."""
+    return _evaluate(pairs, _compare_rows, sim_after_failure=False)
 
 
 def _compare_rows(params, analytic, result):
@@ -198,29 +201,24 @@ def _compare_rows(params, analytic, result):
 def _run_grid(point_fn, specs, jobs):
     """point_fn over every grid point of every spec, in order; the rows flattened.
 
-    Each grid is dealt into k = min(jobs, CPUs, points) strided slices,
-    grid[i::k], so that workers share a grid whose points grow costlier
-    along it; with one job or one CPU the slice is the whole grid. point_fn
-    gives a row list per point of its slice; if min(jobs, CPUs) > 1, one
-    pool of that many worker processes at most evaluates the slices.
+    The (spec, value) pairs of all the specs are dealt into k = min(jobs,
+    CPUs, pairs) strided slices, pairs[i::k], so that workers share grids
+    whose points grow costlier along them; with one job or one CPU the slice
+    is every pair, solved in one optimize_many call. point_fn gives a row
+    list per pair of its slice; if k > 1, a pool of k worker processes
+    evaluates the slices.
     """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
-    jobs = min(jobs, os.cpu_count() or 1)  # a worker per CPU at most: all fork on first submit
-    tasks = [(spec, spec.grid[i::k])
-             for spec in specs for k in [min(jobs, len(spec.grid))] for i in range(k)]
-    if jobs > 1:
+    pairs = [(spec, value) for spec in specs for value in spec.grid]
+    k = min(jobs, os.cpu_count() or 1, len(pairs))  # a worker per CPU: all fork on first submit
+    if k > 1:
         from concurrent.futures import ProcessPoolExecutor  # at jobs=1 no CLI run imports it
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            nested = list(pool.map(point_fn, tasks))
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            nested = list(pool.map(point_fn, [pairs[i::k] for i in range(k)]))
     else:
-        nested = [point_fn(t) for t in tasks]
-    rows = []
-    for spec in specs:  # point i of a grid is point i // k of slice i % k
-        k = min(jobs, len(spec.grid))
-        slices, nested = nested[:k], nested[k:]
-        rows += [row for i in range(len(spec.grid)) for row in slices[i % k][i // k]]
-    return rows
+        nested = [point_fn(pairs)]
+    return [row for i in range(len(pairs)) for row in nested[i % k][i // k]]  # pair i: slice i % k
 
 
 def sweep(spec: SweepSpec, jobs=1) -> list[dict]:
@@ -307,8 +305,9 @@ def _indexed(outputs, prefix, indices):
 def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
     """Write rows as CSV (stable column set) or JSON (full values).
 
-    outputs, when given, keeps only those metric columns in the CSV, plus
-    the parameter, engine and error columns; each must be one of columns.
+    Every row holds every column. outputs, when given, keeps only those
+    metric columns in the CSV, plus the parameter, engine and error columns;
+    each must be one of columns.
     """
     _check_outputs(columns, outputs)
     if fmt == "csv":
@@ -316,10 +315,9 @@ def write_rows(rows, columns, out=None, fmt="csv", outputs=()):
             keep = set(outputs) | {"engine", "error"}
             columns = [c for c in columns if c in keep or c in PARAM_FIELDS]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, restval="", extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows(map(operator.itemgetter(*columns), rows))
         text = buf.getvalue()
     elif fmt == "json":
         import json

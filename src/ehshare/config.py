@@ -136,13 +136,13 @@ def validate(params: SystemParams) -> SystemParams:
     """
     v = []
 
-    def positive(name):
-        x = getattr(params, name)
-        if not 0 < x < math.inf:
-            v.append(f"{name}: must be {'finite' if x == math.inf else '> 0'} (got {x})")
+    def positive(*names):
+        for name in names:
+            x = getattr(params, name)
+            if not 0 < x < math.inf:
+                v.append(f"{name}: must be {'finite' if x == math.inf else '> 0'} (got {x})")
 
-    for name in ("beta", "W", "N0", "e_pkt", "P_max"):
-        positive(name)
+    positive("beta", "W", "N0", "e_pkt", "P_max")
     if not 0 < params.tau < params.T:
         v.append(f"tau: must satisfy 0 < tau < T (got tau={params.tau}, T={params.T})")
     if not params.T < math.inf:
@@ -162,8 +162,7 @@ def validate(params: SystemParams) -> SystemParams:
         v.append(f"E_max: must be at most 1000000 (got {params.E_max})")
     if not (is_int(params.G) and 1 <= params.G) or (e_max_ok and params.G > params.E_max):
         v.append(f"G: must be an integer in 1..E_max (got G={params.G}, E_max={params.E_max})")
-    for name in ("sigma_ppd", "sigma_ps", "sigma_ssd"):
-        positive(name)
+    positive("sigma_ppd", "sigma_ps", "sigma_ssd")
     if v:
         raise ParameterError(v)
     return params

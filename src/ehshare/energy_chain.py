@@ -20,9 +20,9 @@ E_max, to E_max - s (s the largest idle count), from which s overflows again.
 tests/test_chain_oracle.py checks every support up to E_max = 4. So _solve_stack's
 certification guards only an omega no model builds, as one passed to stationary.
 
-A chain is fixed by its pmf pair, pi_idle and g. optimize_many searches g* for a
-slice of points at once, its bounds and mu_s held as (point, budget) arrays, and
-solves each distinct chain that its points ask for once per round.
+A chain is fixed by its pmf pair (at pi_idle = 1 its idle pmf), pi_idle and g.
+optimize_many searches g* for a slice of points at once, its bounds and mu_s held
+as (point, budget) arrays, and solves each distinct chain asked for once a round.
 """
 
 import bisect
@@ -326,12 +326,12 @@ def optimize_many(points) -> list:
     Round 1 solves each budget of bound inf, round 2 each other one whose bound
     is not below the best round-1 mu_s, less a 1e-9 margin so that rounding
     prunes no tie. The kernels of an E_max are stacked once, one per distinct
-    pmf pair and pi_idle, and _search holds the slice's budgets, bounds and mu_s
-    as (point, budget) arrays. In each round _solve_chains solves each distinct
-    chain of an E_max once; a failure, or a MemoryError (named as E_max), fails
-    each point that asks for one of its chains, and the others get the values
-    they get alone. A budget scores su_throughput's mu_s, in its order of
-    operations; g_star is the first maximizer in budget order.
+    pi_idle and pmf pair (idle pmf alone at pi_idle 1); _search holds the slice's
+    budgets, bounds and mu_s as (point, budget) arrays. Each round, _solve_chains
+    solves each distinct chain of an E_max once; a failure, or a MemoryError (named
+    as E_max), fails each point that asks for one of its chains, and the others get
+    the values they get alone. A budget scores su_throughput's mu_s, in its order
+    of operations; g_star is the first maximizer in budget order.
     """
     out, rows, groups = [None] * len(points), {}, {}
     for i, (params, dc, pmfs, budgets) in enumerate(points):
@@ -339,14 +339,16 @@ def optimize_many(points) -> list:
             order, key = _kernels(*pmfs, dc.pi_idle, budgets, params.E_max, rows)
         except Exception as exc:
             out[i] = exc
-        else:
-            groups.setdefault(params.E_max, []).append((i, list(order), (key, dc.pi_idle)))
+        else:  # pi_idle 1 scales the active kernel by 0: the idle pmf alone keys it
+            same = pmfs[0].probs.tobytes() if dc.pi_idle == 1 else key
+            groups.setdefault(params.E_max, []).append((i, list(order), (same, dc.pi_idle), key))
     live, spans = [], []  # per point searched, (i, budgets, kernel, c, pi_idle, m, search)
     for e_max, group in groups.items():
-        # kernel[(pmf key, pi_idle)]: its index in the E_max's kernels
-        kernel = {key: k for k, key in enumerate(dict.fromkeys(key for *_, key in group))}
+        kernel = {}  # (kernel key, pi_idle): its index in the E_max's kernels and its rows key
+        for *_, same, key in group:
+            kernel.setdefault(same, (len(kernel), key))
         try:
-            kernels = _scaled([rows[key] for key, _ in kernel], [pi for _, pi in kernel])
+            kernels = _scaled([rows[key] for _, key in kernel.values()], [pi for _, pi in kernel])
         except MemoryError as exc:
             for i, *_ in group:
                 out[i] = exc
@@ -354,8 +356,8 @@ def optimize_many(points) -> list:
         levels = np.arange(e_max + 1.0)  # a float dot gives the int dot's sum, in less time
         m = [row @ levels for row in kernels[:, 0, 0] + kernels[:, 1, 0]]
         spans.append((len(live), len(live) + len(group), kernels))
-        for i, order, key in group:
-            (params, dc, _, budgets), k = points[i], kernel[key]
+        for i, order, same, _ in group:
+            (params, dc, _, budgets), (k, _) = points[i], kernel[same]
             live.append((i, order, k, -dc.b / params.sigma_ssd, dc.pi_idle, m[k], budgets is None))
     if live:
         _search(points, live, spans, out)

@@ -6,11 +6,14 @@ Watts, the mean of a truncated pmf, the search for g* checked against
 the report of an exhaustive one, the search for g* one point and one chain
 at a time (the scorer optimize_many had before it searched a slice in
 arrays), and the frontier sweeps that decided which chains the stationary
-solver certifies before the transitive closure did; and LEAKY, a valid
-point whose chains once made the LU singular.
+solver certifies before the transitive closure did; the dealing of grid
+points to slices one spec at a time, as the CLI did before a slice spanned
+every spec of an invocation; and LEAKY, a valid point whose chains once made
+the LU singular.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -191,3 +194,16 @@ def frontier_verdicts(omega):
     to_top = frontier_reached(backward, top)
     certified = np.all(to_0 | ~reached, axis=1) | np.all(to_top | ~reached, axis=1)
     return certified, ~(reached.all(axis=1) & to_0.all(axis=1))
+
+
+def run_grid_per_spec(point_fn, specs, jobs):
+    """The rows of cli_sweep._run_grid, dealt as it dealt them before a slice
+    spanned specs: each spec's grid into k = min(jobs, CPUs, its points)
+    strided slices of (spec, value) pairs, grid[i::k], each evaluated here in
+    turn; the rows flattened in grid order."""
+    rows = []
+    for spec in specs:
+        k = min(jobs, os.cpu_count() or 1, len(spec.grid))
+        slices = [point_fn([(spec, value) for value in spec.grid[i::k]]) for i in range(k)]
+        rows += [row for i in range(len(spec.grid)) for row in slices[i % k][i // k]]
+    return rows

@@ -13,15 +13,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ehshare
 from ehshare import cli_sweep, energy_chain, harvest, simulator
 from ehshare.cli_sweep import SweepSpec, build_parser, compare, main, preset_specs, sweep
-from ehshare.config import PARAM_FIELDS, ParameterError, default_params, derive
+from ehshare.config import PARAM_FIELDS, ParameterError, coerce_field, default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
 from ehshare.harvest import HarvestPmf, arrival_pmfs
 from ehshare.simulator import SimConfig, run as simulate
+from oracles import run_grid_per_spec
 
 
 def read_csv(path):
@@ -237,6 +238,37 @@ def test_an_error_row_writes_the_swept_value_as_its_field_type(command, param, v
                  "--warmup", "100", "--out", str(out)]) == 0
     (row,) = [r for r in read_csv(out) if r["error"]]
     assert param in row["error"] and row[param] == given
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(PARAM_FIELDS), coerced=st.booleans(),
+       value=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, True, False, 2.5]),
+                       st.floats(), st.integers(-3, 40)))
+@example(name="E_max", value=True, coerced=False)
+@example(name="E_max", value=12.0, coerced=False)
+@example(name="G", value=11, coerced=True)
+@example(name="tau", value=1.0, coerced=True)
+@example(name="T", value=0.1, coerced=True)
+def test_a_swept_value_is_validated_as_replace_validates_it(name, value, coerced):
+    # a grid point's SystemParams is built without dataclasses.replace, yet an
+    # invalid value must fail it with replace's ParameterError, fields and text.
+    # Uncoerced, bools and floats reach E_max and G as given; no engine runs
+    fixed = default_params()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harvest, "arrival_pmfs", lambda params, dc: None)
+        mp.setattr(energy_chain, "optimize_many", lambda points: [None] * len(points))
+        if not coerced:
+            mp.setattr(cli_sweep, "coerce_field", lambda name, value: value)
+        ((params, analytic, _),) = cli_sweep._evaluate([(SweepSpec(name, (value,), fixed), value)],
+                                                      lambda *record: record)
+    try:
+        want = replace(fixed, **{name: coerce_field(name, value) if coerced else value})
+    except ParameterError as exc:
+        assert isinstance(params, argparse.Namespace)
+        assert (type(analytic), analytic.fields, str(analytic)) \
+            == (ParameterError, exc.fields, str(exc))
+    else:
+        assert type(params) is type(want) and params == want
 
 
 @pytest.mark.parametrize("given, field, values", [
@@ -650,6 +682,34 @@ def test_compare_and_preset_with_worker_pool_match_serial():
         == cli_sweep._run_grid(cli_sweep._eval_sweep_point, specs, 1)
 
 
+@pytest.mark.parametrize("case", ["fig2", "fig3", "fig4", "fig5", "fixed-g sweep"])
+@pytest.mark.parametrize("engines", ["analytic", "both"])
+def test_dealing_every_spec_into_one_slice_gives_the_rows_of_per_spec_slices(case, engines):
+    # one slice of (spec, value) pairs spans the specs of an invocation; the rows
+    # must be those of each spec's grid dealt on its own, at one job and at two
+    sim = SimConfig(n_slots=3000, seed=7, warmup=500) if engines == "both" else None
+    specs = preset_specs(case, engines=engines, sim=sim) if case.startswith("fig") else [
+        SweepSpec("lambda_p", tuple(round(0.1 * i, 1) for i in range(11)),
+                  default_params(lambda_e=0.5, E_max=6, G=3), engines=engines, sim=sim,
+                  g_policy="fixed")]
+    for jobs in (1, 2):
+        assert cli_sweep._run_grid(cli_sweep._eval_sweep_point, specs, jobs) \
+            == run_grid_per_spec(cli_sweep._eval_sweep_point, specs, jobs)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "simulate", "both"])
+def test_a_preset_at_one_job_calls_each_engine_once(engine, monkeypatch, capsys):
+    # the points an optimize_many call solves (none with the simulator alone)
+    solves = _count_calls(monkeypatch, energy_chain, "optimize_many")
+    runs = _count_calls(monkeypatch, simulator, "run_many")
+    for name, points in (("fig2", 84), ("fig3", 30), ("fig4", 63), ("fig5", 84)):
+        solves.clear()
+        runs.clear()
+        assert main(["preset", name, "--engine", engine, "--slots", "2000", "--warmup", "500"]) == 0
+        assert [len(args[0]) for args in solves] == [0 if engine == "simulate" else points]
+        assert [len(args[0]) for args in runs] == ([] if engine == "analytic" else [points])
+
+
 def test_simulate_sweep_gives_only_the_failing_point_an_error_row(tmp_path):
     # lambda_e * T = 1e300 exceeds numpy's Poisson limit; the simulator
     # rejects that point before drawing and the other points still run
@@ -874,13 +934,14 @@ def test_a_slice_builds_each_distinct_pmf_pair_and_kernel_once(preset, keys, mon
     assert (len(pmf_calls), len(row_calls)) == (keys, 2 * keys)
 
 
-@pytest.mark.parametrize("preset, chains", [("fig2", 176), ("fig3", 30), ("fig4", 118),
+@pytest.mark.parametrize("preset, chains", [("fig2", 160), ("fig3", 30), ("fig4", 117),
                                             ("fig5", 140)])
 def test_a_slice_solves_each_distinct_chain_once(preset, chains, monkeypatch, capsys):
     # 641 chains in all before optimize_many keyed them by (pmf pair, pi_idle, g):
-    # saturated points of a lambda_p grid share their chains. Each swept spec is
-    # its own slice, so 17 of these 464 repeat a chain of another slice: with
-    # lambda_p = lambda_e = 0 nothing is harvested at any eta.
+    # saturated points of a lambda_p grid share their chains. A preset is one
+    # slice, and at pi_idle = 1 (lambda_p = 0) the idle pmf alone keys a kernel,
+    # so fig2's chains at lambda_p = lambda_e = 0, where nothing is harvested at
+    # any eta, are solved once for both etas.
     omegas, per_call, solve_stack = [], [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: omegas.extend(omega) or solve_stack(omega))
