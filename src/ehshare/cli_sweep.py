@@ -21,7 +21,7 @@ import numpy as np
 
 from . import energy_chain, harvest
 from .config import (FIELD_OF_LOWER, PARAM_FIELDS, ParameterError, SimConfig, SystemParams,
-                     coerce_field, dbm_to_watts, default_params, derive, load_params)
+                     coerce_field, dbm_to_watts, default_params, load_params)
 
 METRIC_COLUMNS = ["engine", "mu_p", "pi_idle", "pu_throughput", "regime", "g",
                   "mu_s", "mu_e", "success_prob", "seed", "slots", "warmup", "error"]
@@ -71,21 +71,19 @@ class SweepSpec:
 def _evaluate(pairs, to_rows, sim_after_failure=True):
     """The rows of a slice of (spec, value) pairs: one list, to_rows(*record), per pair.
 
-    A pair's record is [params, analytic, simulated]. Each engine's slot
-    holds its result, (report, dc) or the SimResult, the exception that
-    failed it, or None if the engine did not run. The specs of a slice share
-    engines and sim; each pair reads its swept_param, fixed and g_policy from
-    its own. The analytic engine solves every point of the slice in one
-    optimize_many call, then one lockstep run_many call simulates at each
-    analytic g_star (else at G); without sim_after_failure an analytic failure
-    skips the point's simulation. An error that ends the shared solve or the
-    lockstep run is that engine's result at each of its points. An invalid
-    point fails every engine; a Namespace holds its values.
+    A pair's record is [params, analytic, simulated], each engine's slot its
+    ThroughputReport or SimResult, the exception that failed it, or None if it did
+    not run. The specs of a slice share engines and sim, not swept_param, fixed or
+    g_policy. One optimize_many call solves the slice, then one lockstep run_many
+    call simulates at each analytic g_star (else at G); without sim_after_failure
+    an analytic failure skips the point's simulation. An error that ends either
+    call is that engine's result at each of its points. An invalid point fails
+    every engine; a Namespace holds its values.
     """
     first = pairs[0][0]
     assert all((s.engines, s.sim) == (first.engines, first.sim) for s, _ in pairs)
     engines = ("analytic", "simulate") if first.engines == "both" else (first.engines,)
-    records, memo = [], {}
+    records, solve = [], []  # solve: per analytic point, its record and budgets
     for spec, value in pairs:
         name = spec.swept_param
         try:  # an error row holds value coerced to its field's type, unless coercion raised
@@ -96,30 +94,21 @@ def _evaluate(pairs, to_rows, sim_after_failure=True):
                            + [exc if e in engines else None for e in ("analytic", "simulate")])
             continue
         records.append([params, None, None])
-        if "analytic" in engines:  # optimize_g's arguments; memo maps each _pmf_key to its pmfs
-            try:
-                dc = derive(params)
-                key = harvest._pmf_key(params, dc)
-                if key not in memo:
-                    memo[key] = harvest.arrival_pmfs(params, dc)
-                records[-1][1] = (params, dc, memo[key],
-                                  None if spec.g_policy == "optimize" else (params.G,))
-            except Exception as exc:
-                records[-1][1] = exc
-    solve = [r for r in records if isinstance(r[1], tuple)]
+        if "analytic" in engines:
+            solve.append((records[-1], None if spec.g_policy == "optimize" else (params.G,)))
     try:
-        reports = energy_chain.optimize_many([r[1] for r in solve])
+        reports = energy_chain.optimize_many([(r[0], budgets) for r, budgets in solve])
     except Exception as exc:
         reports = [exc] * len(solve)
-    for r, report in zip(solve, reports):
-        r[1] = report if isinstance(report, Exception) else (report, r[1][1])
+    for (r, _), report in zip(solve, reports):
+        r[1] = report
     run = [r for r in records if "simulate" in engines and r[2] is None
            and (sim_after_failure or not isinstance(r[1], Exception))]
     if run:
         from .simulator import run_many  # an analytic run never loads the simulator
         try:
-            results = run_many([replace(params, G=a[0].g_star if isinstance(a, tuple)
-                                        else params.G) for params, a, _ in run], first.sim)
+            results = run_many([replace(params, G=getattr(a, "g_star", params.G))
+                                for params, a, _ in run], first.sim)  # a report's g*, else G
         except Exception as exc:
             results = [exc] * len(run)
         for r, result in zip(run, results):
@@ -133,18 +122,18 @@ def _row(params, metrics, **values):
     return {**vars(params), **dict.fromkeys(metrics, ""), **values}
 
 
-def _analytic_row(params, report, dc):
+def _analytic_row(params, report):
     return _row(
         params, METRIC_COLUMNS,
         engine="analytic",
-        mu_p=dc.mu_p,
-        pi_idle=dc.pi_idle,
-        pu_throughput=dc.pu_throughput,
-        regime="stable" if params.lambda_p < dc.mu_p else "saturated",
+        mu_p=report.dc.mu_p,
+        pi_idle=report.dc.pi_idle,
+        pu_throughput=report.dc.pu_throughput,
+        regime="stable" if params.lambda_p < report.dc.mu_p else "saturated",
         g=report.g_star,
         mu_s=report.mu_s_star,
         mu_e=report.mu_e,
-        success_prob=energy_chain.success_probability(params, dc, report.g_star),
+        success_prob=energy_chain.success_probability(params, report.dc, report.g_star),
     )
 
 
@@ -168,7 +157,7 @@ def _sweep_rows(params, analytic, simulated):
     """A point's rows, one per engine that ran: its metrics, or its error."""
     return [_row(params, METRIC_COLUMNS, engine=engine, error=str(result))
             if isinstance(result, Exception) else _simulate_row(params, result)
-            if engine == "simulate" else _analytic_row(params, *result)
+            if engine == "simulate" else _analytic_row(params, result)
             for engine, result in (("analytic", analytic), ("simulate", simulated))
             if result is not None]
 
@@ -187,7 +176,7 @@ def _compare_rows(params, analytic, result):
     for failure in (analytic, result):
         if isinstance(failure, Exception):
             return [_row(params, COMPARE_METRICS, error=str(failure))]
-    report, dc = analytic
+    report, dc = analytic, analytic.dc
     tv = 0.5 * float(np.abs(report.chi - result.energy_occupancy_hist).sum())
     values = dict(g=report.g_star, tv_occupancy=tv, seed=result.seed, slots=result.n_slots)
     for name, a, s in (("mu_s", report.mu_s_star, result.su_throughput_hat),
@@ -201,12 +190,10 @@ def _compare_rows(params, analytic, result):
 def _run_grid(point_fn, specs, jobs):
     """point_fn over every grid point of every spec, in order; the rows flattened.
 
-    The (spec, value) pairs of all the specs are dealt into k = min(jobs,
-    CPUs, pairs) strided slices, pairs[i::k], so that workers share grids
-    whose points grow costlier along them; with one job or one CPU the slice
-    is every pair, solved in one optimize_many call. point_fn gives a row
-    list per pair of its slice; if k > 1, a pool of k worker processes
-    evaluates the slices.
+    The (spec, value) pairs of all the specs are dealt into k = min(jobs, CPUs,
+    pairs) strided slices, pairs[i::k], so that workers share grids whose points
+    grow costlier along them; a pool of k worker processes evaluates them if k > 1.
+    point_fn gives a row list per pair of its slice.
     """
     if jobs < 1:
         raise ParameterError([f"jobs: must be >= 1 (got {jobs})"])
@@ -385,16 +372,16 @@ def _sim_config(args) -> SimConfig:
 # subcommands
 
 def cmd_analytic(args):
+    """One point's row from optimize_g(params, budgets); --dump-* read the report's dc."""
     params = params_from_args(args)
     budgets = [params.G] if args.fixed_g else range(1, params.E_max + 1)
     _check_outputs(PARAM_FIELDS + METRIC_COLUMNS + _indexed(args.outputs, "mu_s_g", budgets),
                    args.outputs)
-    dc = derive(params)
-    pmfs = harvest.arrival_pmfs(params, dc)
-    report = energy_chain.optimize_g(params, dc, pmfs, budgets)
-    row = _analytic_row(params, report, dc)
-    for g, value in sorted(report.mu_s_by_g.items()):
-        row[f"mu_s_g{g}"] = value
+    report = energy_chain.optimize_g(params, budgets)
+    row, dc = _analytic_row(params, report), report.dc
+    row.update((f"mu_s_g{g}", value) for g, value in sorted(report.mu_s_by_g.items()))
+    if args.dump_pmfs or args.dump_chain:
+        pmfs = harvest.arrival_pmfs(params, dc)
     if args.dump_pmfs:
         with _file_errors("dump_pmfs"):
             os.makedirs(args.dump_pmfs, exist_ok=True)
@@ -455,7 +442,8 @@ def _grid_from_args(args):
         raise ParameterError(["grid: empty range"])
     if count > 100_000:  # checked before a value is built
         raise ParameterError([f"grid: {count} points exceed the limit of 100000"])
-    return tuple(round(start + i * step, 12) for i in range(count))
+    digits = max(12, 12 - math.floor(math.log10(abs(step))))  # rounding error, not the step
+    return tuple(round(start + i * step, digits) for i in range(count))
 
 
 def cmd_grid(args):

@@ -20,7 +20,7 @@ E_max, to E_max - s (s the largest idle count), from which s overflows again.
 tests/test_chain_oracle.py checks every support up to E_max = 4. So _solve_stack's
 certification guards only an omega no model builds, as one passed to stationary.
 
-A chain is fixed by its pmf pair (at pi_idle = 1 its idle pmf), pi_idle and g.
+A chain is fixed by its pmf key (at pi_idle = 1 its nature part), pi_idle and g.
 optimize_many searches g* for a slice of points at once, its bounds and mu_s held
 as (point, budget) arrays, and solves each distinct chain asked for once a round.
 """
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DerivedConstants, ParameterError, SystemParams, is_int
-from .harvest import HarvestPmf
+from . import harvest
+from .config import DerivedConstants, ParameterError, SystemParams, derive, is_int
 
 _STACK_CELLS = 2 ** 15  # transition-matrix entries solved in one stack
 _TOL = 1e-10  # largest stationary residual max |chi @ omega - chi| accepted
@@ -64,36 +64,27 @@ class EnergyChain:
     reducible: bool | None = None
 
 
-def _arrival_rows(probs, e_max):
-    """Arrival kernel of one slot type, (e_max+1, e_max+1), from base level j.
-
-    Row j holds pmf(k - j) for k < e_max and, in column e_max, the
-    complement Pr{arrivals >= e_max - j}, clamped at 0: a pmf summing to
-    1 + 1ulp must not produce a negative transition probability. Only the
-    first e_max pmf entries can land below the top state.
-    """
-    head = probs[:e_max]
-    padded = np.concatenate([np.zeros(e_max), head, np.zeros(e_max - head.size)])
-    cum = np.concatenate([[0.0], np.cumsum(padded[e_max:])])
-    rows = np.empty((e_max + 1, e_max + 1))
-    rows[:, :e_max] = padded[np.arange(e_max) + np.arange(e_max, -1, -1)[:, None]]
-    rows[:, e_max] = np.maximum(0.0, 1.0 - cum[::-1])
+def _arrival_rows(heads):
+    """Arrival kernels (..., e_max+1, e_max+1) of pmf heads (..., e_max), each pmf's
+    first e_max bins (no later one lands below the top state), 0 past its support:
+    from base level j, row j holds pmf(k - j) for k < e_max and, in column e_max,
+    Pr{arrivals >= e_max - j}, clamped at 0 so that no pmf summing to 1 + 1ulp
+    produces a negative transition probability."""
+    e_max = heads.shape[-1]
+    padded = np.concatenate((np.zeros(heads.shape), heads), axis=-1)
+    rows = np.empty(heads.shape[:-1] + (e_max + 1, e_max + 1))
+    step = padded.strides[-1]  # row j reads padded[e_max - j:2 e_max - j], a strided view
+    rows[..., :e_max] = np.lib.stride_tricks.as_strided(
+        padded[..., e_max:], rows.shape[:-1] + (e_max,), padded.strides[:-1] + (-step, step))
+    rows[..., :e_max, e_max] = np.maximum(0.0, 1.0 - np.cumsum(heads, axis=-1)[..., ::-1])
+    rows[..., e_max, e_max] = 1.0
     return rows
 
 
-def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows):
-    """Check e_max and pi_idle, memoize the pmfs' pair of _arrival_rows in rows by
-    (pmf ids, e_max), then check the budgets; return them as ints, each once
-    (1..e_max if None), and the pmfs' key in rows."""
-    if not (is_int(e_max) and e_max >= 1):
-        raise ChainError(f"need integers 1 <= g <= e_max (got e_max={e_max})")
-    if not 0.0 <= pi_idle <= 1.0:
-        raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
-    key = (id(p_idle_arrivals), id(p_active_arrivals), e_max)
-    if key not in rows:  # before the budgets: a huge E_max fails here, not in their check
-        rows[key] = [_arrival_rows(p.probs, e_max) for p in (p_idle_arrivals, p_active_arrivals)]
+def _budgets(budgets, e_max):
+    """The budgets checked, as ints, each once (1..e_max if None)."""
     if budgets is None:
-        return range(1, e_max + 1), key
+        return range(1, e_max + 1)
     budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
                for g in budgets]
     if not budgets:
@@ -101,16 +92,7 @@ def _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, budgets, e_max, rows):
     for g in budgets:
         if not (is_int(g) and 1 <= g <= e_max):
             raise ChainError(f"need integers 1 <= g <= e_max (got g={g}, e_max={e_max})")
-    return list(dict.fromkeys(budgets)), key
-
-
-def _scaled(rows, pi_idle):
-    """The idle and active kernels (K, 2, n, n) _omegas gathers from: the
-    _arrival_rows pairs rows (K of them) scaled by (pi_idle, 1 - pi_idle)."""
-    kernels, pi_idle = np.array(rows), np.array(pi_idle)[:, None, None]
-    kernels[:, 0] *= pi_idle
-    kernels[:, 1] *= 1.0 - pi_idle
-    return kernels
+    return list(dict.fromkeys(budgets))
 
 
 def _omegas(kernels, point, g):
@@ -127,20 +109,22 @@ def _omegas(kernels, point, g):
     return omega
 
 
-def build_chain(p_idle_arrivals: HarvestPmf, p_active_arrivals: HarvestPmf,
+def build_chain(p_idle_arrivals: harvest.HarvestPmf, p_active_arrivals: harvest.HarvestPmf,
                 pi_idle, g, e_max) -> EnergyChain:
-    """Assemble the transition matrix of the energy queue.
-
-    From state j the next state is min(base + arrivals, e_max), where
-    base = j - g on an idle slot with j >= g (a transmission was funded)
-    and base = j otherwise; arrivals follow the idle pmf on idle slots and
-    the active pmf on active slots. The e_max column takes the
-    complementary sums, which hold each pmf's tail_mass, so every row
-    totals 1 by construction.
-    """
-    rows = {}
-    (g,), key = _kernels(p_idle_arrivals, p_active_arrivals, pi_idle, [g], e_max, rows)
-    return EnergyChain(omega=_omegas(_scaled([rows[key]], [pi_idle]), [0], [g])[0], g=g)
+    """Assemble the transition matrix of the energy queue: from state j the next
+    state is min(base + arrivals, e_max), base = j - g on an idle slot with j >= g
+    (a funded transmission), else j, and arrivals follow the slot type's pmf. The
+    e_max column takes the complementary sums, which hold each pmf's tail_mass,
+    so every row totals 1 by construction."""
+    if not (is_int(e_max) and e_max >= 1):
+        raise ChainError(f"need integers 1 <= g <= e_max (got e_max={e_max})")
+    if not 0.0 <= pi_idle <= 1.0:
+        raise ChainError(f"pi_idle must lie in [0, 1] (got {pi_idle})")
+    (g,), heads = _budgets([g], e_max), np.zeros((1, 2, e_max))
+    for row, pmf in zip(heads[0], (p_idle_arrivals, p_active_arrivals)):
+        row[:min(e_max, pmf.probs.size)] = pmf.probs[:e_max]
+    kernels = _arrival_rows(heads) * np.array([pi_idle, 1.0 - pi_idle])[:, None, None]
+    return EnergyChain(omega=_omegas(kernels, [0], [g])[0], g=g)
 
 
 def _closure(edges):
@@ -193,7 +177,6 @@ def _solve_stack(omega):
     Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1 ulp away. The
     chains share one batched LU solve, or are solved one by one if a singular
     member makes it raise; a chain missing _TOL fails with a StationarySolveError.
-    optimize_many sends each distinct chain of a round here once (_solve_chains).
     """
     n, chi, failures = omega.shape[1], np.zeros(omega.shape[:2]), {}
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
@@ -275,15 +258,13 @@ def mu_e(chain: EnergyChain, params: SystemParams, dc: DerivedConstants):
 
 @dataclass(frozen=True)
 class ThroughputReport:
-    """The secondary's analytic summary at one operating point; the primary's
-    mu_p, pu_throughput and pi_idle are on the point's DerivedConstants.
-
-    mu_s_by_g maps every evaluated energy budget to its secondary
-    throughput, in budget order: the budgets given, or those the search for
-    g* solved. g_star is the first maximizer in budget order, chi its chain's
-    stationary vector (build_chain rebuilds omega), mu_e its consumption rate
-    and reducible the budgets of mu_s_by_g whose chains are reducible.
-    """
+    """The secondary's analytic summary at one operating point. mu_s_by_g maps each
+    evaluated energy budget to its secondary throughput, in budget order: the
+    budgets given, or those the search for g* solved. g_star is the first maximizer
+    in budget order, chi its chain's stationary vector (build_chain rebuilds omega),
+    mu_e its consumption rate, reducible the budgets of mu_s_by_g whose chains are
+    reducible and dc the point's DerivedConstants (the primary's mu_p,
+    pu_throughput and pi_idle), which the engine derived."""
 
     mu_e: float
     mu_s_by_g: dict[int, float]
@@ -291,6 +272,7 @@ class ThroughputReport:
     mu_s_star: float
     chi: np.ndarray = field(repr=False, compare=False)
     reducible: frozenset = field(compare=False)
+    dc: DerivedConstants = field(compare=False)
 
 
 def _bounds(c, pi_idle, m, g):
@@ -317,57 +299,71 @@ def _solve_chains(kernels, cells, solved, errors):
 
 
 def optimize_many(points) -> list:
-    """optimize_g for every point (params, dc, pmfs, budgets) of a slice at once.
+    """optimize_g for every point (params, budgets) of a slice at once: per point, in
+    order, its ThroughputReport or the exception that failed it (derive's
+    ParameterError, say) while the others get theirs. Each E_max builds the pmfs
+    of its distinct harvest._pmf_keys (at pi_idle 1, which scales the active kernel
+    by 0, of their nature parts) in one array, then in one call the kernels, one per
+    distinct key and pi_idle. A failure there, or a chain's in _search, fails each
+    point that needs it; a MemoryError becomes a ParameterError naming E_max. A
+    budget scores su_throughput's mu_s, in its order of operations."""
+    entries = []
+    for params, budgets in points:
+        try:
+            dc = derive(params)
+        except ParameterError as exc:
+            entries.append(exc)
+            continue
+        key = harvest._pmf_key(params, dc)
+        entries.append((params, dc, budgets, key[:2] if dc.pi_idle == 1 else key))
+    return _optimize(entries, harvest.arrival_heads)
 
-    Returns one entry per point, in order: its ThroughputReport, or the
-    exception that failed it while the other points still get theirs. A
-    budget's bound on its mu_s is _bounds if budgets is None (a search of
-    1..E_max), else inf; a search's first largest bound is raised to inf.
-    Round 1 solves each budget of bound inf, round 2 each other one whose bound
-    is not below the best round-1 mu_s, less a 1e-9 margin so that rounding
-    prunes no tie. The kernels of an E_max are stacked once, one per distinct
-    pi_idle and pmf pair (idle pmf alone at pi_idle 1); _search holds the slice's
-    budgets, bounds and mu_s as (point, budget) arrays. Each round, _solve_chains
-    solves each distinct chain of an E_max once; a failure, or a MemoryError (named
-    as E_max), fails each point that asks for one of its chains, and the others get
-    the values they get alone. A budget scores su_throughput's mu_s, in its order
-    of operations; g_star is the first maximizer in budget order.
-    """
-    out, rows, groups = [None] * len(points), {}, {}
-    for i, (params, dc, pmfs, budgets) in enumerate(points):
-        try:
-            order, key = _kernels(*pmfs, dc.pi_idle, budgets, params.E_max, rows)
-        except Exception as exc:
-            out[i] = exc
-        else:  # pi_idle 1 scales the active kernel by 0: the idle pmf alone keys it
-            same = pmfs[0].probs.tobytes() if dc.pi_idle == 1 else key
-            groups.setdefault(params.E_max, []).append((i, list(order), (same, dc.pi_idle), key))
-    live, spans = [], []  # per point searched, (i, budgets, kernel, c, pi_idle, m, search)
+
+def _optimize(entries, arrival_heads):
+    """optimize_many over entries, each a point's failure or (params, dc, budgets, key);
+    arrival_heads(first, e_max) gives the (K, 2, e_max) pmf heads of K keys' first entries."""
+    out = [entry if isinstance(entry, Exception) else None for entry in entries]
+    groups, live, spans = {}, [], []
+    for i, entry in enumerate(entries):
+        if out[i] is None:  # the key of the point's kernel
+            groups.setdefault(entry[0].E_max, {})[i] = entry[3], entry[1].pi_idle
     for e_max, group in groups.items():
-        kernel = {}  # (kernel key, pi_idle): its index in the E_max's kernels and its rows key
-        for *_, same, key in group:
-            kernel.setdefault(same, (len(kernel), key))
-        try:
-            kernels = _scaled([rows[key] for _, key in kernel.values()], [pi for _, pi in kernel])
-        except MemoryError as exc:
-            for i, *_ in group:
-                out[i] = exc
+        kernel = {k: n for n, k in enumerate(dict.fromkeys(group.values()))}
+        first = {key: i for i, (key, _) in reversed(group.items())}  # each pmf key's first point
+        index = {key: n for n, key in enumerate(first)}
+        try:  # before the budgets: a huge E_max fails here, not in their check
+            heads = arrival_heads([entries[i] for i in first.values()], e_max)
+            kernels = _arrival_rows(heads[[index[key] for key, _ in kernel]])  # one per kernel,
+            kernels *= np.array([(pi, 1.0 - pi) for _, pi in kernel])[:, :, None, None]  # scaled
+        except Exception as exc:
+            out = [exc if i in group else r for i, r in enumerate(out)]
             continue
         levels = np.arange(e_max + 1.0)  # a float dot gives the int dot's sum, in less time
         m = [row @ levels for row in kernels[:, 0, 0] + kernels[:, 1, 0]]
-        spans.append((len(live), len(live) + len(group), kernels))
-        for i, order, same, _ in group:
-            (params, dc, _, budgets), (k, _) = points[i], kernel[same]
-            live.append((i, order, k, -dc.b / params.sigma_ssd, dc.pi_idle, m[k], budgets is None))
+        lo = len(live)  # live: per point searched, (i, budgets, kernel, c, pi_idle, m, search)
+        for i, k in group.items():
+            params, dc, budgets, _ = entries[i]
+            try:
+                order = list(_budgets(budgets, e_max))
+            except Exception as exc:
+                out[i] = exc
+                continue
+            live.append((i, order, kernel[k], -dc.b / params.sigma_ssd, dc.pi_idle,
+                         m[kernel[k]], budgets is None))
+        spans.append((lo, len(live), kernels))
     if live:
-        _search(points, live, spans, out)
-    return [ParameterError([f"E_max: {p.E_max} is too large for the analytic engine's memory"])
-            if isinstance(r, MemoryError) else r for (p, *_), r in zip(points, out)]
+        _search(entries, live, spans, out)
+    return [ParameterError([f"E_max: {e[0].E_max} is too large for the analytic engine's memory"])
+            if isinstance(r, MemoryError) else r for e, r in zip(entries, out)]
 
 
-def _search(points, live, spans, out):
-    """optimize_many's two rounds over its rows live, given the span (lo, hi,
-    kernels) of the rows of each E_max; sets out[i] for each row's point i."""
+def _search(entries, live, spans, out):
+    """_optimize's two rounds over its rows live, given the span (lo, hi, kernels)
+    of each E_max's rows; sets out[i] for each row's point i. _bounds bounds a
+    search's budgets, its first largest raised to inf, and inf the budgets given.
+    Round 1 solves each budget of bound inf, round 2 each other one whose bound is
+    not below the best round-1 mu_s less a 1e-9 margin, so that rounding prunes no
+    tie; each round solves each distinct chain of an E_max once (_solve_chains)."""
     width = max(len(row[1]) for row in live)
     budget = np.array([row[1] + [0] * (width - len(row[1])) for row in live])  # 0 pads a row
     c, pi, m, search = np.array([row[3:] for row in live]).T[:, :, None]
@@ -397,7 +393,7 @@ def _search(points, live, spans, out):
                 out[live[r][0]], todo[r] = errors[k], False
         cell[p, j] = ids  # mu_s as su_throughput computes it; a failed row's goes unread
         mu[p, j] = [dc.pi_idle * success_probability(params, dc, g) * solved[k][1]
-                    for (params, dc, _, _), g, k in zip((points[live[r][0]] for r in at), gs, ids)]
+                    for (params, dc, *_), g, k in zip((entries[live[r][0]] for r in at), gs, ids)]
         floor = mu.max(axis=1, keepdims=True) * (1 - 1e-9)
     star = mu.argmax(axis=1).tolist()  # the first maximizer in budget order; -inf: not solved
     for (i, *_), row_g, row_mu, row_k, b in zip(live, budget.tolist(), mu.tolist(), cell.tolist(),
@@ -405,22 +401,18 @@ def _search(points, live, spans, out):
         if out[i] is None:
             found = [(h, x, n) for h, x, n in zip(row_g, row_mu, row_k) if x >= 0.0]
             mu_s, g, k = {h: x for h, x, _ in found}, row_g[b], row_k[b]
-            reducible = frozenset(h for h, _, n in found if solved[n][2])
-            out[i] = ThroughputReport(g * points[i][1].pi_idle * solved[k][1], mu_s, g, mu_s[g],
-                                      solved[k][0], reducible)
+            reducible, dc = frozenset(h for h, _, n in found if solved[n][2]), entries[i][1]
+            out[i] = ThroughputReport(g * dc.pi_idle * solved[k][1], mu_s, g, mu_s[g],
+                                      solved[k][0], reducible, dc)
 
 
-def optimize_g(params: SystemParams, dc: DerivedConstants,
-               pmfs: tuple[HarvestPmf, HarvestPmf], budgets=None) -> ThroughputReport:
-    """Evaluate the given energy budgets, or search 1..E_max for g* if None.
-
-    The one-point case of optimize_many; it raises the point's failure. Each
-    distinct budget's chain is solved once, as in stationary, and a reducible
-    one is noted in report.reducible; the search solves only the budgets that
-    energy balance cannot rule out. Ties break toward the budget given first,
-    or the smallest when searching.
-    """
-    (report,) = optimize_many([(params, dc, pmfs, budgets)])
+def optimize_g(params: SystemParams, budgets=None) -> ThroughputReport:
+    """Evaluate the given energy budgets, or search 1..E_max for g* if None: the
+    one-point case of optimize_many, raising the point's failure. Each distinct
+    budget's chain is solved once, and the search solves only the budgets that
+    energy balance cannot rule out. Ties break toward the budget given first, or
+    the smallest when searching."""
+    (report,) = optimize_many([(params, budgets)])
     if isinstance(report, Exception):
         raise report
     return report

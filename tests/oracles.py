@@ -8,8 +8,10 @@ at a time (the scorer optimize_many had before it searched a slice in
 arrays), and the frontier sweeps that decided which chains the stationary
 solver certifies before the transitive closure did; the dealing of grid
 points to slices one spec at a time, as the CLI did before a slice spanned
-every spec of an invocation; and LEAKY, a valid point whose chains once made
-the LU singular.
+every spec of an invocation; the arrival kernels of one point, built as the
+engine built them before it built a slice's as arrays; the engine's search
+over pmf pairs that are given, not built from the parameters; and LEAKY, a
+valid point whose chains once made the LU singular.
 """
 
 import math
@@ -17,10 +19,11 @@ import os
 
 import numpy as np
 
+from ehshare import energy_chain
 from ehshare.config import DerivedConstants, SystemParams, derive
 from ehshare.energy_chain import (ThroughputReport, build_chain, mu_e, optimize_g, stationary,
                                   su_throughput)
-from ehshare.harvest import HarvestPmf, rf_pmf
+from ehshare.harvest import TAIL_EPS, HarvestPmf, combined_pmf, nature_pmf, rf_pmf
 
 
 # a valid point (fields but G) whose active pmf is [1 - 1.1e-16] with a tail of 1.1e-16
@@ -122,11 +125,11 @@ def pmf_mean(pmf: HarvestPmf) -> float:
     return float(np.arange(pmf.probs.size) @ pmf.probs)
 
 
-def assert_search_matches(exhaustive, params, dc, pmfs):
+def assert_search_matches(exhaustive, params):
     """optimize_g's search for g* (budgets None) picks exhaustive's g_star,
     mu_s_star, mu_e and stationary vector bit for bit, and every budget it
     solves has the exhaustive value and reducibility."""
-    searched = optimize_g(params, dc, pmfs)
+    searched = optimize_g(params)
     assert (searched.g_star, searched.mu_s_star, searched.mu_e) \
         == (exhaustive.g_star, exhaustive.mu_s_star, exhaustive.mu_e)
     assert np.array_equal(searched.chi, exhaustive.chi)
@@ -164,7 +167,7 @@ def reference_search(params, dc, pmfs, budgets=None):
     mu_s_by_g = {g: mu[g] for g in order if g in mu}
     g = max(mu_s_by_g, key=mu_s_by_g.__getitem__)
     return ThroughputReport(mu_e(chains[g], params, dc), mu_s_by_g, g, mu_s_by_g[g], chains[g].chi,
-                            frozenset(h for h in mu_s_by_g if chains[h].reducible))
+                            frozenset(h for h in mu_s_by_g if chains[h].reducible), dc)
 
 
 def frontier_reached(edges, start):
@@ -207,3 +210,53 @@ def run_grid_per_spec(point_fn, specs, jobs):
         slices = [point_fn([(spec, value) for value in spec.grid[i::k]]) for i in range(k)]
         rows += [row for i in range(len(spec.grid)) for row in slices[i % k][i // k]]
     return rows
+
+
+def scalar_rf_pmf(dc: DerivedConstants, n_max) -> HarvestPmf:
+    """rf_pmf of one point, with numpy arrays of one row of counts and the scalar
+    constants of dc, as it was before it became the one-key case of _rf_bins."""
+    if dc.rf_degenerate:
+        return HarvestPmf(np.array([1.0]), 0.0)
+    with np.errstate(over="ignore"):
+        x = dc.lambda_x * dc.alpha * np.arange(1, n_max + 1)
+        tails = np.exp(-dc.a * x) / (1.0 + x / dc.lambda_y)
+        n = min(n_max, 1 + int(np.count_nonzero(tails >= TAIL_EPS)))
+        c = dc.a * x[0]
+        drop = -math.expm1(-c) + math.exp(-c) * x[0] / (dc.lambda_y + x[:n])
+    return HarvestPmf(np.concatenate(([1.0], tails[:n - 1])) * drop, float(tails[n - 1]))
+
+
+def scalar_arrival_rows(probs, e_max):
+    """_arrival_rows of one pmf's probs, from an index gather, as it was before it
+    took a stack of pmf heads."""
+    head = probs[:e_max]
+    padded = np.concatenate([np.zeros(e_max), head, np.zeros(e_max - head.size)])
+    cum = np.concatenate([[0.0], np.cumsum(padded[e_max:])])
+    rows = np.empty((e_max + 1, e_max + 1))
+    rows[:, :e_max] = padded[np.arange(e_max) + np.arange(e_max, -1, -1)[:, None]]
+    rows[:, e_max] = np.maximum(0.0, 1.0 - cum[::-1])
+    return rows
+
+
+def per_point_kernels(params, dc):
+    """The unscaled idle and active arrival kernels (2, E_max + 1, E_max + 1) of
+    one point, as the engine built them point by point: arrival_pmfs (with
+    scalar_rf_pmf), then scalar_arrival_rows of each pmf."""
+    nat = nature_pmf(params, params.E_max)
+    active = combined_pmf(scalar_rf_pmf(dc, params.E_max), nat, params.E_max)
+    return np.array([scalar_arrival_rows(pmf.probs, params.E_max) for pmf in (nat, active)])
+
+
+def optimize_given_pmfs(points):
+    """optimize_many's reports for points (params, pmfs, budgets) whose pmf pair is
+    given, such as a faulty one, not built from params: energy_chain._optimize, the
+    engine optimize_many feeds, with the bytes of a point's pmf heads as its key
+    and its heads read back from them."""
+    entries = []
+    for params, pmfs, budgets in points:
+        heads = np.zeros((2, params.E_max))
+        for row, pmf in zip(heads, pmfs):
+            row[:min(params.E_max, pmf.probs.size)] = pmf.probs[:params.E_max]
+        entries.append((params, derive(params), budgets, heads.tobytes()))
+    return energy_chain._optimize(entries, lambda first, e_max: np.array(
+        [np.frombuffer(key).reshape(2, e_max) for *_, key in first]))

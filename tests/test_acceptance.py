@@ -34,8 +34,7 @@ def _report(number, description, ok, detail=""):
 
 
 def _mu_s_star(params):
-    dc = derive(params)
-    return optimize_g(params, dc, arrival_pmfs(params, dc)).mu_s_star
+    return optimize_g(params).mu_s_star
 
 
 def test_criterion_01_closed_form_cdf_matches_quadrature():
@@ -154,7 +153,7 @@ def test_criterion_06_occupancy_total_variation():
         p = default_params(lambda_p=lam_p)
         dc = derive(p)
         pmfs = arrival_pmfs(p, dc)
-        report = optimize_g(p, dc, pmfs)
+        report = optimize_g(p)
         chain = build_chain(pmfs[0], pmfs[1], dc.pi_idle, report.g_star, p.E_max)
         stationary(chain)
         res = simulate(replace(p, G=report.g_star),
@@ -171,8 +170,7 @@ def test_criterion_07_end_to_end_secondary_throughput():
     for lam_e in (0.0, 0.5):
         for lam_p in (0.1, 0.3, 0.5, 0.7, 0.9):
             p = default_params(lambda_p=lam_p, lambda_e=lam_e)
-            dc = derive(p)
-            report = optimize_g(p, dc, arrival_pmfs(p, dc))
+            report = optimize_g(p)
             res = simulate(replace(p, G=report.g_star),
                            SimConfig(n_slots=SLOTS, seed=707, warmup=WARMUP))
             gap = abs(report.mu_s_star - res.su_throughput_hat)
@@ -256,7 +254,7 @@ def test_criterion_12_enumeration_equivalence_and_bit_determinism():
         p = default_params(**over)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        report = optimize_g(p, dc, (idle, active))
+        report = optimize_g(p)
         pi = dc.pi_idle
         best_g, best_v = None, -1.0
         for g in range(1, p.E_max + 1):

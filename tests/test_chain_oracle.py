@@ -1,8 +1,8 @@
 """The vectorized chain build, the scipy-free stationary solver, the
 transitive closure that certifies chains for its LU solve, the stacked
 budget search, the stacks shared by a slice's points, the closed-form
-Poisson pmf and the pmfs cut at E_max, checked against the implementations
-they replaced.
+Poisson pmf, the pmfs cut at E_max and the pmf tables a slice builds as
+arrays, checked against the implementations they replaced.
 
 The references below are the former library code, kept as oracles: a
 per-entry loop for the transition matrix, a least-squares solve of the
@@ -13,7 +13,9 @@ budgets, scipy.stats for the ambient Poisson pmf, and pmfs over their whole
 TAIL_EPS support for the pmfs cut at E_max. The closure is checked against
 scipy.sparse.csgraph and the frontier sweeps it replaced (oracles.py), and
 the search for g* that energy balance prunes against the search over every
-budget.
+budget. The arrays of pmfs and kernels an E_max builds for all its keys at
+once are checked bit for bit against the per-point path they replaced
+(arrival_pmfs, then a gather of each pmf's rows; oracles.py).
 """
 
 import itertools
@@ -28,12 +30,13 @@ from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
-from ehshare import dbm_to_watts, default_params, derive, energy_chain
+from ehshare import dbm_to_watts, default_params, derive, energy_chain, harvest
 from ehshare.energy_chain import (ChainError, EnergyChain, build_chain, optimize_g, optimize_many,
                                   stationary, success_probability)
 from ehshare.harvest import (TAIL_EPS, HarvestPmf, arrival_pmfs, combined_pmf, nature_pmf,
                              rf_pmf)
-from oracles import assert_search_matches, frontier_verdicts, reference_search
+from oracles import (assert_search_matches, frontier_verdicts, per_point_kernels,
+                     reference_search, scalar_rf_pmf)
 
 FULL = 1 << 20  # a pmf support cap above every TAIL_EPS support used here
 
@@ -149,10 +152,8 @@ def reference_optimize(p):
 
 def _optimize_every_budget(p):
     """Every budget's report; the search for g* must match it."""
-    dc = derive(p)
-    pmfs = arrival_pmfs(p, dc)
-    report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
-    assert_search_matches(report, p, dc, pmfs)
+    report = optimize_g(p, range(1, p.E_max + 1))
+    assert_search_matches(report, p)
     return report
 
 
@@ -253,8 +254,7 @@ def _slice_inputs(points):
     for e_max, lambda_e, lambda_p, eta, g in points:
         g = None if g is None else min(g, e_max)
         p = default_params(E_max=e_max, lambda_e=lambda_e, lambda_p=lambda_p, eta=eta, G=g or 1)
-        dc = derive(p)
-        inputs.append((p, dc, arrival_pmfs(p, dc), None if g is None else (g,)))
+        inputs.append((p, None if g is None else (g,)))
     return inputs
 
 
@@ -265,8 +265,12 @@ def _slice_inputs(points):
                                  st.one_of(st.none(), st.integers(1, 40))),
                        min_size=1, max_size=6),
        cells=st.sampled_from([60, 300, 1000, 5000, 2 ** 15]))
+@example(points=[(1, 0.0, 0.0, 0.0, None), (1, 0.5, 0.0, 0.6, None), (1, 0.5, 0.4, 0.0, None)],
+         cells=60)
 def test_slice_stacks_match_each_point_solved_alone(points, cells):
-    # small cell budgets split stacks unevenly across points and budgets
+    # small cell budgets split stacks unevenly across points and budgets. The
+    # example keys a point at pi_idle = 1 by its ambient mean alone, which a point
+    # with a point-mass RF law (eta = 0) and the same mean must not take for its own
     inputs = _slice_inputs(points)
     with mock.patch.object(energy_chain, "_STACK_CELLS", cells):
         reports = optimize_many(inputs)
@@ -280,14 +284,14 @@ def test_slice_stacks_match_each_point_solved_alone(points, cells):
 def test_reducible_budgets_across_a_slice_match_the_reference(monkeypatch):
     points = [(6, 800.0, 0.4, 0.6, None), (40, 0.5, 0.0, 0.6, None), (10, 0.0, 0.4, 0.6, None),
               (40, 800.0, 1.0, 0.0, None), (1, 0.5, 0.0, 0.0, None), (6, 0.5, 0.0, 0.6, None)]
-    inputs = [(p, dc, pmfs, range(1, p.E_max + 1)) for p, dc, pmfs, _ in _slice_inputs(points)]
+    inputs = [(p, range(1, p.E_max + 1)) for p, _ in _slice_inputs(points)]
     refs = [reference_optimize(p) for p, *_ in inputs]
     monkeypatch.setattr(energy_chain, "_STACK_CELLS", 1000)
     reports = optimize_many(inputs)
     assert sum(len(ref[2]) for ref in refs) > 0
-    for report, ref, (p, dc, pmfs, _) in zip(reports, refs, inputs):
+    for report, ref, (p, _) in zip(reports, refs, inputs):
         _assert_matches_reference(report, ref)
-        assert_search_matches(report, p, dc, pmfs)
+        assert_search_matches(report, p)
 
 
 def _bounds_of(p, dc, pmfs):
@@ -307,7 +311,7 @@ def test_energy_balance_bounds_every_budget(lambda_p, eta, lambda_e, p_max_dbm, 
                        P_max=dbm_to_watts(p_max_dbm), E_max=e_max, G=1)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
+    report = optimize_g(p, range(1, e_max + 1))
     bound = _bounds_of(p, dc, pmfs)
     assert all(report.mu_s_by_g[g] <= bound[g - 1] * (1 + 1e-12) for g in report.mu_s_by_g)
 
@@ -324,10 +328,9 @@ def test_pruned_search_equals_the_exhaustive_one(points):
     for lambda_p, eta, lambda_e, e_max, sigma_ppd in points:
         p = default_params(lambda_p=lambda_p, eta=eta, lambda_e=lambda_e, E_max=e_max,
                            sigma_ppd=sigma_ppd, G=1)
-        dc = derive(p)
-        inputs.append((p, dc, arrival_pmfs(p, dc)))
-    searched = optimize_many([x + (None,) for x in inputs])
-    full = optimize_many([x + (range(1, x[0].E_max + 1),) for x in inputs])
+        inputs.append(p)
+    searched = optimize_many([(p, None) for p in inputs])
+    full = optimize_many([(p, range(1, p.E_max + 1)) for p in inputs])
     for s, f in zip(searched, full):
         assert (s.g_star, s.mu_s_star, s.mu_e) == (f.g_star, f.mu_s_star, f.mu_e)
         assert np.array_equal(s.chi, f.chi)
@@ -346,12 +349,12 @@ def test_bounds_of_zero_keep_every_budget_and_the_smallest_wins(monkeypatch):
     stacks, solve_stack = [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: stacks.append(len(omega)) or solve_stack(omega))
-    report = optimize_g(p, dc, pmfs)
+    report = optimize_g(p)
     assert list(report.mu_s_by_g) == list(range(1, 11)) and stacks == [1, 9]
     assert report.g_star == 1 and report.mu_s_star == 0.0
     # round 1 solving the largest budget must not let it win the tie
     monkeypatch.setattr(energy_chain, "_bounds", lambda *args: np.arange(1.0, 11.0))
-    report = optimize_g(p, dc, pmfs)
+    report = optimize_g(p)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 11))
 
 
@@ -361,21 +364,23 @@ def test_a_bound_rounded_below_a_tie_prunes_nothing(monkeypatch):
     # as rounding could leave them, must not prune the smaller budgets.
     p = default_params(lambda_e=800.0, sigma_ssd=1e30, E_max=6, G=1)
     dc = derive(p)
-    pmfs, pi = arrival_pmfs(p, dc), dc.pi_idle
-    assert set(optimize_g(p, dc, pmfs, range(1, 7)).mu_s_by_g.values()) == {pi}
+    pi = dc.pi_idle
+    assert set(optimize_g(p, range(1, 7)).mu_s_by_g.values()) == {pi}
     monkeypatch.setattr(energy_chain, "_bounds",
                         lambda *args: np.array([pi * (1 - 1e-12)] * 5 + [pi]))
-    report = optimize_g(p, dc, pmfs)
+    report = optimize_g(p)
     assert report.g_star == 1 and list(report.mu_s_by_g) == list(range(1, 7))
 
 
 @pytest.mark.parametrize("budget", ["pruned", "solved"])
 def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
     # three points of one E_max, so that their chains share stacks
-    inputs = [x[:3] for x in _slice_inputs([(10, 0.5, 0.4, 0.6, None), (10, 0.5, 0.2, 0.6, None),
-                                            (10, 0.5, 0.8, 0.6, None)])]
-    p, dc, (idle, active) = inputs[1]
-    alone = [optimize_g(*x) for x in inputs]
+    inputs = [p for p, _ in _slice_inputs([(10, 0.5, 0.4, 0.6, None), (10, 0.5, 0.2, 0.6, None),
+                                           (10, 0.5, 0.8, 0.6, None)])]
+    p = inputs[1]
+    dc = derive(p)
+    idle, active = arrival_pmfs(p, dc)
+    alone = [optimize_g(x) for x in inputs]
     pruned = sorted(set(range(1, 11)) - set(alone[1].mu_s_by_g))
     assert pruned and alone[1].g_star in alone[1].mu_s_by_g
     g = pruned[-1] if budget == "pruned" else alone[1].g_star
@@ -388,7 +393,7 @@ def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
         return r
 
     monkeypatch.setattr(energy_chain, "_residuals", missed)
-    out = optimize_many([x + (None,) for x in inputs])
+    out = optimize_many([(x, None) for x in inputs])
     for i in (0, 2):
         assert out[i].mu_s_by_g == alone[i].mu_s_by_g and out[i].g_star == alone[i].g_star
         assert np.array_equal(out[i].chi, alone[i].chi)
@@ -399,7 +404,7 @@ def test_a_fault_fails_a_point_only_in_a_budget_it_solves(budget, monkeypatch):
         assert np.array_equal(out[1].chi, alone[1].chi)
     # every budget solved: the fault fails the point either way
     with pytest.raises(energy_chain.StationarySolveError):
-        optimize_g(p, dc, (idle, active), range(1, 11))
+        optimize_g(p, range(1, 11))
 
 
 def _faulty_residuals(bad):
@@ -428,10 +433,11 @@ def _faulty_residuals(bad):
                  (1, 0.3, [2, 2]), (0, 0.0, [4, 2])],
          fault=(1, 2), cells=300)
 def test_the_slice_search_equals_the_per_chain_scorer(bases, points, fault, cells):
-    # points share a base's pmf objects, as a CLI slice's do: lambda_p 0.9 and 1.0
+    # points of a base share its pmf key, as a CLI slice's do: lambda_p 0.9 and 1.0
     # are saturated (mu_p = 0.82), so a base's such points are twins with equal
     # chains, and lambda_p = lambda_e = 0 ties every budget at mu_s = 0. A fault
-    # fails one point's chain at one budget, in every point that shares it.
+    # fails one point's chain at one budget, in every point that shares it. The
+    # scorer reads the base's pmfs.
     base_pmfs = []
     for e_max, lambda_e, eta in bases:
         p = default_params(E_max=e_max, lambda_e=lambda_e, eta=eta)
@@ -447,7 +453,7 @@ def test_the_slice_search_equals_the_per_chain_scorer(bases, points, fault, cell
         bad = build_chain(*pmfs, dc.pi_idle, min(fault[1], p.E_max), p.E_max).omega
     with mock.patch.object(energy_chain, "_STACK_CELLS", cells), \
             mock.patch.object(energy_chain, "_residuals", _faulty_residuals(bad)):
-        reports = optimize_many(inputs)
+        reports = optimize_many([(p, budgets) for p, _, _, budgets in inputs])
         refs = [reference_search(*x) for x in inputs]
     for report, ref in zip(reports, refs):
         if isinstance(ref, Exception):
@@ -460,13 +466,13 @@ def test_the_slice_search_equals_the_per_chain_scorer(bases, points, fault, cell
 
 def test_twins_share_each_chain_and_its_failure(monkeypatch):
     # lambda_p 0.9, 0.95 and 1.0 saturate mu_p = 0.82, so these points, on one
-    # pmf pair, have one pi_idle and equal chains: each is solved once, also when
+    # pmf key, have one pi_idle and equal chains: each is solved once, also when
     # stacks of two chains split a twin's chains from the others'
     base = default_params(lambda_e=0.5, eta=0.6, E_max=10)
     pmfs = arrival_pmfs(base, derive(base))
-    points = [(p, derive(p), pmfs, None) for p in
-              (replace(base, lambda_p=lambda_p) for lambda_p in (0.9, 0.3, 0.95, 1.0))]
-    assert points[0][1].pi_idle == points[2][1].pi_idle == points[3][1].pi_idle
+    points = [(replace(base, lambda_p=lambda_p), None) for lambda_p in (0.9, 0.3, 0.95, 1.0)]
+    pi_idle = [derive(p).pi_idle for p, _ in points]
+    assert pi_idle[0] == pi_idle[2] == pi_idle[3]
     chains, solve_stack = [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: chains.extend(omega) or solve_stack(omega))
@@ -481,7 +487,7 @@ def test_twins_share_each_chain_and_its_failure(monkeypatch):
             assert report == ref and report.reducible == ref.reducible
             assert np.array_equal(report.chi, ref.chi)
     # a shared chain that fails fails every twin with its one exception
-    bad = build_chain(*pmfs, points[0][1].pi_idle, alone[0].g_star, 10).omega
+    bad = build_chain(*pmfs, pi_idle[0], alone[0].g_star, 10).omega
     monkeypatch.setattr(energy_chain, "_residuals", _faulty_residuals(bad))
     out = optimize_many(points)
     assert isinstance(out[0], energy_chain.StationarySolveError)
@@ -598,3 +604,47 @@ def test_pmfs_cut_at_e_max_match_full_support(lambda_e, eta, p_max_dbm, e_max):
         assert np.max(np.abs(cut_chain.omega - whole_chain.omega)) <= 1e-15
         assert np.max(np.abs(stationary(cut_chain) - stationary(whole_chain))) <= 1e-12
         assert cut_chain.reducible is whole_chain.reducible
+
+
+def _edge_points(e_max):
+    """The harvest laws at the edges of the builders' branches, at one E_max."""
+    return [default_params(E_max=e_max, **over) for over in (
+        {"eta": 0.0, "lambda_e": 0.5},  # rf_degenerate: alpha = inf
+        {"N0": 1e30, "P_max": 1e-300, "lambda_e": 0.5},  # rf_degenerate: a = inf
+        {"sigma_ps": 1e-310},  # rf_degenerate: alpha * lambda_x overflows
+        {"eta": 1e-308},  # alpha * lambda_x = 1e308: x(n) overflows from n = 2
+        {"eta": 0.9, "P_max": dbm_to_watts(50.0)},  # an RF law far longer than E_max
+        {"lambda_e": 0.0},
+        {"lambda_e": float(e_max)},  # lambda_e * T >= E_max: the cap ends the support
+        {"lambda_e": 3.0 * e_max, "eta": 0.3},
+        {"lambda_e": 800.0},
+    )]
+
+
+@pytest.mark.parametrize("e_max", [1, 2, 6, 10, 40])
+def test_batched_pmf_tables_equal_the_per_point_path_bit_for_bit(e_max):
+    # every key's pmf heads, built together, and one batched _arrival_rows call
+    # give each point's kernels exactly as arrival_pmfs and the 1-D rows gather
+    # did, and rf_pmf, their one-key case, the bytes of the scalar code (--dump-pmfs)
+    rng = np.random.default_rng(e_max)
+    points = _edge_points(e_max)
+    edges = len(points)
+    for _ in range(300):
+        points.append(default_params(
+            E_max=e_max, eta=float(rng.choice([0.0, rng.uniform(0.0, 1.0), 0.9])),
+            lambda_e=float(rng.choice([0.0, rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0 * e_max)])),
+            P_max=dbm_to_watts(rng.uniform(-10.0, 50.0)), N0=10 ** rng.uniform(-8.0, -4.0),
+            e_pkt=10 ** rng.uniform(-5.0, -1.0), sigma_ppd=10 ** rng.uniform(-1.5, 1.5),
+            sigma_ps=10 ** rng.uniform(-1.5, 1.5)))
+    entries = [(p, derive(p)) for p in points]
+    kernels = energy_chain._arrival_rows(harvest.arrival_heads(entries, e_max))
+    assert kernels.shape == (len(points), 2, e_max + 1, e_max + 1)
+    for k, (p, dc) in enumerate(entries):
+        want = per_point_kernels(p, dc)
+        assert np.array_equal(kernels[k], want), p
+        if k < 20:  # the one-point build too
+            assert np.array_equal(energy_chain._arrival_rows(
+                harvest.arrival_heads([(p, dc)], e_max))[0], want), p
+        for n_max in (e_max, FULL if k < edges else 3 * e_max):
+            got, ref = rf_pmf(dc, n_max), scalar_rf_pmf(dc, n_max)
+            assert (got.probs.tobytes(), got.tail_mass) == (ref.probs.tobytes(), ref.tail_mass)

@@ -20,7 +20,7 @@ from ehshare import cli_sweep, energy_chain, harvest, simulator
 from ehshare.cli_sweep import SweepSpec, build_parser, compare, main, preset_specs, sweep
 from ehshare.config import PARAM_FIELDS, ParameterError, coerce_field, default_params, derive
 from ehshare.energy_chain import build_chain, mu_e, stationary, su_throughput
-from ehshare.harvest import HarvestPmf, arrival_pmfs
+from ehshare.harvest import arrival_pmfs
 from ehshare.simulator import SimConfig, run as simulate
 from oracles import run_grid_per_spec
 
@@ -59,9 +59,7 @@ def test_analytic_reports_every_budget(tmp_path):
     out = tmp_path / "point.json"
     assert main(["analytic", "--e-max", "12", "--format", "json", "--out", str(out)]) == 0
     (row,) = json.loads(out.read_text())
-    p = default_params(E_max=12)
-    dc = derive(p)
-    report = energy_chain.optimize_g(p, dc, arrival_pmfs(p, dc), budgets=range(1, 13))
+    report = energy_chain.optimize_g(default_params(E_max=12), budgets=range(1, 13))
     assert [c for c in row if c.startswith("mu_s_g")] == [f"mu_s_g{g}" for g in range(1, 13)]
     assert all(row[f"mu_s_g{g}"] == report.mu_s_by_g[g] for g in range(1, 13))
     assert row["g"] == report.g_star and row["mu_s"] == report.mu_s_star
@@ -119,7 +117,7 @@ def test_analytic_dump_artifacts(tmp_path):
     params = default_params()
     dc = derive(params)
     pmfs = arrival_pmfs(params, dc)
-    report = energy_chain.optimize_g(params, dc, pmfs, range(1, params.E_max + 1))
+    report = energy_chain.optimize_g(params, range(1, params.E_max + 1))
     assert np.array_equal(omega, build_chain(*pmfs, dc.pi_idle, report.g_star, params.E_max).omega)
     assert np.array_equal(chi, report.chi)
 
@@ -201,7 +199,7 @@ def test_fixed_g_policy_runs_every_engine_at_the_configured_budget(tmp_path):
     fixed = []
     for lambda_p in (0.2, 0.4):
         p = default_params(lambda_p=lambda_p, G=3)
-        fixed.append(energy_chain.optimize_g(p, derive(p), arrival_pmfs(p, derive(p)), [3]))
+        fixed.append(energy_chain.optimize_g(p, [3]))
     assert [float(r["mu_s"]) for r in rows[::2]] == [r.mu_s_star for r in fixed]
     assert main(["compare", *grid, *sim, "--out", str(out)]) == 0
     rows = read_csv(out)
@@ -255,7 +253,6 @@ def test_a_swept_value_is_validated_as_replace_validates_it(name, value, coerced
     # Uncoerced, bools and floats reach E_max and G as given; no engine runs
     fixed = default_params()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harvest, "arrival_pmfs", lambda params, dc: None)
         mp.setattr(energy_chain, "optimize_many", lambda points: [None] * len(points))
         if not coerced:
             mp.setattr(cli_sweep, "coerce_field", lambda name, value: value)
@@ -314,11 +311,12 @@ def test_outputs_must_name_columns_the_subcommand_writes(tmp_path, capsys, monke
 
 def test_analytic_parses_budget_columns_against_1_to_e_max(capsys, monkeypatch):
     # at E_max = 10**6 a bad mu_s_g{g} name exits 2 before any engine runs,
-    # and mu_s_g{E_max} passes the check and reaches the first engine step
+    # and mu_s_g{E_max} passes the check and reaches the first engine step that
+    # E_max sizes, its pmf tables
     def reached(*args, **kwargs):
         raise ParameterError(["E_max: engine reached"])
 
-    monkeypatch.setattr(harvest, "arrival_pmfs", reached)
+    monkeypatch.setattr(harvest, "arrival_heads", reached)
     argv = ["analytic", "--e-max", "1000000", "--outputs"]
     # 5,000 digits: past the digits int() reads from a string
     for name in ("mu_s_g0", "mu_s_g1000001", "mu_s_g01", "mu_s_g+1", "mu_s_g",
@@ -396,6 +394,22 @@ def test_grid_of_more_than_100000_points_exits_2_before_a_value_is_built(capsys)
         grid(argparse.Namespace(values=None, grid="0:100000:1"))
 
 
+def test_a_grid_rounds_away_float_error_relative_to_its_step(tmp_path):
+    # rounding to 12 decimals turned 1.5e-12 + 1e-12 into 3e-12 and a grid near a
+    # physical N0 into zeros; grids of steps 0.05, 0.1 and 1 keep the old values
+    grid = cli_sweep._grid_from_args
+    assert grid(argparse.Namespace(values=None, grid="1.5e-12:4.5e-12:1e-12")) \
+        == (1.5e-12, 2.5e-12, 3.5e-12, 4.5e-12)
+    for text in ("0:1:0.05", "0:1:0.1", "0:99999:1"):
+        start, stop, step = map(float, text.split(":"))
+        assert grid(argparse.Namespace(values=None, grid=text)) == tuple(
+            round(start + i * step, 12) for i in range(int((stop - start) / step + 1e-9) + 1))
+    out = tmp_path / "n0.csv"
+    assert main(["sweep", "--param", "N0", "--grid", "1e-13:3e-13:1e-13", "--out", str(out)]) == 0
+    assert [(r["N0"], r["error"]) for r in read_csv(out)] == [("1e-13", ""), ("2e-13", ""),
+                                                              ("3e-13", "")]
+
+
 def test_analytic_memory_error_names_e_max(monkeypatch, capsys):
     # a MemoryError while one E_max's chains are solved, or their kernels
     # built, fails that E_max's points alone
@@ -414,10 +428,9 @@ def test_analytic_memory_error_names_e_max(monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: invalid parameters: E_max: 40 ")
     errors = [r["error"] for r in sweep(SweepSpec("E_max", (10, 40, 60), default_params()))]
     assert errors[0] == "" and all(e.startswith("invalid parameters: E_max: ") for e in errors[1:])
-    monkeypatch.setattr(energy_chain, "_kernels", kernels)
-    p = default_params()
+    monkeypatch.setattr(energy_chain, "_arrival_rows", kernels)
     with pytest.raises(ParameterError) as exc:
-        energy_chain.optimize_g(p, derive(p), arrival_pmfs(p, derive(p)))
+        energy_chain.optimize_g(default_params())
     assert exc.value.fields == ["E_max"]
 
 
@@ -431,7 +444,8 @@ def test_e_max_above_the_ceiling_exits_2_before_an_engine_runs(e_max, monkeypatc
     # such an E_max used to build E_max column names, an E_max-bin RF pmf or
     # E_max histogram names before any check ran; validate now refuses it first
     for module, name in ((harvest, "arrival_pmfs"), (harvest, "rf_pmf"),
-                         (simulator, "run"), (simulator, "run_many")):
+                         (harvest, "arrival_heads"), (energy_chain, "optimize_many"),
+                         (energy_chain, "optimize_g"), (simulator, "run"), (simulator, "run_many")):
         monkeypatch.setattr(module, name, _no_engine)
     sim = ["--slots", "1000", "--warmup", "10"]
     for argv in (["analytic"], ["analytic", "--fixed-g"], ["simulate", *sim]):
@@ -449,14 +463,12 @@ def test_e_max_above_the_ceiling_exits_2_before_an_engine_runs(e_max, monkeypatc
 
 
 def test_the_largest_e_max_allowed_gets_a_result_or_exit_2(monkeypatch, capsys):
-    # 10**6 passes validate; the chain's MemoryError, stubbed so that nothing
-    # allocates, then names E_max, as at any E_max too large for memory
-    def kernels(*args):
+    # 10**6 passes validate; the MemoryError of its pmf tables, stubbed so that
+    # nothing allocates, then names E_max, as at any E_max too large for memory
+    def tables(*args):
         raise MemoryError
 
-    point_mass = HarvestPmf(np.array([1.0]), 0.0)
-    monkeypatch.setattr(harvest, "arrival_pmfs", lambda p, dc: (point_mass, point_mass))
-    monkeypatch.setattr(energy_chain, "_kernels", kernels)
+    monkeypatch.setattr(harvest, "arrival_heads", tables)
     message = "invalid parameters: E_max: 1000000 is too large for the analytic engine's memory"
     assert main(["analytic", "--fixed-g", "--e-max", "1000000"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -511,7 +523,7 @@ def test_compare_skips_simulator_after_analytic_failure(monkeypatch):
         raise ValueError("analytic engine failed")
 
     calls = []
-    monkeypatch.setattr(harvest, "arrival_pmfs", fail)
+    monkeypatch.setattr(harvest, "arrival_heads", fail)
     monkeypatch.setattr(simulator, "run", lambda *a: calls.append(a))
     monkeypatch.setattr(simulator, "run_many", lambda *a: calls.append(a) or [])
     spec = SweepSpec("P_max", (100.0,), default_params(eta=0.9),
@@ -926,12 +938,20 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("preset, keys", [("fig2", 4), ("fig3", 30), ("fig4", 3), ("fig5", 4)])
 def test_a_slice_builds_each_distinct_pmf_pair_and_kernel_once(preset, keys, monkeypatch,
                                                                 capsys):
-    # fig2, fig4 and fig5 sweep lambda_p, so each of their grids is one key;
-    # fig3 sweeps sigma_ppd, which the RF pmf reads, so each point is its own
-    pmf_calls = _count_calls(monkeypatch, harvest, "arrival_pmfs")
-    row_calls = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
+    # fig2, fig4 and fig5 sweep lambda_p, so each of their grids is one pmf key;
+    # fig3 sweeps sigma_ppd, which the RF pmf reads, so each point is its own.
+    # A lambda_p = 0 point, where pi_idle = 1, is keyed by its nature part
+    # (lambda_e * T, E_max) alone, which fig4's grids at eta 0 and 0.6 share at
+    # lambda_e = 0.5. Each E_max builds its keys' pmfs and kernels in one call each.
+    heads = _count_calls(monkeypatch, harvest, "arrival_heads")
+    rows = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
     assert main(["preset", preset]) == 0
-    assert (len(pmf_calls), len(row_calls)) == (keys, 2 * keys)
+    specs = preset_specs(preset)
+    idle = {(s.fixed.lambda_e * s.fixed.T, s.fixed.E_max) for s in specs if 0.0 in s.grid}
+    assert sorted(e_max for _, e_max in heads) == sorted({s.fixed.E_max for s in specs})
+    assert sum(len(built) for built, _ in heads) == keys + len(idle)
+    assert all(len({key for *_, key in built}) == len(built) for built, _ in heads)
+    assert [args[0].shape[1:] for args in rows] == [(2, e_max) for _, e_max in heads]
 
 
 @pytest.mark.parametrize("preset, chains", [("fig2", 160), ("fig3", 30), ("fig4", 117),
@@ -960,54 +980,96 @@ def test_a_slice_solves_each_distinct_chain_once(preset, chains, monkeypatch, ca
 
 
 def test_no_pmf_or_kernel_memo_outlives_its_slice(monkeypatch, capsys):
-    pmf_calls = _count_calls(monkeypatch, harvest, "arrival_pmfs")
-    row_calls = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
+    heads = _count_calls(monkeypatch, harvest, "arrival_heads")
+    rows = _count_calls(monkeypatch, energy_chain, "_arrival_rows")
     assert main(["preset", "fig2"]) == 0
     assert main(["preset", "fig2"]) == 0
-    assert (len(pmf_calls), len(row_calls)) == (8, 16)
+    assert (sum(len(built) for built, _ in heads), len(rows)) == (12, 4)
     assert capsys.readouterr().out.count("\n") == 2 * (1 + 84)
-    # nor does one outlive its optimize_many call, though its pmfs live on
-    p = default_params()
-    points = [(p, derive(p), arrival_pmfs(p, derive(p)), None)]
+    # nor does one outlive its optimize_many call
+    points = [(default_params(), None)]
     energy_chain.optimize_many(points)
     energy_chain.optimize_many(points)
-    assert len(row_calls) == 16 + 4
+    assert len(rows) == 4 + 2
 
 
-def test_a_key_whose_pmfs_fail_is_tried_again_at_each_point(monkeypatch):
-    calls = []
+def test_a_failure_building_one_e_max_tables_fails_only_its_points(monkeypatch):
+    # a MemoryError names E_max, another failure is the error of each of the
+    # E_max's points; the points of another E_max get the values they get alone
+    arrival_heads = harvest.arrival_heads
 
-    def fail(params, dc):
-        calls.append(params.lambda_p)
-        raise ValueError(f"no pmfs at lambda_p={params.lambda_p}")
+    def fail(points, e_max):
+        if e_max == 20:
+            raise ValueError(f"no tables at E_max={e_max}")
+        if e_max == 40:
+            raise MemoryError
+        return arrival_heads(points, e_max)
 
-    monkeypatch.setattr(harvest, "arrival_pmfs", fail)
-    rows = sweep(SweepSpec("lambda_p", (0.2, 0.4, 0.6), default_params()))
-    assert calls == [0.2, 0.4, 0.6]
-    assert [r["error"] for r in rows] == [f"no pmfs at lambda_p={lp}" for lp in calls]
+    points = [(default_params(E_max=e_max, lambda_p=lambda_p, lambda_e=0.5), None)
+              for e_max in (10, 20, 40) for lambda_p in (0.2, 0.6)]
+    alone = [energy_chain.optimize_g(p) for p, _ in points[:2]]
+    monkeypatch.setattr(harvest, "arrival_heads", fail)
+    out = energy_chain.optimize_many(points)
+    for report, ref in zip(out, alone):
+        assert report == ref and np.array_equal(report.chi, ref.chi)
+    assert out[2] is out[3] and str(out[2]) == "no tables at E_max=20"
+    memory = "invalid parameters: E_max: 40 is too large for the analytic engine's memory"
+    assert all(isinstance(r, ParameterError) and str(r) == memory for r in out[4:])
+    rows = sweep(SweepSpec("E_max", (10, 20, 40), default_params(lambda_e=0.5)))
+    assert [r["error"] for r in rows] == ["", "no tables at E_max=20", memory]
 
 
 def test_a_slice_sharing_pmf_objects_matches_each_point_solved_alone():
-    # a lambda_p grid on one pmf pair, stable and saturated (mu_p = 0.82),
-    # searched and at a fixed budget, the same pair read at a second E_max
-    # through its first 6 bins, and a point with a pmf pair of its own
+    # a lambda_p grid on one pmf key, stable and saturated (mu_p = 0.82),
+    # searched and at a fixed budget, the same harvest law at a second E_max,
+    # and a point with a pmf key of its own; each is solved alone in a call of its own
     base = default_params(lambda_e=0.5, eta=0.4)
-    pmfs = arrival_pmfs(base, derive(base))
-    points = [(p, derive(p), pmfs, budgets) for p, budgets in [
-        (replace(base, lambda_p=0.0), None), (replace(base, lambda_p=0.3), None),
-        (replace(base, lambda_p=0.9), None), (replace(base, lambda_p=1.0), None),
-        (replace(base, lambda_p=0.5, G=3), (3,)), (replace(base, lambda_p=0.5), (1, 4, 7)),
-        (replace(base, lambda_p=0.2, E_max=6), None), (replace(base, lambda_p=0.7, E_max=6), None),
+    points = [(replace(base, **over), budgets) for over, budgets in [
+        ({"lambda_p": 0.0}, None), ({"lambda_p": 0.3}, None), ({"lambda_p": 0.9}, None),
+        ({"lambda_p": 1.0}, None), ({"lambda_p": 0.5, "G": 3}, (3,)),
+        ({"lambda_p": 0.5}, (1, 4, 7)), ({"lambda_p": 0.2, "E_max": 6}, None),
+        ({"lambda_p": 0.7, "E_max": 6}, None),
     ]]
-    other = default_params(lambda_e=1.0, lambda_p=0.3)
-    points.insert(2, (other, derive(other), arrival_pmfs(other, derive(other)), None))
-    for (params, dc, shared, budgets), report in zip(points, energy_chain.optimize_many(points)):
-        own = tuple(HarvestPmf(pmf.probs.copy(), pmf.tail_mass) for pmf in shared)
-        alone = energy_chain.optimize_g(params, dc, own, budgets)
+    points.insert(2, (default_params(lambda_e=1.0, lambda_p=0.3), None))
+    for (params, budgets), report in zip(points, energy_chain.optimize_many(points)):
+        alone = energy_chain.optimize_g(params, budgets)
         assert (report.g_star, report.mu_s_star, report.mu_e) \
             == (alone.g_star, alone.mu_s_star, alone.mu_e)
         assert list(report.mu_s_by_g.items()) == list(alone.mu_s_by_g.items())
         assert np.array_equal(report.chi, alone.chi)
+
+
+def test_equal_points_built_separately_share_each_chain():
+    # the content key, not the objects, identifies a chain: two equal points
+    # send each chain to the solver once, as one point does
+    sent = []
+    solve_stack = energy_chain._solve_stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_chain, "_solve_stack",
+                   lambda omega: sent.extend(omega) or solve_stack(omega))
+        (one,) = energy_chain.optimize_many([(default_params(lambda_e=0.5), range(1, 11))])
+        alone, sent[:] = len(sent), []
+        twins = energy_chain.optimize_many([(default_params(lambda_e=0.5), range(1, 11)),
+                                            (default_params(lambda_e=0.5), range(1, 11))])
+    assert len(sent) == alone == len({w.tobytes() for w in sent}) == 10
+    assert all(r == one and np.array_equal(r.chi, one.chi) for r in twins)
+
+
+def test_a_p_max_sweep_builds_the_nature_pmf_once_per_e_max(monkeypatch):
+    # lambda_e * T does not move with P_max, so each E_max's keys share one
+    nature = _count_calls(monkeypatch, harvest, "nature_pmf")
+    points = [(default_params(P_max=p_max, lambda_e=0.5, eta=0.9, E_max=e_max), None)
+              for e_max in (6, 10) for p_max in (0.01, 1.0, 10.0, 100.0)]
+    energy_chain.optimize_many(points)
+    assert [(p.lambda_e * p.T, n_max) for p, n_max in nature] == [(0.5, 6), (0.5, 10)]
+
+
+def test_derive_runs_once_per_analytic_point(monkeypatch, capsys):
+    derived = _count_calls(monkeypatch, energy_chain, "derive")
+    assert main(["sweep", "--param", "P_max", "--values", "0.01,1,10", "--lambda-e", "0.5"]) == 0
+    assert main(["preset", "fig2"]) == 0
+    assert main(["analytic"]) == 0
+    assert len(derived) == 3 + 84 + 1
 
 
 @pytest.mark.parametrize("argv, field", [

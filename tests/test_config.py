@@ -115,7 +115,7 @@ def test_small_primary_rates_keep_full_precision(over, mu):
     p = default_params(**over)
     dc = derive(p)
     assert dc.a == pytest.approx(p.N0 * p.W * dc.R_p * math.log(2) / p.P_max, rel=1e-12)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    report = optimize_g(p)
     assert dc.mu_p == pytest.approx(mu, abs=1e-12) and 0.0 <= report.mu_s_star <= dc.pi_idle
 
 
@@ -134,8 +134,7 @@ def test_a_primary_that_never_transmits_solves_as_with_eta_0(over):
     assert derive(p).mu_p == 0.0
     off = replace(p, eta=0.0)
     for budgets in (None, range(1, p.E_max + 1)):
-        on_r, off_r = (optimize_g(q, derive(q), arrival_pmfs(q, derive(q)), budgets)
-                       for q in (p, off))
+        on_r, off_r = (optimize_g(q, budgets) for q in (p, off))
         assert on_r.mu_s_by_g == off_r.mu_s_by_g and on_r.g_star == off_r.g_star
         assert np.array_equal(on_r.chi, off_r.chi)
         on_o, off_o = (build_chain(*arrival_pmfs(q, derive(q)), derive(q).pi_idle, on_r.g_star,
@@ -150,8 +149,7 @@ def test_rf_packets_too_large_to_fill_mean_no_rf_harvest(over):
     dc = derive(p)
     assert dc.rf_degenerate
     off = replace(p, eta=0.0)
-    assert optimize_g(p, dc, arrival_pmfs(p, dc)).mu_s_by_g \
-        == optimize_g(off, derive(off), arrival_pmfs(off, derive(off))).mu_s_by_g
+    assert optimize_g(p).mu_s_by_g == optimize_g(off).mu_s_by_g
 
 
 def test_dbm_conversions():

@@ -14,7 +14,7 @@ from ehshare.energy_chain import (ChainError, EnergyChain, StationarySolveError,
                                   mu_e, optimize_g, optimize_many, stationary,
                                   success_probability, su_throughput)
 from ehshare.harvest import HarvestPmf, arrival_pmfs
-from oracles import LEAKY, assert_search_matches, frontier_verdicts
+from oracles import LEAKY, assert_search_matches, frontier_verdicts, optimize_given_pmfs
 
 P = default_params()
 DC = derive(P)
@@ -147,8 +147,7 @@ def test_lu_right_hand_side_carries_the_stack_shape(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     p = default_params(E_max=6)
-    dc = derive(p)
-    optimize_g(p, dc, arrival_pmfs(p, dc), range(1, 7))
+    optimize_g(p, range(1, 7))
     stationary(EnergyChain(omega=np.array([[0.7, 0.3], [0.2, 0.8]]), g=1))
     optimize_many(_slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "G": 3},
                          budgets=[range(1, 7), (3,)]))
@@ -160,9 +159,7 @@ def _slice(*overrides, budgets=None):
     """optimize_many inputs of points at E_max=6 with the given overrides."""
     inputs = []
     for over, points_budgets in zip(overrides, budgets or [None] * len(overrides)):
-        p = default_params(E_max=6, **over)
-        dc = derive(p)
-        inputs.append((p, dc, arrival_pmfs(p, dc), points_budgets))
+        inputs.append((default_params(E_max=6, **over), points_budgets))
     return inputs
 
 
@@ -171,7 +168,8 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
     inputs = _slice({"lambda_p": 0.2}, {"lambda_p": 0.5, "lambda_e": 0.5}, {"lambda_p": 0.8},
                     budgets=[range(1, 7)] * 3)
     alone = [optimize_g(*x) for x in inputs]
-    p, dc, (idle, active), _ = inputs[1]
+    p = inputs[1][0]
+    dc, (idle, active) = derive(p), arrival_pmfs(p, derive(p))
     bad = [build_chain(idle, active, dc.pi_idle, g, 6).omega for g in range(1, 7)]
     if fault == "residual":  # every chain of the middle point misses
         residuals = energy_chain._residuals
@@ -183,10 +181,11 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
 
         monkeypatch.setattr(energy_chain, "_residuals", missed)
         expected = StationarySolveError
-    elif fault == "nan":  # a NaN pmf, set past HarvestPmf's checks
+    elif fault == "nan":  # a NaN pmf, set past HarvestPmf's checks, on the pmf entry
         nan = pmf(0.0, 1.0)
         object.__setattr__(nan, "probs", np.array([np.nan, 1.0]))
-        inputs[1] = (p, dc, (nan, active), range(1, 7))
+        inputs = [(q, arrival_pmfs(q, derive(q)), budgets) for q, budgets in inputs]
+        inputs[1] = (p, (nan, active), range(1, 7))
         expected = ChainError
     else:  # np.linalg.solve raises for the whole stack when one member is singular
         solve, singular, off = np.linalg.solve, [], ~np.eye(7, dtype=bool)
@@ -204,15 +203,14 @@ def test_a_failing_chain_fails_only_its_own_point(fault, monkeypatch):
     stacks, solve_stack = [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: stacks.append(len(omega)) or solve_stack(omega))
-    out = optimize_many(inputs)
+    run = optimize_given_pmfs if fault == "nan" else optimize_many
+    out = run(inputs)
     assert stacks == [18]
-    assert isinstance(out[1], expected)
+    assert isinstance(out[1], expected) and isinstance(run(inputs[1:2])[0], expected)
     for i in (0, 2):
         assert out[i].mu_s_by_g == alone[i].mu_s_by_g and out[i].g_star == alone[i].g_star
         assert np.array_equal(out[i].chi, alone[i].chi)
-        assert_search_matches(alone[i], *inputs[i][:3])
-    with pytest.raises(expected):
-        optimize_g(*inputs[1])
+        assert_search_matches(alone[i], inputs[i][0])
 
 
 def test_stationary_requires_row_stochastic_matrix():
@@ -231,14 +229,12 @@ def test_stationary_requires_a_square_matrix(omega):
 
 def test_optimize_rejects_empty_and_bad_budgets_before_solving(monkeypatch):
     p = default_params(E_max=6)
-    dc = derive(p)
-    pmfs = arrival_pmfs(p, dc)
     with pytest.raises(ChainError, match="budgets"):
-        optimize_g(p, dc, pmfs, budgets=[])
+        optimize_g(p, budgets=[])
     monkeypatch.setattr(energy_chain, "_solve_stack", lambda omega: pytest.fail("solved"))
     for bad in (0, 7, 2.0):
         with pytest.raises(ChainError, match="1 <= g <= e_max"):
-            optimize_g(p, dc, pmfs, budgets=[1, 2, 3, 4, 5, 6, bad])
+            optimize_g(p, budgets=[1, 2, 3, 4, 5, 6, bad])
 
 
 def test_an_e_max_too_large_for_memory_fails_before_its_budgets_are_read(monkeypatch):
@@ -248,14 +244,12 @@ def test_an_e_max_too_large_for_memory_fails_before_its_budgets_are_read(monkeyp
         def __iter__(self):
             pytest.fail("budgets read")
 
-    def no_memory(probs, e_max):
+    def no_memory(heads):
         raise MemoryError
 
     monkeypatch.setattr(energy_chain, "_arrival_rows", no_memory)
-    p = default_params()
-    dc = derive(p)
     with pytest.raises(ParameterError) as exc:
-        optimize_g(p, dc, arrival_pmfs(p, dc), Unread())
+        optimize_g(default_params(), Unread())
     assert exc.value.fields == ["E_max"]
 
 
@@ -263,9 +257,9 @@ def test_numpy_integer_budgets_give_the_report_of_python_ints():
     p = default_params(E_max=6)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    want = optimize_g(p, dc, pmfs, range(1, 4))
+    want = optimize_g(p, range(1, 4))
     for budgets in (np.arange(1, 4), [np.int64(1), np.int32(2), np.uint8(3)]):
-        report = optimize_g(p, dc, pmfs, budgets)
+        report = optimize_g(p, budgets)
         assert report == want and np.array_equal(report.chi, want.chi)
         assert type(report.g_star) is int and all(type(g) is int for g in report.mu_s_by_g)
     assert build_chain(*pmfs, dc.pi_idle, np.int64(2), p.E_max).g == 2
@@ -275,15 +269,13 @@ def test_ties_break_toward_the_budget_given_first(monkeypatch):
     # sigma_ssd = 1e-300: no secondary packet decodes, so every mu_s is 0;
     # each budget of the report is solved once, a budget given twice too
     p = default_params(sigma_ssd=1e-300, E_max=6)
-    dc = derive(p)
-    pmfs = arrival_pmfs(p, dc)
     chains, solve_stack = [], energy_chain._solve_stack
     monkeypatch.setattr(energy_chain, "_solve_stack",
                         lambda omega: chains.append(len(omega)) or solve_stack(omega))
     for budgets, g_star, keys in (([5, 3, 1], 5, [5, 3, 1]), ([2, 2, 1], 2, [2, 1]),
                                   (None, 1, list(range(1, 7)))):
         chains.clear()
-        report = optimize_g(p, dc, pmfs, budgets)
+        report = optimize_g(p, budgets)
         assert set(report.mu_s_by_g.values()) == {0.0}
         assert (report.g_star, list(report.mu_s_by_g)) == (g_star, keys)
         assert report.g_star == g_star
@@ -296,7 +288,7 @@ def test_bool_budgets_and_capacities_are_rejected_like_any_non_integer():
     pmfs = arrival_pmfs(p, dc)
     for budgets in ([True], [1, False], [np.int64(1), True]):
         with pytest.raises(ChainError, match="1 <= g <= e_max"):
-            optimize_g(p, dc, pmfs, budgets)
+            optimize_g(p, budgets)
     for g, e_max in ((True, 10), (1, True)):
         with pytest.raises(ChainError, match="1 <= g <= e_max"):
             build_chain(*pmfs, 0.5, g, e_max)
@@ -309,11 +301,9 @@ def test_no_least_squares_solve_on_the_runtime_path(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "lstsq", banned)
     for e_max in (10, 40):
         p = default_params(E_max=e_max, lambda_e=0.5)
-        dc = derive(p)
-        pmfs = arrival_pmfs(p, dc)
-        report = optimize_g(p, dc, pmfs, range(1, e_max + 1))
+        report = optimize_g(p, range(1, e_max + 1))
         assert len(report.mu_s_by_g) == e_max
-        assert_search_matches(report, p, dc, pmfs)
+        assert_search_matches(report, p)
     out = tmp_path / "fig2.csv"
     assert main(["preset", "fig2", "--jobs", "1", "--out", str(out)]) == 0
     with open(out, newline="") as fh:
@@ -343,8 +333,7 @@ def test_reducible_chains_are_reported_as_data_without_a_warning():
         chain = build_chain(*pmfs, dc.pi_idle, 2, p.E_max)
         stationary(chain)
     assert caught == [] and chain.reducible is True
-    for call in (lambda: optimize_g(p, dc, pmfs),
-                 lambda: optimize_many([(p, dc, pmfs, None)])[0]):
+    for call in (lambda: optimize_g(p), lambda: optimize_many([(p, None)])[0]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = call()
@@ -397,7 +386,7 @@ def test_an_su_cutoff_whose_partial_product_overflows_stays_finite():
                        sigma_ssd=1e10, lambda_e=1e-9)
     dc = derive(p)
     assert dc.b == pytest.approx(100000.00000386294, rel=1e-12)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc), range(1, p.E_max + 1))
+    report = optimize_g(p, range(1, p.E_max + 1))
     assert report.mu_s_by_g[1] == pytest.approx(0.99999000005, rel=1e-9)
     assert simulate(p, SimConfig(n_slots=20_000, seed=3)).su_throughput_hat > 0.999
 
@@ -429,8 +418,8 @@ def test_throughput_vanishes_with_the_top_state_mass():
 
 def test_saturated_primary_scales_by_service_complement():
     p = default_params(lambda_p=1.0)
-    dc = derive(p)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    report = optimize_g(p)
+    dc = report.dc
     assert dc.pi_idle == pytest.approx(1.0 - dc.mu_p, rel=1e-15)
     assert report.mu_s_star <= dc.pi_idle
 
@@ -460,9 +449,7 @@ def test_availability_mass_nonincreasing_in_budget_at_reference_point():
 
 
 def test_optimize_singleton_budget():
-    p = default_params(E_max=1, G=1)
-    dc = derive(p)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    report = optimize_g(default_params(E_max=1, G=1))
     assert report.g_star == 1
     assert set(report.mu_s_by_g) == {1}
 
@@ -472,8 +459,8 @@ def test_optimize_equals_exhaustive_reevaluation():
         p = default_params(**over)
         dc = derive(p)
         idle, active = arrival_pmfs(p, dc)
-        report = optimize_g(p, dc, (idle, active), range(1, p.E_max + 1))
-        assert_search_matches(report, p, dc, (idle, active))
+        report = optimize_g(p, range(1, p.E_max + 1))
+        assert_search_matches(report, p)
         pi = dc.pi_idle
         best_g, best_v = None, -1.0
         for g in range(1, p.E_max + 1):
@@ -489,9 +476,7 @@ def test_optimize_equals_exhaustive_reevaluation():
 
 def test_optimal_budget_regression_point():
     # frozen output of the exhaustive sweep at this operating point
-    p = default_params(E_max=6, lambda_p=0.3)
-    dc = derive(p)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    report = optimize_g(default_params(E_max=6, lambda_p=0.3))
     assert report.g_star == 1
     assert report.mu_s_star == pytest.approx(0.10669981897262712, rel=1e-10)
 
@@ -524,8 +509,8 @@ def test_a_leak_below_one_ulp_of_the_diagonal_keeps_the_lu_nonsingular():
     omega = build_chain(*pmfs, dc.pi_idle, 3, p.E_max).omega
     off = omega - np.diag(np.diag(omega))
     assert np.all(np.diag(omega)[:3] == 1.0) and np.all(off[:3].sum(axis=1) > 0.0)
-    report = optimize_g(p, dc, pmfs, range(1, p.E_max + 1))
+    report = optimize_g(p, range(1, p.E_max + 1))
     assert report.g_star == 1 and 0.0 < report.mu_s_star < 1e-15
     assert all(0.0 <= mu_s < 1e-15 for mu_s in report.mu_s_by_g.values())
     assert abs(report.chi.sum() - 1.0) <= 1e-12
-    assert_search_matches(report, p, dc, pmfs)
+    assert_search_matches(report, p)

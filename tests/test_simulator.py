@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ehshare import ParameterError, SimConfig, default_params, derive, optimize_g, simulate
 from ehshare import simulator
-from ehshare.harvest import arrival_pmfs, rf_pmf
+from ehshare.harvest import rf_pmf
 from oracles import harvest_draw, rf_harvest_samples
 
 P = default_params()
@@ -160,8 +160,7 @@ def test_conditioned_sampler_matches_quantized_scalar_draw():
 
 def test_secondary_throughput_tracks_analytic_value():
     p = default_params(lambda_p=0.4, lambda_e=0.0, eta=0.6, E_max=10)
-    dc = derive(p)
-    report = optimize_g(p, dc, arrival_pmfs(p, dc))
+    report = optimize_g(p)
     p_star = replace(p, G=report.g_star)
     res = simulate(p_star, SimConfig(n_slots=200_000, seed=37, warmup=10_000))
     assert abs(res.su_throughput_hat - report.mu_s_star) \

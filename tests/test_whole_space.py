@@ -21,8 +21,8 @@ from dataclasses import asdict
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from ehshare import (ParameterError, SimConfig, SystemParams, arrival_pmfs, default_params,
-                     derive, optimize_g, simulate, validate)
+from ehshare import (ParameterError, SimConfig, SystemParams, default_params, derive, optimize_g,
+                     simulate, validate)
 from ehshare.config import PARAM_FIELDS
 from oracles import LEAKY
 
@@ -98,7 +98,7 @@ def test_every_valid_point_gets_a_result_or_a_named_parameter_error(fields):
     assert 0.0 <= dc.pi_idle <= 1.0 and dc.pi_idle + dc.pu_throughput == 1.0
     # doubles this extreme overflow and underflow on the way to finite results
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        report = optimize_g(p, dc, arrival_pmfs(p, dc), range(1, p.E_max + 1))
+        report = optimize_g(p, range(1, p.E_max + 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
