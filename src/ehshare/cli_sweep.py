@@ -57,6 +57,8 @@ class SweepSpec:
         if grid.ndim != 1 or grid.size == 0:
             raise ParameterError([f"grid: must be a nonempty 1-D sequence of numbers "
                                   f"(got shape {grid.shape})"])
+        if grid.size > 1 and np.isnan(grid).any():  # one point alone is validated as a value
+            raise ParameterError(["grid: nan has no place in a monotone grid"])
         diffs = np.diff(grid)
         if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ParameterError(["grid: must be strictly monotone"])

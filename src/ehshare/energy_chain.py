@@ -22,12 +22,10 @@ certification guards only an omega no model builds, as one passed to stationary.
 
 A chain is fixed by its pmf key (at pi_idle = 1 its nature part), pi_idle and g.
 optimize_many searches g* for a slice of points at once, its bounds and mu_s held
-as (point, budget) arrays, and solves each distinct chain asked for once a round.
+as (point, budget) arrays, and solves each distinct chain it asks for once.
 """
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +83,8 @@ def _budgets(budgets, e_max):
     """The budgets checked, as ints, each once (1..e_max if None)."""
     if budgets is None:
         return range(1, e_max + 1)
-    budgets = [operator.index(g) if hasattr(g, "__index__") and not isinstance(g, bool) else g
-               for g in budgets]
+    budgets = [g.item() if isinstance(g, (np.generic, np.ndarray)) and g.ndim == 0 else g
+               for g in budgets]  # a numpy scalar stands for the Python number it holds
     if not budgets:
         raise ChainError("budgets: must be nonempty")
     for g in budgets:
@@ -283,21 +281,6 @@ def _bounds(c, pi_idle, m, g):
     return np.exp(c / g) * np.minimum(pi_idle, m / g)
 
 
-def _solve_chains(kernels, cells, solved, errors):
-    """Solve each distinct chain (kernel, g) of the cells once, in the order first
-    asked, in stacks of at most _STACK_CELLS matrix entries. Append each one's
-    (chi, _availability, reducible) to solved, put its failure in errors under
-    its index there, and return each cell's index."""
-    chains = {c: len(solved) + b for b, c in enumerate(dict.fromkeys(cells))}
-    per_stack, stacked = max(1, _STACK_CELLS // kernels.shape[2] ** 2), list(chains)
-    for s in range(0, len(stacked), per_stack):
-        kernel, g = zip(*stacked[s:s + per_stack])
-        chi, failures, red = _solve_stack(_omegas(kernels, kernel, g))
-        errors.update((len(solved) + b, exc) for b, exc in failures.items())
-        solved += zip(chi, [_availability(chi[b], h) for b, h in enumerate(g)], red)
-    return [chains[c] for c in cells]
-
-
 def optimize_many(points) -> list:
     """optimize_g for every point (params, budgets) of a slice at once: per point, in
     order, its ThroughputReport or the exception that failed it (derive's
@@ -321,9 +304,10 @@ def optimize_many(points) -> list:
 
 def _optimize(entries, arrival_heads):
     """optimize_many over entries, each a point's failure or (params, dc, budgets, key);
-    arrival_heads(first, e_max) gives the (K, 2, e_max) pmf heads of K keys' first entries."""
+    arrival_heads(first, e_max) gives the (K, 2, e_max) pmf heads of K keys' first entries.
+    _search gets a row (i, budgets, (E_max, kernel), c, pi_idle, m, search) per point searched."""
     out = [entry if isinstance(entry, Exception) else None for entry in entries]
-    groups, live, spans = {}, [], []
+    groups, live, scaled = {}, [], {}
     for i, entry in enumerate(entries):
         if out[i] is None:  # the key of the point's kernel
             groups.setdefault(entry[0].E_max, {})[i] = entry[3], entry[1].pi_idle
@@ -340,7 +324,7 @@ def _optimize(entries, arrival_heads):
             continue
         levels = np.arange(e_max + 1.0)  # a float dot gives the int dot's sum, in less time
         m = [row @ levels for row in kernels[:, 0, 0] + kernels[:, 1, 0]]
-        lo = len(live)  # live: per point searched, (i, budgets, kernel, c, pi_idle, m, search)
+        scaled[e_max] = kernels
         for i, k in group.items():
             params, dc, budgets, _ = entries[i]
             try:
@@ -348,62 +332,66 @@ def _optimize(entries, arrival_heads):
             except Exception as exc:
                 out[i] = exc
                 continue
-            live.append((i, order, kernel[k], -dc.b / params.sigma_ssd, dc.pi_idle,
+            live.append((i, order, (e_max, kernel[k]), -dc.b / params.sigma_ssd, dc.pi_idle,
                          m[kernel[k]], budgets is None))
-        spans.append((lo, len(live), kernels))
     if live:
-        _search(entries, live, spans, out)
+        _search(entries, live, scaled, out)
     return [ParameterError([f"E_max: {e[0].E_max} is too large for the analytic engine's memory"])
             if isinstance(r, MemoryError) else r for e, r in zip(entries, out)]
 
 
-def _search(entries, live, spans, out):
-    """_optimize's two rounds over its rows live, given the span (lo, hi, kernels)
-    of each E_max's rows; sets out[i] for each row's point i. _bounds bounds a
-    search's budgets, its first largest raised to inf, and inf the budgets given.
-    Round 1 solves each budget of bound inf, round 2 each other one whose bound is
-    not below the best round-1 mu_s less a 1e-9 margin, so that rounding prunes no
-    tie; each round solves each distinct chain of an E_max once (_solve_chains)."""
+def _search(entries, live, scaled, out):
+    """_optimize's two rounds over its rows live, given each E_max's scaled kernels; sets out[i]
+    for each row's point i. _bounds bounds a search's budgets, its first largest raised to inf,
+    and inf the budgets given. Round 1 solves each budget of bound inf, round 2 each other one
+    whose bound is not below the best round-1 mu_s less a 1e-9 margin, so that rounding prunes no
+    tie. table maps each chain (E_max, kernel, g) to (chi, _availability, reducible, failure). A
+    round solves those it asks for that are not in it, per E_max in the order first asked, in
+    stacks of at most _STACK_CELLS matrix entries; a MemoryError fails the E_max's rest."""
     width = max(len(row[1]) for row in live)
     budget = np.array([row[1] + [0] * (width - len(row[1])) for row in live])  # 0 pads a row
     c, pi, m, search = np.array([row[3:] for row in live]).T[:, :, None]
     bound = np.where(search > 0, _bounds(c, pi, m, np.maximum(budget, 1)), np.inf)
     bound[budget == 0] = -np.inf
     bound[np.arange(len(live)), bound.argmax(axis=1)] = np.inf  # round 1 solves these
-    todo, mu, cell = budget > 0, np.full(budget.shape, -np.inf), np.zeros_like(budget)
-    solved, errors, floor = [], {}, np.inf  # per chain (chi, availability, reducible); failures
+    todo, mu, table, floor = budget > 0, np.full(budget.shape, -np.inf), {}, np.inf
     for _ in range(2):  # the floor: inf in round 1, then the best mu_s less a 1e-9 margin
         ask = todo & ~(bound < floor)
         if not ask.any():
             break
         todo &= ~ask
         p, j = np.nonzero(ask)
-        at, gs, ids = p.tolist(), budget[p, j].tolist(), []  # the cells asked, row by row
-        for lo, hi, kernels in spans:
-            a, b = bisect.bisect_left(at, lo), bisect.bisect_left(at, hi)
-            cells = [(live[r][2], g) for r, g in zip(at[a:b], gs[a:b])]
+        at, gs = p.tolist(), budget[p, j].tolist()
+        cells = [live[r][2] + (g,) for r, g in zip(at, gs)]  # the chains asked, row by row
+        new = {}  # per E_max, the chains not in the table yet
+        for cell in dict.fromkeys(c for c in cells if c not in table):
+            new.setdefault(cell[0], []).append(cell)
+        for e_max, chains in new.items():
+            per_stack = max(1, _STACK_CELLS // (e_max + 1) ** 2)
             try:
-                ids += _solve_chains(kernels, cells, solved, errors)
-            except MemoryError as exc:  # fails each chain the E_max asks for
-                errors[len(solved)] = exc
-                ids += [len(solved)] * len(cells)
-                solved.append((None, 0.0, False))
-        for r, k in zip(at, ids) if errors else ():
-            if k in errors and out[live[r][0]] is None:  # the row's first failing budget
-                out[live[r][0]], todo[r] = errors[k], False
-        cell[p, j] = ids  # mu_s as su_throughput computes it; a failed row's goes unread
-        mu[p, j] = [dc.pi_idle * success_probability(params, dc, g) * solved[k][1]
-                    for (params, dc, *_), g, k in zip((entries[live[r][0]] for r in at), gs, ids)]
+                for stack in [chains[s:s + per_stack] for s in range(0, len(chains), per_stack)]:
+                    _, kernel, g = zip(*stack)
+                    chi, failures, red = _solve_stack(_omegas(scaled[e_max], kernel, g))
+                    table.update((cell, (chi[b], _availability(chi[b], cell[2]), red[b],
+                                         failures.get(b))) for b, cell in enumerate(stack))
+            except MemoryError as exc:
+                table.update((cell, (None, 0.0, False, exc)) for cell in chains if cell not in table)
+        scores = []  # mu_s as su_throughput computes it; a failed row's goes unread
+        for r, g, cell in zip(at, gs, cells):
+            (params, dc, *_), (_, availability, _, failure) = entries[live[r][0]], table[cell]
+            if failure is not None and out[live[r][0]] is None:  # the row's first failing budget
+                out[live[r][0]], todo[r] = failure, False
+            scores.append(dc.pi_idle * success_probability(params, dc, g) * availability)
+        mu[p, j] = scores
         floor = mu.max(axis=1, keepdims=True) * (1 - 1e-9)
     star = mu.argmax(axis=1).tolist()  # the first maximizer in budget order; -inf: not solved
-    for (i, *_), row_g, row_mu, row_k, b in zip(live, budget.tolist(), mu.tolist(), cell.tolist(),
-                                                star):
+    for (i, _, key, *_), row_g, row_mu, b in zip(live, budget.tolist(), mu.tolist(), star):
         if out[i] is None:
-            found = [(h, x, n) for h, x, n in zip(row_g, row_mu, row_k) if x >= 0.0]
-            mu_s, g, k = {h: x for h, x, _ in found}, row_g[b], row_k[b]
-            reducible, dc = frozenset(h for h, _, n in found if solved[n][2]), entries[i][1]
-            out[i] = ThroughputReport(g * dc.pi_idle * solved[k][1], mu_s, g, mu_s[g],
-                                      solved[k][0], reducible, dc)
+            mu_s, g, dc = {h: x for h, x in zip(row_g, row_mu) if x >= 0.0}, row_g[b], entries[i][1]
+            chi, availability, *_ = table[key + (g,)]
+            reducible = frozenset(h for h in mu_s if table[key + (h,)][2])
+            out[i] = ThroughputReport(g * dc.pi_idle * availability, mu_s, g, mu_s[g], chi,
+                                      reducible, dc)
 
 
 def optimize_g(params: SystemParams, budgets=None) -> ThroughputReport:

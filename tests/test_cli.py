@@ -350,6 +350,9 @@ def test_bad_grid_exits_nonzero(capsys):
     for argv in (["--values", "0.1,abc"], ["--grid", "a:b:c"]):
         assert main(["sweep", "--param", "lambda_p"] + argv) == 2
         assert "grid" in capsys.readouterr().err
+    for values in ("0.5,nan", "nan,0.5,0.7"):  # the value named, not monotonicity
+        assert main(["sweep", "--param", "lambda_p", "--values", values]) == 2
+        assert "grid: nan has no place in a monotone grid" in capsys.readouterr().err
     for cmd in ("sweep", "compare"):
         assert main([cmd, "--param", "lambda_p", "--values", "0.1", "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
@@ -432,6 +435,35 @@ def test_analytic_memory_error_names_e_max(monkeypatch, capsys):
     with pytest.raises(ParameterError) as exc:
         energy_chain.optimize_g(default_params())
     assert exc.value.fields == ["E_max"]
+
+
+def test_a_memory_error_in_a_later_stack_fails_only_the_chains_left_unsolved(monkeypatch):
+    # one chain per stack at E_max 10: round 1 asks one chain per point, the first
+    # stack solves the first point's and the second raises, so the other two
+    # points of E_max 10 fail naming it, while the first, whose round 2 solves
+    # four more budgets, and the E_max 6 point get the reports they get alone
+    points = [default_params(lambda_e=lambda_e, sigma_ssd=0.2, E_max=e_max)
+              for lambda_e, e_max in ((0.3, 10), (0.5, 6), (0.5, 10), (0.8, 10))]
+    alone = [energy_chain.optimize_g(p) for p in points]
+    calls, solve_stack = [], energy_chain._solve_stack
+
+    def second_e_max_10_stack_raises(omega):
+        if omega.shape[1] == 11:
+            calls.append(len(omega))
+            if len(calls) == 2:
+                raise MemoryError
+        return solve_stack(omega)
+
+    monkeypatch.setattr(energy_chain, "_STACK_CELLS", 11 ** 2)
+    monkeypatch.setattr(energy_chain, "_solve_stack", second_e_max_10_stack_raises)
+    out = energy_chain.optimize_many([(p, None) for p in points])
+    assert len(calls) > 2 and set(calls) == {1}
+    for i in (0, 1):
+        assert out[i] == alone[i] and out[i].reducible == alone[i].reducible
+        assert out[i].chi.tobytes() == alone[i].chi.tobytes()
+    for failed in out[2:]:
+        assert isinstance(failed, ParameterError) and failed.fields == ["E_max"]
+        assert str(failed).startswith("invalid parameters: E_max: 10 ")
 
 
 def _no_engine(*args):
@@ -1051,8 +1083,20 @@ def test_equal_points_built_separately_share_each_chain():
         alone, sent[:] = len(sent), []
         twins = energy_chain.optimize_many([(default_params(lambda_e=0.5), range(1, 11)),
                                             (default_params(lambda_e=0.5), range(1, 11))])
-    assert len(sent) == alone == len({w.tobytes() for w in sent}) == 10
+        assert len(sent) == alone == len({w.tobytes() for w in sent}) == 10
+        # sigma_ssd is not in the pmf key, so these rows share an E_max's kernel but
+        # not their bounds: round 2 asks again for chains round 1 solved
+        sent[:] = []
+        points = [(default_params(sigma_ssd=sigma, lambda_e=0.5, E_max=e_max), None)
+                  for e_max in (6, 10) for sigma in (0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5)]
+        reports = energy_chain.optimize_many(points)
     assert all(r == one and np.array_equal(r.chi, one.chi) for r in twins)
+    assert sorted(len(w) for w in sent) == [7] * 6 + [11] * 10  # 6 chains at E_max 6, 10 at 10
+    assert len({w.tobytes() for w in sent}) == 16
+    for report, (p, _) in zip(reports, points):
+        ref = energy_chain.optimize_g(p)
+        assert report == ref and report.reducible == ref.reducible
+        assert report.chi.tobytes() == ref.chi.tobytes()
 
 
 def test_a_p_max_sweep_builds_the_nature_pmf_once_per_e_max(monkeypatch):

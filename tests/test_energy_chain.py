@@ -286,7 +286,8 @@ def test_bool_budgets_and_capacities_are_rejected_like_any_non_integer():
     p = default_params(E_max=6)
     dc = derive(p)
     pmfs = arrival_pmfs(p, dc)
-    for budgets in ([True], [1, False], [np.int64(1), True]):
+    for budgets in ([True], [1, False], [np.int64(1), True], np.array([[1, 2]]),
+                    [np.array([1, 2])]):
         with pytest.raises(ChainError, match="1 <= g <= e_max"):
             optimize_g(p, budgets)
     for g, e_max in ((True, 10), (1, True)):
