@@ -20,6 +20,14 @@ E_max, to E_max - s (s the largest idle count), from which s overflows again.
 tests/test_chain_oracle.py checks every support up to E_max = 4. So _solve_stack's
 certification guards only an omega no model builds, as one passed to stationary.
 
+Most model chains are irreducible, and _irreducible proves it in O(n), where the
+closure behind the certification costs O(n^3): a one-packet rise from every level
+(an active slot's count of 1, or an idle one's of 1 below g and g + 1 from g on)
+climbs 0 to E_max, and an idle slot that harvests nothing steps each level j >= g
+to j - g. _solve_stack closes only the chains it leaves: no harvest, lambda_p = 0
+with a pmf shorter than g + 2 bins, Poisson bins at 0 that underflow (lambda_e * T
+> 745), pi_idle = 0, and 1x1 and hand-made omegas.
+
 A chain is fixed by its pmf key (at pi_idle = 1 its nature part), pi_idle and g.
 optimize_many searches g* for a slice of points at once, its bounds and mu_s held
 as (point, budget) arrays, and solves each distinct chain it asks for once.
@@ -159,6 +167,20 @@ def _residuals(omega, chi):
     return np.max(np.abs(np.matmul(chi[:, None], omega)[:, 0] - chi), axis=1)
 
 
+def _irreducible(omega):
+    """Mask (B,) of the chains of a stack omega (B, n, n) that two O(n) path checks
+    prove irreducible: (i) omega[j, j + 1] > 0 for every j < n - 1, and (ii) with s
+    the stride of the top row's lowest move, s >= 1 and omega[j, j - s] > 0 for
+    every j >= s. By (i) 0 climbs to every state; by (ii) a state falls by s until
+    it is below s, (i) climbs it to s and (ii) steps it to 0. In a model chain s is
+    the budget g: an idle slot that spends g and harvests nothing."""
+    n, chains = omega.shape[1], np.arange(len(omega))[:, None]
+    stride = n - 1 - np.argmax(omega[:, -1] > 0.0, axis=1)[:, None]
+    fall = np.arange(n) - stride  # state j's target under (ii), negative below s
+    return (np.all(np.diagonal(omega, 1, 1, 2) > 0.0, axis=1) & (stride[:, 0] >= 1)
+            & np.all((omega[chains, np.arange(n), np.maximum(fall, 0)] > 0.0) | (fall < 0), axis=1))
+
+
 def _solve_stack(omega):
     """stationary for each chain of a stack omega (B, n, n), failing chain by chain.
 
@@ -170,7 +192,9 @@ def _solve_stack(omega):
     no model chain's do (the module docstring says why). Else all of them reach the
     top one, t, as any that reaches 0 does (0 reaches t); the balance equations
     over them, with t's replaced by sum(chi) = 1 and identity rows for the others,
-    have one solution. _closure reads this off in O(n^3), like the LU. Each
+    have one solution. A chain _irreducible proves so in O(n) reaches every state
+    and t = n - 1; _closure reads the reached states, t and the check off the
+    others in O(n^3), like the LU (those the module docstring lists). Each
     diagonal entry of omega - I is minus its row's off-diagonal mass (Grassmann,
     Taksar & Heyman 1985): omega[j, j] - 1 rounds a leak below 1 ulp away. The
     chains share one batched LU solve, or are solved one by one if a singular
@@ -180,13 +204,16 @@ def _solve_stack(omega):
     ok = np.all(np.abs(omega.sum(axis=2) - 1.0) <= 1e-9, axis=1) & np.all(omega >= 0, axis=(1, 2))
     for b in np.flatnonzero(~ok).tolist():
         failures[b] = ChainError("omega must be row-stochastic")
-    closed = _closure(omega > 0.0) > 0.0
-    reached = closed[:, 0]
-    top = n - 1 - np.argmax(reached[:, ::-1], axis=1)
-    certified = np.all(closed[np.arange(len(top)), :, top] | ~reached, axis=1)
-    for b in np.flatnonzero(ok & ~certified).tolist():
-        ok[b], failures[b] = False, ChainError(
-            "the states reached from 0 hold several closed classes")
+    reached, top = np.ones(omega.shape[:2], dtype=bool), np.full(len(omega), n - 1)
+    reducible, rest = np.zeros(len(omega), dtype=bool), np.flatnonzero(ok & ~_irreducible(omega))
+    if rest.size:
+        closed = _closure(omega[rest] > 0.0) > 0.0
+        reached[rest], reducible[rest] = closed[:, 0], ~closed.all(axis=(1, 2))
+        top[rest] = n - 1 - np.argmax(closed[:, 0, ::-1], axis=1)
+        certified = np.all(closed[np.arange(rest.size), :, top[rest]] | ~closed[:, 0], axis=1)
+        for b in rest[~certified].tolist():
+            ok[b], failures[b] = False, ChainError(
+                "the states reached from 0 hold several closed classes")
     solved, diag = np.flatnonzero(ok), np.arange(n)
     a = np.swapaxes(omega[solved], 1, 2)
     a[:, diag, diag] = 0.0
@@ -211,7 +238,7 @@ def _solve_stack(omega):
     for b in solved[~(residual[solved] < _TOL)].tolist():
         failures[b] = StationarySolveError(
             f"stationary residual {residual[b]:.3e} exceeds {_TOL:.1e}")
-    return chi, failures, ok & ~closed.all(axis=(1, 2))
+    return chi, failures, ok & reducible
 
 
 def stationary(chain: EnergyChain) -> np.ndarray:

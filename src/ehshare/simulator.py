@@ -136,16 +136,17 @@ def _closed_forms(spend, add, g, e_max):
     so it ends at min(e_max, level + gained). A level of at least hi = g *
     (idle slots) spends at every idle slot, so it ends at min(level + net,
     cap): net is the block's net change and cap = e_max + net - (peak of
-    the running net change), where a path saturating there ends."""
+    the running net change), where a path saturating there ends. One pass
+    down the block's rows keeps each as a running int64 sum or maximum."""
     g, e_max = (np.array(x, np.int64)[:, None] for x in (g, e_max))
-    idle = spend > 0
-    gained_before = np.cumsum(add, axis=1, dtype=np.int64) - add
-    walk = np.cumsum(add.astype(np.int64) - spend, axis=1)
-    return (np.maximum(g - np.where(idle, gained_before, 0).max(axis=1), 0),
-            np.minimum(g * idle.sum(axis=1), e_max + 1),
-            walk[:, -1],
-            e_max + walk[:, -1] - walk.max(axis=1),
-            gained_before[:, -1] + add[:, -1])
+    gained, before, spent = np.zeros((3, len(g), spend.shape[2]), np.int64)
+    net, peak = np.empty_like(gained), np.full(gained.shape, np.iinfo(np.int64).min)
+    for s, a in zip(spend.transpose(1, 0, 2), add.transpose(1, 0, 2)):
+        np.copyto(before, gained, where=s > 0)  # arrivals before the last idle slot yet
+        gained += a
+        spent += s  # g per idle slot
+        np.maximum(peak, np.subtract(gained, spent, out=net), out=peak)
+    return np.maximum(g - before, 0), np.minimum(spent, e_max + 1), net, e_max + net - peak, gained
 
 
 def _chain(maps, e0):

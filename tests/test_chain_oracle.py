@@ -232,6 +232,72 @@ def test_certification_matches_the_frontier_sweeps(e_max):
                        for f in failures.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 130), b=st.integers(1, 3), density=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
+       up=st.booleans(), stride=st.one_of(st.none(), st.integers(0, 129)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, b=1, density=0.5, up=True, stride=None, seed=0)
+@example(n=2, b=2, density=0.0, up=True, stride=1, seed=0)
+@example(n=3, b=1, density=0.0, up=True, stride=0, seed=0)
+@example(n=5, b=1, density=0.0, up=False, stride=2, seed=0)
+@example(n=64, b=1, density=0.0, up=True, stride=63, seed=0)
+@example(n=65, b=3, density=0.1, up=True, stride=7, seed=1)
+@example(n=130, b=1, density=0.0, up=True, stride=2, seed=2)
+def test_the_path_checks_prove_only_irreducible_chains(n, b, density, up, stride, seed):
+    # wherever _irreducible holds, the closure is all ones and csgraph finds one
+    # strong component. Forcing the super-diagonal and a stride s (the top row's
+    # lowest move n-1-s, and j -> j-s for every j >= s) makes it hold if s >= 1;
+    # at s = 0 the top state only loops, and it must not hold. Without the
+    # super-diagonal a stride alone only falls.
+    rng = np.random.default_rng(seed)
+    edges = rng.random((b, n, n)) < density
+    if up:
+        edges[:, np.arange(n - 1), np.arange(1, n)] = True
+    forced = stride is not None and stride < n
+    if forced:
+        edges[:, n - 1, :n - 1 - stride] = False
+        edges[:, np.arange(stride, n), np.arange(n - stride)] = True
+    omega = edges / np.maximum(edges.sum(axis=2, keepdims=True), 1)
+    proven = energy_chain._irreducible(omega)
+    assert proven.shape == (b,)
+    if forced and up:
+        assert proven.all() if stride >= 1 else not proven.any()
+    closed = energy_chain._closure(edges)
+    for k in np.flatnonzero(proven).tolist():
+        assert np.all(closed[k] == 1.0)
+        assert connected_components(csr_matrix(edges[k]), connection="strong")[0] == 1
+
+
+@pytest.mark.parametrize("e_max", [6, 40, 100, 150])
+def test_the_path_checks_change_no_solve(e_max, monkeypatch):
+    # with _irreducible switched off every chain takes the closure: chi bytes,
+    # failures (type and text) and the reducible mask must not move. The stacks
+    # are those of test_certification_matches_the_frontier_sweeps.
+    stacks = []
+    for lambda_p, lambda_e in itertools.product((0.0, 0.4, 1.0), (0.0, 0.5, 800.0)):
+        p = default_params(lambda_p=lambda_p, lambda_e=lambda_e, E_max=e_max, G=1)
+        dc = derive(p)
+        idle, active = arrival_pmfs(p, dc)
+        stacks.append(np.array([build_chain(idle, active, dc.pi_idle, g, e_max).omega
+                                for g in range(1, e_max + 1)]))
+    n = e_max + 1
+    edges = np.random.default_rng(e_max).random((e_max, n, n)) < 1.5 / n
+    edges |= ~edges.any(axis=2, keepdims=True) & np.eye(n, dtype=bool)
+    stacks.append(edges / edges.sum(axis=2, keepdims=True))
+    proven = [energy_chain._irreducible(omega) for omega in stacks]
+    assert any(mask.any() for mask in proven)
+    with_proof = [energy_chain._solve_stack(omega) for omega in stacks]
+    monkeypatch.setattr(energy_chain, "_irreducible", lambda omega: np.zeros(len(omega), bool))
+    for omega, (chi, failures, reducible) in zip(stacks, with_proof):
+        closure_chi, closure_failures, closure_reducible = energy_chain._solve_stack(omega)
+        assert chi.tobytes() == closure_chi.tobytes()
+        assert np.array_equal(reducible, closure_reducible)
+        assert {b: (type(f), str(f)) for b, f in failures.items()} == \
+            {b: (type(f), str(f)) for b, f in closure_failures.items()}
+    if e_max == 100:  # lambda_p = 0, lambda_e = 0.5: 76 budgets leave top states unreached
+        assert with_proof[1][2].sum() == 76 and proven[1].any()
+
+
 def test_uneven_stacks_match_one_stack_and_the_reference(monkeypatch):
     # lambda_p=0, lambda_e=0.5: some budgets leave the top states unreachable
     # and others do not, so stacks mix reducible and irreducible chains

@@ -986,6 +986,20 @@ def test_a_slice_builds_each_distinct_pmf_pair_and_kernel_once(preset, keys, mon
     assert [args[0].shape[1:] for args in rows] == [(2, e_max) for _, e_max in heads]
 
 
+@pytest.mark.parametrize("argv, closed", [
+    (["sweep", "--param", "E_max", "--values", "20,40,60,79,100", "--lambda-e", lambda_e,
+      "--jobs", "1"], False) for lambda_e in ("0.0", "0.5")] + [(["preset", "fig2"], True)])
+def test_the_closure_runs_only_on_chains_the_path_checks_leave(argv, closed, monkeypatch, capsys):
+    # perfbench's big_battery sweeps (seed 0): every chain has an idle slot that
+    # harvests nothing and moves up from every state, so _irreducible proves all of
+    # them. fig2's chains at lambda_p = lambda_e = 0 harvest nothing: the closure's.
+    calls, closure = [], energy_chain._closure
+    monkeypatch.setattr(energy_chain, "_closure",
+                        lambda edges: calls.append(len(edges)) or closure(edges))
+    assert main(argv) == 0
+    assert bool(calls) == closed
+
+
 @pytest.mark.parametrize("preset, chains", [("fig2", 160), ("fig3", 30), ("fig4", 117),
                                             ("fig5", 140)])
 def test_a_slice_solves_each_distinct_chain_once(preset, chains, monkeypatch, capsys):
